@@ -12,9 +12,7 @@ from .angular import (
     cg_tau,
     cg_tau_table,
     hemi_overlap,
-    legendre_p,
     pochhammer_half,
-    rot_element,
 )
 from .states import (
     DickeState,
@@ -43,7 +41,6 @@ from .reconstruct import (
     ReconstructionConfig,
     apply_uniform_damping,
     compute_weights,
-    damping_factor,
     fbp_full,
     fbp_inplane,
     fold_northern,

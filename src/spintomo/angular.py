@@ -30,10 +30,8 @@ __all__ = [
     "cg_general",
     "cg_t",
     "cg_t_row",
-    "legendre_p",
     "legendre_table",
     "legendre_sph_table",
-    "rot_element",
     "rot_elements_axis",
     "pochhammer_half",
     "hemi_overlap",
@@ -288,15 +286,6 @@ def legendre_table(kmax, x):
     return out
 
 
-def legendre_p(k, x):
-    """Legendre polynomial P_k(x)."""
-    if k < 0 or k != int(k):
-        raise ValueError(f"degree must be a non-negative integer, got {k}")
-    if abs(x) > 1.0:
-        raise ValueError(f"argument {x} outside [-1, 1]")
-    return float(legendre_table(int(k), np.asarray(x, dtype=float))[int(k)])
-
-
 @lru_cache(maxsize=16)
 def _sph_recurrence_coeffs(kmax):
     # a[k,q], b[k,q] for the normalized upward recurrence in k (q <= k-2)
@@ -364,12 +353,6 @@ def rot_elements_axis(kmax, theta, phi):
         qsign = np.where(q[1:] % 2 == 0, 1.0, -1.0)
         out[:, kmax - 1::-1] = qsign[None, :] * np.conj(out[:, kmax + 1:])
     return out
-
-
-def rot_element(k, q, theta, phi):
-    """Single rotation element D^k_{q0}(phi, theta, 0)."""
-    check_wave_index(k, q)
-    return complex(rot_elements_axis(int(k), theta, phi)[int(k), int(k) + int(q)])
 
 
 def pochhammer_half(a):

@@ -15,7 +15,7 @@ import numpy as np
 from . import io as stio
 from .analysis import power_spectrum, squeezing_scan
 from .forward import NoiseModel, sample_measurements
-from .reconstruct import ReconstructionConfig, reconstruct
+from .reconstruct import ReconstructionConfig, _axis_ids, reconstruct
 from .states import (
     coherent_state,
     dicke_basis_state,
@@ -232,8 +232,8 @@ def _cmd_reconstruct(args):
     if cfg["kmax"] is None:
         kmax = two_j_min
         if cfg["mode"] == "in-plane":
-            n_axes = len({round(r.phi % math.pi, 12) % math.pi for r in records})
-            kmax = min(kmax, n_axes - 1)
+            _, first, _ = _axis_ids(math.pi / 2.0, np.array([r.phi for r in records]))
+            kmax = min(kmax, first.size - 1)
     else:
         kmax = int(cfg["kmax"])
     fold = cfg["fold_north"] or False

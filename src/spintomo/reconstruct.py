@@ -1,10 +1,19 @@
 """Filtered backprojection of partial-wave coefficients from records.
 
-Implements both the full-sphere and in-plane (single great circle of
-quantization axes) reconstructions, homogenizing measurement weights,
-per-record uncertainty damping, northern-hemisphere folding for states
-known to live on one hemisphere, and the direct per-measurement
-contribution assembly of the Wigner function.
+The full-sphere and in-plane (single great circle of quantization axes)
+reconstructions run one backprojection core.  It groups the records by
+quantization axis, sums each axis's weighted, number-damped coupling
+coefficients into A[k, axis] (one histogram and one matrix product per
+distinct spin), contracts A once with the angular kernel of the
+geometry, and applies the geometry's filter: (2k+1) on the sphere, the
+Pochhammer product on the equator.  Axes are unoriented: a record taken
+along the antipode of an axis is the same measurement with m -> -m, and
+two directions within ``_AXIS_TOL`` radians are one axis.
+
+The module also homogenizes measurement weights, folds even-parity
+reconstructions onto the northern hemisphere for states known to live
+there, and assembles the Wigner function directly from per-measurement
+contributions.
 """
 
 import math
@@ -12,6 +21,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial import SphericalVoronoi, cKDTree
 
 from .angular import (
     SQRT_4PI,
@@ -27,7 +37,6 @@ from .states import SphericalState, _mirror_negative_q, _number_damping
 __all__ = [
     "ReconstructionConfig",
     "compute_weights",
-    "damping_factor",
     "fbp_full",
     "fbp_inplane",
     "fold_northern",
@@ -41,7 +50,8 @@ __all__ = [
 
 _MODES = ("full-sphere", "in-plane")
 _EQUATOR_TOL = 1e-6
-_GROUP_DECIMALS = 12
+_AXIS_TOL = 1e-9  # radians; far above the rounding error of any angle pair
+_CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of an angular kernel
 
 
 @dataclass(frozen=True)
@@ -114,14 +124,38 @@ def _unit_vectors(theta, phi):
                      np.cos(theta)], axis=1)
 
 
-def _canonical_axis(v):
-    # quantization axes are unoriented: fold each direction to a canonical half-space
-    w = v.copy()
-    flip = (w[:, 2] < -1e-12) \
-        | ((np.abs(w[:, 2]) <= 1e-12) & (w[:, 0] < -1e-12)) \
-        | ((np.abs(w[:, 2]) <= 1e-12) & (np.abs(w[:, 0]) <= 1e-12) & (w[:, 1] < 0.0))
-    w[flip] *= -1.0
-    return w
+def _axis_ids(theta, phi):
+    """Group records by unoriented quantization axis.
+
+    Returns (axis, first, flip): axis[n] is the axis index of record n,
+    first[a] the record whose own (theta, phi) stand for axis a, and
+    flip[n] marks records that point opposite to their axis.  Directions
+    within _AXIS_TOL of each other or of each other's antipode are linked,
+    and the axes are the connected groups.  Exact duplicate angles are
+    merged first, so the cost follows the number of distinct angles.
+    theta may be a scalar (pi / 2 puts every axis on the equator).
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), phi)
+    keys, first, inverse = np.unique(theta + 1j * phi, return_index=True,
+                                     return_inverse=True)
+    u = _unit_vectors(keys.real, keys.imag)
+    n = keys.size
+    pairs = cKDTree(np.vstack([u, -u])).query_pairs(
+        2.0 * math.sin(0.5 * _AXIS_TOL), output_type="ndarray") % n
+    # connected groups by min-label propagation; labels only fall, so it ends
+    root = np.arange(n)
+    while True:
+        low = np.minimum(root[pairs[:, 0]], root[pairs[:, 1]])
+        new = root.copy()
+        np.minimum.at(new, pairs[:, 0], low)
+        np.minimum.at(new, pairs[:, 1], low)
+        new = new[new]
+        if np.array_equal(new, root):
+            break
+        root = new
+    roots, axis = np.unique(root, return_inverse=True)
+    flip = np.einsum("ij,ij->i", u, u[root]) < 0.0
+    return axis[inverse], first[roots], flip[inverse]
 
 
 def compute_weights(records, mode, scheme="voronoi"):
@@ -141,17 +175,13 @@ def compute_weights(records, mode, scheme="voronoi"):
         raise ValueError(f"unknown weight scheme {scheme!r}")
 
     if mode == "in-plane":
-        folded = np.round(np.mod(phi, math.pi), _GROUP_DECIMALS) % math.pi
-        keys, inverse, counts = np.unique(folded, return_inverse=True, return_counts=True)
-        axis_w = _circle_arc_weights(keys, math.pi)
+        axis, first, _ = _axis_ids(math.pi / 2.0, phi)
+        axis_w = _circle_arc_weights(np.mod(phi[first], math.pi), math.pi)
     elif mode == "full-sphere":
-        vecs = _canonical_axis(_unit_vectors(theta, phi))
-        keys_arr = np.round(vecs, _GROUP_DECIMALS)
-        keys, inverse, counts = np.unique(keys_arr, axis=0,
-                                          return_inverse=True, return_counts=True)
-        if keys.shape[0] == 1:
+        axis, first, _ = _axis_ids(theta, phi)
+        if first.size == 1:
             raise ValueError("all axes coincide; no area partition exists")
-        units = keys / np.linalg.norm(keys, axis=1, keepdims=True)
+        units = _unit_vectors(theta[first], phi[first])
         svals = np.linalg.svd(units, compute_uv=False)
         if svals[-1] < 1e-9:
             # all axes on one great circle: cells are lunes, area follows arc length
@@ -160,17 +190,15 @@ def compute_weights(records, mode, scheme="voronoi"):
             ang = np.mod(np.arctan2(units @ e2, units @ e1), math.pi)
             axis_w = _circle_arc_weights(ang, math.pi)
         else:
-            from scipy.spatial import SphericalVoronoi
-
             doubled = np.vstack([units, -units])
             sv = SphericalVoronoi(doubled, radius=1.0)
             areas = sv.calculate_areas()
-            m = keys.shape[0]
+            m = first.size
             axis_w = (areas[:m] + areas[m:]) / (4.0 * math.pi)
     else:
         raise ValueError(f"mode must be one of {_MODES}")
 
-    per_record = axis_w[inverse] / counts[inverse]
+    per_record = axis_w[axis] / np.bincount(axis)[axis]
     per_record = per_record / per_record.sum()
     return [replace(r, weight=float(w)) for r, w in zip(records, per_record)]
 
@@ -182,61 +210,84 @@ def _pointing_damping(noise, kmax):
     return np.exp(-0.25 * noise.sigma_omega ** 2 * k * (k + 1.0))
 
 
-def _phase_damping_row(noise, phi, kmax):
-    q = np.arange(-kmax, kmax + 1, dtype=float)
-    sig = float(noise.azimuth_sigma(phi))
-    if sig == 0.0:
-        return np.ones(2 * kmax + 1)
-    return np.exp(-0.5 * q * q * sig * sig)
+def _axis_sums(axis, flip, weight, two_j, two_m, kmax, sigma_n):
+    """A[k, a] = sum of c_n tau_k^{j_n,m_n} N_k(j_n) over the records n on axis a.
 
-
-def damping_factor(k, q, phi, noise, two_j, mode="full-sphere"):
-    """Per-record uncertainty damping applied inside the backprojection sum.
-
-    Product of the number-noise factor exp(-sigma_N^2 k(k+1)/(2j(2j-1))),
-    the pointing factor exp(-sigma_Omega^2 k(k+1)/4) and, in in-plane
-    mode, the azimuthal phase factor exp(-q^2 sigma_phi(phi)^2 / 2).
+    N_k is the number-noise damping.  Records pointing opposite to their
+    axis enter with m -> -m, which is exact: tau_k^{j,-m} = (-1)^k tau_k^{j,m}
+    and Y_kq at the antipode is (-1)^k Y_kq.  Waves k > 2j_n get nothing
+    from record n.  One histogram H[a, m] and one matrix product per spin.
     """
-    if k < 0 or abs(q) > k:
-        raise ValueError(f"invalid wave index (k={k}, q={q})")
-    out = float(_number_damping(two_j, noise.sigma_n, k)[k])
-    out *= float(_pointing_damping(noise, k)[k])
-    if mode == "in-plane":
-        out *= float(_phase_damping_row(noise, phi, k)[k + q])
-    return out
+    n_axes = int(axis.max()) + 1
+    two_m = np.where(flip, -two_m, two_m)
+    A = np.zeros((kmax + 1, n_axes))
+    order = np.argsort(two_j, kind="stable")
+    spins, starts = np.unique(two_j[order], return_index=True)
+    for tj, sel in zip(spins.tolist(), np.split(order, starts[1:])):
+        kj = min(kmax, tj)
+        hist = np.bincount(axis[sel] * (tj + 1) + (two_m[sel] + tj) // 2,
+                           weights=weight[sel], minlength=n_axes * (tj + 1))
+        tau = cg_tau_table(tj, kj) * _number_damping(tj, sigma_n, kj)[:, None]
+        A[: kj + 1] += tau @ hist.reshape(n_axes, tj + 1).T
+    return A
 
 
-def _group_records(theta, phi, weight, two_j, two_m):
-    # merge records sharing (axis, j, m); returns sorted unique rows + summed weights
-    key = np.stack([np.round(theta, _GROUP_DECIMALS), np.round(phi, _GROUP_DECIMALS),
-                    two_j.astype(float), two_m.astype(float)], axis=1)
-    uniq, inverse = np.unique(key, axis=0, return_inverse=True)
-    w = np.zeros(uniq.shape[0])
-    np.add.at(w, inverse, weight)
-    n = np.zeros(uniq.shape[0], dtype=int)
-    np.add.at(n, inverse, 1)
-    return uniq[:, 0], uniq[:, 1], w, uniq[:, 2].astype(int), uniq[:, 3].astype(int), n
-
-
-def _tau_column(two_j_g, two_m_g, kmax):
-    # tau_k^{j,m} for k = 0..kmax with k > 2j zeroed; reports skipped k count
-    kj = min(kmax, two_j_g)
-    col = np.zeros(kmax + 1)
-    col[: kj + 1] = cg_tau_table(two_j_g, kj)[:, (two_m_g + two_j_g) // 2]
-    return col, kmax - kj
-
-
-def _pairwise_sum(partials, shape):
-    if not partials:
-        return np.zeros(shape, dtype=complex)
-    return np.sum(np.stack(partials), axis=0)
-
-
-def _warn_skipped(n_terms, n_records):
-    if n_terms:
+def _backproject(records, config):
+    # rho_kq = f_kq W_k sum_a A[k, a] D^k_{q0}(phi_a, theta_a, 0) [x phase damping
+    # on the equator], W_k the pointing damping; only f and the kernel depend on the mode
+    theta, phi, weight, two_j, two_m = _record_arrays(records)
+    _require_weights(weight)
+    inplane = config.mode == "in-plane"
+    if inplane and np.abs(theta - math.pi / 2.0).max() > _EQUATOR_TOL:
+        raise ValueError("in-plane reconstruction requires all axes on the equator")
+    kmax = config.kmax
+    two_j_ref = _resolve_two_j_ref(config, two_j)
+    if kmax > two_j_ref:
+        raise ValueError(f"kmax = {kmax} exceeds two_j_ref = {two_j_ref}")
+    axis, first, flip = _axis_ids(math.pi / 2.0 if inplane else theta, phi)
+    n_axes = first.size
+    if inplane and kmax >= n_axes:
+        raise ValueError(
+            f"kmax = {kmax} not below the {n_axes} distinct axes; the discrete "
+            "half-circle orthogonality only holds for k < A")
+    short = two_j < kmax
+    if np.any(short):
         warnings.warn(
-            f"skipped {n_terms} partial-wave terms on {n_records} records whose "
-            "total spin is below the requested kmax", stacklevel=3)
+            f"skipped {int(np.sum(kmax - two_j[short]))} partial-wave terms on "
+            f"{int(np.sum(short))} records whose total spin is below the requested kmax",
+            stacklevel=3)
+    A = _axis_sums(axis, flip, weight, two_j, two_m, kmax, config.noise.sigma_n)
+
+    k = np.arange(kmax + 1, dtype=float)
+    q = np.arange(kmax + 1)[:, None]
+    ph = phi[first]
+    E = np.exp(-1j * q * ph)                                  # (q, axes)
+    if inplane:
+        # every axis at cos(theta) = 0; the azimuth noise damps each order q
+        x = np.zeros(n_axes)
+        sig = config.noise.azimuth_sigma(ph)
+        E = E * np.exp(-0.5 * q * q * sig * sig)
+        filt = np.zeros((kmax + 1, kmax + 1))
+        for ki in range(kmax + 1):
+            for qi in range(ki % 2, ki + 1, 2):  # k + q odd carries no information
+                filt[ki, qi] = (pochhammer_half((ki - qi + 1) / 2.0)
+                                * pochhammer_half((ki + qi + 1) / 2.0) * math.pi)
+    else:
+        x = np.cos(theta[first])
+        filt = (2.0 * k + 1.0)[:, None]
+    half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
+    chunk = max(1, int(_CHUNK_BUDGET / ((kmax + 1) * (2 * kmax + 1) + 1)))
+    for lo in range(0, n_axes, chunk):
+        sl = slice(lo, lo + chunk)
+        S = legendre_sph_table(kmax, x[sl])                   # (K+1, K+1, c)
+        half += np.einsum("kqa,ka->kq", S * E[None, :, sl], A[:, sl])
+
+    scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))          # D^k_{q0} = scale conj(Y_kq)
+    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    coeffs[:, kmax:] = filt * (scale * _pointing_damping(config.noise, kmax))[:, None] * half
+    coeffs[0, kmax] = coeffs[0, kmax].real
+    _mirror_negative_q(coeffs, kmax)
+    return SphericalState(two_j_ref, kmax, coeffs)
 
 
 def fbp_full(records, config):
@@ -248,51 +299,7 @@ def fbp_full(records, config):
     """
     if config.mode != "full-sphere":
         raise ValueError("config.mode must be 'full-sphere'")
-    theta, phi, weight, two_j, two_m = _record_arrays(records)
-    _require_weights(weight)
-    kmax = config.kmax
-    two_j_ref = _resolve_two_j_ref(config, two_j)
-    if kmax > two_j_ref:
-        raise ValueError(f"kmax = {kmax} exceeds two_j_ref = {two_j_ref}")
-
-    g_theta, g_phi, g_w, g_tj, g_tm, g_n = _group_records(theta, phi, weight, two_j, two_m)
-    axis_key = np.stack([g_theta, g_phi], axis=1)
-    axes, axis_inv = np.unique(axis_key, axis=0, return_inverse=True)
-    n_axes = axes.shape[0]
-
-    # per-axis accumulated filtered populations: A[k, a] = sum w tau damp_N
-    A = np.zeros((kmax + 1, n_axes))
-    skipped_terms = 0
-    skipped_records = 0
-    for g in range(g_w.size):
-        col, nskip = _tau_column(g_tj[g], g_tm[g], kmax)
-        if nskip:
-            skipped_terms += nskip * g_n[g]
-            skipped_records += g_n[g]
-        col = col * _number_damping(g_tj[g], config.noise.sigma_n, kmax)
-        A[:, axis_inv[g]] += g_w[g] * col
-    _warn_skipped(skipped_terms, skipped_records)
-
-    k = np.arange(kmax + 1, dtype=float)
-    scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))
-    qpos = np.arange(kmax + 1)
-    partials = []
-    chunk = max(1, int(2.0e6 / ((kmax + 1) * (2 * kmax + 1) + 1)))
-    for lo in range(0, n_axes, chunk):
-        sl = slice(lo, min(lo + chunk, n_axes))
-        th_c = axes[sl, 0]
-        ph_c = axes[sl, 1]
-        S = legendre_sph_table(kmax, np.cos(th_c))            # (K+1, K+1, c)
-        E = np.exp(-1j * qpos[:, None] * ph_c[None, :])       # (K+1, c)
-        Dpos = scale[:, None, None] * S * E[None, :, :]       # q >= 0 half
-        partials.append(np.einsum("kqa,ka->kq", Dpos, A[:, sl]))
-    half = _pairwise_sum(partials, (kmax + 1, kmax + 1))
-
-    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    coeffs[:, kmax:] = (2.0 * k + 1.0)[:, None] * _pointing_damping(config.noise, kmax)[:, None] * half
-    coeffs[0, kmax] = coeffs[0, kmax].real
-    _mirror_negative_q(coeffs, kmax)
-    return SphericalState(two_j_ref, kmax, coeffs)
+    return _backproject(records, config)
 
 
 def fbp_inplane(records, config):
@@ -300,63 +307,11 @@ def fbp_inplane(records, config):
 
     Reconstructs the even-reflection-parity coefficients exactly; k+q odd
     coefficients carry no information in this geometry and are hard
-    zeros.  Requires kmax below the number of distinct axis azimuths.
+    zeros.  Requires kmax below the number of distinct axes.
     """
     if config.mode != "in-plane":
         raise ValueError("config.mode must be 'in-plane'")
-    theta, phi, weight, two_j, two_m = _record_arrays(records)
-    _require_weights(weight)
-    if np.abs(theta - math.pi / 2.0).max() > _EQUATOR_TOL:
-        raise ValueError("in-plane reconstruction requires all axes on the equator")
-    kmax = config.kmax
-    two_j_ref = _resolve_two_j_ref(config, two_j)
-    if kmax > two_j_ref:
-        raise ValueError(f"kmax = {kmax} exceeds two_j_ref = {two_j_ref}")
-    n_axes = np.unique(np.round(np.mod(phi, math.pi), _GROUP_DECIMALS) % math.pi).size
-    if kmax >= n_axes:
-        raise ValueError(
-            f"kmax = {kmax} not below the {n_axes} distinct axes; the discrete "
-            "half-circle orthogonality only holds for k < A")
-
-    _, g_phi, g_w, g_tj, g_tm, g_n = _group_records(theta, phi, weight, two_j, two_m)
-
-    qs = np.arange(-kmax, kmax + 1)
-    qsign = np.where((qs < 0) & (qs % 2 != 0), -1.0, 1.0)
-    k = np.arange(kmax + 1, dtype=float)
-    scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))
-    S0 = legendre_sph_table(kmax, 0.0)                        # (K+1, K+1)
-    Dtheta = scale[:, None] * S0[:, np.abs(qs)] * qsign[None, :]
-
-    skipped_terms = 0
-    skipped_records = 0
-    V = np.zeros((g_w.size, kmax + 1))
-    P = np.zeros((g_w.size, 2 * kmax + 1), dtype=complex)
-    for g in range(g_w.size):
-        col, nskip = _tau_column(g_tj[g], g_tm[g], kmax)
-        if nskip:
-            skipped_terms += nskip * g_n[g]
-            skipped_records += g_n[g]
-        V[g] = g_w[g] * col * _number_damping(g_tj[g], config.noise.sigma_n, kmax)
-        P[g] = np.exp(-1j * qs * g_phi[g]) * _phase_damping_row(config.noise, g_phi[g], kmax)
-    _warn_skipped(skipped_terms, skipped_records)
-
-    partials = []
-    chunk = 256
-    for lo in range(0, g_w.size, chunk):
-        sl = slice(lo, lo + chunk)
-        partials.append(np.einsum("gk,gq->kq", V[sl], P[sl]))
-    accum = _pairwise_sum(partials, (kmax + 1, 2 * kmax + 1))
-
-    pf = np.zeros((kmax + 1, 2 * kmax + 1))
-    for ki in range(kmax + 1):
-        for q in range(-ki, ki + 1, 1):
-            if (ki + q) % 2 == 0:
-                pf[ki, kmax + q] = (pochhammer_half((ki - q + 1) / 2.0)
-                                    * pochhammer_half((ki + q + 1) / 2.0) * math.pi)
-    coeffs = pf * Dtheta * _pointing_damping(config.noise, kmax)[:, None] * accum
-    coeffs[0, kmax] = coeffs[0, kmax].real
-    _mirror_negative_q(coeffs, kmax)
-    return SphericalState(two_j_ref, kmax, coeffs)
+    return _backproject(records, config)
 
 
 def fold_northern(s):
@@ -401,21 +356,22 @@ def xi_assemble(records, theta, phi, kmax, noise=NoiseModel()):
     rearrangement; number and pointing damping can be folded in per k
     (azimuthal phase damping has no q-resolved analogue on this route).
     """
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    th, ph = np.broadcast_arrays(th, ph)
+    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                 np.asarray(phi, dtype=float))
     theta_r, phi_r, weight, two_j, two_m = _record_arrays(records)
     _require_weights(weight)
-    g_theta, g_phi, g_w, g_tj, g_tm, _ = _group_records(theta_r, phi_r, weight, two_j, two_m)
-    pointing = _pointing_damping(noise, kmax)
+    axis, first, flip = _axis_ids(theta_r, phi_r)
+    k = np.arange(kmax + 1, dtype=float)
+    per_k = (2.0 * k + 1.0) ** 1.5 / SQRT_4PI * _pointing_damping(noise, kmax)
+    coef = per_k[:, None] * _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise.sigma_n)
     out = np.zeros(th.shape)
-    for g in range(g_w.size):
-        kj = min(kmax, g_tj[g])
-        cos_eta = (np.cos(th) * math.cos(g_theta[g])
-                   + np.sin(th) * math.sin(g_theta[g]) * np.cos(ph - g_phi[g]))
-        cos_eta = np.clip(cos_eta, -1.0, 1.0)
-        damp = (_number_damping(g_tj[g], noise.sigma_n, kj) * pointing[: kj + 1])
-        out = out + g_w[g] * xi_contribution(g_tj[g], g_tm[g], cos_eta, kj, damp)
+    chunk = max(1, int(_CHUNK_BUDGET / ((kmax + 1) * max(th.size, 1))))
+    for lo in range(0, first.size, chunk):
+        f = first[lo:lo + chunk]
+        cos_eta = (np.cos(th)[..., None] * np.cos(theta_r[f])
+                   + np.sin(th)[..., None] * np.sin(theta_r[f]) * np.cos(ph[..., None] - phi_r[f]))
+        P = legendre_table(kmax, np.clip(cos_eta, -1.0, 1.0))  # (K+1,) + th.shape + (c,)
+        out += np.einsum("ka,k...a->...", coef[:, lo:lo + chunk], P)
     return float(out) if out.ndim == 0 else out
 
 

@@ -6,10 +6,12 @@ coefficients.  None of it shares code with the paths it checks.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
+from scipy.special import gammaln
 
 
 def spin_operators(two_j):
@@ -110,6 +112,50 @@ def racah_cg(two_j1, two_m1, two_j2, two_m2, two_j3, two_m3):
              Rational(two_j2, 2), Rational(two_m2, 2),
              Rational(two_j3, 2), Rational(two_m3, 2)).doit()
     return float(val.evalf())
+
+
+@lru_cache(maxsize=None)
+def tau_racah(two_j, two_m, k):
+    """tau_k^{j,m} = (-1)^(j-m) <j,m; j,-m | k,0> from sympy."""
+    sign = -1.0 if ((two_j - two_m) // 2) % 2 else 1.0
+    return sign * racah_cg(two_j, two_m, two_j, -two_m, 2 * k, 0)
+
+
+def fbp_direct(records, kmax, mode, noise):
+    """Filtered backprojection as the plain sum over records, one at a time.
+
+    rho_kq = f_kq sum_n c_n D^k_{q0}(phi_n, theta_n, 0) tau_k^{j_n,m_n} d_kq(n)
+    for every |q| <= k (no mirroring), with f = 2k+1 on the full sphere and
+    pi (a)_(1/2) (b)_(1/2), a = (k-q+1)/2, b = (k+q+1)/2, on the equator
+    (zero for k+q odd).  d multiplies the number damping
+    exp(-sigma_N^2 k(k+1) / (2j(2j-1))), the pointing damping
+    exp(-sigma_Omega^2 k(k+1) / 4) and, on the equator, the azimuth damping
+    exp(-q^2 sigma_phi(phi_n)^2 / 2).  A record adds nothing at k > 2j_n.
+    """
+    k = np.arange(kmax + 1)[:, None]
+    q = np.arange(-kmax, kmax + 1)[None, :]
+    valid = np.abs(q) <= k
+    qs = np.where(valid, q, 0)
+    if mode == "full-sphere":
+        filt = np.where(valid, 2.0 * k + 1.0, 0.0)
+    else:
+        a, b = (k - qs + 1) / 2.0, (k + qs + 1) / 2.0
+        poch = np.exp(gammaln(a + 0.5) - gammaln(a) + gammaln(b + 0.5) - gammaln(b))
+        filt = np.where(valid & ((k + q) % 2 == 0), math.pi * poch, 0.0)
+    kk1 = k * (k + 1.0)
+    out = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    for r in records:
+        d = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0)) * np.conj(
+            sph_harm_y(np.broadcast_to(k, qs.shape), qs, r.theta, r.phi))
+        tau = np.array([tau_racah(r.two_j, r.two_m, kk) if kk <= r.two_j else 0.0
+                        for kk in range(kmax + 1)])[:, None]
+        damp = np.exp(-0.25 * noise.sigma_omega ** 2 * kk1)
+        if noise.sigma_n > 0.0:
+            damp = damp * np.exp(-noise.sigma_n ** 2 * kk1 / (r.two_j * (r.two_j - 1.0)))
+        if mode == "in-plane":
+            damp = damp * np.exp(-0.5 * q ** 2 * float(noise.azimuth_sigma(r.phi)) ** 2)
+        out += filt * r.weight * d * tau * damp
+    return out
 
 
 def dicke_moments(rho, two_j, theta, phi):

@@ -11,11 +11,9 @@ from spintomo.angular import (
     cg_tau_table,
     hemi_overlap,
     hemi_overlap_matrix,
-    legendre_p,
     legendre_sph_table,
     legendre_table,
     pochhammer_half,
-    rot_element,
     rot_elements_axis,
 )
 
@@ -145,11 +143,12 @@ def test_cg_t_row_matches_scalar():
 # ---------------------------------------------------------------- Legendre
 
 def test_legendre_examples():
-    assert legendre_p(3, 0.5) == -0.4375
-    assert legendre_p(2, 0.0) == -0.5
+    assert legendre_table(3, 0.5)[3] == -0.4375
+    assert legendre_table(2, 0.0)[2] == -0.5
+    ends = legendre_table(40, np.array([1.0, -1.0]))
     for k in (0, 1, 5, 40):
-        assert legendre_p(k, 1.0) == 1.0
-        assert legendre_p(k, -1.0) == (-1.0) ** k
+        assert ends[k, 0] == 1.0
+        assert ends[k, 1] == (-1.0) ** k
 
 
 def test_legendre_against_scipy():
@@ -163,17 +162,19 @@ def test_legendre_against_scipy():
 
 def test_legendre_domain_error():
     with pytest.raises(ValueError):
-        legendre_p(3, 1.5)
+        legendre_table(3, 1.5)
 
 
 # ---------------------------------------------------------------- rotation elements
 
 def test_rot_element_trivial_cases():
-    assert rot_element(2, 0, math.pi / 2.0, 1.234) == pytest.approx(-0.5)
-    assert rot_element(3, 0, 0.0, 0.0) == pytest.approx(1.0)
-    assert rot_element(3, 2, 0.0, 0.0) == 0.0
+    # column kmax + q holds D^k_{q0}
+    assert rot_elements_axis(2, math.pi / 2.0, 1.234)[2, 2] == pytest.approx(-0.5)
+    pole = rot_elements_axis(3, 0.0, 0.0)
+    assert pole[3, 3] == pytest.approx(1.0)
+    assert pole[3, 3 + 2] == 0.0
     # explicit Y_11 = -sqrt(3/8pi) sin(theta) e^(i phi)
-    assert rot_element(1, 1, math.pi / 2.0, 0.0) == pytest.approx(-1.0 / math.sqrt(2.0))
+    assert rot_elements_axis(1, math.pi / 2.0, 0.0)[1, 2] == pytest.approx(-1.0 / math.sqrt(2.0))
 
 
 def test_rot_elements_match_scipy_harmonics():

@@ -5,6 +5,7 @@ import pytest
 
 from spintomo import io as stio
 from spintomo.cli import main
+from spintomo.forward import MeasurementRecord
 
 
 def run(*argv):
@@ -79,6 +80,20 @@ def test_reconstruct_invalid_rows_exit_2(workdir, capsys):
         fh.write("theta,phi,weight,two_j,two_m\n0.1,0.0,1.0,40,31\n")
     assert run("reconstruct", "bad.csv") == 2
     assert "parity" in capsys.readouterr().err
+
+
+def test_reconstruct_default_kmax_counts_near_duplicate_azimuths_once(workdir, capsys):
+    # 12 axes, one of them written as azimuths 2e-15 apart across a 12-decimal
+    # rounding boundary: the default kmax is min(2j, axes - 1) = 11
+    split = round(5.0 * math.pi / 12.0, 12) + 0.5e-12
+    phis = []
+    for a in range(12):
+        phis += [split + 1e-15] + [split - 1e-15] * 9 if a == 5 else [a * math.pi / 12.0] * 10
+    recs = [MeasurementRecord(math.pi / 2.0, ph, math.nan, 12, 2 * (n % 7) - 6)
+            for n, ph in enumerate(phis)]
+    stio.write_measurements("probe.csv", recs)
+    assert run("reconstruct", "probe.csv", "--out", "probe") == 0
+    assert "reconstructed kmax=11 " in capsys.readouterr().out
 
 
 def test_missing_input_exits_2(workdir, capsys):

@@ -2,14 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintomo.angular import cg_tau_table
 from spintomo.forward import MeasurementRecord, NoiseModel, exact_records, sample_measurements
 from spintomo.reconstruct import (
     ReconstructionConfig,
+    _pointing_damping,
     apply_uniform_damping,
     compute_weights,
-    damping_factor,
     fbp_full,
     fbp_inplane,
     fold_northern,
@@ -22,6 +24,7 @@ from spintomo.reconstruct import (
 from spintomo.states import (
     DickeState,
     SphericalState,
+    _number_damping,
     coherent_state,
     dicke_basis_state,
     dicke_to_spherical,
@@ -60,6 +63,39 @@ def _quadrature_records(state, n_theta=32, n_phi=64):
                     records.append(MeasurementRecord(
                         th, ph, c * pm, state.two_j_ref, 2 * mi - state.two_j_ref))
     return records
+
+
+def _split_probe_records():
+    # 12 equatorial axes x 10 records; axis 5 sits on a 12-decimal rounding
+    # boundary, one of its records 1e-15 above it and nine 1e-15 below
+    split = round(5.0 * math.pi / 12.0, 12) + 0.5e-12
+    phis = []
+    for a in range(12):
+        phis += [split + 1e-15] + [split - 1e-15] * 9 if a == 5 else [a * math.pi / 12.0] * 10
+    return [MeasurementRecord(math.pi / 2.0, ph, math.nan, 12, 2 * (n % 7) - 6)
+            for n, ph in enumerate(phis)]
+
+
+def _antipode(r):
+    # the same measurement taken along the opposite direction of its axis
+    return MeasurementRecord(math.pi - r.theta, r.phi + math.pi, r.weight, r.two_j, -r.two_m)
+
+
+def _mixed_records(rng, mode, n_axes=7, shots=6):
+    # random axes, spins mixed across parities and partly below kmax = 6
+    if mode == "in-plane":
+        theta = np.full(n_axes, math.pi / 2.0)
+    else:
+        theta = np.arccos(rng.uniform(-1.0, 1.0, n_axes))
+    phi = rng.uniform(-math.pi, math.pi, n_axes)
+    recs = []
+    for th, ph in zip(theta, phi):
+        for _ in range(shots):
+            two_j = int(rng.choice([4, 5, 8, 10]))
+            two_m = 2 * int(rng.integers(0, two_j + 1)) - two_j
+            recs.append(MeasurementRecord(float(th), float(ph), float(rng.uniform(0.5, 1.5)),
+                                          two_j, two_m))
+    return recs
 
 
 # ---------------------------------------------------------------- weights
@@ -134,16 +170,39 @@ def test_weights_degenerate_axes_error():
         compute_weights(recs, "full-sphere")
 
 
+def test_weights_axis_split_probe():
+    # phi values 2e-15 apart straddling a 12-decimal rounding boundary are one axis
+    recs = _split_probe_records()
+    out = compute_weights(recs, "in-plane")
+    assert np.allclose([r.weight for r in out], 1.0 / 120.0, rtol=1e-9)
+    with pytest.raises(ValueError, match="not below the 12 distinct axes"):
+        fbp_inplane(out, ReconstructionConfig(kmax=12, two_j_ref=12))
+
+
+def test_weights_full_sphere_pole_is_one_axis():
+    # (0, 0), (0, 2), (1e-13, 0.5) and the antipode (pi, 1) share the z axis
+    axes = [(0.0, 0.0), (0.0, 2.0), (1e-13, 0.5), (math.pi, 1.0),
+            (math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0)]
+    recs = [MeasurementRecord(th, ph, math.nan, 2, 0) for th, ph in axes]
+    w = [r.weight for r in compute_weights(recs, "full-sphere")]
+    assert np.allclose(w, [1.0 / 12.0] * 4 + [1.0 / 3.0] * 2, rtol=1e-9)
+
+
 # ---------------------------------------------------------------- damping
 
+def _record_damping(noise, two_j, kmax):
+    # number x pointing factor per k, as applied to every record inside the sum
+    return _number_damping(two_j, noise.sigma_n, kmax) * _pointing_damping(noise, kmax)
+
+
 def test_damping_no_noise_is_one():
-    assert damping_factor(10, 3, 0.5, NoiseModel(), 40) == 1.0
+    assert _record_damping(NoiseModel(), 40, 10)[10] == 1.0
 
 
 def test_damping_number_noise_reference_value():
     # sigma_N = 11 atoms at j = 630, k = 70
     noise = NoiseModel(sigma_n=11.0)
-    got = damping_factor(70, 5, 0.0, noise, 1260)
+    got = _record_damping(noise, 1260, 70)[70]
     want = math.exp(-121.0 * 70.0 * 71.0 / (1260.0 * 1259.0))
     assert got == pytest.approx(want, rel=1e-12)
     assert got == pytest.approx(0.6845, abs=2e-4)
@@ -151,15 +210,25 @@ def test_damping_number_noise_reference_value():
 
 def test_damping_monotone_in_k():
     noise = NoiseModel(sigma_n=3.0, sigma_omega=0.05)
-    vals = [damping_factor(k, 0, 0.0, noise, 100) for k in range(0, 50)]
+    vals = list(_record_damping(noise, 100, 49))
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert all(0.0 < v <= 1.0 for v in vals)
 
 
 def test_damping_phase_noise_only_in_plane():
+    # the azimuth noise damps rho_kq by exp(-q^2 sigma_phi^2 / 2) in-plane only
     noise = NoiseModel(phase_mode="constant", sigma_phi=0.2)
-    full = damping_factor(6, 4, 1.0, noise, 40, mode="full-sphere")
-    plane = damping_factor(6, 4, 1.0, noise, 40, mode="in-plane")
+    assert _record_damping(noise, 40, 6)[6] == 1.0
+    assert float(noise.azimuth_sigma(1.0)) == 0.2
+    recs = [MeasurementRecord(math.pi / 2.0, 1.0 + 0.3 * a, 0.125, 40, 8) for a in range(8)]
+
+    def ratio(fbp, mode):
+        plain = fbp(recs, ReconstructionConfig(kmax=6, mode=mode, two_j_ref=40))
+        damped = fbp(recs, ReconstructionConfig(kmax=6, mode=mode, noise=noise, two_j_ref=40))
+        return damped.coeff(6, 4) / plain.coeff(6, 4)
+
+    full = ratio(fbp_full, "full-sphere")
+    plane = ratio(fbp_inplane, "in-plane")
     assert full == 1.0
     assert plane == pytest.approx(math.exp(-0.5 * 16 * 0.04), rel=1e-12)
 
@@ -323,6 +392,39 @@ def test_fbp_linearity_of_blends():
     b = fbp_inplane(exact_records(s2, _plane_axes(16)), cfg)
     want = alpha * a.coeffs + (1.0 - alpha) * b.coeffs
     assert np.abs(blended.coeffs - want).max() < 1e-12
+
+
+# ---------------------------------------------------------------- one core, both geometries
+
+_CORE_NOISE = NoiseModel(sigma_n=1.5, sigma_omega=0.1, phase_mode="model", sigma_ph=0.4)
+_FBP = {"full-sphere": fbp_full, "in-plane": fbp_inplane}
+
+
+@pytest.mark.parametrize("mode", ["full-sphere", "in-plane"])
+def test_fbp_matches_per_record_oracle(mode):
+    # mixed spins, 2j < kmax records, antipodal records, and all three noises at once
+    r = np.random.default_rng(17)
+    recs = _mixed_records(r, mode)
+    recs += [_antipode(x) for x in recs[::3]]
+    cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_CORE_NOISE, two_j_ref=8)
+    with pytest.warns(UserWarning, match="skipped"):
+        out = _FBP[mode](recs, cfg)
+    want = oracles.fbp_direct(recs, 6, mode, _CORE_NOISE)
+    assert np.abs(out.coeffs - want).max() < 1e-12
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(["full-sphere", "in-plane"]))
+def test_fbp_invariant_to_record_order_and_antipodes(seed, mode):
+    r = np.random.default_rng(seed)
+    recs = _mixed_records(r, mode, n_axes=int(r.integers(7, 12)), shots=int(r.integers(1, 5)))
+    cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_CORE_NOISE, two_j_ref=8)
+    base = reconstruct(recs, cfg).coeffs
+    shuffled = [recs[i] for i in r.permutation(len(recs))]
+    assert np.abs(reconstruct(shuffled, cfg).coeffs - base).max() < 1e-12
+    flipped = [_antipode(x) if f else x for x, f in zip(recs, r.random(len(recs)) < 0.5)]
+    assert np.abs(reconstruct(flipped, cfg).coeffs - base).max() < 1e-12
 
 
 # ---------------------------------------------------------------- folding
