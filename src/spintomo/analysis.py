@@ -10,10 +10,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
-from .angular import check_spin_label, rot_elements_axis
-from .forward import projection_probabilities
+from .angular import check_spin_label
+from .forward import _probabilities, _wave_sums
 
 __all__ = [
     "GaussianFit",
@@ -33,6 +33,21 @@ def power_spectrum(s):
     return np.sum(np.abs(s.coeffs) ** 2, axis=1) / (2.0 * k + 1.0)
 
 
+def _moments(s, theta, phi):
+    # (<m>, <m^2>) along n axes (theta, phi broadcast), as two (n,) arrays
+    two_j = s.two_j_ref
+    j = two_j / 2.0
+    z = _wave_sums(s, theta, phi, min(2, s.kmax)).real
+    mean = np.zeros(z.shape[0])
+    if s.kmax >= 1:
+        mean = math.sqrt(two_j * (two_j + 1.0) * (two_j + 2.0) / 12.0) * z[:, 1]
+    mean2 = np.full(z.shape[0], j * (j + 1.0) * math.sqrt(two_j + 1.0) / 3.0 * s.coeff(0, 0).real)
+    if s.kmax >= 2:
+        mean2 += math.sqrt((two_j - 1.0) * two_j * (two_j + 1.0)
+                           * (two_j + 2.0) * (two_j + 3.0) / 180.0) * z[:, 2]
+    return mean, mean2
+
+
 def moments(s, theta, phi):
     """First two projection moments (<m>, <m^2>) along the axis (theta, phi).
 
@@ -40,20 +55,8 @@ def moments(s, theta, phi):
     part of any reconstruction; prefactors are evaluated at the state's
     reference spin.
     """
-    two_j = s.two_j_ref
-    j = two_j / 2.0
-    kuse = min(2, s.kmax)
-    D = rot_elements_axis(kuse, theta, phi)
-    mean = 0.0
-    if s.kmax >= 1:
-        z1 = sum(np.conj(D[1, kuse + q]) * s.coeff(1, q) for q in range(-1, 2))
-        mean = math.sqrt(two_j * (two_j + 1.0) * (two_j + 2.0) / 12.0) * z1.real
-    mean2 = j * (j + 1.0) * math.sqrt(two_j + 1.0) / 3.0 * s.coeff(0, 0).real
-    if s.kmax >= 2:
-        z2 = sum(np.conj(D[2, kuse + q]) * s.coeff(2, q) for q in range(-2, 3))
-        mean2 += math.sqrt((two_j - 1.0) * two_j * (two_j + 1.0)
-                           * (two_j + 2.0) * (two_j + 3.0) / 180.0) * z2.real
-    return mean, mean2
+    mean, mean2 = _moments(s, theta, phi)
+    return float(mean[0]), float(mean2[0])
 
 
 def coherent_reference_variance(two_j, sigma_n):
@@ -79,6 +82,18 @@ class GaussianFit:
     variance: float
 
 
+def _gaussian_residual(x, m, p):
+    # x = (A, mu, sigma)
+    return x[0] * np.exp(-((m - x[1]) ** 2) / (2.0 * x[2] ** 2)) - p
+
+
+def _gaussian_jacobian(x, m, p):
+    # d residual / d (A, mu, sigma), one row per point
+    d = (m - x[1]) / x[2]
+    g = np.exp(-0.5 * d * d)
+    return np.stack([g, x[0] * g * d / x[2], x[0] * g * d * d / x[2]], axis=1)
+
+
 def gaussian_fit(p, m=None):
     """Least-squares Gaussian fit A exp(-(m - mu)^2 / (2 V)) to a p_m vector.
 
@@ -101,17 +116,18 @@ def gaussian_fit(p, m=None):
     var0 = max(float(pos @ (m - mu0) ** 2) / tot, 0.25)
     x0 = np.array([max(p.max(), 1e-12), mu0, math.sqrt(var0)])
 
-    def resid(x):
-        return x[0] * np.exp(-((m - x[1]) ** 2) / (2.0 * x[2] ** 2)) - p
-
+    # MINPACK's Levenberg-Marquardt (lmder), the routine behind
+    # least_squares(method="lm"), with the same tolerances and less overhead per call
     try:
-        res = least_squares(resid, x0, method="lm", xtol=1e-9, max_nfev=600)
+        x, _, _, _, info = leastsq(_gaussian_residual, x0, args=(m, p),
+                                   Dfun=_gaussian_jacobian, full_output=True,
+                                   ftol=1e-8, xtol=1e-9, gtol=1e-8, maxfev=600)
     except (ValueError, FloatingPointError):
         return None
-    variance = float(res.x[2] ** 2)
-    if not res.success or not np.all(np.isfinite(res.x)) or variance <= 1e-300:
+    variance = float(x[2] ** 2)
+    if info not in (1, 2, 3, 4) or not np.all(np.isfinite(x)) or variance <= 1e-300:
         return None
-    return GaussianFit(float(res.x[0]), float(res.x[1]), variance)
+    return GaussianFit(float(x[0]), float(x[1]), variance)
 
 
 @dataclass(frozen=True)
@@ -144,12 +160,14 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
         raise ValueError("squeezing scan needs a state with kmax >= 2")
     two_j = s.two_j_ref
     m = (2.0 * np.arange(two_j + 1) - two_j) / 2.0
+    phis = np.asarray(phis, dtype=float).ravel()
+    means, mean2s = _moments(s, math.pi / 2.0, phis)
     curve = []
     failures = 0
-    for phi in phis:
-        mean, mean2 = moments(s, math.pi / 2.0, phi)
+    for phi, mean, mean2, p in zip(phis, means, mean2s,
+                                   _probabilities(s, math.pi / 2.0, phis)):
         v_direct = mean2 - mean ** 2
-        fit = gaussian_fit(projection_probabilities(s, math.pi / 2.0, phi), m)
+        fit = gaussian_fit(p, m)
         if fit is None:
             failures += 1
             v_fit = math.nan
@@ -171,7 +189,4 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
 
 def mean_spin_vector(s):
     """<S> = (<Sx>, <Sy>, <Sz>) from first moments along the lab axes."""
-    sx = moments(s, math.pi / 2.0, 0.0)[0]
-    sy = moments(s, math.pi / 2.0, math.pi / 2.0)[0]
-    sz = moments(s, 0.0, 0.0)[0]
-    return np.array([sx, sy, sz])
+    return _moments(s, [math.pi / 2.0, math.pi / 2.0, 0.0], [0.0, math.pi / 2.0, 0.0])[0]

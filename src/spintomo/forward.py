@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import cg_tau_table, check_spin_label, rot_elements_axis
+from .angular import cg_tau_table, check_spin_label, legendre_sph_table
 from .states import DESK_SCALE_LIMIT
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
 
 _PHASE_MODES = ("none", "constant", "model")
 _PHASE_VARIANTS = ("quadratic", "linear")
+_CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of the probability kernel
 
 
 @dataclass(frozen=True)
@@ -100,43 +101,90 @@ class MeasurementRecord:
             raise ValueError(f"weight must be non-negative or NaN, got {self.weight}")
 
 
+def _wave_sums(s, theta, phi, kuse):
+    """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
+
+    theta and phi broadcast to n axes; returns a complex (n, kuse+1)
+    array, real for a Hermitian state.  Per chunk of axes: one Legendre
+    table over cos(theta) and one contraction with the state's (k, q)
+    block, the q < 0 half entering through D^k_{-q,0} = (-1)^q
+    conj(D^k_{q0}) as in rot_elements_axis.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float).ravel(),
+                                     np.asarray(phi, dtype=float).ravel())
+    bad = ~((theta >= 0.0) & (theta <= math.pi + 1e-12))
+    if bad.any():
+        raise ValueError(f"theta = {theta[bad][0]} outside [0, pi]")
+    block = s.coeffs[: kuse + 1, s.kmax - kuse: s.kmax + kuse + 1]
+    # z_k = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (plus_kq e^{iq phi} + minus_kq e^{-iq phi})
+    #     = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (a_kq cos(q phi) + b_kq sin(q phi))
+    # with plus_kq = rho_kq, minus_kq = (-1)^q rho_k,-q (zero at q = 0)
+    q = np.arange(kuse + 1)
+    plus = block[:, kuse:]
+    minus = np.where(q % 2 == 0, 1.0, -1.0) * block[:, kuse::-1]
+    minus[:, 0] = 0.0
+    norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]
+    a = norm * (plus + minus)
+    b = norm * 1j * (plus - minus)
+    a = np.stack([a.real, a.imag], axis=1)                        # (k, re/im, q)
+    b = np.stack([b.real, b.imag], axis=1)
+    out = np.empty((theta.size, kuse + 1), dtype=complex)
+    chunk = max(1, int(_CHUNK_BUDGET / (kuse + 1) ** 2))
+    for lo in range(0, theta.size, chunk):
+        sl = slice(lo, lo + chunk)
+        S = legendre_sph_table(kuse, np.cos(theta[sl]))          # (k, q, axes)
+        qphi = q[:, None] * phi[sl]
+        z = a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi))       # (k, re/im, axes)
+        out[sl] = (z[:, 0] + 1j * z[:, 1]).T
+    return out
+
+
+def _probabilities(s, theta, phi):
+    """p_m along many axes at once: an array of shape (n, 2j+1).
+
+    theta and phi broadcast to n axes.  Raises if any axis leaves an
+    imaginary residual (the state is not Hermitian).
+    """
+    two_j = s.two_j_ref
+    kuse = min(s.kmax, two_j)
+    z = _wave_sums(s, theta, phi, kuse)
+    scale = max(1.0, float(np.sum(np.abs(s.coeffs[: kuse + 1]))))
+    if np.abs(z.imag).max(initial=0.0) > 1e-10 * scale:
+        raise ValueError("imaginary residual violates the reality invariant")
+    return z.real @ cg_tau_table(two_j, kuse)
+
+
 def projection_probabilities(s, theta, phi):
     """Projection-number distribution p_m along the axis (theta, phi).
 
     Entries may be negative when s comes from a noisy reconstruction; the
     sum always equals sqrt(2j+1) rho_00 (the trace).
     """
-    two_j = s.two_j_ref
-    kuse = min(s.kmax, two_j)
-    D = rot_elements_axis(kuse, theta, phi)
-    block = s.coeffs[: kuse + 1, s.kmax - kuse: s.kmax + kuse + 1]
-    z = np.einsum("kq,kq->k", np.conj(D), block)
-    scale = max(1.0, float(np.sum(np.abs(block))))
-    if np.abs(z.imag).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError("imaginary residual violates the reality invariant")
-    tau = cg_tau_table(two_j, kuse)
-    return tau.T @ z.real
+    return _probabilities(s, theta, phi)[0]
 
 
-def _axis_frame(theta, phi):
-    n = np.array([math.sin(theta) * math.cos(phi),
-                  math.sin(theta) * math.sin(phi),
-                  math.cos(theta)])
-    e1 = np.array([math.cos(theta) * math.cos(phi),
-                   math.cos(theta) * math.sin(phi),
-                   -math.sin(theta)])
-    e2 = np.array([-math.sin(phi), math.cos(phi), 0.0])
-    return n, e1, e2
+def _tilted_axes(theta, phi, t1, t2):
+    # axis n + t1 e1 + t2 e2, renormalized; e1, e2 the polar and azimuthal unit vectors
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    n = np.stack([st * cp, st * sp, ct])
+    e1 = np.stack([ct * cp, ct * sp, -st])
+    e2 = np.stack([-sp, cp, np.zeros_like(sp)])
+    v = n + t1 * e1 + t2 * e2
+    v /= np.linalg.norm(v, axis=0)
+    return np.arccos(np.clip(v[2], -1.0, 1.0)), np.arctan2(v[1], v[0])
 
 
-def _sanitized_probabilities(p):
+def _draw(p, u):
+    """Outcome index per uniform u[i] by inverse CDF of row i of p (or its only row)."""
     if p.min(initial=0.0) < -1e-8:
         raise ValueError(f"state is unphysical for sampling: min p_m = {p.min():.3g}")
     p = np.clip(p, 0.0, None)
-    total = p.sum()
-    if total <= 0.0:
+    total = p.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("projection probabilities sum to zero")
-    return p / total
+    cdf = np.cumsum(p / total, axis=1)
+    cdf /= cdf[:, -1:]
+    return np.sum(cdf <= u[:, None], axis=1)
 
 
 def sample_measurements(s, axes, shots_per_axis, noise, seed):
@@ -162,6 +210,7 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
         raise ValueError("number noise requires two_j >= 2")
 
     sigma_j = noise.sigma_n / math.sqrt(2.0)
+    sigma_t = noise.sigma_omega / math.sqrt(2.0)
     weight = 1.0 / (len(axes) * shots_per_axis)
     records = []
     for a, (theta_a, phi_a) in enumerate(axes):
@@ -170,32 +219,31 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
         )
         sigma_phi_a = float(noise.azimuth_sigma(phi_a))
         if not noise.has_axis_noise:
-            p = _sanitized_probabilities(projection_probabilities(s, theta_a, phi_a))
-            djs = (np.rint(rng.normal(0.0, sigma_j, size=shots_per_axis)).astype(int)
-                   if sigma_j > 0.0 else np.zeros(shots_per_axis, dtype=int))
-            idx = rng.choice(p.size, size=shots_per_axis, p=p)
-            for dj, i in zip(djs, idx):
-                two_m = 2 * int(i) - two_j
-                two_j_n = max(two_j + 2 * dj, abs(two_m))
-                records.append(MeasurementRecord(theta_a, phi_a, weight, two_j_n, two_m))
-            continue
-        for _ in range(shots_per_axis):
-            dj = int(np.rint(rng.normal(0.0, sigma_j))) if sigma_j > 0.0 else 0
-            th, ph = theta_a, phi_a
-            if sigma_phi_a > 0.0:
-                ph = ph + rng.normal(0.0, sigma_phi_a)
+            djs = (np.rint(rng.normal(0.0, sigma_j, size=shots_per_axis))
+                   if sigma_j > 0.0 else np.zeros(shots_per_axis))
+            u = rng.random(shots_per_axis)
+            p = _probabilities(s, theta_a, phi_a)
+        else:
+            # per shot, in stream order: dj, the phase jitter, (t1, t2), the outcome
+            # uniform; normal(0, sigma) draws are sigma * standard_normal() bitwise
+            n_z = (sigma_j > 0.0) + (sigma_phi_a > 0.0) + 2 * (noise.sigma_omega > 0.0)
+            z = np.empty((shots_per_axis, n_z))
+            u = np.empty(shots_per_axis)
+            for i in range(shots_per_axis):
+                z[i] = rng.standard_normal(n_z)
+                u[i] = rng.random()
+            cols = iter(z.T)
+            djs = np.rint(sigma_j * next(cols)) if sigma_j > 0.0 else np.zeros(shots_per_axis)
+            th = np.full(shots_per_axis, float(theta_a))
+            ph = (phi_a + sigma_phi_a * next(cols) if sigma_phi_a > 0.0
+                  else np.full(shots_per_axis, float(phi_a)))
             if noise.sigma_omega > 0.0:
-                n, e1, e2 = _axis_frame(th, ph)
-                t1, t2 = rng.normal(0.0, noise.sigma_omega / math.sqrt(2.0), size=2)
-                v = n + t1 * e1 + t2 * e2
-                v /= np.linalg.norm(v)
-                th = math.acos(min(1.0, max(-1.0, v[2])))
-                ph = math.atan2(v[1], v[0])
-            p = _sanitized_probabilities(projection_probabilities(s, th, ph))
-            i = int(rng.choice(p.size, p=p))
-            two_m = 2 * i - two_j
-            two_j_n = max(two_j + 2 * dj, abs(two_m))
-            records.append(MeasurementRecord(theta_a, phi_a, weight, two_j_n, two_m))
+                th, ph = _tilted_axes(th, ph, sigma_t * next(cols), sigma_t * next(cols))
+            p = _probabilities(s, th, ph)
+        two_m = 2 * _draw(p, u) - two_j
+        two_j_n = np.maximum(two_j + 2 * djs.astype(int), np.abs(two_m))
+        records.extend(MeasurementRecord(theta_a, phi_a, weight, jn, m)
+                       for jn, m in zip(two_j_n.tolist(), two_m.tolist()))
     return records
 
 
@@ -211,14 +259,13 @@ def exact_records(s, axes, axis_weights=None):
     if axis_weights.shape != (len(axes),):
         raise ValueError("axis_weights must match the number of axes")
     two_j = s.two_j_ref
+    p = _probabilities(s, [a[0] for a in axes], [a[1] for a in axes])
+    if p.min(initial=0.0) < -1e-8:
+        raise ValueError("state is unphysical: negative probabilities")
+    p = np.clip(p, 0.0, None)
+    w = (axis_weights[:, None] * p).tolist()
     records = []
-    for (theta_a, phi_a), c in zip(axes, axis_weights):
-        p = projection_probabilities(s, theta_a, phi_a)
-        if p.min(initial=0.0) < -1e-8:
-            raise ValueError("state is unphysical: negative probabilities")
-        p = np.clip(p, 0.0, None)
-        for i, pm in enumerate(p):
-            if pm > 0.0:
-                records.append(MeasurementRecord(theta_a, phi_a, float(c * pm),
-                                                 two_j, 2 * i - two_j))
+    for (theta_a, phi_a), pa, wa in zip(axes, p, w):
+        records.extend(MeasurementRecord(theta_a, phi_a, wa[i], two_j, 2 * i - two_j)
+                       for i in np.flatnonzero(pa > 0.0).tolist())
     return records

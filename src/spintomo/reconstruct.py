@@ -191,7 +191,9 @@ def compute_weights(records, mode, scheme="voronoi"):
             axis_w = _circle_arc_weights(ang, math.pi)
         else:
             doubled = np.vstack([units, -units])
-            sv = SphericalVoronoi(doubled, radius=1.0)
+            # _axis_ids alone decides which directions coincide: axes it keeps
+            # apart are more than the _AXIS_TOL chord apart, far above this threshold
+            sv = SphericalVoronoi(doubled, radius=1.0, threshold=0.1 * _AXIS_TOL)
             areas = sv.calculate_areas()
             m = first.size
             axis_w = (areas[:m] + areas[m:]) / (4.0 * math.pi)

@@ -180,3 +180,83 @@ def min_variance_azimuth(rho, two_j, n_grid=3601):
          + 2.0 * np.sin(phis) * np.cos(phis) * cxy)
     i = int(np.argmin(v))
     return float(phis[i]), float(v[i])
+
+
+def _axis_frame(theta, phi):
+    n = np.array([math.sin(theta) * math.cos(phi),
+                  math.sin(theta) * math.sin(phi),
+                  math.cos(theta)])
+    e1 = np.array([math.cos(theta) * math.cos(phi),
+                   math.cos(theta) * math.sin(phi),
+                   -math.sin(theta)])
+    e2 = np.array([-math.sin(phi), math.cos(phi), 0.0])
+    return n, e1, e2
+
+
+def _sanitized_probabilities(p):
+    if p.min(initial=0.0) < -1e-8:
+        raise ValueError(f"state is unphysical for sampling: min p_m = {p.min():.3g}")
+    p = np.clip(p, 0.0, None)
+    return p / p.sum()
+
+
+def sample_per_shot(s, axes, shots_per_axis, noise, seed):
+    """The sampler as a plain loop: one probability call and one rng.choice per shot.
+
+    Same per-axis Philox substreams and the same draws in the same order
+    (number jitter, phase jitter, pointing tilt, outcome); without axis
+    noise all shots of an axis share one probability vector and one
+    vectorized choice.
+    """
+    from spintomo.forward import MeasurementRecord, projection_probabilities
+
+    two_j = s.two_j_ref
+    sigma_j = noise.sigma_n / math.sqrt(2.0)
+    weight = 1.0 / (len(axes) * shots_per_axis)
+    records = []
+    for a, (theta_a, phi_a) in enumerate(axes):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,))))
+        sigma_phi_a = float(noise.azimuth_sigma(phi_a))
+        if not noise.has_axis_noise:
+            p = _sanitized_probabilities(projection_probabilities(s, theta_a, phi_a))
+            djs = (np.rint(rng.normal(0.0, sigma_j, size=shots_per_axis)).astype(int)
+                   if sigma_j > 0.0 else np.zeros(shots_per_axis, dtype=int))
+            idx = rng.choice(p.size, size=shots_per_axis, p=p)
+            for dj, i in zip(djs, idx):
+                two_m = 2 * int(i) - two_j
+                two_j_n = max(two_j + 2 * int(dj), abs(two_m))
+                records.append(MeasurementRecord(theta_a, phi_a, weight, two_j_n, two_m))
+            continue
+        for _ in range(shots_per_axis):
+            dj = int(np.rint(rng.normal(0.0, sigma_j))) if sigma_j > 0.0 else 0
+            th, ph = theta_a, phi_a
+            if sigma_phi_a > 0.0:
+                ph = ph + rng.normal(0.0, sigma_phi_a)
+            if noise.sigma_omega > 0.0:
+                n, e1, e2 = _axis_frame(th, ph)
+                t1, t2 = rng.normal(0.0, noise.sigma_omega / math.sqrt(2.0), size=2)
+                v = n + t1 * e1 + t2 * e2
+                v /= np.linalg.norm(v)
+                th = math.acos(min(1.0, max(-1.0, v[2])))
+                ph = math.atan2(v[1], v[0])
+            p = _sanitized_probabilities(projection_probabilities(s, th, ph))
+            i = int(rng.choice(p.size, p=p))
+            two_m = 2 * i - two_j
+            two_j_n = max(two_j + 2 * dj, abs(two_m))
+            records.append(MeasurementRecord(theta_a, phi_a, weight, two_j_n, two_m))
+    return records
+
+
+def gaussian_fit_fd(p, m):
+    """Gaussian fit by least_squares with a finite-difference Jacobian: (A, mu, V)."""
+    from scipy.optimize import least_squares
+
+    pos = np.clip(p, 0.0, None)
+    mu0 = float(pos @ m) / pos.sum()
+    var0 = max(float(pos @ (m - mu0) ** 2) / pos.sum(), 0.25)
+    x0 = np.array([max(p.max(), 1e-12), mu0, math.sqrt(var0)])
+    res = least_squares(lambda x: x[0] * np.exp(-((m - x[1]) ** 2) / (2.0 * x[2] ** 2)) - p,
+                        x0, method="lm", xtol=1e-9, max_nfev=600)
+    assert res.success
+    return np.array([res.x[0], res.x[1], res.x[2] ** 2])

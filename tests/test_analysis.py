@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from spintomo.analysis import (
+    _gaussian_jacobian,
+    _gaussian_residual,
     coherent_reference_variance,
     gaussian_fit,
     mean_spin_vector,
@@ -164,6 +166,46 @@ def test_gaussian_fit_tolerates_negative_lobes():
     b = gaussian_fit(lobes, m)
     assert b is not None
     assert abs(b.variance - a.variance) / a.variance < 0.10
+
+
+def _fit_fixture(name):
+    if name == "exact":
+        m = np.arange(-20, 21, dtype=float)
+        return 0.37 * np.exp(-((m - 1.7) ** 2) / (2.0 * 6.3)), m
+    if name == "binomial":
+        s = coherent_state(40, 0.0, 0.0, 0.0, kmax=40)
+        return (projection_probabilities(s, math.pi / 2.0, 0.0),
+                (2.0 * np.arange(41) - 40) / 2.0)
+    if name == "squeezed":
+        s = oat_squeezed_state(40, 0.05, 40)
+        return (projection_probabilities(s, math.pi / 2.0, 0.4),
+                (2.0 * np.arange(41) - 40) / 2.0)
+    m = np.arange(-15, 16, dtype=float)
+    clean = np.exp(-(m ** 2) / (2.0 * 4.0))
+    if name == "clean":
+        return clean, m
+    return clean - 0.04 * np.exp(-((np.abs(m) - 8.0) ** 2) / 2.0), m
+
+
+def test_gaussian_jacobian_matches_central_differences():
+    m = np.arange(-12, 13, dtype=float)
+    p = np.zeros_like(m)
+    h = 1e-6
+    for x in ([0.3, 1.2, 2.5], [1.7, -3.0, 0.8], [0.05, 0.4, 6.0]):
+        x = np.array(x)
+        fd = np.stack([(_gaussian_residual(x + h * e, m, p) - _gaussian_residual(x - h * e, m, p))
+                       / (2.0 * h) for e in np.eye(3)], axis=1)
+        assert np.abs(_gaussian_jacobian(x, m, p) - fd).max() < 1e-8
+
+
+@pytest.mark.parametrize("name", ["exact", "binomial", "squeezed", "clean", "lobes"])
+def test_gaussian_fit_analytic_jacobian_matches_finite_differences(name):
+    p, m = _fit_fixture(name)
+    fit = gaussian_fit(p, m)
+    want = oracles.gaussian_fit_fd(p, m)
+    got = np.array([fit.amplitude, fit.mean, fit.variance])
+    # the mean is compared on the scale of the variance (it is 0 for the centred fixtures)
+    assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want) + np.array([0.0, 1e-7 * want[2], 0.0]))
 
 
 def test_gaussian_fit_failure_modes():

@@ -4,15 +4,18 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
+import spintomo.forward as forward
 from spintomo.forward import (
     MeasurementRecord,
     NoiseModel,
+    _probabilities,
     exact_records,
     projection_probabilities,
     sample_measurements,
 )
 from spintomo.states import (
     DickeState,
+    SphericalState,
     coherent_state,
     dicke_to_spherical,
     maximally_mixed_state,
@@ -95,6 +98,32 @@ def test_probabilities_match_rotation_oracle(two_j):
         got = projection_probabilities(s, theta, phi)
         want = oracles.rotated_diagonal(rho, two_j, theta, phi)
         assert np.abs(got - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("two_j", [7, 8])
+def test_batched_probabilities_match_rotation_oracle(two_j):
+    r = np.random.default_rng(two_j)
+    rho = oracles.random_density_matrix(two_j, r)
+    s = dicke_to_spherical(DickeState(two_j, rho), two_j)
+    theta = np.concatenate([[0.0, math.pi], r.uniform(0.0, math.pi, 48)])
+    phi = r.uniform(-math.pi, math.pi, 50)
+    got = _probabilities(s, theta, phi)
+    want = np.array([oracles.rotated_diagonal(rho, two_j, t, f) for t, f in zip(theta, phi)])
+    assert got.shape == (50, two_j + 1)
+    assert np.abs(got - want).max() < 1e-10
+
+
+def test_batched_probabilities_check_reality_per_axis():
+    # rho_11 without its rho_1,-1 mirror: the residual vanishes at the pole only
+    coeffs = np.zeros((2, 3), dtype=complex)
+    coeffs[0, 1] = 1.0 / math.sqrt(3.0)
+    coeffs[1, 2] = 0.1
+    s = SphericalState(2, 1, coeffs)
+    assert _probabilities(s, 0.0, 0.0).shape == (1, 3)
+    with pytest.raises(ValueError, match="imaginary residual"):
+        _probabilities(s, [0.0, math.pi / 2.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="outside"):
+        _probabilities(s, [0.5, 3.5], [0.0, 0.0])
 
 
 def test_probabilities_sum_is_trace():
@@ -182,6 +211,44 @@ def test_sampler_rejects_unphysical_state():
         sample_measurements(s, [(0.0, 0.0)], 10, NoiseModel(), seed=1)
 
 
+_SAMPLER_NOISE = {
+    "none": NoiseModel(),
+    "number": NoiseModel(sigma_n=1.5),
+    "axis": NoiseModel(sigma_omega=0.08),
+    "phase-constant": NoiseModel(phase_mode="constant", sigma_phi=0.07),
+    "phase-model": NoiseModel(phase_mode="model", sigma_ph=0.4),
+    "all": NoiseModel(sigma_n=1.5, sigma_omega=0.08, phase_mode="model", sigma_ph=0.4),
+}
+# poles included; the model phase noise vanishes on the phi = 0 axis
+_SAMPLER_AXES = [(0.0, 0.0), (0.7, 1.1), (math.pi / 2.0, -2.0), (2.2, 2.9), (math.pi, 0.3)]
+
+
+@pytest.mark.parametrize("two_j", [7, 10])
+@pytest.mark.parametrize("case", sorted(_SAMPLER_NOISE))
+def test_sampler_matches_per_shot_oracle(case, two_j):
+    s = coherent_state(two_j, 0.9, 0.4, 0.0, kmax=two_j)
+    noise = _SAMPLER_NOISE[case]
+    got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=31)
+    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=31)
+
+
+@pytest.mark.parametrize("two_j", [7, 10])
+def test_sampler_matches_per_shot_oracle_truncated_state(two_j):
+    rho = oracles.random_density_matrix(two_j, np.random.default_rng(11))
+    s = dicke_to_spherical(DickeState(two_j, rho), 4)  # kmax < two_j
+    noise = _SAMPLER_NOISE["all"]
+    got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=5)
+    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=5)
+
+
+def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
+    s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
+    monkeypatch.setattr(forward, "_CHUNK_BUDGET", 3 * 11 ** 2)  # 3 axes per chunk
+    noise = _SAMPLER_NOISE["all"]
+    got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8)
+    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)
+
+
 def test_sampler_argument_validation():
     s = maximally_mixed_state(2)
     with pytest.raises(ValueError):
@@ -212,3 +279,21 @@ def test_exact_records_weights_sum_to_trace():
     recs = exact_records(s, axes)
     assert sum(r.weight for r in recs) == pytest.approx(1.0, abs=1e-12)
     assert all(r.two_j == two_j for r in recs)
+
+
+def test_exact_records_match_per_axis_build():
+    two_j = 9
+    r = np.random.default_rng(9)
+    s = dicke_to_spherical(DickeState(two_j, oracles.random_density_matrix(two_j, r)), two_j)
+    axes = [(0.0, 0.0), (math.pi, 1.0)] + [
+        (float(t), float(f)) for t, f in zip(r.uniform(0.0, math.pi, 10),
+                                             r.uniform(-math.pi, math.pi, 10))]
+    c = r.uniform(0.5, 1.5, len(axes))
+    recs = exact_records(s, axes, c)
+    want = []
+    for (th, ph), ca in zip(axes, c):
+        p = np.clip(projection_probabilities(s, th, ph), 0.0, None)
+        want += [(th, ph, ca * pm, two_j, 2 * i - two_j) for i, pm in enumerate(p) if pm > 0.0]
+    assert [(x.theta, x.phi, x.two_j, x.two_m) for x in recs] == [
+        (w[0], w[1], w[3], w[4]) for w in want]
+    assert max(abs(x.weight - w[2]) for x, w in zip(recs, want)) <= 1e-15

@@ -1,10 +1,14 @@
+import importlib
 import math
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spintomo.forward as forward
 from spintomo.angular import cg_tau_table
 from spintomo.forward import MeasurementRecord, NoiseModel, exact_records, sample_measurements
 from spintomo.reconstruct import (
@@ -186,6 +190,22 @@ def test_weights_full_sphere_pole_is_one_axis():
     recs = [MeasurementRecord(th, ph, math.nan, 2, 0) for th, ph in axes]
     w = [r.weight for r in compute_weights(recs, "full-sphere")]
     assert np.allclose(w, [1.0 / 12.0] * 4 + [1.0 / 3.0] * 2, rtol=1e-9)
+
+
+def test_weights_full_sphere_close_axes_are_distinct():
+    # 1e-8 rad apart: two axes by _AXIS_TOL, and the Voronoi step must agree
+    r = np.random.default_rng(21)
+    v = r.normal(size=(20, 3))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    axes = list(zip(np.arccos(v[:, 2]), np.arctan2(v[:, 1], v[:, 0])))
+    close = (axes[0][0] + 1e-8, axes[0][1])
+    recs = [MeasurementRecord(th, ph, math.nan, 2, 0) for th, ph in axes + [close]]
+    w = [x.weight for x in compute_weights(recs, "full-sphere")]
+    assert sum(w) == pytest.approx(1.0, abs=1e-12)
+    assert w[0] != w[-1]
+    merged = [x.weight for x in compute_weights(recs[:-1] + [recs[0]], "full-sphere")]
+    assert merged[0] == merged[-1]
+    assert abs((w[0] + w[-1]) - (merged[0] + merged[-1])) < 1e-8
 
 
 # ---------------------------------------------------------------- damping
@@ -425,6 +445,45 @@ def test_fbp_invariant_to_record_order_and_antipodes(seed, mode):
     assert np.abs(reconstruct(shuffled, cfg).coeffs - base).max() < 1e-12
     flipped = [_antipode(x) if f else x for x, f in zip(recs, r.random(len(recs)) < 0.5)]
     assert np.abs(reconstruct(flipped, cfg).coeffs - base).max() < 1e-12
+
+
+_rc = importlib.import_module("spintomo.reconstruct")  # the package re-exports reconstruct()
+
+
+def _chunked_outputs():
+    # sampler records, exact records and both backprojections on one small case
+    two_j = 8
+    r = np.random.default_rng(3)
+    s = dicke_to_spherical(DickeState(two_j, oracles.random_density_matrix(two_j, r)), two_j)
+    sphere = [(float(t), float(f)) for t, f in zip(r.uniform(0.0, math.pi, 12),
+                                                   r.uniform(-math.pi, math.pi, 12))]
+    sampled = sample_measurements(s, _plane_axes(10), 20, _CORE_NOISE, seed=4)
+    exact = exact_records(s, sphere)
+    inplane = fbp_inplane(compute_weights(sampled, "in-plane"),
+                          ReconstructionConfig(kmax=8, mode="in-plane", noise=_CORE_NOISE))
+    full = fbp_full(compute_weights(exact, "full-sphere"),
+                    ReconstructionConfig(kmax=8, mode="full-sphere", noise=_CORE_NOISE))
+    return sampled, exact, inplane.coeffs, full.coeffs
+
+
+_default_chunked_outputs = lru_cache(maxsize=1)(_chunked_outputs)
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+@settings(max_examples=15, deadline=None)
+@given(forward_budget=st.integers(1, 2000), reconstruct_budget=st.integers(1, 2000))
+def test_outputs_invariant_to_chunk_budgets(forward_budget, reconstruct_budget):
+    # down to one axis per chunk; only the order of floating-point sums may change
+    base = _default_chunked_outputs()
+    with (mock.patch.object(forward, "_CHUNK_BUDGET", forward_budget),
+          mock.patch.object(_rc, "_CHUNK_BUDGET", reconstruct_budget)):
+        sampled, exact, inplane, full = _chunked_outputs()
+    assert sampled == base[0]
+    assert [(x.theta, x.phi, x.two_j, x.two_m) for x in exact] == [
+        (x.theta, x.phi, x.two_j, x.two_m) for x in base[1]]
+    assert max(abs(x.weight - y.weight) for x, y in zip(exact, base[1])) <= 1e-15
+    assert np.abs(inplane - base[2]).max() <= 1e-14
+    assert np.abs(full - base[3]).max() <= 1e-14
 
 
 # ---------------------------------------------------------------- folding
