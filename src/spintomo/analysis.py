@@ -13,7 +13,8 @@ import numpy as np
 from scipy.optimize import leastsq
 
 from .angular import check_spin_label
-from .forward import _probabilities, _wave_sums
+from .forward import _probabilities
+from .states import _wave_sums
 
 __all__ = [
     "GaussianFit",
@@ -161,6 +162,8 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     two_j = s.two_j_ref
     m = (2.0 * np.arange(two_j + 1) - two_j) / 2.0
     phis = np.asarray(phis, dtype=float).ravel()
+    if phis.size == 0:
+        raise ValueError("squeezing scan needs at least one azimuth")
     means, mean2s = _moments(s, math.pi / 2.0, phis)
     curve = []
     failures = 0

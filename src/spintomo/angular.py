@@ -65,11 +65,6 @@ def check_wave_index(k, q, two_j=None):
         raise ValueError(f"k = {k} exceeds 2j = {two_j}")
 
 
-def _lnfact(n):
-    # log(n!) for integer n >= 0
-    return math.lgamma(n + 1.0)
-
-
 @lru_cache(maxsize=64)
 def cg_tau_table(two_j, kmax):
     """Table of the diagonal coupling coefficients tau_k^{j,m}.
@@ -333,6 +328,16 @@ def legendre_sph_table(kmax, x):
     return out
 
 
+def _mirror_negative_q(coeffs, kmax):
+    # fill the q < 0 half from the q > 0 half, rho_{k,-q} = (-1)^q conj(rho_kq),
+    # so the invariant holds bitwise
+    if kmax == 0:
+        return
+    q = np.arange(1, kmax + 1)
+    sign = np.where(q % 2 == 0, 1.0, -1.0)
+    coeffs[:, kmax - 1::-1] = sign[None, :] * np.conj(coeffs[:, kmax + 1:])
+
+
 def rot_elements_axis(kmax, theta, phi):
     """Rotation elements D^k_{q0}(phi, theta, 0) for all k <= kmax, |q| <= k.
 
@@ -349,9 +354,7 @@ def rot_elements_axis(kmax, theta, phi):
     q = np.arange(kmax + 1)
     out = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
     out[:, kmax:] = scale[:, None] * S * np.exp(-1j * q[None, :] * phi)
-    if kmax > 0:
-        qsign = np.where(q[1:] % 2 == 0, 1.0, -1.0)
-        out[:, kmax - 1::-1] = qsign[None, :] * np.conj(out[:, kmax + 1:])
+    _mirror_negative_q(out, kmax)
     return out
 
 
@@ -362,65 +365,47 @@ def pochhammer_half(a):
     return math.exp(math.lgamma(a + 0.5) - math.lgamma(a))
 
 
-def _ln_dfact(n):
-    # log(n!!) with the conventions 0!! = (-1)!! = 1
-    if n <= 0:
-        return 0.0
-    if n % 2 == 0:
-        h = n // 2
-        return h * _LN2 + math.lgamma(h + 1.0)
-    h = (n - 1) // 2
-    return math.lgamma(n + 1.0) - h * _LN2 - math.lgamma(h + 1.0)
-
-
-def _hemi_mixed(ke, ko, q):
-    # off-diagonal overlap where ke - q is even and ko - q is odd
-    n = (ke - ko - 1) // 2
-    sign = -1.0 if n % 2 else 1.0
-    if ke < ko:
-        sign = -sign  # carries the sign of (ke - ko)
-    ln_mag = (
-        (q - (ke + ko - 1) / 2.0) * _LN2
-        + 0.5 * (math.log(2.0 * ke + 1.0) + math.log(2.0 * ko + 1.0))
-        - math.log(abs(ke - ko)) - math.log(ke + ko + 1.0)
-        + 0.5 * (_lnfact(ke - q) + _lnfact(ko - q) - _lnfact(ke + q) - _lnfact(ko + q))
-        + _ln_dfact(ko + q) + _ln_dfact(ke + q - 1)
-        - _lnfact((ko - q - 1) // 2) - _lnfact((ke - q) // 2)
-    )
-    return sign * math.exp(ln_mag)
-
-
 def hemi_overlap(k, k_prime, q):
     """Northern-hemisphere overlap of two spherical harmonics of equal order.
 
-    2 * Integral over the upper hemisphere of conj(Y_kq) Y_k'q.  Equal
-    degrees give 1; degrees of equal parity (relative to q) give exactly 0;
-    mixed parity follows the closed form with factorials and double
-    factorials evaluated in the log domain.
+    2 * Integral over the upper hemisphere of conj(Y_kq) Y_k'q; one entry
+    of :func:`hemi_overlap_matrix`.
     """
     q = abs(int(q))
     if k < 0 or k_prime < 0 or q > min(k, k_prime):
         raise ValueError(f"invalid overlap index (k={k}, k'={k_prime}, q={q})")
     k, k_prime = int(k), int(k_prime)
-    if k == k_prime:
-        return 1.0
-    if (k - q) % 2 == (k_prime - q) % 2:
-        return 0.0
-    if (k - q) % 2 == 0:
-        return _hemi_mixed(k, k_prime, q)
-    return _hemi_mixed(k_prime, k, q)
+    return float(hemi_overlap_matrix(max(k, k_prime), q)[k, k_prime])
 
 
 def hemi_overlap_matrix(kmax, q):
-    """Matrix of hemispherical overlaps for fixed order q, degrees 0..kmax."""
+    """Matrix of hemispherical overlaps for fixed order q, degrees 0..kmax.
+
+    Equal degrees give 1 and degrees of equal parity (relative to q) give
+    exactly 0.  For ke - q even and ko - q odd the factorial closed form,
+    its odd double factorials written as n!! = (n+1)! / (2^((n+1)/2)
+    ((n+1)/2)!), collapses to central binomials c(n) = C(n, n/2) / 2^n:
+        s sqrt((2ke+1) c(ke+q) c(ke-q) (2ko+1) (ko+q+1) (ko-q) c(ko+q+1) c(ko-q-1))
+          / (|ke-ko| (ke+ko+1)),
+    s = (-1)^floor((ke-ko-1)/2) sign(ke-ko).  The whole mixed block comes
+    from one log-Gamma vector, ln c(2i) = ln Gamma(i+1/2) - ln Gamma(i+1)
+    - ln(pi)/2; the other mixed block is its transpose.  Rows and columns
+    below q are zero.
+    """
     q = abs(int(q))
-    n = kmax + 1
-    out = np.zeros((n, n))
-    for k in range(q, n):
-        out[k, k] = 1.0
-        for kp in range(q, k):
-            if (k - q) % 2 != (kp - q) % 2:
-                v = hemi_overlap(k, kp, q)
-                out[k, kp] = v
-                out[kp, k] = v
+    i = np.arange(kmax + 1)
+    ln_c = gammaln(i + 0.5) - gammaln(i + 1.0) - 0.5 * _LNPI
+    ke = np.arange(q, kmax + 1, 2)
+    ko = np.arange(q + 1, kmax + 1, 2)
+    ln_row = 0.5 * (np.log(2.0 * ke + 1.0) + ln_c[(ke + q) // 2] + ln_c[(ke - q) // 2])
+    ln_col = 0.5 * (np.log((2.0 * ko + 1.0) * (ko + q + 1.0) * (ko - q))
+                    + ln_c[(ko + q + 1) // 2] + ln_c[(ko - q - 1) // 2])
+    d = ke[:, None] - ko[None, :]
+    sign = np.where((d - 1) // 2 % 2 == 1, -1.0, 1.0) * np.sign(d)
+    mixed = (sign * np.exp(ln_row[:, None] + ln_col[None, :])
+             / (np.abs(d) * (ke[:, None] + ko[None, :] + 1.0)))
+    out = np.zeros((kmax + 1, kmax + 1))
+    out[q::2, q + 1::2] = mixed
+    out[q + 1::2, q::2] = mixed.T
+    out[i[q:], i[q:]] = 1.0
     return out

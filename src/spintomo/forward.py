@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import cg_tau_table, check_spin_label, legendre_sph_table
-from .states import DESK_SCALE_LIMIT
+from .angular import cg_tau_table, check_spin_label
+from .states import DESK_SCALE_LIMIT, _real_part, _wave_sums
 
 __all__ = [
     "NoiseModel",
@@ -25,7 +25,6 @@ __all__ = [
 
 _PHASE_MODES = ("none", "constant", "model")
 _PHASE_VARIANTS = ("quadratic", "linear")
-_CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of the probability kernel
 
 
 @dataclass(frozen=True)
@@ -101,44 +100,6 @@ class MeasurementRecord:
             raise ValueError(f"weight must be non-negative or NaN, got {self.weight}")
 
 
-def _wave_sums(s, theta, phi, kuse):
-    """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
-
-    theta and phi broadcast to n axes; returns a complex (n, kuse+1)
-    array, real for a Hermitian state.  Per chunk of axes: one Legendre
-    table over cos(theta) and one contraction with the state's (k, q)
-    block, the q < 0 half entering through D^k_{-q,0} = (-1)^q
-    conj(D^k_{q0}) as in rot_elements_axis.
-    """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float).ravel(),
-                                     np.asarray(phi, dtype=float).ravel())
-    bad = ~((theta >= 0.0) & (theta <= math.pi + 1e-12))
-    if bad.any():
-        raise ValueError(f"theta = {theta[bad][0]} outside [0, pi]")
-    block = s.coeffs[: kuse + 1, s.kmax - kuse: s.kmax + kuse + 1]
-    # z_k = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (plus_kq e^{iq phi} + minus_kq e^{-iq phi})
-    #     = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (a_kq cos(q phi) + b_kq sin(q phi))
-    # with plus_kq = rho_kq, minus_kq = (-1)^q rho_k,-q (zero at q = 0)
-    q = np.arange(kuse + 1)
-    plus = block[:, kuse:]
-    minus = np.where(q % 2 == 0, 1.0, -1.0) * block[:, kuse::-1]
-    minus[:, 0] = 0.0
-    norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]
-    a = norm * (plus + minus)
-    b = norm * 1j * (plus - minus)
-    a = np.stack([a.real, a.imag], axis=1)                        # (k, re/im, q)
-    b = np.stack([b.real, b.imag], axis=1)
-    out = np.empty((theta.size, kuse + 1), dtype=complex)
-    chunk = max(1, int(_CHUNK_BUDGET / (kuse + 1) ** 2))
-    for lo in range(0, theta.size, chunk):
-        sl = slice(lo, lo + chunk)
-        S = legendre_sph_table(kuse, np.cos(theta[sl]))          # (k, q, axes)
-        qphi = q[:, None] * phi[sl]
-        z = a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi))       # (k, re/im, axes)
-        out[sl] = (z[:, 0] + 1j * z[:, 1]).T
-    return out
-
-
 def _probabilities(s, theta, phi):
     """p_m along many axes at once: an array of shape (n, 2j+1).
 
@@ -147,11 +108,8 @@ def _probabilities(s, theta, phi):
     """
     two_j = s.two_j_ref
     kuse = min(s.kmax, two_j)
-    z = _wave_sums(s, theta, phi, kuse)
-    scale = max(1.0, float(np.sum(np.abs(s.coeffs[: kuse + 1]))))
-    if np.abs(z.imag).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError("imaginary residual violates the reality invariant")
-    return z.real @ cg_tau_table(two_j, kuse)
+    z = _real_part(_wave_sums(s, theta, phi, kuse), s.coeffs[: kuse + 1])
+    return z @ cg_tau_table(two_j, kuse)
 
 
 def projection_probabilities(s, theta, phi):

@@ -11,6 +11,7 @@ import tempfile
 
 import numpy as np
 
+from .angular import _mirror_negative_q
 from .forward import MeasurementRecord
 from .states import SphericalState
 
@@ -158,8 +159,7 @@ def read_coefficients(path):
         if not (0 <= k <= kmax and 0 <= q <= k):
             raise ValueError(f"{path}: coefficient ({k}, {q}) out of range")
         coeffs[k, kmax + q] = re + 1j * im
-        if q > 0:
-            coeffs[k, kmax - q] = (-1) ** q * (re - 1j * im)
+    _mirror_negative_q(coeffs, kmax)
     return SphericalState(two_j_ref, kmax, coeffs)
 
 

@@ -25,6 +25,7 @@ from scipy.spatial import SphericalVoronoi, cKDTree
 
 from .angular import (
     SQRT_4PI,
+    _mirror_negative_q,
     cg_tau_table,
     hemi_overlap_matrix,
     legendre_sph_table,
@@ -32,7 +33,7 @@ from .angular import (
     pochhammer_half,
 )
 from .forward import NoiseModel
-from .states import SphericalState, _mirror_negative_q, _number_damping
+from .states import SphericalState, _number_damping
 
 __all__ = [
     "ReconstructionConfig",
@@ -167,6 +168,8 @@ def compute_weights(records, mode, scheme="voronoi"):
     antipodally-folded spherical cell area otherwise) split equally among
     its records; "uniform" sets every weight to 1/M.
     """
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}")
     theta, phi, _, _, _ = _record_arrays(records)
     n = len(records)
     if scheme == "uniform":
@@ -177,7 +180,7 @@ def compute_weights(records, mode, scheme="voronoi"):
     if mode == "in-plane":
         axis, first, _ = _axis_ids(math.pi / 2.0, phi)
         axis_w = _circle_arc_weights(np.mod(phi[first], math.pi), math.pi)
-    elif mode == "full-sphere":
+    else:
         axis, first, _ = _axis_ids(theta, phi)
         if first.size == 1:
             raise ValueError("all axes coincide; no area partition exists")
@@ -197,8 +200,6 @@ def compute_weights(records, mode, scheme="voronoi"):
             areas = sv.calculate_areas()
             m = first.size
             axis_w = (areas[:m] + areas[m:]) / (4.0 * math.pi)
-    else:
-        raise ValueError(f"mode must be one of {_MODES}")
 
     per_record = axis_w[axis] / np.bincount(axis)[axis]
     per_record = per_record / per_record.sum()

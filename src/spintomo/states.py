@@ -4,7 +4,9 @@ A state enters the pipeline either as a Dicke-basis density matrix
 (desk-scale oracle form) or as the complex partial-wave coefficients
 rho_kq that define its Wigner function on the Bloch sphere.  This module
 holds both containers, the exact conversions between them, generators for
-reference states, and Wigner-function evaluation on points and grids.
+reference states, and Wigner-function evaluation on points and grids.  The
+point evaluation runs on the partial-wave kernel (sum over q of Y_kq rho_kq
+for each k) that the forward model and the analysis also use.
 """
 
 import math
@@ -14,6 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .angular import (
+    _mirror_negative_q,
     cg_t_row,
     cg_tau_table,
     check_spin_label,
@@ -39,6 +42,7 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 400  # Dicke-basis paths hold full (2j+1)^2 matrices
+_CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of the partial-wave kernel
 
 
 @dataclass(frozen=True)
@@ -64,6 +68,8 @@ class SphericalState:
         if coeffs.shape != (self.kmax + 1, 2 * self.kmax + 1):
             raise ValueError(f"coefficient array has shape {coeffs.shape}, "
                              f"expected {(self.kmax + 1, 2 * self.kmax + 1)}")
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError("coefficient array contains non-finite entries")
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
@@ -79,13 +85,11 @@ class SphericalState:
         scale = max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
         if abs(self.coeffs[0, self.kmax].imag) > tol * scale:
             raise ValueError("rho_00 is not real")
-        if self.kmax > 0:
-            q = np.arange(1, self.kmax + 1)
-            sign = np.where(q % 2 == 0, 1.0, -1.0)
-            mirrored = sign[None, :] * np.conj(self.coeffs[:, self.kmax + 1:])
-            err = np.abs(self.coeffs[:, self.kmax - 1::-1] - mirrored).max(initial=0.0)
-            if err > tol * scale:
-                raise ValueError(f"reality invariant violated by {err:.3g}")
+        mirrored = self.coeffs.copy()
+        _mirror_negative_q(mirrored, self.kmax)
+        err = np.abs(self.coeffs - mirrored).max()
+        if err > tol * scale:
+            raise ValueError(f"reality invariant violated by {err:.3g}")
         k = np.arange(self.kmax + 1)[:, None]
         qq = np.abs(np.arange(-self.kmax, self.kmax + 1))[None, :]
         if np.abs(np.where(qq > k, self.coeffs, 0.0)).max(initial=0.0) > 0.0:
@@ -110,6 +114,8 @@ class DickeState:
         dim = self.two_j + 1
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("Dicke matrix contains non-finite entries")
         scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
         if np.abs(mat - mat.conj().T).max(initial=0.0) > 1e-10 * scale:
             raise ValueError("Dicke matrix is not Hermitian")
@@ -155,15 +161,6 @@ class WignerGrid:
             object.__setattr__(self, name, arr)
 
 
-def _mirror_negative_q(coeffs, kmax):
-    # fill the q < 0 half from the q > 0 half so the invariant holds bitwise
-    if kmax == 0:
-        return
-    q = np.arange(1, kmax + 1)
-    sign = np.where(q % 2 == 0, 1.0, -1.0)
-    coeffs[:, kmax - 1::-1] = sign[None, :] * np.conj(coeffs[:, kmax + 1:])
-
-
 def dicke_to_spherical(d, kmax):
     """Partial-wave coefficients of a Dicke-basis density matrix.
 
@@ -205,41 +202,65 @@ def spherical_to_dicke(s):
     return DickeState(two_j, mat)
 
 
-def _eval_points(s, theta, phi):
-    # full complex partial-wave sum at arbitrary points, chunked over points
-    kmax = s.kmax
-    th = np.asarray(theta, dtype=float)
-    ph = np.asarray(phi, dtype=float)
-    th, ph = np.broadcast_arrays(th, ph)
-    shape = th.shape
-    th = th.ravel()
-    ph = ph.ravel()
-    out = np.empty(th.size, dtype=complex)
-    qs = np.arange(-kmax, kmax + 1)
-    qsign = np.where((qs < 0) & (qs % 2 != 0), -1.0, 1.0)
-    chunk = max(1, int(4.0e5 / ((kmax + 1) * (2 * kmax + 1) + 1)))
-    for lo in range(0, th.size, chunk):
+def _wave_sums(s, theta, phi, kuse):
+    """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
+
+    theta and phi broadcast to n points, flattened; returns a complex
+    (n, kuse+1) array, real for a Hermitian state.  Since D^k_q0 =
+    sqrt(4 pi / (2k+1)) conj(Y_kq), this is the partial-wave sum behind
+    the Wigner function and the projection probabilities.  Per chunk of
+    points: one Legendre table over cos(theta) and one contraction with the
+    state's (k, q) block, the q < 0 half entering through
+    D^k_{-q,0} = (-1)^q conj(D^k_{q0}) as in rot_elements_axis.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    theta, phi = theta.ravel(), phi.ravel()
+    bad = ~((theta >= 0.0) & (theta <= math.pi + 1e-12))
+    if bad.any():
+        raise ValueError(f"theta = {theta[bad][0]} outside [0, pi]")
+    block = s.coeffs[: kuse + 1, s.kmax - kuse: s.kmax + kuse + 1]
+    # z_k = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (plus_kq e^{iq phi} + minus_kq e^{-iq phi})
+    #     = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (a_kq cos(q phi) + b_kq sin(q phi))
+    # with plus_kq = rho_kq, minus_kq = (-1)^q rho_k,-q (zero at q = 0)
+    q = np.arange(kuse + 1)
+    plus = block[:, kuse:]
+    minus = np.where(q % 2 == 0, 1.0, -1.0) * block[:, kuse::-1]
+    minus[:, 0] = 0.0
+    norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]
+    a = norm * (plus + minus)
+    b = norm * 1j * (plus - minus)
+    a = np.stack([a.real, a.imag], axis=1)                        # (k, re/im, q)
+    b = np.stack([b.real, b.imag], axis=1)
+    out = np.empty((theta.size, kuse + 1), dtype=complex)
+    chunk = max(1, int(_CHUNK_BUDGET / (kuse + 1) ** 2))
+    for lo in range(0, theta.size, chunk):
         sl = slice(lo, lo + chunk)
-        S = legendre_sph_table(kmax, np.cos(th[sl]))          # (K+1, K+1, n)
-        Y = S[:, np.abs(qs), :] * qsign[None, :, None] \
-            * np.exp(1j * qs[None, :, None] * ph[sl][None, None, :])
-        out[sl] = np.einsum("kq,kqn->n", s.coeffs, Y)
-    return out.reshape(shape)
+        S = legendre_sph_table(kuse, np.cos(theta[sl]))          # (k, q, points)
+        qphi = q[:, None] * phi[sl]
+        z = a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi))       # (k, re/im, points)
+        out[sl] = (z[:, 0] + 1j * z[:, 1]).T
+    return out
+
+
+def _real_part(w, coeffs):
+    # w.real, once its imaginary part is shown to be round-off of a Hermitian state
+    worst = float(np.abs(w.imag).max(initial=0.0))
+    if worst > 1e-10 * max(1.0, float(np.sum(np.abs(coeffs)))):
+        raise ValueError(f"imaginary residual {worst:.3g} violates the reality invariant")
+    return w.real
 
 
 def wigner_eval(s, theta, phi):
     """Wigner function W(theta, phi) of a partial-wave state.
 
-    Accepts scalars or broadcastable arrays.  The full complex sum is
-    evaluated and its imaginary part checked against the reality
-    invariant before being discarded.
+    Accepts scalars or broadcastable arrays; theta must lie in [0, pi].
+    The full complex sum is evaluated and its imaginary part checked
+    against the reality invariant before being discarded.
     """
-    w = _eval_points(s, theta, phi)
-    scale = max(1.0, float(np.sum(np.abs(s.coeffs))))
-    worst = float(np.abs(w.imag).max()) if w.size else 0.0
-    if worst > 1e-10 * scale:
-        raise ValueError(f"imaginary residual {worst:.3g} violates the reality invariant")
-    w = w.real
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    k = np.arange(s.kmax + 1)
+    w = _wave_sums(s, theta, phi, s.kmax) @ np.sqrt((2.0 * k + 1.0) / (4.0 * math.pi))
+    w = _real_part(w.reshape(shape), s.coeffs)
     return float(w) if w.ndim == 0 else w
 
 
@@ -264,11 +285,7 @@ def wigner_grid(s, n_theta, n_phi):
     S = legendre_sph_table(kmax, np.cos(theta))               # (K+1, K+1, nt)
     z = np.einsum("kq,kqt->qt", s.coeffs * qsign[None, :], S[:, np.abs(qs), :])
     E = np.exp(1j * qs[:, None] * phi[None, :])               # (2K+1, np)
-    w = z.T @ E
-    scale = max(1.0, float(np.sum(np.abs(s.coeffs))))
-    if np.abs(w.imag).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError("imaginary residual violates the reality invariant")
-    return WignerGrid(theta, phi, w.real)
+    return WignerGrid(theta, phi, _real_part(z.T @ E, s.coeffs))
 
 
 def grid_theta_weights(n_theta):

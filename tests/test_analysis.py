@@ -269,6 +269,12 @@ def test_scan_noise_subtraction_flag():
     assert rep.squeezing_db is None
 
 
+def test_scan_requires_an_azimuth():
+    s = coherent_state(8, 0.0, 0.0, 0.0, kmax=8)
+    with pytest.raises(ValueError, match="at least one azimuth"):
+        squeezing_scan(s, [], 0.0, 4.0)
+
+
 def test_scan_direct_exceeds_fit_on_noisy_reconstruction():
     # backprojection noise inflates the direct second-moment variance near
     # the squeezing minimum while the Gaussian fit stays close to truth

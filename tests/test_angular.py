@@ -257,6 +257,17 @@ def test_hemi_overlap_invalid_q():
         hemi_overlap(2, 5, 3)
 
 
+def test_hemi_overlap_matrix_large_kmax_against_quadrature():
+    # 128 Gauss-Legendre nodes integrate the degree <= 240 products exactly
+    kmax = 120
+    tables = oracles.hemi_overlap_tables_quadrature(kmax, n=128)
+    for q in range(kmax + 1):
+        mat = hemi_overlap_matrix(kmax, q)
+        assert np.array_equal(mat, mat.T), q
+        assert np.all(np.diag(mat)[q:] == 1.0), q
+        assert np.abs(mat - tables[q]).max() < 1e-11, q
+
+
 # ---------------------------------------------------------------- legendre_sph internals
 
 def test_legendre_sph_matches_harmonic_theta_part():

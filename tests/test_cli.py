@@ -6,6 +6,7 @@ import pytest
 from spintomo import io as stio
 from spintomo.cli import main
 from spintomo.forward import MeasurementRecord
+from spintomo.states import coherent_state
 
 
 def run(*argv):
@@ -94,6 +95,20 @@ def test_reconstruct_default_kmax_counts_near_duplicate_azimuths_once(workdir, c
     stio.write_measurements("probe.csv", recs)
     assert run("reconstruct", "probe.csv", "--out", "probe") == 0
     assert "reconstructed kmax=11 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flags", [("--state", "oat", "--chi", "nan"), ("--phi0", "nan")])
+def test_simulate_non_finite_state_exits_2(workdir, capsys, flags):
+    assert run("simulate", *flags, "--out", "meas.csv") == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not os.path.exists("meas.csv")
+
+
+def test_analyze_without_azimuths_exits_2(workdir, capsys):
+    stio.write_coefficients("c.csv", coherent_state(8, 0.0, 0.0, 0.0, kmax=8))
+    assert run("analyze", "c.csv", "--phi-steps", "0") == 2
+    assert "at least one azimuth" in capsys.readouterr().err
+    assert not os.path.exists("c_squeezing.csv")
 
 
 def test_missing_input_exits_2(workdir, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-import spintomo.forward as forward
+import spintomo.states as states
 from spintomo.forward import (
     MeasurementRecord,
     NoiseModel,
@@ -243,7 +243,7 @@ def test_sampler_matches_per_shot_oracle_truncated_state(two_j):
 
 def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
-    monkeypatch.setattr(forward, "_CHUNK_BUDGET", 3 * 11 ** 2)  # 3 axes per chunk
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11 ** 2)  # 3 axes per chunk
     noise = _SAMPLER_NOISE["all"]
     got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8)
     assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)

@@ -93,6 +93,13 @@ def test_coefficients_missing_header(tmp_path):
         stio.read_coefficients(path)
 
 
+def test_coefficients_non_finite_rejected(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n0,0,0.5,0.0\n1,1,nan,0.0\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        stio.read_coefficients(path)
+
+
 # ---------------------------------------------------------------- spectrum / grid / pgm
 
 def test_spectrum_file_contains_sixth(tmp_path):

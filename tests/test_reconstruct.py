@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spintomo.forward as forward
+import spintomo.states as states
 from spintomo.angular import cg_tau_table
 from spintomo.forward import MeasurementRecord, NoiseModel, exact_records, sample_measurements
 from spintomo.reconstruct import (
@@ -166,6 +166,13 @@ def test_weights_full_sphere_coplanar_falls_back_to_arcs():
             for a in range(6)]
     out = compute_weights(recs, "full-sphere")
     assert np.allclose([r.weight for r in out], 1.0 / 6.0, rtol=1e-9)
+
+
+def test_weights_check_mode_before_scheme():
+    recs = [MeasurementRecord(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)]
+    for scheme in ("uniform", "voronoi"):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            compute_weights(recs, "bogus", scheme=scheme)
 
 
 def test_weights_degenerate_axes_error():
@@ -475,7 +482,7 @@ _default_chunked_outputs = lru_cache(maxsize=1)(_chunked_outputs)
 def test_outputs_invariant_to_chunk_budgets(forward_budget, reconstruct_budget):
     # down to one axis per chunk; only the order of floating-point sums may change
     base = _default_chunked_outputs()
-    with (mock.patch.object(forward, "_CHUNK_BUDGET", forward_budget),
+    with (mock.patch.object(states, "_CHUNK_BUDGET", forward_budget),
           mock.patch.object(_rc, "_CHUNK_BUDGET", reconstruct_budget)):
         sampled, exact, inplane, full = _chunked_outputs()
     assert sampled == base[0]

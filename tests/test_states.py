@@ -53,6 +53,20 @@ def test_dicke_state_requires_hermitian():
         DickeState(2, mat)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_states_reject_non_finite_entries(bad):
+    # NaN passes every comparison-based check, so it must be rejected explicitly
+    coeffs = np.zeros((3, 5), dtype=complex)
+    coeffs[0, 2] = 0.5
+    coeffs[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        SphericalState(4, 2, coeffs)
+    mat = np.eye(3, dtype=complex) / 3.0
+    mat[1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DickeState(2, mat)
+
+
 # ---------------------------------------------------------------- conversions
 
 def test_dicke_to_spherical_halfspin_example():
@@ -118,6 +132,15 @@ def test_wigner_eval_halfspin_pole():
     s = dicke_to_spherical(DickeState(1, rho), 1)
     want = (1.0 + math.sqrt(3.0)) / math.sqrt(8.0 * math.pi)
     assert wigner_eval(s, 0.0, 0.0) == pytest.approx(want, rel=1e-10)
+
+
+def test_wigner_eval_rejects_theta_outside_range():
+    s = coherent_state(8, 0.4, 0.5, 0.0, kmax=8)
+    for theta in (4.0, -0.1, math.nan):
+        with pytest.raises(ValueError, match="outside"):
+            wigner_eval(s, theta, 0.5)
+    with pytest.raises(ValueError, match="outside"):
+        wigner_eval(s, np.array([0.5, 4.0]), 0.5)
 
 
 def test_wigner_eval_rejects_invariant_violation():
