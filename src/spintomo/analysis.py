@@ -14,7 +14,7 @@ from scipy.optimize import leastsq
 
 from .angular import check_spin_label
 from .forward import _probabilities
-from .states import _wave_sums
+from .states import _real_part, _wave_sums
 
 __all__ = [
     "GaussianFit",
@@ -38,7 +38,8 @@ def _moments(s, theta, phi):
     # (<m>, <m^2>) along n axes (theta, phi broadcast), as two (n,) arrays
     two_j = s.two_j_ref
     j = two_j / 2.0
-    z = _wave_sums(s, theta, phi, min(2, s.kmax)).real
+    kuse = min(2, s.kmax)
+    z = _real_part(_wave_sums(s, theta, phi, kuse), s.coeffs[: kuse + 1])
     mean = np.zeros(z.shape[0])
     if s.kmax >= 1:
         mean = math.sqrt(two_j * (two_j + 1.0) * (two_j + 2.0) / 12.0) * z[:, 1]

@@ -8,6 +8,8 @@ lossless.  Writes are atomic (temp file then rename).
 import math
 import os
 import tempfile
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
@@ -29,6 +31,7 @@ __all__ = [
 
 MEASUREMENT_HEADER = "theta,phi,weight,two_j,two_m"
 _MAX_REPORTED_ERRORS = 20
+_RECORD_FIELDS = attrgetter("theta", "phi", "weight", "two_j", "two_m")
 
 
 def _fmt(x):
@@ -101,11 +104,11 @@ def parse_measurements(path):
 
 def write_measurements(path, records):
     """Write records as canonical measurement CSV (17 significant digits)."""
-    lines = [MEASUREMENT_HEADER]
-    for r in records:
-        w = "" if math.isnan(r.weight) else _fmt(r.weight)
-        lines.append(f"{_fmt(r.theta)},{_fmt(r.phi)},{w},{r.two_j},{r.two_m}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    values = tuple(chain.from_iterable(map(_RECORD_FIELDS, records)))
+    text = ("%.17g,%.17g,%.17g,%s,%s\n" * (len(values) // 5)) % values
+    # a pending (NaN) weight is an empty field; angles are finite and spins are
+    # integers, so ",nan," can only be a weight
+    _atomic_write(path, MEASUREMENT_HEADER + "\n" + text.replace(",nan,", ",,"))
 
 
 def write_coefficients(path, state):
@@ -114,23 +117,18 @@ def write_coefficients(path, state):
     Only q >= 0 rows are stored; the q < 0 half is implied by the
     reality invariant and restored on read.
     """
-    lines = [
-        f"# two_j_ref = {state.two_j_ref}",
-        f"# kmax = {state.kmax}",
-        "k,q,re,im",
-    ]
-    for k in range(state.kmax + 1):
-        for q in range(k + 1):
-            c = state.coeff(k, q)
-            lines.append(f"{k},{q},{_fmt(c.real)},{_fmt(c.imag)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    kmax = state.kmax
+    k, q = np.tril_indices(kmax + 1)
+    rows = "".join(f"{a},{b},%.17g,%.17g\n" for a, b in zip(k.tolist(), q.tolist()))
+    values = tuple(state.coeffs[k, kmax + q].view(float).tolist())  # re, im, re, im, ...
+    _atomic_write(path, f"# two_j_ref = {state.two_j_ref}\n# kmax = {kmax}\nk,q,re,im\n"
+                  + rows % values)
 
 
 def read_coefficients(path):
     """Read a coefficient CSV back into a SphericalState."""
-    two_j_ref = None
-    kmax = None
-    rows = []
+    header = {}
+    rows = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             line = raw.strip()
@@ -141,21 +139,25 @@ def read_coefficients(path):
                 if "=" in body:
                     key, _, value = body.partition("=")
                     key = key.strip()
-                    if key == "two_j_ref":
-                        two_j_ref = int(value)
-                    elif key == "kmax":
-                        kmax = int(value)
+                    if key in ("two_j_ref", "kmax"):
+                        if key in header:
+                            raise ValueError(f"{path}:{lineno}: repeated {key} header")
+                        header[key] = int(value)
                 continue
             if line == "k,q,re,im":
                 continue
             parts = line.split(",")
             if len(parts) != 4:
                 raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            rows.append((int(parts[0]), int(parts[1]), float(parts[2]), float(parts[3])))
-    if two_j_ref is None or kmax is None:
+            k, q = int(parts[0]), int(parts[1])
+            if (k, q) in rows:
+                raise ValueError(f"{path}:{lineno}: repeated coefficient ({k}, {q})")
+            rows[k, q] = (float(parts[2]), float(parts[3]))
+    if len(header) < 2:
         raise ValueError(f"{path}: missing two_j_ref / kmax header comments")
+    two_j_ref, kmax = header["two_j_ref"], header["kmax"]
     coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    for k, q, re, im in rows:
+    for (k, q), (re, im) in rows.items():
         if not (0 <= k <= kmax and 0 <= q <= k):
             raise ValueError(f"{path}: coefficient ({k}, {q}) out of range")
         coeffs[k, kmax + q] = re + 1j * im
@@ -173,11 +175,11 @@ def write_spectrum(path, c_k):
 
 def write_grid(path, grid):
     """Write a Wigner grid as CSV ``theta,phi,W`` (row-major over nodes)."""
-    lines = ["theta,phi,W"]
-    for i, th in enumerate(grid.theta):
-        for l, ph in enumerate(grid.phi):
-            lines.append(f"{_fmt(th)},{_fmt(ph)},{_fmt(grid.values[i, l])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # theta and phi are formatted once each; "%.17g" % x is format(x, ".17g")
+    cells = [""] + [f",{_fmt(ph)},%.17g\n" for ph in grid.phi.tolist()]
+    rows = [_fmt(th).join(cells) % tuple(w)
+            for th, w in zip(grid.theta.tolist(), grid.values.tolist())]
+    _atomic_write(path, "theta,phi,W\n" + "".join(rows))
 
 
 def write_pgm(path, grid):
@@ -198,8 +200,7 @@ def write_pgm(path, grid):
         f"{grid.phi.size} {grid.theta.size}",
         "65535",
     ]
-    for row in pixels:
-        lines.append(" ".join(str(int(v)) for v in row))
+    lines += [" ".join(map(str, row)) for row in pixels.tolist()]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -260,3 +260,52 @@ def gaussian_fit_fd(p, m):
                         x0, method="lm", xtol=1e-9, max_nfev=600)
     assert res.success
     return np.array([res.x[0], res.x[1], res.x[2] ** 2])
+
+
+# ---------------------------------------------------------------- file text, one value at a time
+
+def _fmt17(x):
+    return format(float(x), ".17g")
+
+
+def measurements_text(records):
+    """Measurement CSV text built record by record (17 significant digits)."""
+    lines = ["theta,phi,weight,two_j,two_m"]
+    for r in records:
+        w = "" if math.isnan(r.weight) else _fmt17(r.weight)
+        lines.append(f"{_fmt17(r.theta)},{_fmt17(r.phi)},{w},{r.two_j},{r.two_m}")
+    return "\n".join(lines) + "\n"
+
+
+def coefficients_text(state):
+    """Coefficient CSV text built from one ``state.coeff(k, q)`` call per row."""
+    lines = [f"# two_j_ref = {state.two_j_ref}", f"# kmax = {state.kmax}", "k,q,re,im"]
+    for k in range(state.kmax + 1):
+        for q in range(k + 1):
+            c = state.coeff(k, q)
+            lines.append(f"{k},{q},{_fmt17(c.real)},{_fmt17(c.imag)}")
+    return "\n".join(lines) + "\n"
+
+
+def grid_text(grid):
+    """Grid CSV text built node by node."""
+    lines = ["theta,phi,W"]
+    for i, th in enumerate(grid.theta):
+        for l, ph in enumerate(grid.phi):
+            lines.append(f"{_fmt17(th)},{_fmt17(ph)},{_fmt17(grid.values[i, l])}")
+    return "\n".join(lines) + "\n"
+
+
+def pgm_text(grid):
+    """Plain PGM text built pixel by pixel."""
+    lo = float(grid.values.min())
+    hi = float(grid.values.max())
+    if hi > lo:
+        pixels = np.rint((grid.values - lo) / (hi - lo) * 65535.0).astype(int)
+    else:
+        pixels = np.zeros_like(grid.values, dtype=int)
+    lines = ["P2", f"# wmin={_fmt17(lo)} wmax={_fmt17(hi)}",
+             f"{grid.phi.size} {grid.theta.size}", "65535"]
+    for row in pixels:
+        lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ from spintomo.analysis import (
 from spintomo.forward import projection_probabilities
 from spintomo.states import (
     DickeState,
+    SphericalState,
     coherent_state,
     dicke_to_spherical,
     maximally_mixed_state,
@@ -292,6 +293,28 @@ def test_scan_direct_exceeds_fit_on_noisy_reconstruction():
     i = int(np.argmin([v for _, _, v in rep.variance_curve]))
     _, v_direct, v_fit = rep.variance_curve[i]
     assert v_direct > v_fit
+
+
+def test_moments_check_reality():
+    # rho_11 and rho_22 without their q < 0 mirrors: not Hermitian
+    coeffs = np.zeros((3, 5), dtype=complex)
+    coeffs[0, 2] = 1.0
+    coeffs[1, 3] = 1j
+    coeffs[2, 4] = 0.3j
+    s = SphericalState(4, 2, coeffs)
+    for call in (lambda: moments(s, 0.3, 0.4), lambda: mean_spin_vector(s),
+                 lambda: squeezing_scan(s, [0.0, 0.5], 0.0, 2.0)):
+        with pytest.raises(ValueError, match="imaginary residual"):
+            call()
+    # with the mirrors the state is Hermitian, and its k <= 2 moments are those of p_m
+    coeffs[1, 1] = 1j
+    coeffs[2, 0] = -0.3j
+    s = SphericalState(4, 2, coeffs)
+    m = np.arange(-2.0, 3.0)
+    p = projection_probabilities(s, 0.3, 0.4)
+    mean, mean2 = moments(s, 0.3, 0.4)
+    assert mean == pytest.approx(p @ m, abs=1e-12)
+    assert mean2 == pytest.approx(p @ m ** 2, abs=1e-12)
 
 
 # ---------------------------------------------------------------- mean spin

@@ -55,7 +55,9 @@ def test_pipeline_determinism(workdir):
         assert run("reconstruct", f"{tag}.csv", "--mode", "in-plane",
                    "--out", tag) == 0
         assert run("analyze", f"{tag}_coeffs.csv", "--out", f"{tag}_sq.csv") == 0
-    for suffix in (".csv", "_coeffs.csv", "_spectrum.csv", "_grid.csv", "_sq.csv"):
+        assert run("render", f"{tag}_coeffs.csv", "--out", f"{tag}_img") == 0
+    for suffix in (".csv", "_coeffs.csv", "_spectrum.csv", "_grid.csv", "_sq.csv",
+                   "_img_grid.csv", "_img.pgm"):
         a = open(f"a{suffix}", "rb").read()
         b = open(f"b{suffix}", "rb").read()
         assert a == b, suffix
@@ -109,6 +111,15 @@ def test_analyze_without_azimuths_exits_2(workdir, capsys):
     assert run("analyze", "c.csv", "--phi-steps", "0") == 2
     assert "at least one azimuth" in capsys.readouterr().err
     assert not os.path.exists("c_squeezing.csv")
+
+
+@pytest.mark.parametrize("command", ["render", "analyze"])
+def test_repeated_coefficient_row_exits_2(workdir, capsys, command):
+    with open("dup.csv", "w") as fh:
+        fh.write("# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n"
+                 "0,0,0.5,0.0\n1,0,0.1,0.0\n1,1,0.0,0.0\n0,0,0.4,0.0\n")
+    assert run(command, "dup.csv") == 2
+    assert "dup.csv:7: repeated coefficient (0, 0)" in capsys.readouterr().err
 
 
 def test_missing_input_exits_2(workdir, capsys):

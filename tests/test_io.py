@@ -5,8 +5,9 @@ import pytest
 
 from spintomo import io as stio
 from spintomo.analysis import power_spectrum
-from spintomo.forward import NoiseModel, sample_measurements
-from spintomo.states import coherent_state, maximally_mixed_state, wigner_grid
+from spintomo.forward import MeasurementRecord, NoiseModel, sample_measurements
+from spintomo.reconstruct import ReconstructionConfig, reconstruct
+from spintomo.states import WignerGrid, coherent_state, maximally_mixed_state, wigner_grid
 
 import oracles
 
@@ -100,6 +101,21 @@ def test_coefficients_non_finite_rejected(tmp_path):
         stio.read_coefficients(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n0,0,0.5,0.0\n1,0,0.1,0.0\n0,0,0.4,0.0\n",
+     r"c.csv:6: repeated coefficient \(0, 0\)"),
+    ("# two_j_ref = 2\n# kmax = 1\n# kmax = 0\nk,q,re,im\n0,0,0.5,0.0\n",
+     "c.csv:3: repeated kmax header"),
+    ("# two_j_ref = 2\n# kmax = 0\n# two_j_ref = 4\nk,q,re,im\n0,0,0.5,0.0\n",
+     "c.csv:3: repeated two_j_ref header"),
+], ids=["row", "kmax", "two_j_ref"])
+def test_coefficients_repeated_entries_rejected(tmp_path, text, message):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        stio.read_coefficients(path)
+
+
 # ---------------------------------------------------------------- spectrum / grid / pgm
 
 def test_spectrum_file_contains_sixth(tmp_path):
@@ -149,6 +165,47 @@ def test_pgm_header_inverts_affine_map(tmp_path):
     pixels = np.array([[int(v) for v in row.split()] for row in lines[4:]])
     recovered = lo + pixels / 65535.0 * (hi - lo)
     assert np.abs(recovered - g.values).max() <= (hi - lo) / 65535.0
+
+
+# ---------------------------------------------------------------- writers against per-value text
+
+@pytest.fixture(scope="module")
+def written():
+    """Objects to write, by case name: the CLI workload's shape plus edge values."""
+    s = coherent_state(40, math.pi / 2.0, 0.3, 0.0, kmax=40)
+    axes = [(math.pi / 2.0, a * math.pi / 30.0) for a in range(30)]
+    records = sample_measurements(s, axes, 40, NoiseModel(), seed=5)
+    recon = reconstruct(records, ReconstructionConfig(kmax=29, fold_north=True, two_j_ref=40))
+    grid = wigner_grid(recon, 64, 128)
+    edge = WignerGrid([0.1, math.pi / 3.0], [0.0, 1.0, 2.0, 2.0 * math.pi - 1e-9],
+                      [[-0.0, 5e-324, 1e300, -1e300], [1.0 / 3.0, -1.0 / 3.0, 0.0, 1e-300]])
+    pending = [MeasurementRecord(math.pi / 2.0, 0.1 * a, math.nan if a % 2 else 1.0 / 7.0,
+                                 7, 2 * (a % 8) - 7) for a in range(16)]
+    pending += [MeasurementRecord(0.0, -2.5, math.nan, 1, -1),
+                MeasurementRecord(math.pi, 0.0, 0.0, 0, 0)]
+    return {
+        "grid": (stio.write_grid, grid, oracles.grid_text),
+        "grid_edge_values": (stio.write_grid, edge, oracles.grid_text),
+        "pgm": (stio.write_pgm, grid, oracles.pgm_text),
+        "pgm_flat": (stio.write_pgm, wigner_grid(maximally_mixed_state(4, kmax=0), 4, 8),
+                     oracles.pgm_text),
+        "pgm_edge_values": (stio.write_pgm, edge, oracles.pgm_text),
+        "coefficients_kmax0": (stio.write_coefficients, maximally_mixed_state(4, kmax=0),
+                               oracles.coefficients_text),
+        "coefficients_kmax29": (stio.write_coefficients, recon, oracles.coefficients_text),
+        "measurements_sampled": (stio.write_measurements, records, oracles.measurements_text),
+        "measurements_pending": (stio.write_measurements, pending, oracles.measurements_text),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "grid", "grid_edge_values", "pgm", "pgm_flat", "pgm_edge_values", "coefficients_kmax0",
+    "coefficients_kmax29", "measurements_sampled", "measurements_pending"])
+def test_writers_match_per_value_text(tmp_path, written, case):
+    write, obj, text = written[case]
+    path = tmp_path / case
+    write(path, obj)
+    assert path.read_bytes() == text(obj).encode("utf-8")
 
 
 # ---------------------------------------------------------------- config
