@@ -16,7 +16,7 @@ import spintomo as st
 OUT = "demo_output"
 os.makedirs(OUT, exist_ok=True)
 
-two_j = 100  # j = 50 keeps the sampler desk-scale; damping physics is the same
+two_j = 100  # j = 50 keeps the dense OAT generator quick; damping physics is the same
 truth = st.oat_squeezed_state(two_j, 0.02, two_j)
 axes = [(math.pi / 2.0, a * math.pi / 48.0) for a in range(48)]
 noise = st.NoiseModel(sigma_n=3.0, phase_mode="model", sigma_ph=math.radians(8.2))

@@ -29,7 +29,6 @@ __all__ = [
     "cg_tau_table",
     "cg_general",
     "cg_t",
-    "cg_t_row",
     "legendre_table",
     "legendre_sph_table",
     "rot_elements_axis",
@@ -38,7 +37,6 @@ __all__ = [
     "hemi_overlap_matrix",
 ]
 
-_LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
 SQRT_4PI = math.sqrt(4.0 * math.pi)
 
@@ -65,16 +63,69 @@ def check_wave_index(k, q, two_j=None):
         raise ValueError(f"k = {k} exceeds 2j = {two_j}")
 
 
+def _coupling_table(two_j, q, kmax):
+    """Couplings t_kq^{j,m,m-q} of one order q, for k = 0..kmax and every m.
+
+    Returns (two_m, T): two_m runs over the projections for which both
+    (j, m) and (j, m-q) are valid labels, and T[k, i] is the coupling at
+    two_m[i] (rows k < |q| are zero).  With m2 = q - m1, the coefficients
+    C(m1) = <j,m1; j,m2|k,q> obey the J^2 three-term relation
+        [k(k+1) - 2j(j+1) - 2 m1 m2] C(m1) = a(m1) C(m1-1) + a(m1+1) C(m1+1),
+        a(m1)^2 = (j+m1)(j-m1+1)(j-m2)(j+m2+1),
+    run here for all k at once.  It is seeded at the stretched edge m1 = j,
+    where the Racah sum has the single term
+        sqrt((2k+1) (2j)! (2j-q)! (k+q)! / ((2j+k+1)! (2j-k)! q! (k-q)!))
+    (in log-Gamma form: it overflows doubles as factorials), and runs
+    towards the centre m1 = q/2, the direction in which C grows, so it
+    stays stable for j and k in the thousands (full tables are orthogonal
+    to 2e-11 at 2j = 2000).  It runs on t = (-1)^(j-m1-q) C itself, whose
+    sign alternates with m1; that flips the sign of the diagonal term.  The
+    other half follows from t(q-m1) = (-1)^(k+q) t(m1), which also gives the
+    exact zeros at the centre, and q < 0 from
+    t_{k,-q}^{j,m,m+q} = (-1)^k t_kq^{j,-m,-m-q}.
+    """
+    sign_k = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, -1.0)[:, None]
+    if q < 0:
+        two_m, t = _coupling_table(two_j, -q, kmax)
+        return -two_m[::-1], sign_k * t[:, ::-1]
+    j = two_j / 2.0
+    two_m = np.arange(2 * q - two_j, two_j + 1, 2)
+    n, mid = two_m.size, two_m.size // 2
+    k = np.arange(q, kmax + 1, dtype=float)
+    m1 = np.append(two_m[mid:], two_j + 2) / 2.0  # centre to edge, then m1 = j + 1 where C = 0
+    m2 = q - m1
+    e = 2.0 * j * (j + 1.0) + 2.0 * m1 * m2
+    a = np.sqrt((j + m1) * (j - m1 + 1.0) * (j - m2) * (j + m2 + 1.0))
+    ln_seed = 0.5 * (
+        np.log(2.0 * k + 1.0) + gammaln(two_j + 1.0) + gammaln(two_j - q + 1.0)
+        + gammaln(k + q + 1.0) - gammaln(two_j + k + 2.0) - gammaln(two_j - k + 1.0)
+        - gammaln(q + 1.0) - gammaln(k - q + 1.0))
+    # a seed below e^-700 (k near 2j once 2j > 1000) is raised to it and the
+    # row scaled back at the end; |C| <= 1 keeps the raised row finite up to 2j ~ 2000
+    shift = np.maximum(0.0, -700.0 - ln_seed)
+    c = np.zeros((m1.size, k.size))
+    c[-2] = (-1.0) ** q * np.exp(ln_seed + shift)
+    # t(m1-1) = diag t(m1) - ratio t(m1+1) at the rows 1..size-2, where a(m1) > 0
+    diag = (e[1:-1, None] - k * (k + 1.0)) / a[1:-1, None]
+    ratio = (a[2:] / a[1:-1]).tolist()
+    for i in range(m1.size - 2, 0, -1):
+        c[i - 1] = diag[i - 1] * c[i] - ratio[i - 1] * c[i + 1]
+    t = np.zeros((kmax + 1, n))
+    t[q:, mid:] = c[:-1].T * np.exp(-shift)[:, None]
+    sign = sign_k if q % 2 == 0 else -sign_k
+    t[:, :mid] = sign * t[:, n - mid:][:, ::-1]
+    if n % 2:
+        t[sign[:, 0] < 0.0, mid] = 0.0
+    return two_m, t
+
+
 @lru_cache(maxsize=64)
 def cg_tau_table(two_j, kmax):
     """Table of the diagonal coupling coefficients tau_k^{j,m}.
 
-    tau_k^{j,m} maps a Dicke population at projection m to the amplitude of
-    partial wave k.  Computed by seeding the stretched projection m = j in
-    the log-Gamma domain (the binomial in the seed overflows doubles beyond
-    j ~ 15) and recursing downward in m with a three-term relation that is
-    stable even for j and k in the thousands; negative m follows from the
-    reflection tau_k^{j,-m} = (-1)^k tau_k^{j,m}.
+    tau_k^{j,m} = t_k0^{j,m,m} maps a Dicke population at projection m to
+    the amplitude of partial wave k; this is the q = 0 case of the coupling
+    recursion, so tau_k^{j,-m} = (-1)^k tau_k^{j,m} holds exactly.
 
     Returns an array of shape (kmax+1, two_j+1); column i holds the values
     for two_m = 2*i - two_j.  The returned array is read-only (cached).
@@ -82,46 +133,7 @@ def cg_tau_table(two_j, kmax):
     check_spin_label(two_j, two_j)
     if not 0 <= kmax <= two_j:
         raise ValueError(f"kmax = {kmax} outside 0..two_j = {two_j}")
-    two_j = int(two_j)
-    kmax = int(kmax)
-    j = two_j / 2.0
-    k = np.arange(kmax + 1, dtype=float)
-    kk1 = k * (k + 1.0)
-
-    tau = np.zeros((kmax + 1, two_j + 1))
-    # seed at m = j: pi^(1/4) sqrt(2k+1) / 2^(2j+1/2) * sqrt(C(4j+1, 2j-k) / (2j+1)_(1/2))
-    ln_binom = (
-        gammaln(2 * two_j + 2)
-        - gammaln(two_j - k + 1)
-        - gammaln(two_j + k + 2)
-    )
-    ln_poch = math.lgamma(two_j + 1.5) - math.lgamma(two_j + 1.0)
-    ln_seed = (
-        0.25 * _LNPI
-        + 0.5 * np.log(2.0 * k + 1.0)
-        - (two_j + 0.5) * _LN2
-        + 0.5 * (ln_binom - ln_poch)
-    )
-    tau[:, two_j] = np.exp(ln_seed)
-
-    if two_j >= 2:
-        tau[:, two_j - 1] = (1.0 - kk1 / two_j) * tau[:, two_j]
-    for two_m in range(two_j - 4, -1, -2):
-        m = two_m / 2.0
-        denom = j * (j + 1.0) - m * (m + 1.0)
-        c1 = (2.0 * j * (j + 1.0) - 2.0 * (m + 1.0) ** 2 - kk1) / denom
-        c2 = (j * (j + 1.0) - (m + 1.0) * (m + 2.0)) / denom
-        i = (two_m + two_j) // 2
-        tau[:, i] = c1 * tau[:, i + 1] - c2 * tau[:, i + 2]
-
-    # reflection for m < 0; at m = 0 it forces the exact odd-k zeros
-    sign = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, -1.0)
-    if two_j % 2 == 0:
-        tau[1::2, two_j // 2] = 0.0
-    for two_m in range(-two_j, 0, 2):
-        i = (two_m + two_j) // 2
-        tau[:, i] = sign * tau[:, two_j - i]
-
+    tau = _coupling_table(int(two_j), 0, int(kmax))[1]
     tau.flags.writeable = False
     return tau
 
@@ -199,69 +211,6 @@ def cg_t(two_j, two_m, two_mp, k, q):
         return 0.0
     sign = -1.0 if ((two_j - two_m) // 2 + q) % 2 else 1.0
     return sign * cg_general(two_j, two_m, two_j, -two_mp, 2 * k, 2 * q)
-
-
-@lru_cache(maxsize=8)
-def _lnfact_array(n):
-    out = gammaln(np.arange(n + 1, dtype=float) + 1.0)
-    out.flags.writeable = False
-    return out
-
-
-def cg_t_row(two_j, k, q):
-    """All t_kq^{j,m,m-q} at once, vectorized over m.
-
-    Returns (two_m, values) where two_m runs over the projections for which
-    both (j, m) and (j, m-q) are valid labels.  The Racah sum evaluated in
-    the log domain on a (m, t) grid; good to ~1e-11 absolute at desk scale
-    (the scalar cg_general is the exact reference).  Used by the
-    Dicke <-> partial-wave conversions.
-    """
-    check_spin_label(two_j, two_j)
-    check_wave_index(k, q, two_j)
-    two_m = np.arange(max(-two_j, -two_j + 2 * q), min(two_j, two_j + 2 * q) + 1, 2)
-    if two_m.size == 0:
-        return two_m, np.zeros(0)
-
-    lf = _lnfact_array(2 * two_j + 2)
-    a = two_j - k                      # j1 + j2 - K
-    j1m = (two_j - two_m) // 2
-    j1p = (two_j + two_m) // 2
-    j2m = (two_j + two_m) // 2 - q     # j2 - m2 with m2 = q - m
-    j2p = (two_j - two_m) // 2 + q
-    d1 = (2 * k - two_j + two_m) // 2          # K - j2 + m1
-    d2 = (2 * k - two_j - 2 * q + two_m) // 2  # K - j1 - m2
-
-    # triangle part for j1 = j2 = j: (2j-k)! k! k! / (2j+k+1)!
-    ln_pref = 0.5 * (
-        np.log(2.0 * k + 1.0)
-        + lf[a] + 2.0 * lf[k] - lf[two_j + k + 1]
-        + lf[k + q] + lf[k - q]
-        + lf[j1m] + lf[j1p] + lf[j2m] + lf[j2p]
-    )
-
-    t = np.arange(0, max(0, min(a, int(np.max(j1m)), int(np.max(j2p)))) + 1)
-    T = t[None, :]
-    args = np.stack([
-        np.broadcast_to(T, (two_m.size, t.size)),
-        a - np.broadcast_to(T, (two_m.size, t.size)),
-        j1m[:, None] - T,
-        j2p[:, None] - T,
-        d1[:, None] + T,
-        d2[:, None] + T,
-    ])
-    valid = np.all(args >= 0, axis=0)
-    safe = np.where(valid, args, 0)
-    ln_term = -np.sum(lf[safe], axis=0)
-    ln_term = np.where(valid, ln_term, -np.inf)
-    ln_max = np.max(ln_term, axis=1, keepdims=True)
-    ln_max = np.where(np.isfinite(ln_max), ln_max, 0.0)
-    signs = np.where(t % 2 == 0, 1.0, -1.0)
-    s = np.sum(np.where(valid, signs[None, :] * np.exp(ln_term - ln_max), 0.0), axis=1)
-    cg = s * np.exp(ln_pref + ln_max[:, 0])
-
-    phase = np.where(((two_j - two_m) // 2 + q) % 2 == 0, 1.0, -1.0)
-    return two_m, phase * cg
 
 
 def legendre_table(kmax, x):

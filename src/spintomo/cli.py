@@ -266,17 +266,8 @@ def _cmd_analyze(args):
     if report.fit_failures == len(report.variance_curve):
         raise NumericalFailure("Gaussian fit failed along every quantization axis")
 
-    def db(v):
-        arg = (v - sigma_n ** 2 / 2.0) / report.v_coh
-        return format(10.0 * math.log10(arg), ".17g") if arg > 0 else ""
-
     out = cfg["out"] or (_stem(args.coefficients) + "_squeezing.csv")
-    lines = ["phi,v_direct,v_fit,db_direct,db_fit"]
-    for phi, v_d, v_f in report.variance_curve:
-        vf = "" if math.isnan(v_f) else format(v_f, ".17g")
-        lines.append(f"{format(phi, '.17g')},{format(v_d, '.17g')},{vf},"
-                     f"{db(v_d)},{db(v_f) if vf else ''}")
-    stio._atomic_write(out, "\n".join(lines) + "\n")
+    stio.write_squeezing(out, report, sigma_n)
 
     print(f"minimum-variance axis phi_s = {math.degrees(report.phi_s):.2f} deg")
     print(f"coherent reference V_coh = {report.v_coh:.6g} "
@@ -307,7 +298,7 @@ def _cmd_render(args):
 
 
 def _selftest_checks():
-    from .angular import cg_general, cg_tau, cg_tau_table, hemi_overlap, rot_elements_axis
+    from .angular import _coupling_table, cg_t, cg_tau_table, hemi_overlap, rot_elements_axis
     from .forward import exact_records, projection_probabilities
     from .reconstruct import fbp_inplane
     from .states import DickeState, dicke_to_spherical, spherical_to_dicke
@@ -322,15 +313,15 @@ def _selftest_checks():
         err = np.abs(t @ t.T - np.eye(401)).max()
         return None if err < 1e-8 else f"j = 200: deviation {err:.2e}"
 
-    def check_tau_vs_racah():
+    def check_coupling_vs_racah():
         for two_j in range(1, 11):
-            for k in range(two_j + 1):
-                for two_m in range(-two_j, two_j + 1, 2):
-                    a = cg_tau(two_j, two_m, k)
-                    sign = -1.0 if ((two_j - two_m) // 2) % 2 else 1.0
-                    b = sign * cg_general(two_j, two_m, two_j, -two_m, 2 * k, 0)
-                    if abs(a - b) > 1e-9 * max(1e-3, abs(b)):
-                        return f"(two_j={two_j}, two_m={two_m}, k={k}): {a} vs {b}"
+            for q in range(-two_j, two_j + 1):
+                two_m, table = _coupling_table(two_j, q, two_j)
+                for k in range(abs(q), two_j + 1):
+                    for tm, a in zip(two_m.tolist(), table[k].tolist()):
+                        b = cg_t(two_j, tm, tm - 2 * q, k, q)
+                        if abs(a - b) > 1e-9 * max(1e-3, abs(b)):
+                            return f"(two_j={two_j}, k={k}, q={q}, two_m={tm}): {a} vs {b}"
         return None
 
     def check_rotation_unitarity():
@@ -383,7 +374,7 @@ def _selftest_checks():
 
     return [
         ("tau orthogonality", check_tau_orthogonality),
-        ("tau vs Racah sum", check_tau_vs_racah),
+        ("coupling rows vs Racah sum", check_coupling_vs_racah),
         ("rotation unitarity", check_rotation_unitarity),
         ("Dicke round trip", check_round_trip),
         ("in-plane recovery", check_inplane_recovery),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import cg_tau_table, check_spin_label
-from .states import DESK_SCALE_LIMIT, _real_part, _wave_sums
+from .states import _real_part, _wave_sums
 
 __all__ = [
     "NoiseModel",
@@ -162,8 +162,6 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
     if len(axes) == 0:
         raise ValueError("at least one axis is required")
     two_j = s.two_j_ref
-    if two_j > DESK_SCALE_LIMIT:
-        raise ValueError(f"sampler is desk-scale only (two_j <= {DESK_SCALE_LIMIT})")
     if noise.sigma_n > 0.0 and two_j < 2:
         raise ValueError("number noise requires two_j >= 2")
 

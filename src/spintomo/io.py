@@ -1,4 +1,4 @@
-"""File formats: measurement CSV, coefficient CSV, spectra, grids, PGM.
+"""File formats: measurement CSV, coefficient CSV, spectra, squeezing scans, grids, PGM.
 
 All angles are stored in radians, all spins as doubled integers, and all
 floats with 17 significant digits so that write -> parse round trips are
@@ -24,6 +24,7 @@ __all__ = [
     "write_coefficients",
     "read_coefficients",
     "write_spectrum",
+    "write_squeezing",
     "write_grid",
     "write_pgm",
     "parse_config",
@@ -126,41 +127,47 @@ def write_coefficients(path, state):
 
 
 def read_coefficients(path):
-    """Read a coefficient CSV back into a SphericalState."""
+    """Read a coefficient CSV back into a SphericalState.
+
+    A malformed file raises ValueError naming ``path:line``.
+    """
     header = {}
     rows = {}
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        try:
             if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" in body:
-                    key, _, value = body.partition("=")
-                    key = key.strip()
-                    if key in ("two_j_ref", "kmax"):
-                        if key in header:
-                            raise ValueError(f"{path}:{lineno}: repeated {key} header")
-                        header[key] = int(value)
-                continue
-            if line == "k,q,re,im":
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{lineno}: expected 4 fields")
-            k, q = int(parts[0]), int(parts[1])
-            if (k, q) in rows:
-                raise ValueError(f"{path}:{lineno}: repeated coefficient ({k}, {q})")
-            rows[k, q] = (float(parts[2]), float(parts[3]))
+                key, eq, value = line[1:].partition("=")
+                key = key.strip()
+                if eq and key in ("two_j_ref", "kmax"):
+                    if key in header:
+                        raise ValueError(f"repeated {key} header")
+                    header[key] = (int(value), lineno)
+            elif line and line != "k,q,re,im":
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise ValueError("expected 4 fields")
+                k, q = int(parts[0]), int(parts[1])
+                if (k, q) in rows:
+                    raise ValueError(f"repeated coefficient ({k}, {q})")
+                re, im = float(parts[2]), float(parts[3])
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError(f"non-finite coefficient ({k}, {q})")
+                rows[k, q] = (re + 1j * im, lineno)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(header) < 2:
         raise ValueError(f"{path}: missing two_j_ref / kmax header comments")
-    two_j_ref, kmax = header["two_j_ref"], header["kmax"]
+    (two_j_ref, _), (kmax, kmax_line) = header["two_j_ref"], header["kmax"]
+    if not 0 <= kmax <= two_j_ref:
+        raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} outside 0..two_j_ref = {two_j_ref}")
     coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    for (k, q), (re, im) in rows.items():
+    for (k, q), (value, lineno) in rows.items():
         if not (0 <= k <= kmax and 0 <= q <= k):
-            raise ValueError(f"{path}: coefficient ({k}, {q}) out of range")
-        coeffs[k, kmax + q] = re + 1j * im
+            raise ValueError(f"{path}:{lineno}: coefficient ({k}, {q}) out of range")
+        coeffs[k, kmax + q] = value
     _mirror_negative_q(coeffs, kmax)
     return SphericalState(two_j_ref, kmax, coeffs)
 
@@ -170,6 +177,24 @@ def write_spectrum(path, c_k):
     lines = ["k,C_k"]
     for k, v in enumerate(np.asarray(c_k, dtype=float)):
         lines.append(f"{k},{_fmt(v)}")
+    _atomic_write(path, "\n".join(lines) + "\n")
+
+
+def write_squeezing(path, report, sigma_n):
+    """Write a squeezing scan as CSV ``phi,v_direct,v_fit,db_direct,db_fit``.
+
+    The dB columns hold 10 log10((V - sigma_n^2 / 2) / V_coh) and are empty
+    where that argument is not positive; both fit columns are empty where
+    the Gaussian fit failed (V_fit is NaN).
+    """
+    def db(v):
+        arg = (v - sigma_n ** 2 / 2.0) / report.v_coh
+        return _fmt(10.0 * math.log10(arg)) if arg > 0 else ""
+
+    lines = ["phi,v_direct,v_fit,db_direct,db_fit"]
+    for phi, v_d, v_f in report.variance_curve:
+        fit = ("", "") if math.isnan(v_f) else (_fmt(v_f), db(v_f))
+        lines.append(f"{_fmt(phi)},{_fmt(v_d)},{fit[0]},{db(v_d)},{fit[1]}")
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -16,8 +16,8 @@ import numpy as np
 import scipy.linalg
 
 from .angular import (
+    _coupling_table,
     _mirror_negative_q,
-    cg_t_row,
     cg_tau_table,
     check_spin_label,
     legendre_sph_table,
@@ -164,8 +164,9 @@ class WignerGrid:
 def dicke_to_spherical(d, kmax):
     """Partial-wave coefficients of a Dicke-basis density matrix.
 
-    Exact inverse of :func:`spherical_to_dicke` when kmax = two_j.
-    Desk-scale only: cost grows like kmax^2 * j^2.
+    Exact inverse of :func:`spherical_to_dicke` when kmax = two_j.  One
+    coupling table and one matrix product per order q >= 0.  Desk-scale
+    only: it holds the (2j+1)^2 matrix.
     """
     two_j = d.two_j
     if not 0 <= kmax <= two_j:
@@ -173,31 +174,28 @@ def dicke_to_spherical(d, kmax):
     if two_j > DESK_SCALE_LIMIT:
         raise ValueError(f"two_j = {two_j} beyond desk scale ({DESK_SCALE_LIMIT})")
     coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    for k in range(kmax + 1):
-        for q in range(k + 1):
-            two_m, t = cg_t_row(two_j, k, q)
-            i = (two_m + two_j) // 2
-            coeffs[k, kmax + q] = np.sum(t * d.matrix[i, i - q])
+    for q in range(kmax + 1):
+        two_m, t = _coupling_table(two_j, q, kmax)
+        i = (two_m + two_j) // 2
+        coeffs[:, kmax + q] = t @ d.matrix[i, i - q]
     coeffs[0, kmax] = coeffs[0, kmax].real
     _mirror_negative_q(coeffs, kmax)
     return SphericalState(two_j, kmax, coeffs)
 
 
 def spherical_to_dicke(s):
-    """Dicke-basis density matrix of a partial-wave state (desk scale)."""
-    two_j = s.two_j_ref
+    """Dicke-basis density matrix of a partial-wave state (desk scale).
+
+    One coupling table and one matrix product per order q.
+    """
+    two_j, kmax = s.two_j_ref, s.kmax
     if two_j > DESK_SCALE_LIMIT:
         raise ValueError(f"two_j_ref = {two_j} beyond desk scale ({DESK_SCALE_LIMIT})")
-    dim = two_j + 1
-    mat = np.zeros((dim, dim), dtype=complex)
-    for k in range(min(s.kmax, two_j) + 1):
-        for q in range(-k, k + 1):
-            rho = s.coeffs[k, s.kmax + q]
-            if rho == 0.0:
-                continue
-            two_m, t = cg_t_row(two_j, k, q)
-            i = (two_m + two_j) // 2
-            mat[i, i - q] += rho * t
+    mat = np.zeros((two_j + 1, two_j + 1), dtype=complex)
+    for q in range(-kmax, kmax + 1):
+        two_m, t = _coupling_table(two_j, q, kmax)
+        i = (two_m + two_j) // 2
+        mat[i, i - q] = s.coeffs[:, kmax + q] @ t
     mat = 0.5 * (mat + mat.conj().T)
     return DickeState(two_j, mat)
 

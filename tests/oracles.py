@@ -47,6 +47,15 @@ def coherent_dicke(two_j, theta, phi):
     return np.outer(psi, psi.conj())
 
 
+def oat_dicke(two_j, chi):
+    """One-axis-twisted state as a Dicke matrix: coherent along +x, twisted
+    by exp(-i chi Jz^2), mean spin rotated back to +z (explicit exponentials)."""
+    _, jy, jz = spin_operators(two_j)
+    psi = expm(-0.5j * math.pi * jy)[:, two_j]
+    psi = expm(0.5j * math.pi * jy) @ (np.exp(-1j * chi * np.diag(jz) ** 2) * psi)
+    return np.outer(psi, psi.conj())
+
+
 def random_density_matrix(two_j, rng):
     dim = two_j + 1
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -308,4 +317,17 @@ def pgm_text(grid):
              f"{grid.phi.size} {grid.theta.size}", "65535"]
     for row in pixels:
         lines.append(" ".join(str(int(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def squeezing_text(report, sigma_n):
+    """Squeezing-scan CSV text built value by value: V in 17 digits, the dB of
+    (V - sigma_n^2 / 2) / V_coh where that is positive, blanks for a failed fit."""
+    lines = ["phi,v_direct,v_fit,db_direct,db_fit"]
+    for phi, v_d, v_f in report.variance_curve:
+        cells = [_fmt17(phi), _fmt17(v_d), "" if math.isnan(v_f) else _fmt17(v_f)]
+        for v in (v_d, v_f):
+            arg = (v - sigma_n ** 2 / 2.0) / report.v_coh
+            cells.append(_fmt17(10.0 * math.log10(arg)) if arg > 0 else "")
+        lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from spintomo.angular import (
+    _coupling_table,
     cg_general,
     cg_t,
-    cg_t_row,
     cg_tau,
     cg_tau_table,
     hemi_overlap,
@@ -130,14 +130,49 @@ def test_cg_orthogonality_fixed_j1j2():
             assert acc == pytest.approx(want, abs=1e-12)
 
 
-def test_cg_t_row_matches_scalar():
+def test_coupling_table_matches_scalar():
     for two_j in (3, 6):
         for k in range(two_j + 1):
             for q in range(-k, k + 1):
-                two_m, vals = cg_t_row(two_j, k, q)
-                for tm, v in zip(two_m, vals):
+                two_m, table = _coupling_table(two_j, q, two_j)
+                for tm, v in zip(two_m, table[k]):
                     want = cg_t(two_j, int(tm), int(tm) - 2 * q, k, q)
                     assert v == pytest.approx(want, rel=1e-11, abs=1e-13)
+
+
+# (two_j, k, q): the rows where a Racah sum in floating point loses most,
+# then a random sample over all orders, both signs of q included
+_LARGE_J_ROWS = [(100, 30, 10), (200, 60, 20), (400, 40, 10), (400, 400, 0), (400, 400, 400)]
+_rows_rng = np.random.default_rng(7)
+for _two_j in (100, 200, 400):
+    for _ in range(6):
+        _k = int(_rows_rng.integers(0, _two_j + 1))
+        _LARGE_J_ROWS.append((_two_j, _k, int(_rows_rng.integers(-_k, _k + 1))))
+
+
+@pytest.mark.parametrize("two_j,k,q", _LARGE_J_ROWS)
+def test_coupling_table_matches_exact_at_large_j(two_j, k, q):
+    two_m, table = _coupling_table(two_j, q, k)
+    row = table[k]
+    picks = np.unique(np.linspace(0, two_m.size - 1, 7).astype(int))
+    picks = np.union1d(picks, [int(np.argmax(np.abs(row)))])
+    want = np.array([cg_t(two_j, int(two_m[i]), int(two_m[i]) - 2 * q, k, q) for i in picks])
+    assert np.abs(row[picks] - want).max() < 1e-11 * np.abs(row).max()
+
+
+def test_tau_table_full_at_paper_scale():
+    # rows near k = 2j start from a stretched-edge seed below the double range
+    tab = cg_tau_table(1260, 1260)
+    assert np.abs(tab @ tab.T - np.eye(1261)).max() < 1e-10
+
+
+@pytest.mark.parametrize("q", [0, 1, 10, 50, 150])
+def test_coupling_table_orthogonal_at_paper_scale(q):
+    # sum_m t_kq t_k'q = delta_kk' for q <= k, k' <= 200 at N = 1260 atoms
+    _, table = _coupling_table(1260, q, 200)
+    gram = table @ table.T
+    want = np.diag((np.arange(201) >= q).astype(float))
+    assert np.abs(gram - want).max() < 1e-11
 
 
 # ---------------------------------------------------------------- Legendre

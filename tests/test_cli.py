@@ -122,6 +122,14 @@ def test_repeated_coefficient_row_exits_2(workdir, capsys, command):
     assert "dup.csv:7: repeated coefficient (0, 0)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["render", "analyze"])
+def test_malformed_coefficient_row_exits_2_with_line(workdir, capsys, command):
+    with open("bad.csv", "w") as fh:
+        fh.write("# two_j_ref = 2\n# kmax = 1\nk,q,re,im\nx,1,0.1,0.0\n")
+    assert run(command, "bad.csv") == 2
+    assert "bad.csv:4: invalid literal for int()" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(workdir, capsys):
     assert run("reconstruct", "nope.csv") == 2
     capsys.readouterr()

@@ -223,13 +223,21 @@ _SAMPLER_NOISE = {
 _SAMPLER_AXES = [(0.0, 0.0), (0.7, 1.1), (math.pi / 2.0, -2.0), (2.2, 2.9), (math.pi, 0.3)]
 
 
-@pytest.mark.parametrize("two_j", [7, 10])
+# two_j -> coherent state (theta0, phi0, kmax) and shots per axis.  At N = 1260
+# atoms the pole state is truncated at kmax 220, where min p_m along every axis
+# is -1e-9, inside _draw's -1e-8 bound (at kmax 200 it is -3.4e-8 along the pole).
+_SAMPLER_STATES = {7: ((0.9, 0.4, 7), 30), 10: ((0.9, 0.4, 10), 30),
+                   1260: ((0.0, 0.0, 220), 20)}
+
+
+@pytest.mark.parametrize("two_j", sorted(_SAMPLER_STATES))
 @pytest.mark.parametrize("case", sorted(_SAMPLER_NOISE))
 def test_sampler_matches_per_shot_oracle(case, two_j):
-    s = coherent_state(two_j, 0.9, 0.4, 0.0, kmax=two_j)
+    (theta0, phi0, kmax), shots = _SAMPLER_STATES[two_j]
+    s = coherent_state(two_j, theta0, phi0, 0.0, kmax=kmax)
     noise = _SAMPLER_NOISE[case]
-    got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=31)
-    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=31)
+    got = sample_measurements(s, _SAMPLER_AXES, shots, noise, seed=31)
+    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, shots, noise, seed=31)
 
 
 @pytest.mark.parametrize("two_j", [7, 10])

@@ -1,10 +1,11 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 
 from spintomo import io as stio
-from spintomo.analysis import power_spectrum
+from spintomo.analysis import SqueezingReport, power_spectrum, squeezing_scan
 from spintomo.forward import MeasurementRecord, NoiseModel, sample_measurements
 from spintomo.reconstruct import ReconstructionConfig, reconstruct
 from spintomo.states import WignerGrid, coherent_state, maximally_mixed_state, wigner_grid
@@ -116,6 +117,25 @@ def test_coefficients_repeated_entries_rejected(tmp_path, text, message):
         stio.read_coefficients(path)
 
 
+_HEAD = "# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_HEAD + "x,1,0.1,0.0\n", "c.csv:4: invalid literal for int"),
+    (_HEAD + "0,0,abc,0.0\n", "c.csv:4: could not convert"),
+    (_HEAD + "0,0,0.5,0.0\n5,1,0.1,0.0\n", r"c.csv:5: coefficient \(5, 1\) out of range"),
+    (_HEAD + "0,0,0.5,0.0\n1,1,nan,0.0\n", r"c.csv:5: non-finite coefficient \(1, 1\)"),
+    ("# two_j_ref = 2\n# kmax = x\nk,q,re,im\n0,0,0.5,0.0\n", "c.csv:2: invalid literal"),
+    ("# two_j_ref = 2\n# kmax = 3\nk,q,re,im\n0,0,0.5,0.0\n",
+     r"c.csv:2: kmax = 3 outside 0\.\.two_j_ref = 2"),
+], ids=["row_int", "row_float", "out_of_range", "non_finite", "header_int", "header_kmax"])
+def test_coefficient_errors_name_file_and_line(tmp_path, text, message):
+    path = tmp_path / "c.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message):
+        stio.read_coefficients(path)
+
+
 # ---------------------------------------------------------------- spectrum / grid / pgm
 
 def test_spectrum_file_contains_sixth(tmp_path):
@@ -183,7 +203,17 @@ def written():
                                  7, 2 * (a % 8) - 7) for a in range(16)]
     pending += [MeasurementRecord(0.0, -2.5, math.nan, 1, -1),
                 MeasurementRecord(math.pi, 0.0, 0.0, 0, 0)]
+    scan = squeezing_scan(recon, np.linspace(-math.pi / 2.0, math.pi / 2.0, 61), 1.5, 20.0)
+    # a failed fit, a variance under the noise floor sigma_n^2 / 2 = 1.125, -0.0
+    odd = SqueezingReport(phi_s=0.0, v_coh=10.0, squeezing_db=None, v_min_fit=1.0,
+                          fit_failures=2, variance_curve=[
+                              (-0.0, 3.0, math.nan), (0.1, 1.0, 1.125),
+                              (1.0 / 3.0, 1e-300, 2.5), (1.5, 0.5, math.nan)])
+    write_squeezing = partial(stio.write_squeezing, sigma_n=1.5)
+    squeezing_text = partial(oracles.squeezing_text, sigma_n=1.5)
     return {
+        "squeezing": (write_squeezing, scan, squeezing_text),
+        "squeezing_edge_values": (write_squeezing, odd, squeezing_text),
         "grid": (stio.write_grid, grid, oracles.grid_text),
         "grid_edge_values": (stio.write_grid, edge, oracles.grid_text),
         "pgm": (stio.write_pgm, grid, oracles.pgm_text),
@@ -200,7 +230,8 @@ def written():
 
 @pytest.mark.parametrize("case", [
     "grid", "grid_edge_values", "pgm", "pgm_flat", "pgm_edge_values", "coefficients_kmax0",
-    "coefficients_kmax29", "measurements_sampled", "measurements_pending"])
+    "coefficients_kmax29", "measurements_sampled", "measurements_pending", "squeezing",
+    "squeezing_edge_values"])
 def test_writers_match_per_value_text(tmp_path, written, case):
     write, obj, text = written[case]
     path = tmp_path / case

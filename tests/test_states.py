@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spintomo.analysis import moments
+from spintomo.forward import projection_probabilities
 from spintomo.states import (
     DickeState,
     SphericalState,
@@ -297,6 +298,19 @@ def test_oat_preserves_trace_and_squeezes():
     vs = [m2 - m1 ** 2 for m1, m2 in direct]
     assert min(vs) < two_j / 4.0
     assert min(vs) >= vmin - 1e-9
+
+
+@pytest.mark.parametrize("two_j", [160, 400])
+def test_oat_round_trip_at_large_j(two_j):
+    rho = oracles.oat_dicke(two_j, 0.05)
+    back = spherical_to_dicke(dicke_to_spherical(DickeState(two_j, rho), two_j))
+    assert np.abs(back.matrix - rho).max() < 1e-10
+
+
+def test_oat_probabilities_match_dicke_diagonal():
+    two_j = 160
+    p = projection_probabilities(oat_squeezed_state(two_j, 0.05, two_j), 0.0, 0.0)
+    assert np.abs(p - np.diag(oracles.oat_dicke(two_j, 0.05)).real).max() < 1e-10
 
 
 def test_oat_size_guard():
