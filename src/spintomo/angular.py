@@ -78,10 +78,12 @@ def _coupling_table(two_j, q, kmax):
     (in log-Gamma form: it overflows doubles as factorials), and runs
     towards the centre m1 = q/2, the direction in which C grows, so it
     stays stable for j and k in the thousands (full tables are orthogonal
-    to 2e-11 at 2j = 2000).  It runs on t = (-1)^(j-m1-q) C itself, whose
-    sign alternates with m1; that flips the sign of the diagonal term.  The
-    other half follows from t(q-m1) = (-1)^(k+q) t(m1), which also gives the
-    exact zeros at the centre, and q < 0 from
+    to 2e-11 at 2j = 2000; from about 2j = 2040 a raised row leaves the
+    double range, and then it raises ValueError).  It runs on
+    t = (-1)^(j-m1-q) C itself, whose sign alternates with m1; that flips
+    the sign of the diagonal term.  The other half follows from
+    t(q-m1) = (-1)^(k+q) t(m1), which also gives the exact zeros at the
+    centre, and q < 0 from
     t_{k,-q}^{j,m,m+q} = (-1)^k t_kq^{j,-m,-m-q}.
     """
     sign_k = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, -1.0)[:, None]
@@ -108,8 +110,11 @@ def _coupling_table(two_j, q, kmax):
     # t(m1-1) = diag t(m1) - ratio t(m1+1) at the rows 1..size-2, where a(m1) > 0
     diag = (e[1:-1, None] - k * (k + 1.0)) / a[1:-1, None]
     ratio = (a[2:] / a[1:-1]).tolist()
-    for i in range(m1.size - 2, 0, -1):
-        c[i - 1] = diag[i - 1] * c[i] - ratio[i - 1] * c[i + 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(m1.size - 2, 0, -1):
+            c[i - 1] = diag[i - 1] * c[i] - ratio[i - 1] * c[i + 1]
+    if not np.isfinite(c).all():
+        raise ValueError(f"coupling recursion at two_j = {two_j}, q = {q} leaves the double range")
     t = np.zeros((kmax + 1, n))
     t[q:, mid:] = c[:-1].T * np.exp(-shift)[:, None]
     sign = sign_k if q % 2 == 0 else -sign_k

@@ -132,11 +132,16 @@ def _tilted_axes(theta, phi, t1, t2):
     return np.arccos(np.clip(v[2], -1.0, 1.0)), np.arctan2(v[1], v[0])
 
 
+def _physical(p):
+    """Probabilities with round-off negatives clipped to zero; raises below -1e-8."""
+    if p.min(initial=0.0) < -1e-8:
+        raise ValueError(f"state is unphysical: min p_m = {p.min():.3g}")
+    return np.clip(p, 0.0, None)
+
+
 def _draw(p, u):
     """Outcome index per uniform u[i] by inverse CDF of row i of p (or its only row)."""
-    if p.min(initial=0.0) < -1e-8:
-        raise ValueError(f"state is unphysical for sampling: min p_m = {p.min():.3g}")
-    p = np.clip(p, 0.0, None)
+    p = _physical(p)
     total = p.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("projection probabilities sum to zero")
@@ -215,10 +220,7 @@ def exact_records(s, axes, axis_weights=None):
     if axis_weights.shape != (len(axes),):
         raise ValueError("axis_weights must match the number of axes")
     two_j = s.two_j_ref
-    p = _probabilities(s, [a[0] for a in axes], [a[1] for a in axes])
-    if p.min(initial=0.0) < -1e-8:
-        raise ValueError("state is unphysical: negative probabilities")
-    p = np.clip(p, 0.0, None)
+    p = _physical(_probabilities(s, [a[0] for a in axes], [a[1] for a in axes]))
     w = (axis_weights[:, None] * p).tolist()
     records = []
     for (theta_a, phi_a), pa, wa in zip(axes, p, w):

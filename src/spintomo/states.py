@@ -1,7 +1,7 @@
 """Spin-state representations and conversions.
 
 A state enters the pipeline either as a Dicke-basis density matrix
-(desk-scale oracle form) or as the complex partial-wave coefficients
+(a dense (2j+1)^2 array) or as the complex partial-wave coefficients
 rho_kq that define its Wigner function on the Bloch sphere.  This module
 holds both containers, the exact conversions between them, generators for
 reference states, and Wigner-function evaluation on points and grids.  The
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .angular import (
     _coupling_table,
@@ -41,7 +40,7 @@ __all__ = [
     "spin_expectation_from_grid",
 ]
 
-DESK_SCALE_LIMIT = 400  # Dicke-basis paths hold full (2j+1)^2 matrices
+DESK_SCALE_LIMIT = 2000  # paths that allocate a (2j+1)^2 matrix: 64 MB at the limit
 _CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of the partial-wave kernel
 
 
@@ -165,14 +164,12 @@ def dicke_to_spherical(d, kmax):
     """Partial-wave coefficients of a Dicke-basis density matrix.
 
     Exact inverse of :func:`spherical_to_dicke` when kmax = two_j.  One
-    coupling table and one matrix product per order q >= 0.  Desk-scale
-    only: it holds the (2j+1)^2 matrix.
+    coupling table and one matrix product per order q >= 0; the caller holds
+    the matrix already, so only the coupling recursion's range bounds two_j.
     """
     two_j = d.two_j
     if not 0 <= kmax <= two_j:
         raise ValueError(f"kmax = {kmax} outside 0..two_j = {two_j}")
-    if two_j > DESK_SCALE_LIMIT:
-        raise ValueError(f"two_j = {two_j} beyond desk scale ({DESK_SCALE_LIMIT})")
     coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
     for q in range(kmax + 1):
         two_m, t = _coupling_table(two_j, q, kmax)
@@ -184,19 +181,22 @@ def dicke_to_spherical(d, kmax):
 
 
 def spherical_to_dicke(s):
-    """Dicke-basis density matrix of a partial-wave state (desk scale).
+    """Dicke-basis density matrix of a partial-wave state.
 
-    One coupling table and one matrix product per order q.
+    One coupling table and one matrix product per order q >= 0 give
+    rho_{m,m-q}, and rho_{m-q,m} is its conjugate.  Allocates the matrix,
+    so two_j_ref is capped at DESK_SCALE_LIMIT.
     """
     two_j, kmax = s.two_j_ref, s.kmax
     if two_j > DESK_SCALE_LIMIT:
-        raise ValueError(f"two_j_ref = {two_j} beyond desk scale ({DESK_SCALE_LIMIT})")
+        raise ValueError(f"two_j_ref = {two_j} beyond the Dicke-matrix limit ({DESK_SCALE_LIMIT})")
     mat = np.zeros((two_j + 1, two_j + 1), dtype=complex)
-    for q in range(-kmax, kmax + 1):
+    for q in range(kmax + 1):
         two_m, t = _coupling_table(two_j, q, kmax)
         i = (two_m + two_j) // 2
-        mat[i, i - q] = s.coeffs[:, kmax + q] @ t
-    mat = 0.5 * (mat + mat.conj().T)
+        row = s.coeffs[:, kmax + q] @ t
+        mat[i - q, i] = row.conj()
+        mat[i, i - q] = row if q else row.real
     return DickeState(two_j, mat)
 
 
@@ -374,40 +374,21 @@ def maximally_mixed_state(two_j, kmax=0):
     return SphericalState(two_j, kmax, coeffs)
 
 
-def _collective_lowering(two_j):
-    # <m|J-|m+1> entries; returns the full J+ matrix (dense, desk scale)
-    dim = two_j + 1
-    m = (2.0 * np.arange(dim) - two_j) / 2.0
-    j = two_j / 2.0
-    jp = np.zeros((dim, dim))
-    amp = np.sqrt(j * (j + 1.0) - m[:-1] * (m[:-1] + 1.0))
-    jp[np.arange(1, dim), np.arange(dim - 1)] = amp
-    return jp
-
-
-def _y_rotation(two_j, angle):
-    # exp(-i angle Jy) via eigendecomposition of the Hermitian generator
-    jp = _collective_lowering(two_j)
-    jy = (jp - jp.T) / 2.0j
-    w, v = scipy.linalg.eigh(jy)
-    return (v * np.exp(-1j * angle * w)[None, :]) @ v.conj().T
-
-
 def oat_squeezed_state(two_j, chi, kmax):
-    """One-axis-twisted state, mean spin along +z (test fixture).
+    """One-axis-twisted state exp(-i chi Jx^2)|j, j>, mean spin along +z.
 
-    Starts from the coherent state along +x, applies the twisting phase
-    exp(-i chi m^2) in the z-Dicke basis, rotates the mean spin back to
-    +z, and converts to partial waves.  chi = 0 reproduces the coherent
-    state at the pole.
+    That is the coherent state along +x twisted by exp(-i chi Jz^2) and
+    rotated back; chi = 0 gives the coherent state at the pole.  With the
+    real Jx = V diag(w) V^T, psi = V (e^{-i chi w^2} * V^T|j, j>).  Holds
+    the density matrix, so two_j is capped at DESK_SCALE_LIMIT.
     """
     check_spin_label(two_j, two_j)
     if two_j > DESK_SCALE_LIMIT:
-        raise ValueError(f"OAT generator is desk-scale only (two_j <= {DESK_SCALE_LIMIT})")
-    dim = two_j + 1
-    m = (2.0 * np.arange(dim) - two_j) / 2.0
-    psi = _y_rotation(two_j, math.pi / 2.0)[:, two_j]    # coherent along +x
-    psi = np.exp(-1j * chi * m * m) * psi
-    psi = _y_rotation(two_j, -math.pi / 2.0) @ psi
+        raise ValueError(f"OAT generator holds a (2j+1)^2 matrix (two_j <= {DESK_SCALE_LIMIT})")
+    j = two_j / 2.0
+    m = np.arange(two_j) - j
+    half_amp = 0.5 * np.sqrt(j * (j + 1.0) - m * (m + 1.0))  # <m+1|Jx|m>, m = -j .. j-1
+    w, v = np.linalg.eigh(np.diag(half_amp, 1) + np.diag(half_amp, -1))
+    psi = v @ (np.exp(-1j * chi * w * w) * v[two_j])
     rho = np.outer(psi, psi.conj())
     return dicke_to_spherical(DickeState(two_j, rho), kmax)

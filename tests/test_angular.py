@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,18 @@ def test_coupling_table_orthogonal_at_paper_scale(q):
     gram = table @ table.T
     want = np.diag((np.arange(201) >= q).astype(float))
     assert np.abs(gram - want).max() < 1e-11
+
+
+def test_coupling_recursion_raises_beyond_double_range():
+    # rows near k = 2j would overflow once raised above e^-700; 2038 is the last finite table
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="double range"):
+            cg_tau_table(2040, 2040)
+        with pytest.raises(ValueError, match="double range"):
+            _coupling_table(2100, 5, 2100)
+        _, table = _coupling_table(2038, 0, 2038)  # cg_tau_table(2038, 2038), not cached
+    assert np.isfinite(table).all()
 
 
 # ---------------------------------------------------------------- Legendre

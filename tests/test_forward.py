@@ -211,6 +211,12 @@ def test_sampler_rejects_unphysical_state():
         sample_measurements(s, [(0.0, 0.0)], 10, NoiseModel(), seed=1)
 
 
+def test_exact_records_reject_unphysical_state():
+    s = coherent_state(40, 0.0, 0.0, 0.0, kmax=6)
+    with pytest.raises(ValueError, match=r"unphysical: min p_m = -"):
+        exact_records(s, [(0.0, 0.0)])
+
+
 _SAMPLER_NOISE = {
     "none": NoiseModel(),
     "number": NoiseModel(sigma_n=1.5),

@@ -115,7 +115,7 @@ def test_halfspin_inverse_pair():
 
 def test_desk_scale_guard():
     with pytest.raises(ValueError):
-        dicke_to_spherical(DickeState(402, np.eye(403) / 403.0), 2)
+        spherical_to_dicke(maximally_mixed_state(2002, 0))
 
 
 # ---------------------------------------------------------------- Wigner evaluation
@@ -315,4 +315,30 @@ def test_oat_probabilities_match_dicke_diagonal():
 
 def test_oat_size_guard():
     with pytest.raises(ValueError):
-        oat_squeezed_state(402, 0.01, 10)
+        oat_squeezed_state(2002, 0.01, 10)
+
+
+@pytest.mark.parametrize("chi", [0.0, 0.05, 0.3, math.pi / 2.0, 2.0])
+@pytest.mark.parametrize("two_j", [1, 2, 3, 15, 16, 41])
+def test_oat_matches_exponential_oracle(two_j, chi):
+    d = spherical_to_dicke(oat_squeezed_state(two_j, chi, two_j))
+    assert np.abs(d.matrix - oracles.oat_dicke(two_j, chi)).max() < 1e-12
+
+
+@pytest.mark.parametrize("chi", [0.004, 0.02])
+def test_oat_min_variance_matches_kitagawa_ueda(chi):
+    # Kitagawa & Ueda, PRA 47, 5138 (1993), with mu = 2 chi for exp(-i chi Jz^2)
+    two_j = 1260
+    j = two_j / 2.0
+    s = oat_squeezed_state(two_j, chi, 2)
+    var = []
+    for phi in (0.0, math.pi / 4.0, math.pi / 2.0):
+        m1, m2 = moments(s, math.pi / 2.0, phi)
+        var.append(m2 - m1 ** 2)
+    cxx, cyy = var[0], var[2]
+    cxy = var[1] - 0.5 * (cxx + cyy)
+    vmin = 0.5 * (cxx + cyy) - math.hypot(0.5 * (cxx - cyy), cxy)
+    a = 1.0 - math.cos(2.0 * chi) ** (two_j - 2)
+    b = 4.0 * math.sin(chi) * math.cos(chi) ** (two_j - 2)
+    want = 0.5 * j * (1.0 + (two_j - 1.0) / 4.0 * (a - math.hypot(a, b)))
+    assert vmin == pytest.approx(want, rel=1e-7)
