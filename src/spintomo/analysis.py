@@ -12,9 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import leastsq
 
-from .angular import check_spin_label
+from .angular import cg_tau_table, check_spin_label
 from .forward import _probabilities
-from .states import _real_part, _wave_sums
+from .states import _wave_sums
 
 __all__ = [
     "GaussianFit",
@@ -35,26 +35,19 @@ def power_spectrum(s):
 
 
 def _moments(s, theta, phi):
-    # (<m>, <m^2>) along n axes (theta, phi broadcast), as two (n,) arrays
-    two_j = s.two_j_ref
-    j = two_j / 2.0
+    # (<m>, <m^2>) along n axes (theta, phi broadcast), as two (n,) arrays: p.m and p.m^2
+    # of the k <= 2 part of p_m, since sum_m m tau_k and sum_m m^2 tau_k vanish for k > 2
     kuse = min(2, s.kmax)
-    z = _real_part(_wave_sums(s, theta, phi, kuse), s.coeffs[: kuse + 1])
-    mean = np.zeros(z.shape[0])
-    if s.kmax >= 1:
-        mean = math.sqrt(two_j * (two_j + 1.0) * (two_j + 2.0) / 12.0) * z[:, 1]
-    mean2 = np.full(z.shape[0], j * (j + 1.0) * math.sqrt(two_j + 1.0) / 3.0 * s.coeff(0, 0).real)
-    if s.kmax >= 2:
-        mean2 += math.sqrt((two_j - 1.0) * two_j * (two_j + 1.0)
-                           * (two_j + 2.0) * (two_j + 3.0) / 180.0) * z[:, 2]
-    return mean, mean2
+    p = _wave_sums(s, theta, phi, kuse) @ cg_tau_table(s.two_j_ref, kuse)
+    m = np.arange(s.two_j_ref + 1) - s.two_j_ref / 2.0
+    return p @ m, p @ (m * m)
 
 
 def moments(s, theta, phi):
     """First two projection moments (<m>, <m^2>) along the axis (theta, phi).
 
     Uses only the k <= 2 coefficients, which are the most noise-robust
-    part of any reconstruction; prefactors are evaluated at the state's
+    part of any reconstruction; the coupling table is that of the state's
     reference spin.
     """
     mean, mean2 = _moments(s, theta, phi)
@@ -160,6 +153,10 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     """
     if s.kmax < 2:
         raise ValueError("squeezing scan needs a state with kmax >= 2")
+    if not (math.isfinite(sigma_n) and sigma_n >= 0.0):
+        raise ValueError(f"sigma_n must be finite and non-negative, got {sigma_n}")
+    if not (math.isfinite(j_mean) and j_mean > 0.0):
+        raise ValueError(f"j_mean must be finite and positive, got {j_mean}")
     two_j = s.two_j_ref
     m = (2.0 * np.arange(two_j + 1) - two_j) / 2.0
     phis = np.asarray(phis, dtype=float).ravel()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import cg_tau_table, check_spin_label
-from .states import _real_part, _wave_sums
+from .states import _wave_sums
 
 __all__ = [
     "NoiseModel",
@@ -103,13 +103,9 @@ class MeasurementRecord:
 def _probabilities(s, theta, phi):
     """p_m along many axes at once: an array of shape (n, 2j+1).
 
-    theta and phi broadcast to n axes.  Raises if any axis leaves an
-    imaginary residual (the state is not Hermitian).
+    theta and phi broadcast to n axes.
     """
-    two_j = s.two_j_ref
-    kuse = min(s.kmax, two_j)
-    z = _real_part(_wave_sums(s, theta, phi, kuse), s.coeffs[: kuse + 1])
-    return z @ cg_tau_table(two_j, kuse)
+    return _wave_sums(s, theta, phi, s.kmax) @ cg_tau_table(s.two_j_ref, s.kmax)
 
 
 def projection_probabilities(s, theta, phi):
@@ -214,6 +210,8 @@ def exact_records(s, axes, axis_weights=None):
     Replaces the sample sum by its expectation; feeding these to the
     backprojection realizes the infinite-data limit on the given axes.
     """
+    if len(axes) == 0:
+        raise ValueError("at least one axis is required")
     if axis_weights is None:
         axis_weights = np.full(len(axes), 1.0 / len(axes))
     axis_weights = np.asarray(axis_weights, dtype=float)

@@ -27,6 +27,7 @@ from .angular import (
     SQRT_4PI,
     _mirror_negative_q,
     cg_tau_table,
+    check_spin_label,
     hemi_overlap_matrix,
     legendre_sph_table,
     legendre_table,
@@ -340,6 +341,7 @@ def xi_contribution(two_j, two_m, x, kmax, damping=None):
     Xi_{jm}(x) = (4 pi)^(-1/2) sum_k (2k+1)^(3/2) tau_k^{j,m} P_k(x),
     truncated at kmax; damping, if given, is a per-k factor array.
     """
+    check_spin_label(two_j, two_m)
     if kmax > two_j:
         raise ValueError(f"kmax = {kmax} exceeds two_j = {two_j}")
     xarr = np.asarray(x, dtype=float)

@@ -52,7 +52,8 @@ class SphericalState:
     entries outside |q| <= k are zero.  ``two_j_ref`` is the reference
     total spin (doubled) used wherever j-dependent prefactors are needed;
     ``kmax`` records the truncation and every consumer must respect it.
-    States are immutable after construction.
+    States are immutable and Hermitian by construction: the constructor
+    runs :meth:`validate`, so W is real and evaluators read only q >= 0.
     """
 
     two_j_ref: int
@@ -72,6 +73,7 @@ class SphericalState:
         coeffs = coeffs.copy()
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
+        self.validate()
 
     def coeff(self, k, q):
         """Single coefficient rho_kq."""
@@ -80,10 +82,16 @@ class SphericalState:
         return complex(self.coeffs[k, self.kmax + q])
 
     def validate(self, tol=1e-10):
-        """Check the reality invariant rho_{k,-q} = (-1)^q conj(rho_kq)."""
+        """Check the reality invariant rho_{k,-q} = (-1)^q conj(rho_kq).
+
+        That is, the q < 0 half mirrors the q > 0 half and every rho_k0 is
+        real, within tol * max(1, max |rho_kq|); entries outside |q| <= k
+        must be zero.  Runs on construction with the default tol.
+        """
         scale = max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
-        if abs(self.coeffs[0, self.kmax].imag) > tol * scale:
-            raise ValueError("rho_00 is not real")
+        imag = np.abs(self.coeffs[:, self.kmax].imag).max()
+        if imag > tol * scale:
+            raise ValueError(f"rho_k0 is not real: imaginary part {imag:.3g}")
         mirrored = self.coeffs.copy()
         _mirror_negative_q(mirrored, self.kmax)
         err = np.abs(self.coeffs - mirrored).max()
@@ -175,7 +183,7 @@ def dicke_to_spherical(d, kmax):
         two_m, t = _coupling_table(two_j, q, kmax)
         i = (two_m + two_j) // 2
         coeffs[:, kmax + q] = t @ d.matrix[i, i - q]
-    coeffs[0, kmax] = coeffs[0, kmax].real
+    coeffs[:, kmax] = coeffs[:, kmax].real  # the diagonal of a Hermitian matrix
     _mirror_negative_q(coeffs, kmax)
     return SphericalState(two_j, kmax, coeffs)
 
@@ -203,62 +211,44 @@ def spherical_to_dicke(s):
 def _wave_sums(s, theta, phi, kuse):
     """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
 
-    theta and phi broadcast to n points, flattened; returns a complex
-    (n, kuse+1) array, real for a Hermitian state.  Since D^k_q0 =
-    sqrt(4 pi / (2k+1)) conj(Y_kq), this is the partial-wave sum behind
-    the Wigner function and the projection probabilities.  Per chunk of
-    points: one Legendre table over cos(theta) and one contraction with the
-    state's (k, q) block, the q < 0 half entering through
-    D^k_{-q,0} = (-1)^q conj(D^k_{q0}) as in rot_elements_axis.
+    theta and phi broadcast to n points, flattened; returns a real
+    (n, kuse+1) array.  Since D^k_q0 = sqrt(4 pi / (2k+1)) conj(Y_kq), this
+    is the partial-wave sum behind the Wigner function and the projection
+    probabilities.  The state is Hermitian, so the q < 0 terms are the
+    conjugates of the q > 0 ones and only the q >= 0 half is read.  Per
+    chunk of points: one Legendre table over cos(theta) and one contraction
+    with the state's (k, q) block.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     theta, phi = theta.ravel(), phi.ravel()
     bad = ~((theta >= 0.0) & (theta <= math.pi + 1e-12))
     if bad.any():
         raise ValueError(f"theta = {theta[bad][0]} outside [0, pi]")
-    block = s.coeffs[: kuse + 1, s.kmax - kuse: s.kmax + kuse + 1]
-    # z_k = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (plus_kq e^{iq phi} + minus_kq e^{-iq phi})
-    #     = sqrt(4 pi / (2k+1)) sum_{q >= 0} S_kq(cos theta) (a_kq cos(q phi) + b_kq sin(q phi))
-    # with plus_kq = rho_kq, minus_kq = (-1)^q rho_k,-q (zero at q = 0)
+    # z_k = sqrt(4 pi / (2k+1)) sum_{q >= 0} w_q S_kq(cos theta) (Re rho_kq cos(q phi) - Im rho_kq sin(q phi))
+    # with w_0 = 1 and w_q = 2 for q > 0
     q = np.arange(kuse + 1)
-    plus = block[:, kuse:]
-    minus = np.where(q % 2 == 0, 1.0, -1.0) * block[:, kuse::-1]
-    minus[:, 0] = 0.0
-    norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]
-    a = norm * (plus + minus)
-    b = norm * 1j * (plus - minus)
-    a = np.stack([a.real, a.imag], axis=1)                        # (k, re/im, q)
-    b = np.stack([b.real, b.imag], axis=1)
-    out = np.empty((theta.size, kuse + 1), dtype=complex)
+    norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]     # over k
+    c = norm * np.where(q > 0, 2.0, 1.0) * s.coeffs[: kuse + 1, s.kmax: s.kmax + kuse + 1]
+    a, b = c.real[:, None, :], -c.imag[:, None, :]             # (k, 1, q)
+    out = np.empty((theta.size, kuse + 1))
     chunk = max(1, int(_CHUNK_BUDGET / (kuse + 1) ** 2))
     for lo in range(0, theta.size, chunk):
         sl = slice(lo, lo + chunk)
         S = legendre_sph_table(kuse, np.cos(theta[sl]))          # (k, q, points)
         qphi = q[:, None] * phi[sl]
-        z = a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi))       # (k, re/im, points)
-        out[sl] = (z[:, 0] + 1j * z[:, 1]).T
+        out[sl] = (a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi)))[:, 0].T
     return out
-
-
-def _real_part(w, coeffs):
-    # w.real, once its imaginary part is shown to be round-off of a Hermitian state
-    worst = float(np.abs(w.imag).max(initial=0.0))
-    if worst > 1e-10 * max(1.0, float(np.sum(np.abs(coeffs)))):
-        raise ValueError(f"imaginary residual {worst:.3g} violates the reality invariant")
-    return w.real
 
 
 def wigner_eval(s, theta, phi):
     """Wigner function W(theta, phi) of a partial-wave state.
 
     Accepts scalars or broadcastable arrays; theta must lie in [0, pi].
-    The full complex sum is evaluated and its imaginary part checked
-    against the reality invariant before being discarded.
+    W is the real partial-wave sum over q >= 0 of the Hermitian state.
     """
     shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
     k = np.arange(s.kmax + 1)
-    w = _wave_sums(s, theta, phi, s.kmax) @ np.sqrt((2.0 * k + 1.0) / (4.0 * math.pi))
-    w = _real_part(w.reshape(shape), s.coeffs)
+    w = (_wave_sums(s, theta, phi, s.kmax) @ np.sqrt((2.0 * k + 1.0) / (4.0 * math.pi))).reshape(shape)
     return float(w) if w.ndim == 0 else w
 
 
@@ -278,12 +268,12 @@ def wigner_grid(s, n_theta, n_phi):
         raise ValueError("grid dimensions must be at least 2")
     kmax = s.kmax
     theta, phi = _grid_axes(n_theta, n_phi)
-    qs = np.arange(-kmax, kmax + 1)
-    qsign = np.where((qs < 0) & (qs % 2 != 0), -1.0, 1.0)
+    q = np.arange(kmax + 1)
     S = legendre_sph_table(kmax, np.cos(theta))               # (K+1, K+1, nt)
-    z = np.einsum("kq,kqt->qt", s.coeffs * qsign[None, :], S[:, np.abs(qs), :])
-    E = np.exp(1j * qs[:, None] * phi[None, :])               # (2K+1, np)
-    return WignerGrid(theta, phi, _real_part(z.T @ E, s.coeffs))
+    # W = sum_{q >= 0} w_q Re(z_q e^{iq phi}), w_0 = 1 and w_q = 2 for q > 0
+    z = np.einsum("kq,kqt->tq", s.coeffs[:, kmax:] * np.where(q > 0, 2.0, 1.0), S)
+    qphi = q[:, None] * phi[None, :]
+    return WignerGrid(theta, phi, z.real @ np.cos(qphi) - z.imag @ np.sin(qphi))
 
 
 def grid_theta_weights(n_theta):

@@ -295,17 +295,23 @@ def test_scan_direct_exceeds_fit_on_noisy_reconstruction():
     assert v_direct > v_fit
 
 
+@pytest.mark.parametrize("sigma_n, j_mean", [(-1.0, 4.0), (math.nan, 4.0), (math.inf, 4.0),
+                                             (0.0, 0.0), (0.0, -5.0), (0.0, math.nan),
+                                             (0.0, math.inf)])
+def test_squeezing_scan_rejects_bad_noise_parameters(sigma_n, j_mean):
+    s = coherent_state(8, math.pi / 2.0, 0.0, 0.0, kmax=8)
+    with pytest.raises(ValueError, match="sigma_n|j_mean"):
+        squeezing_scan(s, [0.0, 0.5], sigma_n, j_mean)
+
+
 def test_moments_check_reality():
     # rho_11 and rho_22 without their q < 0 mirrors: not Hermitian
     coeffs = np.zeros((3, 5), dtype=complex)
     coeffs[0, 2] = 1.0
     coeffs[1, 3] = 1j
     coeffs[2, 4] = 0.3j
-    s = SphericalState(4, 2, coeffs)
-    for call in (lambda: moments(s, 0.3, 0.4), lambda: mean_spin_vector(s),
-                 lambda: squeezing_scan(s, [0.0, 0.5], 0.0, 2.0)):
-        with pytest.raises(ValueError, match="imaginary residual"):
-            call()
+    with pytest.raises(ValueError, match="reality invariant"):
+        SphericalState(4, 2, coeffs)
     # with the mirrors the state is Hermitian, and its k <= 2 moments are those of p_m
     coeffs[1, 1] = 1j
     coeffs[2, 0] = -0.3j

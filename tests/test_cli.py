@@ -114,6 +114,30 @@ def test_analyze_without_azimuths_exits_2(workdir, capsys):
 
 
 @pytest.mark.parametrize("command", ["render", "analyze"])
+def test_imaginary_rho_k0_exits_2(workdir, capsys, command):
+    # Im rho_10 leaves p_m unchanged on the equator, so analyze must reject it on read
+    with open("im.csv", "w") as fh:
+        fh.write("# two_j_ref = 2\n# kmax = 2\nk,q,re,im\n0,0,0.5,0.0\n1,0,0,0.2\n")
+    assert run(command, "im.csv") == 2
+    assert "rho_k0 is not real" in capsys.readouterr().err
+    assert not os.path.exists("im_squeezing.csv")
+
+
+@pytest.mark.parametrize("flags, message", [
+    (("--j-mean", "0"), "j_mean must be finite and positive"),
+    (("--j-mean", "-5"), "j_mean must be finite and positive"),
+    (("--j-mean", "nan"), "j_mean must be finite and positive"),
+    (("--sigma-n", "-1"), "sigma_n must be finite and non-negative"),
+    (("--sigma-n", "inf"), "sigma_n must be finite and non-negative"),
+])
+def test_analyze_bad_noise_parameters_exit_2(workdir, capsys, flags, message):
+    stio.write_coefficients("c.csv", coherent_state(8, math.pi / 2.0, 0.0, 0.0, kmax=8))
+    assert run("analyze", "c.csv", *flags) == 2
+    assert message in capsys.readouterr().err
+    assert not os.path.exists("c_squeezing.csv")
+
+
+@pytest.mark.parametrize("command", ["render", "analyze"])
 def test_repeated_coefficient_row_exits_2(workdir, capsys, command):
     with open("dup.csv", "w") as fh:
         fh.write("# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n"

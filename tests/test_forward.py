@@ -114,14 +114,17 @@ def test_batched_probabilities_match_rotation_oracle(two_j):
 
 
 def test_batched_probabilities_check_reality_per_axis():
-    # rho_11 without its rho_1,-1 mirror: the residual vanishes at the pole only
+    # rho_11 without its rho_1,-1 mirror (its residual would vanish at the pole only)
+    # cannot be built; with the mirror the state is Hermitian and evaluated per axis
     coeffs = np.zeros((2, 3), dtype=complex)
     coeffs[0, 1] = 1.0 / math.sqrt(3.0)
     coeffs[1, 2] = 0.1
+    with pytest.raises(ValueError, match="reality invariant"):
+        SphericalState(2, 1, coeffs)
+    coeffs[1, 0] = -0.1
     s = SphericalState(2, 1, coeffs)
     assert _probabilities(s, 0.0, 0.0).shape == (1, 3)
-    with pytest.raises(ValueError, match="imaginary residual"):
-        _probabilities(s, [0.0, math.pi / 2.0], [0.0, 1.0])
+    assert _probabilities(s, [0.0, math.pi / 2.0], [0.0, 1.0]).shape == (2, 3)
     with pytest.raises(ValueError, match="outside"):
         _probabilities(s, [0.5, 3.5], [0.0, 0.0])
 
@@ -215,6 +218,12 @@ def test_exact_records_reject_unphysical_state():
     s = coherent_state(40, 0.0, 0.0, 0.0, kmax=6)
     with pytest.raises(ValueError, match=r"unphysical: min p_m = -"):
         exact_records(s, [(0.0, 0.0)])
+
+
+def test_exact_records_require_an_axis():
+    s = coherent_state(4, 0.0, 0.0, 0.0, kmax=4)
+    with pytest.raises(ValueError, match="at least one axis"):
+        exact_records(s, [])
 
 
 _SAMPLER_NOISE = {

@@ -543,6 +543,13 @@ def test_xi_sphere_integral_identity():
     assert got == pytest.approx(math.sqrt(4.0 * math.pi / 41.0), rel=1e-10)
 
 
+@pytest.mark.parametrize("two_m", [5, -6, 3])
+def test_xi_contribution_rejects_bad_spin_label(two_m):
+    # out of range or of the wrong parity for two_j = 4
+    with pytest.raises(ValueError):
+        xi_contribution(4, two_m, np.linspace(-1.0, 1.0, 5), 4)
+
+
 def test_xi_peak_height():
     x = np.linspace(-1.0, 1.0, 40001)
     peak = xi_contribution(40, 32, x, 40).max()

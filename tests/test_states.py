@@ -35,9 +35,8 @@ def test_spherical_state_is_immutable_and_validated():
     s.validate()
     bad = np.zeros((3, 5), dtype=complex)
     bad[1, 3] = 1.0  # rho_11 set without its mirror
-    broken = SphericalState(4, 2, bad)
-    with pytest.raises(ValueError):
-        broken.validate()
+    with pytest.raises(ValueError, match="reality invariant"):
+        SphericalState(4, 2, bad)
 
 
 def test_spherical_state_shape_checks():
@@ -147,10 +146,49 @@ def test_wigner_eval_rejects_theta_outside_range():
 def test_wigner_eval_rejects_invariant_violation():
     bad = np.zeros((3, 5), dtype=complex)
     bad[0, 2] = 1.0
-    bad[2, 4] = 1.0j  # no mirrored partner
-    s = SphericalState(4, 2, bad)
-    with pytest.raises(ValueError):
-        wigner_eval(s, np.linspace(0.1, 3.0, 7), 1.0)
+    bad[2, 4] = 1.0j  # no mirrored partner: the state cannot be built, so never evaluated
+    with pytest.raises(ValueError, match="reality invariant"):
+        SphericalState(4, 2, bad)
+
+
+def test_spherical_state_rejects_imaginary_rho_k0():
+    coeffs = np.zeros((3, 5), dtype=complex)
+    coeffs[0, 2] = 0.5
+    coeffs[1, 2] = 0.2j  # Im rho_10: P_1 vanishes on the equator, so it must be caught here
+    with pytest.raises(ValueError, match="rho_k0 is not real"):
+        SphericalState(4, 2, coeffs)
+    coeffs[1, 2] = 1e-12j  # round-off stays within the tolerance
+    SphericalState(4, 2, coeffs)
+    coeffs[1, 2] = 0.0
+    coeffs[1, 4] = coeffs[1, 0] = 0.1  # (k, q) = (1, +-2) mirror, but lie outside |q| <= k
+    with pytest.raises(ValueError, match="outside"):
+        SphericalState(4, 2, coeffs)
+
+
+@pytest.mark.parametrize("two_j, kmax", [(1, 1), (4, 4), (17, 12), (30, 30), (61, 30)])
+def test_evaluators_match_direct_harmonic_sum(two_j, kmax):
+    # random Hermitian states against sum_kq rho_kq Y_kq over both signs of q, and
+    # the moments against explicit rotation of the Dicke matrix
+    rho = oracles.random_hermitian(two_j, rng)
+    s = dicke_to_spherical(DickeState(two_j, rho), kmax)
+
+    def direct(theta, phi):
+        return sum(s.coeff(k, q) * oracles.sph_harm_y(k, q, theta, phi)
+                   for k in range(kmax + 1) for q in range(-k, k + 1))
+
+    theta = rng.uniform(0.0, math.pi, 40)
+    phi = rng.uniform(-math.pi, 2.0 * math.pi, 40)
+    want = direct(theta, phi)
+    scale = max(1.0, float(np.abs(want).max()))
+    assert np.abs(want.imag).max() < 1e-12 * scale
+    assert np.abs(wigner_eval(s, theta, phi) - want.real).max() < 1e-12 * scale
+    g = wigner_grid(s, 7, 9)
+    want = direct(g.theta[:, None], g.phi[None, :])
+    assert np.abs(g.values - want.real).max() < 1e-12 * max(1.0, float(np.abs(want).max()))
+    for t, f in zip(theta[:5], phi[:5]):
+        got = np.array(moments(s, t, f))
+        ref = np.array(oracles.dicke_moments(rho, two_j, t, f))
+        assert np.abs(got - ref).max() < 1e-12 * max(1.0, float(np.abs(ref).max()))
 
 
 def test_sphere_integral_equals_monopole():
