@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .angular import cg_tau_table, check_spin_label
 from .forward import _probabilities
@@ -78,15 +77,89 @@ class GaussianFit:
 
 
 def _gaussian_residual(x, m, p):
-    # x = (A, mu, sigma)
-    return x[0] * np.exp(-((m - x[1]) ** 2) / (2.0 * x[2] ** 2)) - p
+    # x = (A, mu, sigma) on the last axis; one residual per point
+    d = (m - x[..., 1, None]) / x[..., 2, None]
+    return x[..., 0, None] * np.exp(-0.5 * d * d) - p
 
 
 def _gaussian_jacobian(x, m, p):
-    # d residual / d (A, mu, sigma), one row per point
-    d = (m - x[1]) / x[2]
+    # d residual / d (A, mu, sigma): shape x.shape[:-1] + (points, 3)
+    a, sigma = x[..., 0, None], x[..., 2, None]
+    d = (m - x[..., 1, None]) / sigma
     g = np.exp(-0.5 * d * d)
-    return np.stack([g, x[0] * g * d / x[2], x[0] * g * d * d / x[2]], axis=1)
+    return np.stack([g, a * g * d / sigma, a * g * d * d / sigma], axis=-1)
+
+
+_FIT_FTOL = 1e-8    # relative reduction of the squared residual, actual and predicted
+_FIT_XTOL = 1e-9    # relative size of the scaled step
+_FIT_STEPS = 200    # Levenberg-Marquardt steps before a fit gives up
+
+
+def _gaussian_fits(P, m):
+    """Least-squares Gaussian fits to every row of P at once.
+
+    Returns (x, ok): x[n] = (A, mu, V) for A exp(-(m - mu)^2 / (2 V)) and
+    ok[n] whether row n converged to a finite fit with V > 1e-300.  One
+    Levenberg-Marquardt iteration in (A, mu, sigma) runs over all rows.
+    Each row has its own damping lambda (Marquardt's: the normal equations
+    J^T J + lambda D, D the largest squared column norms of J seen so far;
+    lambda / 10 after a step that reduces the squared residual, x 10 after
+    one that does not) and stops by MINPACK's rules: the actual and the
+    predicted relative reduction both at most _FIT_FTOL, or a scaled step
+    at most _FIT_XTOL of the scaled parameters.  A row's arithmetic does
+    not depend on the other rows.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    m = np.asarray(m, dtype=float)
+    if P.shape[1] < 5:
+        raise ValueError("need at least 5 points to fit")
+    n = P.shape[0]
+    x = np.zeros((n, 3))
+    pos = np.clip(P, 0.0, None)
+    tot = pos.sum(axis=1)
+    active = np.flatnonzero((tot > 0.0) & np.isfinite(P).all(axis=1))
+    mu0 = np.sum(pos[active] * m, axis=1) / tot[active]
+    var0 = np.sum(pos[active] * (m - mu0[:, None]) ** 2, axis=1) / tot[active]
+    x[active] = np.stack([np.maximum(P[active].max(axis=1), 1e-12), mu0,
+                          np.sqrt(np.maximum(var0, 0.25))], axis=1)
+    done = np.zeros(n, dtype=bool)
+    lam = np.full(n, 1e-3)
+    scale = np.full((n, 3), np.finfo(float).tiny)
+    eye = np.eye(3)
+    with np.errstate(all="ignore"):
+        for _ in range(_FIT_STEPS):
+            if active.size == 0:
+                break
+            xa, pa, la = x[active], P[active], lam[active]
+            J = _gaussian_jacobian(xa, m, pa)
+            r = xa[:, :1] * J[..., 0] - pa
+            f = np.sum(r * r, axis=1)
+            JT = np.swapaxes(J, 1, 2)
+            A = JT @ J
+            grad = (JT @ r[..., None])[..., 0]
+            D = np.maximum(scale[active], np.diagonal(A, axis1=1, axis2=2))
+            scale[active] = D
+            # a non-finite row leaves the fit; the identity keeps it out of the solve
+            finite = np.isfinite(A).all(axis=(1, 2))
+            M = np.where(finite[:, None, None], A + la[:, None, None] * (D[..., None] * eye), eye)
+            h = -np.linalg.solve(M, grad[..., None])[..., 0]
+            xt = xa + h
+            rt = _gaussian_residual(xt, m, pa)
+            actual = 1.0 - np.sum(rt * rt, axis=1) / f
+            hDh = np.sum(D * h * h, axis=1)
+            # |J h|^2 + 2 lambda h^T D h, as (J^T J + lambda D) h = -grad
+            pred = (la * hDh - np.sum(h * grad, axis=1)) / f
+            ratio = actual / pred
+            good = ratio > 1e-4
+            x[active[good]] = xt[good]
+            lam[active] = la * np.where(good, 0.1, 10.0)
+            stop = (((np.abs(actual) <= _FIT_FTOL) & (pred <= _FIT_FTOL) & (ratio <= 2.0))
+                    | (hDh <= _FIT_XTOL ** 2 * np.sum(D * xa * xa, axis=1)))
+            done[active[stop & finite]] = True
+            active = active[~stop & finite]
+    x[:, 2] = x[:, 2] ** 2
+    ok = done & np.isfinite(x).all(axis=1) & (x[:, 2] > 1e-300)
+    return x, ok
 
 
 def gaussian_fit(p, m=None):
@@ -97,32 +170,12 @@ def gaussian_fit(p, m=None):
     variance, in which case callers fall back to direct moments.
     """
     p = np.asarray(p, dtype=float)
-    if p.size < 5:
-        raise ValueError("need at least 5 points to fit")
     if m is None:
         m = np.arange(p.size) - (p.size - 1) / 2.0
-    m = np.asarray(m, dtype=float)
-
-    pos = np.clip(p, 0.0, None)
-    tot = pos.sum()
-    if tot <= 0.0 or not np.all(np.isfinite(p)):
+    x, ok = _gaussian_fits(p[None, :], m)
+    if not ok[0]:
         return None
-    mu0 = float(pos @ m) / tot
-    var0 = max(float(pos @ (m - mu0) ** 2) / tot, 0.25)
-    x0 = np.array([max(p.max(), 1e-12), mu0, math.sqrt(var0)])
-
-    # MINPACK's Levenberg-Marquardt (lmder), the routine behind
-    # least_squares(method="lm"), with the same tolerances and less overhead per call
-    try:
-        x, _, _, _, info = leastsq(_gaussian_residual, x0, args=(m, p),
-                                   Dfun=_gaussian_jacobian, full_output=True,
-                                   ftol=1e-8, xtol=1e-9, gtol=1e-8, maxfev=600)
-    except (ValueError, FloatingPointError):
-        return None
-    variance = float(x[2] ** 2)
-    if info not in (1, 2, 3, 4) or not np.all(np.isfinite(x)) or variance <= 1e-300:
-        return None
-    return GaussianFit(float(x[0]), float(x[1]), variance)
+    return GaussianFit(*(float(v) for v in x[0]))
 
 
 @dataclass(frozen=True)
@@ -153,8 +206,9 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     """
     if s.kmax < 2:
         raise ValueError("squeezing scan needs a state with kmax >= 2")
-    if not (math.isfinite(sigma_n) and sigma_n >= 0.0):
-        raise ValueError(f"sigma_n must be finite and non-negative, got {sigma_n}")
+    if not (sigma_n >= 0.0 and math.isfinite(sigma_n * sigma_n)):
+        raise ValueError(
+            f"sigma_n must be finite and non-negative, with a finite square, got {sigma_n}")
     if not (math.isfinite(j_mean) and j_mean > 0.0):
         raise ValueError(f"j_mean must be finite and positive, got {j_mean}")
     two_j = s.two_j_ref
@@ -163,18 +217,10 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     if phis.size == 0:
         raise ValueError("squeezing scan needs at least one azimuth")
     means, mean2s = _moments(s, math.pi / 2.0, phis)
-    curve = []
-    failures = 0
-    for phi, mean, mean2, p in zip(phis, means, mean2s,
-                                   _probabilities(s, math.pi / 2.0, phis)):
-        v_direct = mean2 - mean ** 2
-        fit = gaussian_fit(p, m)
-        if fit is None:
-            failures += 1
-            v_fit = math.nan
-        else:
-            v_fit = fit.variance
-        curve.append((float(phi), float(v_direct), float(v_fit)))
+    fits, ok = _gaussian_fits(_probabilities(s, math.pi / 2.0, phis), m)
+    v_fits = np.where(ok, fits[:, 2], math.nan)
+    curve = list(zip(phis.tolist(), (mean2s - means ** 2).tolist(), v_fits.tolist()))
+    failures = int(np.sum(~ok))
 
     v_coh = j_mean / 2.0
     valid = [(v_fit, abs(phi), phi) for phi, _, v_fit in curve if not math.isnan(v_fit)]

@@ -20,7 +20,6 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "check_spin_label",
@@ -39,6 +38,12 @@ __all__ = [
 
 _LNPI = math.log(math.pi)
 SQRT_4PI = math.sqrt(4.0 * math.pi)
+
+
+def _lgamma(x):
+    # ln Gamma over an array, one math.lgamma per entry (cumulative sums of
+    # logs would drift by about 1e-9 at arguments of a few thousand)
+    return np.array([math.lgamma(v) for v in np.asarray(x, dtype=float).tolist()])
 
 
 def check_spin_label(two_j, two_m):
@@ -99,9 +104,9 @@ def _coupling_table(two_j, q, kmax):
     e = 2.0 * j * (j + 1.0) + 2.0 * m1 * m2
     a = np.sqrt((j + m1) * (j - m1 + 1.0) * (j - m2) * (j + m2 + 1.0))
     ln_seed = 0.5 * (
-        np.log(2.0 * k + 1.0) + gammaln(two_j + 1.0) + gammaln(two_j - q + 1.0)
-        + gammaln(k + q + 1.0) - gammaln(two_j + k + 2.0) - gammaln(two_j - k + 1.0)
-        - gammaln(q + 1.0) - gammaln(k - q + 1.0))
+        np.log(2.0 * k + 1.0) + math.lgamma(two_j + 1.0) + math.lgamma(two_j - q + 1.0)
+        + _lgamma(k + q + 1.0) - _lgamma(two_j + k + 2.0) - _lgamma(two_j - k + 1.0)
+        - math.lgamma(q + 1.0) - _lgamma(k - q + 1.0))
     # a seed below e^-700 (k near 2j once 2j > 1000) is raised to it and the
     # row scaled back at the end; |C| <= 1 keeps the raised row finite up to 2j ~ 2000
     shift = np.maximum(0.0, -700.0 - ln_seed)
@@ -348,7 +353,7 @@ def hemi_overlap_matrix(kmax, q):
     """
     q = abs(int(q))
     i = np.arange(kmax + 1)
-    ln_c = gammaln(i + 0.5) - gammaln(i + 1.0) - 0.5 * _LNPI
+    ln_c = _lgamma(i + 0.5) - _lgamma(i + 1.0) - 0.5 * _LNPI
     ke = np.arange(q, kmax + 1, 2)
     ko = np.arange(q + 1, kmax + 1, 2)
     ln_row = 0.5 * (np.log(2.0 * ke + 1.0) + ln_c[(ke + q) // 2] + ln_c[(ke - q) // 2])

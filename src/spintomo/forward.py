@@ -53,8 +53,10 @@ class NoiseModel:
     def __post_init__(self):
         for name in ("sigma_n", "sigma_omega", "sigma_phi", "sigma_ph"):
             v = getattr(self, name)
-            if not (math.isfinite(v) and v >= 0.0):
-                raise ValueError(f"{name} must be finite and non-negative, got {v}")
+            # every use squares the parameter, so its square must be a finite double
+            if not (v >= 0.0 and math.isfinite(v * v)):
+                raise ValueError(
+                    f"{name} must be finite and non-negative, with a finite square, got {v}")
         if self.phase_mode not in _PHASE_MODES:
             raise ValueError(f"phase_mode must be one of {_PHASE_MODES}")
         if self.phase_variant not in _PHASE_VARIANTS:

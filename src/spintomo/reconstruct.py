@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import SphericalVoronoi, cKDTree
 
 from .angular import (
     SQRT_4PI,
@@ -54,6 +53,8 @@ _MODES = ("full-sphere", "in-plane")
 _EQUATOR_TOL = 1e-6
 _AXIS_TOL = 1e-9  # radians; far above the rounding error of any angle pair
 _CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of an angular kernel
+# projection axis of the _axis_ids sweep: a unit vector off the coordinate planes
+_SWEEP_DIRECTION = np.array([2.0, 3.0, 5.0]) / math.sqrt(38.0)
 
 
 @dataclass(frozen=True)
@@ -142,8 +143,24 @@ def _axis_ids(theta, phi):
                                      return_inverse=True)
     u = _unit_vectors(keys.real, keys.imag)
     n = keys.size
-    pairs = cKDTree(np.vstack([u, -u])).query_pairs(
-        2.0 * math.sin(0.5 * _AXIS_TOL), output_type="ndarray") % n
+    # linked pairs among the directions and their antipodes by a sweep: two
+    # directions within the chord project within it onto any unit vector, so
+    # sorted by one projection they sit at offsets d whose projection gaps are
+    # that small (twice the chord allows for the rounding of the projections)
+    doubled = np.vstack([u, -u])
+    proj = doubled @ _SWEEP_DIRECTION
+    order = np.argsort(proj, kind="stable")
+    proj = proj[order]
+    chord = 2.0 * math.sin(0.5 * _AXIS_TOL)
+    found = [np.empty((0, 2), dtype=int)]
+    for d in range(1, 2 * n):
+        near = np.flatnonzero(proj[d:] - proj[:-d] <= 2.0 * chord)
+        if near.size == 0:
+            break
+        a, b = order[near], order[near + d]
+        close = np.sum((doubled[a] - doubled[b]) ** 2, axis=1) <= chord * chord
+        found.append(np.stack([a[close], b[close]], axis=1))
+    pairs = np.concatenate(found) % n
     # connected groups by min-label propagation; labels only fall, so it ends
     root = np.arange(n)
     while True:
@@ -194,6 +211,8 @@ def compute_weights(records, mode, scheme="voronoi"):
             ang = np.mod(np.arctan2(units @ e2, units @ e1), math.pi)
             axis_w = _circle_arc_weights(ang, math.pi)
         else:
+            from scipy.spatial import SphericalVoronoi  # only this branch needs scipy
+
             doubled = np.vstack([units, -units])
             # _axis_ids alone decides which directions coincide: axes it keeps
             # apart are more than the _AXIS_TOL chord apart, far above this threshold

@@ -257,18 +257,71 @@ def sample_per_shot(s, axes, shots_per_axis, noise, seed):
     return records
 
 
+def _gaussian_model(x, m):
+    return x[0] * np.exp(-((m - x[1]) ** 2) / (2.0 * x[2] ** 2))
+
+
+def _gaussian_start(p, m):
+    # (A, mu, sigma) from the positive part's moments
+    pos = np.clip(p, 0.0, None)
+    mu0 = float(pos @ m) / pos.sum()
+    var0 = max(float(pos @ (m - mu0) ** 2) / pos.sum(), 0.25)
+    return np.array([max(p.max(), 1e-12), mu0, math.sqrt(var0)])
+
+
 def gaussian_fit_fd(p, m):
     """Gaussian fit by least_squares with a finite-difference Jacobian: (A, mu, V)."""
     from scipy.optimize import least_squares
 
-    pos = np.clip(p, 0.0, None)
-    mu0 = float(pos @ m) / pos.sum()
-    var0 = max(float(pos @ (m - mu0) ** 2) / pos.sum(), 0.25)
-    x0 = np.array([max(p.max(), 1e-12), mu0, math.sqrt(var0)])
-    res = least_squares(lambda x: x[0] * np.exp(-((m - x[1]) ** 2) / (2.0 * x[2] ** 2)) - p,
-                        x0, method="lm", xtol=1e-9, max_nfev=600)
+    res = least_squares(lambda x: _gaussian_model(x, m) - p, _gaussian_start(p, m),
+                        method="lm", xtol=1e-9, max_nfev=600)
     assert res.success
     return np.array([res.x[0], res.x[1], res.x[2] ** 2])
+
+
+def gaussian_fit_tight(p, m):
+    """The least-squares Gaussian minimum (A, mu, V): MINPACK's lmdif (finite-
+    difference Jacobian) run to ftol = xtol = 1e-15, far past where the
+    package's fits stop; None when MINPACK reports no convergence."""
+    from scipy.optimize import leastsq
+
+    x, _, _, _, info = leastsq(lambda x: _gaussian_model(x, m) - p, _gaussian_start(p, m),
+                               full_output=True, ftol=1e-15, xtol=1e-15, maxfev=20000)
+    if info not in (1, 2, 3, 4) or x[2] ** 2 <= 1e-300:
+        return None
+    return np.array([x[0], x[1], x[2] ** 2])
+
+
+def axis_groups(theta, phi, tol):
+    """Unoriented axes by brute force: the label of each record's axis.
+
+    Two records share an axis when a chain of records links them, each
+    link a pair whose directions, or one's direction and the other's
+    antipode, lie within the chord 2 sin(tol / 2).  All O(n^2) pairs are
+    tested; labels are 0, 1, ... in order of each group's first record.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), phi)
+    u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                 axis=1)
+    chord = 2.0 * math.sin(0.5 * tol)
+    n = len(u)
+    linked = [[j for j in range(n)
+               if min(np.linalg.norm(u[i] - u[j]), np.linalg.norm(u[i] + u[j])) <= chord]
+              for i in range(n)]
+    label = [-1] * n
+    groups = 0
+    for start in range(n):
+        if label[start] >= 0:
+            continue
+        label[start] = groups
+        stack = [start]
+        while stack:
+            for j in linked[stack.pop()]:
+                if label[j] < 0:
+                    label[j] = groups
+                    stack.append(j)
+        groups += 1
+    return np.array(label)
 
 
 # ---------------------------------------------------------------- file text, one value at a time

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from spintomo.analysis import (
+    _gaussian_fits,
     _gaussian_jacobian,
     _gaussian_residual,
     coherent_reference_variance,
@@ -13,7 +15,13 @@ from spintomo.analysis import (
     power_spectrum,
     squeezing_scan,
 )
-from spintomo.forward import projection_probabilities
+from spintomo.forward import (
+    NoiseModel,
+    _probabilities,
+    projection_probabilities,
+    sample_measurements,
+)
+from spintomo.reconstruct import ReconstructionConfig, reconstruct
 from spintomo.states import (
     DickeState,
     SphericalState,
@@ -215,6 +223,57 @@ def test_gaussian_fit_failure_modes():
     assert gaussian_fit(-np.ones(11), m) is None      # no positive part
     with pytest.raises(ValueError):
         gaussian_fit(np.ones(3))                      # too short
+
+
+def _workload_scan(shape):
+    # the squeezing-scan input of either benchmark workload, seed 1: p_m of the
+    # folded reconstruction along 181 equatorial azimuths
+    if shape == "paper":
+        truth, n_axes, shots, kmax = oat_squeezed_state(40, 0.05, 40), 24, 50, 23
+        noise = NoiseModel(sigma_n=2.0, sigma_omega=0.05, phase_mode="model", sigma_ph=0.2)
+    else:
+        truth, n_axes, shots, kmax = coherent_state(40, 0.0, 0.0, 0.0, 40), 30, 40, 29
+        noise = NoiseModel(sigma_n=3.0)
+    axes = [(math.pi / 2.0, a * math.pi / n_axes) for a in range(n_axes)]
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "skipped", UserWarning)  # records with 2j < kmax
+        state = reconstruct(sample_measurements(truth, axes, shots, noise, 1),
+                            ReconstructionConfig(kmax=kmax, noise=noise, fold_north=True,
+                                                 two_j_ref=40))
+    phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
+    return _probabilities(state, math.pi / 2.0, phis), np.arange(41) - 20.0
+
+
+@pytest.mark.parametrize("shape", ["paper", "cli"])
+def test_batched_fits_reach_the_least_squares_minimum(shape):
+    P, m = _workload_scan(shape)
+    x, ok = _gaussian_fits(P, m)
+    for row, xi, oki in zip(P, x, ok):
+        want = oracles.gaussian_fit_tight(row, m)
+        assert oki == (want is not None)
+        if want is None:
+            continue
+        # relative to the minimum; the mean on the scale of the variance
+        assert np.all(np.abs(xi - want) <= 1e-4 * np.abs(want * [1.0, 0.0, 1.0])
+                      + np.array([0.0, 1e-4 * want[2], 0.0]))
+
+
+@pytest.mark.parametrize("shape", ["paper", "cli"])
+def test_batched_fits_equal_fits_row_by_row(shape):
+    P, m = _workload_scan(shape)
+    # rows the fit must refuse, between fittable ones
+    P = np.vstack([P[:3], np.zeros(41), -np.abs(P[3]), P[4:6],
+                   np.where(m == 0.0, np.nan, P[6]), P[7:]])
+    x, ok = _gaussian_fits(P, m)
+    assert list(np.flatnonzero(~ok)) == [3, 4, 7]
+    for i, row in enumerate(P):
+        xi, oki = _gaussian_fits(row[None, :], m)
+        assert oki[0] == ok[i]
+        fit = gaussian_fit(row, m)
+        assert (fit is None) == (not ok[i])
+        if ok[i]:
+            assert np.all(np.abs(xi[0] - x[i]) <= 1e-15 * np.abs(x[i]))
+            assert (fit.amplitude, fit.mean, fit.variance) == tuple(xi[0])
 
 
 # ---------------------------------------------------------------- squeezing scan

@@ -1,8 +1,11 @@
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import spintomo
 from spintomo import io as stio
 from spintomo.cli import main
 from spintomo.forward import MeasurementRecord
@@ -129,12 +132,28 @@ def test_imaginary_rho_k0_exits_2(workdir, capsys, command):
     (("--j-mean", "nan"), "j_mean must be finite and positive"),
     (("--sigma-n", "-1"), "sigma_n must be finite and non-negative"),
     (("--sigma-n", "inf"), "sigma_n must be finite and non-negative"),
+    (("--sigma-n", "1e200"), "sigma_n must be finite and non-negative, with a finite square"),
 ])
 def test_analyze_bad_noise_parameters_exit_2(workdir, capsys, flags, message):
     stio.write_coefficients("c.csv", coherent_state(8, math.pi / 2.0, 0.0, 0.0, kmax=8))
     assert run("analyze", "c.csv", *flags) == 2
     assert message in capsys.readouterr().err
     assert not os.path.exists("c_squeezing.csv")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("reconstruct", "m.csv", "--sigma-n", "1e200"), "sigma_n"),
+    (("reconstruct", "m.csv", "--sigma-omega", "1e200"), "sigma_omega"),
+    (("simulate", "--phase-noise", "model:1e200"), "sigma_ph"),
+    (("simulate", "--sigma-n", "1e200"), "sigma_n"),
+])
+def test_noise_with_an_overflowing_square_exits_2(workdir, capsys, argv, message):
+    stio.write_measurements("m.csv", [MeasurementRecord(math.pi / 2.0, 0.1 * a, math.nan, 8, 0)
+                                      for a in range(12)])
+    assert run(*argv, "--out", "out") == 2
+    assert f"{message} must be finite and non-negative, with a finite square" in (
+        capsys.readouterr().err)
+    assert sorted(os.listdir()) == ["m.csv"]
 
 
 @pytest.mark.parametrize("command", ["render", "analyze"])
@@ -214,3 +233,36 @@ def test_selftest_passes(workdir, capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") >= 7
     assert "FAIL" not in out
+
+
+_NO_SCIPY_CHAIN = """
+import sys
+import spintomo
+from spintomo.cli import main
+
+steps = [["simulate", "--state", "oat", "--two-j", "20", "--chi", "0.05", "--axis-plane",
+          "--axes", "12", "--shots", "40", "--seed", "3", "--sigma-n", "1", "--out", "m.csv"],
+         ["reconstruct", "m.csv", "--fold-north", "--sigma-n", "1", "--out", "r"],
+         ["analyze", "r_coeffs.csv", "--sigma-n", "1", "--phi-steps", "31"],
+         ["render", "r_coeffs.csv", "--grid", "8x16", "--out", "w"]]
+for argv in steps:
+    assert main(argv) == 0, argv
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not loaded, loaded
+
+# the full-sphere Voronoi weights still load it on demand
+from spintomo.forward import MeasurementRecord
+from spintomo.reconstruct import compute_weights
+recs = [MeasurementRecord(th, ph, float("nan"), 2, 0)
+        for th, ph in [(0.3, 0.1), (1.2, 2.0), (2.0, -1.0), (1.0, 4.0), (2.7, 0.5)]]
+w = [r.weight for r in compute_weights(recs, "full-sphere")]
+assert abs(sum(w) - 1.0) < 1e-12 and min(w) > 0.0, w
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_inplane_chain_runs_without_scipy(workdir):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(spintomo.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_CHAIN], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -35,6 +35,9 @@ def test_noise_model_validation():
         NoiseModel(phase_mode="sometimes")
     with pytest.raises(ValueError):
         NoiseModel(phase_variant="cubic")
+    for name in ("sigma_n", "sigma_omega", "sigma_phi", "sigma_ph"):
+        with pytest.raises(ValueError, match=f"{name} .* with a finite square"):
+            NoiseModel(**{name: 1e200})  # finite, but its square overflows
 
 
 def test_noise_model_phase_mapping():

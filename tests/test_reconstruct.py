@@ -12,7 +12,9 @@ import spintomo.states as states
 from spintomo.angular import cg_tau_table
 from spintomo.forward import MeasurementRecord, NoiseModel, exact_records, sample_measurements
 from spintomo.reconstruct import (
+    _AXIS_TOL,
     ReconstructionConfig,
+    _axis_ids,
     _pointing_damping,
     apply_uniform_damping,
     compute_weights,
@@ -213,6 +215,49 @@ def test_weights_full_sphere_close_axes_are_distinct():
     merged = [x.weight for x in compute_weights(recs[:-1] + [recs[0]], "full-sphere")]
     assert merged[0] == merged[-1]
     assert abs((w[0] + w[-1]) - (merged[0] + merged[-1])) < 1e-8
+
+
+@st.composite
+def _axis_layouts(draw):
+    # random axes, then near-duplicates of them at 0.9 and 1.1 times the axis
+    # tolerance (along a meridian or a parallel), antipodes, poles and repeats
+    inplane = draw(st.booleans())
+    n = draw(st.integers(1, 4))
+    phi = [draw(st.floats(-math.pi, math.pi)) for _ in range(n)]
+    theta = ([math.pi / 2.0] * n if inplane
+             else [math.acos(draw(st.floats(-1.0, 1.0))) for _ in range(n)])
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["near", "antipode", "pole", "repeat"]))
+        # offsets of base axes only, so that no two offsets add up to the tolerance itself
+        i = draw(st.integers(0, n - 1))
+        th, ph = theta[i], phi[i]
+        if kind == "near":
+            step = draw(st.sampled_from([0.9, 1.1])) * _AXIS_TOL
+            if inplane or (math.sin(th) > 0.1 and draw(st.booleans())):
+                ph += step / math.sin(th)
+            else:
+                th = th + step if th + step <= math.pi else th - step
+        elif kind == "antipode":
+            th, ph = math.pi - th, ph + math.pi
+        elif kind == "pole" and not inplane:
+            th, ph = draw(st.sampled_from([0.0, math.pi])), draw(st.floats(-math.pi, math.pi))
+        theta.append(th)
+        phi.append(ph)
+    return inplane, np.array(theta), np.array(phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_axis_layouts())
+def test_axis_ids_match_brute_force_grouping(layout):
+    inplane, theta, phi = layout
+    want = oracles.axis_groups(theta, phi, _AXIS_TOL)
+    u = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1)
+    for th in ([math.pi / 2.0, theta] if inplane else [theta]):
+        axis, first, flip = _axis_ids(th, phi)
+        assert first.size == want.max() + 1
+        assert np.array_equal(axis[:, None] == axis[None, :], want[:, None] == want[None, :])
+        assert np.array_equal(want[first[axis]], want)
+        assert np.array_equal(flip, np.einsum("ij,ij->i", u, u[first[axis]]) < 0.0)
 
 
 # ---------------------------------------------------------------- damping
