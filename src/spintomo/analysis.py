@@ -13,7 +13,7 @@ import numpy as np
 
 from .angular import cg_tau_table, check_spin_label
 from .forward import _probabilities
-from .states import _wave_sums
+from .states import _check_noise, _damping, _wave_sums
 
 __all__ = [
     "GaussianFit",
@@ -62,10 +62,8 @@ def coherent_reference_variance(two_j, sigma_n):
     check_spin_label(two_j, two_j)
     if two_j < 2:
         raise ValueError("two_j must be at least 2")
-    if sigma_n < 0.0:
-        raise ValueError("sigma_n must be non-negative")
     j = two_j / 2.0
-    decay = math.exp(-6.0 * sigma_n ** 2 / (two_j * (two_j - 1.0)))
+    decay = float(_damping(two_j, 2, sigma_n)[2])
     return j * (j + 1.0) / 3.0 - j * (two_j - 1.0) / 6.0 * decay
 
 
@@ -206,9 +204,7 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     """
     if s.kmax < 2:
         raise ValueError("squeezing scan needs a state with kmax >= 2")
-    if not (sigma_n >= 0.0 and math.isfinite(sigma_n * sigma_n)):
-        raise ValueError(
-            f"sigma_n must be finite and non-negative, with a finite square, got {sigma_n}")
+    _check_noise("sigma_n", sigma_n)
     if not (math.isfinite(j_mean) and j_mean > 0.0):
         raise ValueError(f"j_mean must be finite and positive, got {j_mean}")
     two_j = s.two_j_ref

@@ -52,61 +52,58 @@ def _parse_phase_noise(text):
     return kind, float(value)
 
 
-def _noise_from(cfg):
-    mode, amount = _parse_phase_noise(cfg["phase_noise"])
+def _noise_from(args):
+    mode, amount = _parse_phase_noise(args.phase_noise)
     return NoiseModel(
-        sigma_n=float(cfg["sigma_n"]),
-        sigma_omega=float(cfg["sigma_omega"]),
+        sigma_n=args.sigma_n,
+        sigma_omega=args.sigma_omega,
         phase_mode=mode,
         sigma_phi=amount if mode == "constant" else 0.0,
         sigma_ph=amount if mode == "model" else 0.0,
-        phase_variant=cfg["phase_variant"],
+        phase_variant=args.phase_variant,
     )
 
 
-def _to_bool(value):
-    if isinstance(value, bool) or value is None:
-        return value
-    text = str(value).strip().lower()
-    if text in ("true", "1", "yes", "on"):
-        return True
-    if text in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+def _config_args(path, command, parsers):
+    """The options of a ``key = value`` file as argument tokens for one subcommand.
 
-
-_BOOL_KEYS = ("fold_north", "axis_plane", "axis_sphere")
-
-
-def _resolve(args, defaults):
-    """Merge config-file values under explicit flags: flags win, then file, then default."""
-    file_cfg = stio.parse_config(args.config) if args.config else {}
-    out = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-        elif key in file_cfg:
-            out[key] = file_cfg[key]
+    A key is an option name with underscores for dashes, matched exactly:
+    ``key = value`` becomes ``--key=value``, a true boolean key its bare flag
+    and a false one nothing.  Keys of another subcommand are skipped, so one
+    file can drive every step; a key no subcommand defines is an error.
+    """
+    tokens = []
+    for key, value in stio.parse_config(path).items():
+        flag = "--" + key.replace("_", "-")
+        action = parsers[command]._option_string_actions.get(flag)
+        if action is None:
+            if not any(flag in p._option_string_actions for p in parsers.values()):
+                raise ValueError(f"{path}: unknown key {key!r}")
+        elif action.nargs == 0:
+            on = value.lower() in ("true", "1", "yes", "on")
+            if not on and value.lower() not in ("false", "0", "no", "off"):
+                raise ValueError(f"{path}: {key} expects a boolean, got {value!r}")
+            if on:
+                tokens.append(flag)
         else:
-            out[key] = default
-        if key in _BOOL_KEYS:
-            out[key] = _to_bool(out[key])
-    return out
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _add_noise_flags(p):
-    p.add_argument("--sigma-n", dest="sigma_n", type=float, help="atom-number std dev")
-    p.add_argument("--sigma-omega", dest="sigma_omega", type=float,
+    p.add_argument("--sigma-n", dest="sigma_n", type=float, default=0.0,
+                   help="atom-number std dev")
+    p.add_argument("--sigma-omega", dest="sigma_omega", type=float, default=0.0,
                    help="axis pointing uncertainty (rad)")
-    p.add_argument("--phase-noise", dest="phase_noise",
+    p.add_argument("--phase-noise", dest="phase_noise", default="none",
                    help="none | constant:<rad> | model:<rad>")
-    p.add_argument("--phase-variant", dest="phase_variant",
+    p.add_argument("--phase-variant", dest="phase_variant", default="quadratic",
                    choices=("quadratic", "linear"),
                    help="mapping of the model amplitude to sigma_phi(phi)")
 
 
 def _build_parser():
+    """The argument parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="spintomo",
         description="Tomography of collective-spin Wigner functions from "
@@ -115,52 +112,52 @@ def _build_parser():
 
     p = sub.add_parser("simulate", help="generate a synthetic measurement CSV")
     p.add_argument("--config", help="key = value defaults file (flags win)")
-    p.add_argument("--state", choices=("coherent", "dicke", "oat", "mixed"))
-    p.add_argument("--two-j", dest="two_j", type=int, help="doubled total spin")
+    p.add_argument("--state", choices=("coherent", "dicke", "oat", "mixed"), default="coherent")
+    p.add_argument("--two-j", dest="two_j", type=int, default=40, help="doubled total spin")
     p.add_argument("--two-m", dest="two_m", type=int, help="doubled projection (dicke)")
-    p.add_argument("--chi", type=float, help="one-axis twisting angle (oat)")
-    p.add_argument("--theta0", type=float, help="state polar angle (coherent)")
-    p.add_argument("--phi0", type=float, help="state azimuth (coherent)")
+    p.add_argument("--chi", type=float, default=0.05, help="one-axis twisting angle (oat)")
+    p.add_argument("--theta0", type=float, default=0.0, help="state polar angle (coherent)")
+    p.add_argument("--phi0", type=float, default=0.0, help="state azimuth (coherent)")
     p.add_argument("--kmax", type=int, help="state truncation (default 2j)")
-    p.add_argument("--axes", type=int, help="number of quantization axes")
-    p.add_argument("--axis-plane", action="store_true", default=None,
+    p.add_argument("--axes", type=int, default=24, help="number of quantization axes")
+    p.add_argument("--axis-plane", action="store_true",
                    help="equally spaced axes on the equator (default)")
-    p.add_argument("--axis-sphere", action="store_true", default=None,
+    p.add_argument("--axis-sphere", action="store_true",
                    help="Fibonacci-spread axes over the upper hemisphere")
-    p.add_argument("--shots", type=int, help="measurements per axis")
-    p.add_argument("--seed", type=int, help="RNG seed")
+    p.add_argument("--shots", type=int, default=400, help="measurements per axis")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_noise_flags(p)
-    p.add_argument("--out", help="output measurement CSV")
+    p.add_argument("--out", default="measurements.csv", help="output measurement CSV")
 
     p = sub.add_parser("reconstruct", help="backproject a measurement CSV")
     p.add_argument("measurements", help="input measurement CSV")
     p.add_argument("--config", help="key = value defaults file (flags win)")
-    p.add_argument("--mode", choices=("in-plane", "full-sphere"))
+    p.add_argument("--mode", choices=("in-plane", "full-sphere"), default="in-plane")
     p.add_argument("--kmax", type=int)
-    p.add_argument("--weights", choices=("uniform", "voronoi"))
-    p.add_argument("--fold-north", dest="fold_north", action="store_true", default=None)
+    p.add_argument("--weights", choices=("uniform", "voronoi"), default="voronoi")
+    p.add_argument("--fold-north", dest="fold_north", action="store_true")
     p.add_argument("--two-j-ref", dest="two_j_ref", type=int)
-    p.add_argument("--grid", help="render grid NxM for the grid CSV")
+    p.add_argument("--grid", default="64x128", help="render grid NxM for the grid CSV")
     _add_noise_flags(p)
     p.add_argument("--out", help="output prefix (default: input stem)")
 
     p = sub.add_parser("analyze", help="squeezing analysis of a coefficient CSV")
     p.add_argument("coefficients", help="input coefficient CSV")
     p.add_argument("--config", help="key = value defaults file (flags win)")
-    p.add_argument("--sigma-n", dest="sigma_n", type=float)
+    p.add_argument("--sigma-n", dest="sigma_n", type=float, default=0.0)
     p.add_argument("--j-mean", dest="j_mean", type=float,
                    help="reference spin for the coherent variance (default two_j_ref/2)")
-    p.add_argument("--phi-steps", dest="phi_steps", type=int)
+    p.add_argument("--phi-steps", dest="phi_steps", type=int, default=181)
     p.add_argument("--out", help="output squeezing CSV")
 
     p = sub.add_parser("render", help="sample a coefficient CSV onto grid + PGM")
     p.add_argument("coefficients", help="input coefficient CSV")
     p.add_argument("--config", help="key = value defaults file (flags win)")
-    p.add_argument("--grid", help="grid NxM")
+    p.add_argument("--grid", default="64x128", help="grid NxM")
     p.add_argument("--out", help="output prefix (default: input stem)")
 
     sub.add_parser("selftest", help="run the built-in oracle battery")
-    return parser
+    return parser, sub.choices
 
 
 def _simulate_axes(layout, n):
@@ -179,39 +176,25 @@ def _simulate_axes(layout, n):
 
 
 def _cmd_simulate(args):
-    cfg = _resolve(args, {
-        "state": "coherent", "two_j": 40, "two_m": None, "chi": 0.05,
-        "theta0": 0.0, "phi0": 0.0, "kmax": None, "axes": 24, "shots": 400,
-        "seed": 0, "sigma_n": 0.0, "sigma_omega": 0.0, "phase_noise": "none",
-        "phase_variant": "quadratic", "out": "measurements.csv",
-        "axis_plane": None, "axis_sphere": None,
-    })
-    two_j = int(cfg["two_j"])
-    kmax = two_j if cfg["kmax"] is None else int(cfg["kmax"])
-    state_kind = cfg["state"]
-    if state_kind == "coherent":
-        state = coherent_state(two_j, float(cfg["theta0"]), float(cfg["phi0"]),
-                               0.0, kmax)
-    elif state_kind == "dicke":
-        if cfg["two_m"] is None:
+    two_j = args.two_j
+    kmax = two_j if args.kmax is None else args.kmax
+    if args.state == "coherent":
+        state = coherent_state(two_j, args.theta0, args.phi0, 0.0, kmax)
+    elif args.state == "dicke":
+        if args.two_m is None:
             raise ValueError("--two-m is required for --state dicke")
-        state = dicke_basis_state(two_j, int(cfg["two_m"]), kmax)
-    elif state_kind == "oat":
-        state = oat_squeezed_state(two_j, float(cfg["chi"]), kmax)
-    elif state_kind == "mixed":
-        state = maximally_mixed_state(two_j, kmax)
+        state = dicke_basis_state(two_j, args.two_m, kmax)
+    elif args.state == "oat":
+        state = oat_squeezed_state(two_j, args.chi, kmax)
     else:
-        raise ValueError(f"unknown state {state_kind!r}")
+        state = maximally_mixed_state(two_j, kmax)
 
-    if cfg["axis_plane"] and cfg["axis_sphere"]:
+    if args.axis_plane and args.axis_sphere:
         raise ValueError("--axis-plane and --axis-sphere are mutually exclusive")
-    layout = "sphere" if cfg["axis_sphere"] else "plane"
-    axes = _simulate_axes(layout, int(cfg["axes"]))
-    noise = _noise_from(cfg)
-    records = sample_measurements(state, axes, int(cfg["shots"]), noise,
-                                  int(cfg["seed"]))
-    stio.write_measurements(cfg["out"], records)
-    print(f"wrote {len(records)} records to {cfg['out']}")
+    axes = _simulate_axes("sphere" if args.axis_sphere else "plane", args.axes)
+    records = sample_measurements(state, axes, args.shots, _noise_from(args), args.seed)
+    stio.write_measurements(args.out, records)
+    print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
@@ -220,53 +203,39 @@ def _stem(path):
 
 
 def _cmd_reconstruct(args):
-    cfg = _resolve(args, {
-        "mode": "in-plane", "kmax": None, "weights": "voronoi",
-        "fold_north": None, "two_j_ref": None, "grid": "64x128",
-        "sigma_n": 0.0, "sigma_omega": 0.0, "phase_noise": "none",
-        "phase_variant": "quadratic", "out": None,
-    })
     records = stio.parse_measurements(args.measurements)
-    noise = _noise_from(cfg)
-    two_j_min = min(r.two_j for r in records)
-    if cfg["kmax"] is None:
-        kmax = two_j_min
-        if cfg["mode"] == "in-plane":
+    noise = _noise_from(args)
+    kmax = args.kmax
+    if kmax is None:
+        kmax = min(r.two_j for r in records)
+        if args.mode == "in-plane":
             _, first, _ = _axis_ids(math.pi / 2.0, np.array([r.phi for r in records]))
             kmax = min(kmax, first.size - 1)
-    else:
-        kmax = int(cfg["kmax"])
-    fold = cfg["fold_north"] or False
-    two_j_ref = None if cfg["two_j_ref"] is None else int(cfg["two_j_ref"])
-    config = ReconstructionConfig(kmax=kmax, mode=cfg["mode"], noise=noise,
-                                  fold_north=fold, two_j_ref=two_j_ref)
-    state = reconstruct(records, config, weight_scheme=cfg["weights"])
+    config = ReconstructionConfig(kmax=kmax, mode=args.mode, noise=noise,
+                                  fold_north=args.fold_north, two_j_ref=args.two_j_ref)
+    state = reconstruct(records, config, weight_scheme=args.weights)
 
-    prefix = cfg["out"] or _stem(args.measurements)
+    prefix = args.out or _stem(args.measurements)
     stio.write_coefficients(f"{prefix}_coeffs.csv", state)
     stio.write_spectrum(f"{prefix}_spectrum.csv", power_spectrum(state))
-    n_theta, n_phi = _parse_grid(cfg["grid"])
+    n_theta, n_phi = _parse_grid(args.grid)
     stio.write_grid(f"{prefix}_grid.csv", wigner_grid(state, n_theta, n_phi))
-    print(f"reconstructed kmax={kmax} mode={cfg['mode']} fold_north={fold} "
+    print(f"reconstructed kmax={kmax} mode={args.mode} fold_north={args.fold_north} "
           f"two_j_ref={state.two_j_ref}")
     print(f"wrote {prefix}_coeffs.csv, {prefix}_spectrum.csv, {prefix}_grid.csv")
     return 0
 
 
 def _cmd_analyze(args):
-    cfg = _resolve(args, {
-        "sigma_n": 0.0, "j_mean": None, "phi_steps": 181, "out": None,
-    })
     state = stio.read_coefficients(args.coefficients)
-    sigma_n = float(cfg["sigma_n"])
-    j_mean = state.two_j_ref / 2.0 if cfg["j_mean"] is None else float(cfg["j_mean"])
-    steps = int(cfg["phi_steps"])
-    phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, steps)
+    sigma_n = args.sigma_n
+    j_mean = state.two_j_ref / 2.0 if args.j_mean is None else args.j_mean
+    phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, args.phi_steps)
     report = squeezing_scan(state, phis, sigma_n, j_mean)
     if report.fit_failures == len(report.variance_curve):
         raise NumericalFailure("Gaussian fit failed along every quantization axis")
 
-    out = cfg["out"] or (_stem(args.coefficients) + "_squeezing.csv")
+    out = args.out or (_stem(args.coefficients) + "_squeezing.csv")
     stio.write_squeezing(out, report, sigma_n)
 
     print(f"minimum-variance axis phi_s = {math.degrees(report.phi_s):.2f} deg")
@@ -285,11 +254,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_render(args):
-    cfg = _resolve(args, {"grid": "64x128", "out": None})
     state = stio.read_coefficients(args.coefficients)
-    n_theta, n_phi = _parse_grid(cfg["grid"])
+    n_theta, n_phi = _parse_grid(args.grid)
     grid = wigner_grid(state, n_theta, n_phi)
-    prefix = cfg["out"] or _stem(args.coefficients)
+    prefix = args.out or _stem(args.coefficients)
     stio.write_grid(f"{prefix}_grid.csv", grid)
     stio.write_pgm(f"{prefix}.pgm", grid)
     print(f"wrote {prefix}_grid.csv, {prefix}.pgm "
@@ -398,7 +366,8 @@ def _cmd_selftest(_args):
 
 
 def main(argv=None):
-    parser = _build_parser()
+    parser, parsers = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     handlers = {
         "simulate": _cmd_simulate,
@@ -408,8 +377,13 @@ def main(argv=None):
         "selftest": _cmd_selftest,
     }
     try:
+        if getattr(args, "config", None):
+            # the file's options go before the user's, and argparse keeps the last value
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(
+                argv[:at] + _config_args(args.config, args.command, parsers) + argv[at:])
         return handlers[args.command](args)
-    except NumericalFailure as exc:
+    except (NumericalFailure, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except FileNotFoundError as exc:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import cg_tau_table, check_spin_label
-from .states import _wave_sums
+from .states import _check_noise, _wave_sums
 
 __all__ = [
     "NoiseModel",
@@ -52,11 +52,7 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("sigma_n", "sigma_omega", "sigma_phi", "sigma_ph"):
-            v = getattr(self, name)
-            # every use squares the parameter, so its square must be a finite double
-            if not (v >= 0.0 and math.isfinite(v * v)):
-                raise ValueError(
-                    f"{name} must be finite and non-negative, with a finite square, got {v}")
+            _check_noise(name, getattr(self, name))
         if self.phase_mode not in _PHASE_MODES:
             raise ValueError(f"phase_mode must be one of {_PHASE_MODES}")
         if self.phase_variant not in _PHASE_VARIANTS:
@@ -167,6 +163,10 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
     two_j = s.two_j_ref
     if noise.sigma_n > 0.0 and two_j < 2:
         raise ValueError("number noise requires two_j >= 2")
+    if noise.sigma_n > two_j:
+        # beyond the atom number the clamp max(2j + 2dj, |2m|) decides many shots,
+        # and the Gaussian jitter no longer models the number noise
+        raise ValueError(f"sigma_n = {noise.sigma_n} exceeds the atom number two_j = {two_j}")
 
     sigma_j = noise.sigma_n / math.sqrt(2.0)
     sigma_t = noise.sigma_omega / math.sqrt(2.0)

@@ -2,7 +2,7 @@
 
 The full-sphere and in-plane (single great circle of quantization axes)
 reconstructions run one backprojection core.  It groups the records by
-quantization axis, sums each axis's weighted, number-damped coupling
+quantization axis, sums each axis's weighted, noise-damped coupling
 coefficients into A[k, axis] (one histogram and one matrix product per
 distinct spin), contracts A once with the angular kernel of the
 geometry, and applies the geometry's filter: (2k+1) on the sphere, the
@@ -33,7 +33,7 @@ from .angular import (
     pochhammer_half,
 )
 from .forward import NoiseModel
-from .states import SphericalState, _number_damping
+from .states import SphericalState, _damping, _damping_alpha
 
 __all__ = [
     "ReconstructionConfig",
@@ -226,17 +226,11 @@ def compute_weights(records, mode, scheme="voronoi"):
     return [replace(r, weight=float(w)) for r, w in zip(records, per_record)]
 
 
-def _pointing_damping(noise, kmax):
-    k = np.arange(kmax + 1, dtype=float)
-    if noise.sigma_omega == 0.0:
-        return np.ones(kmax + 1)
-    return np.exp(-0.25 * noise.sigma_omega ** 2 * k * (k + 1.0))
-
-
-def _axis_sums(axis, flip, weight, two_j, two_m, kmax, sigma_n):
+def _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise):
     """A[k, a] = sum of c_n tau_k^{j_n,m_n} N_k(j_n) over the records n on axis a.
 
-    N_k is the number-noise damping.  Records pointing opposite to their
+    N_k(j) is the damping that the number and pointing noise imply for a
+    record of spin j (states._damping).  Records pointing opposite to their
     axis enter with m -> -m, which is exact: tau_k^{j,-m} = (-1)^k tau_k^{j,m}
     and Y_kq at the antipode is (-1)^k Y_kq.  Waves k > 2j_n get nothing
     from record n.  One histogram H[a, m] and one matrix product per spin.
@@ -250,14 +244,14 @@ def _axis_sums(axis, flip, weight, two_j, two_m, kmax, sigma_n):
         kj = min(kmax, tj)
         hist = np.bincount(axis[sel] * (tj + 1) + (two_m[sel] + tj) // 2,
                            weights=weight[sel], minlength=n_axes * (tj + 1))
-        tau = cg_tau_table(tj, kj) * _number_damping(tj, sigma_n, kj)[:, None]
+        tau = cg_tau_table(tj, kj) * _damping(tj, kj, noise.sigma_n, noise.sigma_omega)[:, None]
         A[: kj + 1] += tau @ hist.reshape(n_axes, tj + 1).T
     return A
 
 
 def _backproject(records, config):
-    # rho_kq = f_kq W_k sum_a A[k, a] D^k_{q0}(phi_a, theta_a, 0) [x phase damping
-    # on the equator], W_k the pointing damping; only f and the kernel depend on the mode
+    # rho_kq = f_kq sum_a A[k, a] D^k_{q0}(phi_a, theta_a, 0) [x phase damping on the
+    # equator]; only f and the kernel depend on the mode
     theta, phi, weight, two_j, two_m = _record_arrays(records)
     _require_weights(weight)
     inplane = config.mode == "in-plane"
@@ -279,7 +273,7 @@ def _backproject(records, config):
             f"skipped {int(np.sum(kmax - two_j[short]))} partial-wave terms on "
             f"{int(np.sum(short))} records whose total spin is below the requested kmax",
             stacklevel=3)
-    A = _axis_sums(axis, flip, weight, two_j, two_m, kmax, config.noise.sigma_n)
+    A = _axis_sums(axis, flip, weight, two_j, two_m, kmax, config.noise)
 
     k = np.arange(kmax + 1, dtype=float)
     q = np.arange(kmax + 1)[:, None]
@@ -307,7 +301,7 @@ def _backproject(records, config):
 
     scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))          # D^k_{q0} = scale conj(Y_kq)
     coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    coeffs[:, kmax:] = filt * (scale * _pointing_damping(config.noise, kmax))[:, None] * half
+    coeffs[:, kmax:] = filt * scale[:, None] * half
     coeffs[0, kmax] = coeffs[0, kmax].real
     _mirror_negative_q(coeffs, kmax)
     return SphericalState(two_j_ref, kmax, coeffs)
@@ -354,11 +348,11 @@ def fold_northern(s):
     return SphericalState(s.two_j_ref, kmax, coeffs)
 
 
-def xi_contribution(two_j, two_m, x, kmax, damping=None):
+def xi_contribution(two_j, two_m, x, kmax):
     """Single-measurement contribution to W as a function of cos(angle).
 
     Xi_{jm}(x) = (4 pi)^(-1/2) sum_k (2k+1)^(3/2) tau_k^{j,m} P_k(x),
-    truncated at kmax; damping, if given, is a per-k factor array.
+    truncated at kmax.
     """
     check_spin_label(two_j, two_m)
     if kmax > two_j:
@@ -367,8 +361,6 @@ def xi_contribution(two_j, two_m, x, kmax, damping=None):
     tau = cg_tau_table(two_j, kmax)[:, (two_m + two_j) // 2]
     k = np.arange(kmax + 1, dtype=float)
     coef = (2.0 * k + 1.0) ** 1.5 * tau / SQRT_4PI
-    if damping is not None:
-        coef = coef * np.asarray(damping, dtype=float)
     out = np.tensordot(coef, legendre_table(kmax, xarr), axes=(0, 0))
     return float(out) if out.ndim == 0 else out
 
@@ -386,8 +378,8 @@ def xi_assemble(records, theta, phi, kmax, noise=NoiseModel()):
     _require_weights(weight)
     axis, first, flip = _axis_ids(theta_r, phi_r)
     k = np.arange(kmax + 1, dtype=float)
-    per_k = (2.0 * k + 1.0) ** 1.5 / SQRT_4PI * _pointing_damping(noise, kmax)
-    coef = per_k[:, None] * _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise.sigma_n)
+    per_k = (2.0 * k + 1.0) ** 1.5 / SQRT_4PI
+    coef = per_k[:, None] * _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise)
     out = np.zeros(th.shape)
     chunk = max(1, int(_CHUNK_BUDGET / ((kmax + 1) * max(th.size, 1))))
     for lo in range(0, first.size, chunk):
@@ -418,20 +410,13 @@ def hemisphere_quadrature(n_theta, n_phi):
 
 def uniform_damping_alpha(noise, two_j):
     """Exponent scale of the uniform-noise smoothing rho_kq -> rho_kq e^(-a k(k+1))."""
-    alpha = 0.25 * noise.sigma_omega ** 2
-    if noise.sigma_n > 0.0:
-        if two_j < 2:
-            raise ValueError("number-noise damping undefined for two_j < 2")
-        alpha += noise.sigma_n ** 2 / (two_j * (two_j - 1.0))
-    return alpha
+    return _damping_alpha(two_j, noise.sigma_n, noise.sigma_omega)
 
 
 def apply_uniform_damping(s, noise, two_j=None):
     """Globally smooth a state as if every record carried the same noise."""
     two_j = s.two_j_ref if two_j is None else two_j
-    alpha = uniform_damping_alpha(noise, two_j)
-    k = np.arange(s.kmax + 1, dtype=float)
-    factor = np.exp(-alpha * k * (k + 1.0))
+    factor = _damping(two_j, s.kmax, noise.sigma_n, noise.sigma_omega)
     return SphericalState(s.two_j_ref, s.kmax, s.coeffs * factor[:, None])
 
 

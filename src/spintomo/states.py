@@ -317,14 +317,36 @@ def spin_expectation_from_grid(grid, two_j):
     return pref * np.array([sx, sy, sz])
 
 
-def _number_damping(two_j, sigma_n, kmax):
-    # exp(-sigma_N^2 k(k+1) / (2j(2j-1))) as a per-k vector
+def _check_noise(name, value):
+    """Reject a noise parameter that is not finite and non-negative, with a finite square."""
+    # every use squares the parameter, so its square must be a finite double
+    if not (value >= 0.0 and math.isfinite(value * value)):
+        raise ValueError(
+            f"{name} must be finite and non-negative, with a finite square, got {value}")
+
+
+def _damping_alpha(two_j, sigma_n, sigma_omega):
+    """alpha = sigma_omega^2 / 4 + sigma_n^2 / (2j (2j - 1)) of the noise damping.
+
+    Atom-number noise sigma_n and axis pointing noise sigma_omega damp the
+    partial wave k of a spin-j record by exp(-alpha k(k+1)).
+    """
+    _check_noise("sigma_n", sigma_n)
+    _check_noise("sigma_omega", sigma_omega)
+    alpha = 0.25 * sigma_omega ** 2
+    if sigma_n > 0.0:
+        if two_j < 2:
+            raise ValueError("number-noise damping undefined for two_j < 2")
+        alpha += sigma_n ** 2 / (two_j * (two_j - 1.0))
+    return alpha
+
+
+def _damping(two_j, kmax, sigma_n, sigma_omega=0.0):
+    """Noise damping exp(-alpha k(k+1)) for k = 0..kmax (alpha from _damping_alpha)."""
     k = np.arange(kmax + 1, dtype=float)
-    if sigma_n == 0.0:
-        return np.ones(kmax + 1)
-    if two_j < 2:
-        raise ValueError("number-noise damping undefined for two_j < 2")
-    return np.exp(-sigma_n ** 2 * k * (k + 1.0) / (two_j * (two_j - 1.0)))
+    # k = 0 is never damped, so a record of any spin that reaches k = 0 alone has factor 1
+    alpha = _damping_alpha(two_j if kmax else 2, sigma_n, sigma_omega)
+    return np.exp(-alpha * k * (k + 1.0))
 
 
 def coherent_state(two_j, theta0, phi0, sigma_n=0.0, kmax=None):
@@ -336,12 +358,10 @@ def coherent_state(two_j, theta0, phi0, sigma_n=0.0, kmax=None):
     rotation elements.
     """
     check_spin_label(two_j, two_j)
-    if sigma_n < 0.0:
-        raise ValueError("sigma_n must be non-negative")
     if kmax is None:
         kmax = two_j
     tau = cg_tau_table(two_j, kmax)
-    pole = tau[:, two_j] * _number_damping(two_j, sigma_n, kmax)
+    pole = tau[:, two_j] * _damping(two_j, kmax, sigma_n)
     D = rot_elements_axis(kmax, theta0, phi0)
     coeffs = D * pole[:, None]
     return SphericalState(two_j, kmax, coeffs)

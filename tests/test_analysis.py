@@ -143,6 +143,18 @@ def test_reference_variance_matches_damped_coherent_moments():
         coherent_reference_variance(two_j, sigma), rel=1e-10)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e200])
+@pytest.mark.parametrize("build", [lambda sigma: coherent_reference_variance(40, sigma),
+                                   lambda sigma: coherent_state(40, 0.3, 0.1, sigma)],
+                         ids=["coherent_reference_variance", "coherent_state"])
+def test_number_noise_checked_as_in_noise_model(build, bad):
+    with pytest.raises(ValueError) as want:
+        NoiseModel(sigma_n=bad)
+    with pytest.raises(ValueError) as got:
+        build(bad)
+    assert str(got.value) == str(want.value)
+
+
 def test_reference_variance_domain():
     with pytest.raises(ValueError):
         coherent_reference_variance(1, 0.0)

@@ -156,6 +156,25 @@ def test_noise_with_an_overflowing_square_exits_2(workdir, capsys, argv, message
     assert sorted(os.listdir()) == ["m.csv"]
 
 
+@pytest.mark.parametrize("sigma_n", ["21", "1e17", "1e100"])
+def test_simulate_number_noise_beyond_the_atom_number_exits_2(workdir, capsys, sigma_n):
+    assert run("simulate", "--two-j", "20", "--axes", "2", "--shots", "3",
+               "--sigma-n", sigma_n, "--out", "m.csv") == 2
+    assert "exceeds the atom number two_j = 20" in capsys.readouterr().err
+    assert not os.path.exists("m.csv")
+
+
+def test_reconstruct_out_of_memory_exits_3(workdir, capsys):
+    # a hand-written file can carry a spin whose tables no machine can hold
+    with open("huge.csv", "w") as fh:
+        fh.write("theta,phi,weight,two_j,two_m\n1.5707963267948966,0,,64702997220605172,-4\n"
+                 "1.5707963267948966,1,,4,0\n1.5707963267948966,2,,4,0\n")
+    assert run("reconstruct", "huge.csv", "--out", "h") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: Unable to allocate") and err.count("\n") == 1
+    assert sorted(os.listdir()) == ["huge.csv"]
+
+
 @pytest.mark.parametrize("command", ["render", "analyze"])
 def test_repeated_coefficient_row_exits_2(workdir, capsys, command):
     with open("dup.csv", "w") as fh:
@@ -204,9 +223,61 @@ def test_config_boolean_values(workdir, capsys):
         fh.write("fold_north = false\n")
     assert run("reconstruct", "m.csv", "--config", "r.cfg", "--out", "r") == 0
     assert "fold_north=False" in capsys.readouterr().out
+    # a flag still beats the file, for a boolean key too
+    assert run("reconstruct", "m.csv", "--config", "r.cfg", "--fold-north", "--out", "r") == 0
+    assert "fold_north=True" in capsys.readouterr().out
     with open("bad.cfg", "w") as fh:
         fh.write("fold_north = maybe\n")
     assert run("reconstruct", "m.csv", "--config", "bad.cfg", "--out", "r2") == 2
+
+
+@pytest.mark.parametrize("key", ["sigma_N = 3", "twoj = 10", "sh = 3", "measurements = m.csv"])
+def test_config_key_of_no_subcommand_exits_2(workdir, capsys, key):
+    # keys match option names exactly: no case folding, no prefix of --shots
+    with open("sim.cfg", "w") as fh:
+        fh.write(f"axes = 2\n{key}\n")
+    assert run("simulate", "--config", "sim.cfg", "--shots", "2") == 2
+    assert f"sim.cfg: unknown key {key.split()[0]!r}" in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["sim.cfg"]
+
+
+@pytest.mark.parametrize("argv, line", [(("reconstruct", "m.csv"), "kmax = abc"),
+                                        (("simulate",), "state = bogus")])
+def test_config_values_get_the_flag_checks(workdir, capsys, argv, line):
+    with open("bad.cfg", "w") as fh:
+        fh.write(line + "\n")
+    with pytest.raises(SystemExit) as exc:
+        run(*argv, "--config", "bad.cfg")
+    assert exc.value.code == 2
+    assert f"argument --{line.split()[0]}: invalid" in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["bad.cfg"]
+
+
+def test_one_config_file_drives_the_chain_like_flags(workdir, capsys):
+    shared = {"seed": "4", "sigma_n": "2.5", "fold_north": "true", "mode": "in-plane",
+              "phi_steps": "31"}
+    chain = [["simulate", "--two-j", "20", "--axes", "8", "--shots", "30"],
+             ["reconstruct", "measurements.csv", "--out", "r"],
+             ["analyze", "r_coeffs.csv"],
+             ["render", "r_coeffs.csv", "--grid", "8x16"]]
+    flags = {"simulate": ["--seed", "4", "--sigma-n", "2.5"],
+             "reconstruct": ["--sigma-n", "2.5", "--fold-north", "--mode", "in-plane"],
+             "analyze": ["--sigma-n", "2.5", "--phi-steps", "31"],
+             "render": []}
+    outputs = {}
+    for tag in ("flags", "config"):
+        os.mkdir(tag)
+        os.chdir(tag)
+        with open("chain.cfg", "w") as fh:
+            fh.write("".join(f"{k} = {v}\n" for k, v in shared.items()))
+        for argv in chain:
+            extra = flags[argv[0]] if tag == "flags" else ["--config", "chain.cfg"]
+            assert run(*argv, *extra) == 0, argv
+        outputs[tag] = capsys.readouterr().out, {
+            name: open(name, "rb").read() for name in os.listdir() if name != "chain.cfg"}
+        os.chdir("..")
+    assert "fold_north=True" in outputs["config"][0]
+    assert outputs["config"] == outputs["flags"]
 
 
 def test_simulate_sphere_layout_and_full_sphere_reconstruction(workdir):

@@ -196,6 +196,13 @@ def test_sampler_number_noise_statistics():
     assert all(abs(r.two_m) <= r.two_j for r in recs)
 
 
+def test_sampler_bounds_number_noise_by_the_atom_number():
+    s = coherent_state(20, 0.0, 0.0, 0.0, kmax=20)
+    with pytest.raises(ValueError, match="exceeds the atom number two_j = 20"):
+        sample_measurements(s, [(0.9, 0.0)], 3, NoiseModel(sigma_n=20.5), seed=1)
+    assert len(sample_measurements(s, [(0.9, 0.0)], 3, NoiseModel(sigma_n=20.0), seed=1)) == 3
+
+
 def test_sampler_empirical_moments_converge():
     two_j = 20
     s = coherent_state(two_j, 0.0, 0.0, 0.0, kmax=two_j)

@@ -15,7 +15,6 @@ from spintomo.reconstruct import (
     _AXIS_TOL,
     ReconstructionConfig,
     _axis_ids,
-    _pointing_damping,
     apply_uniform_damping,
     compute_weights,
     fbp_full,
@@ -30,7 +29,7 @@ from spintomo.reconstruct import (
 from spintomo.states import (
     DickeState,
     SphericalState,
-    _number_damping,
+    _damping,
     coherent_state,
     dicke_basis_state,
     dicke_to_spherical,
@@ -263,8 +262,8 @@ def test_axis_ids_match_brute_force_grouping(layout):
 # ---------------------------------------------------------------- damping
 
 def _record_damping(noise, two_j, kmax):
-    # number x pointing factor per k, as applied to every record inside the sum
-    return _number_damping(two_j, noise.sigma_n, kmax) * _pointing_damping(noise, kmax)
+    # the number and pointing factor per k, as applied to every record inside the sum
+    return _damping(two_j, kmax, noise.sigma_n, noise.sigma_omega)
 
 
 def test_damping_no_noise_is_one():
@@ -303,6 +302,43 @@ def test_damping_phase_noise_only_in_plane():
     plane = ratio(fbp_inplane, "in-plane")
     assert full == 1.0
     assert plane == pytest.approx(math.exp(-0.5 * 16 * 0.04), rel=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_j=st.integers(2, 400), frac=st.floats(0.0, 1.0),
+       sigma_n=st.floats(0.0, 10.0), sigma_omega=st.floats(0.0, 0.08))
+def test_damping_is_the_product_of_number_and_pointing_factors(two_j, frac, sigma_n, sigma_omega):
+    # the ranges keep the exponent below about 560, so every factor is a normal double
+    k = int(frac * two_j)
+    number = sigma_n ** 2 * k * (k + 1.0) / (two_j * (two_j - 1.0))
+    pointing = 0.25 * sigma_omega ** 2 * k * (k + 1.0)
+    want = math.exp(-number) * math.exp(-pointing)
+    # exp turns the few-ulp rounding of its argument x into a relative error of about x ulp
+    tol = 1e-15 * max(1.0, number + pointing)
+    assert _damping(two_j, k, sigma_n, sigma_omega)[k] == pytest.approx(want, rel=tol, abs=0.0)
+
+
+def test_damping_spares_k0_of_every_spin():
+    for two_j in (0, 1):
+        assert _damping(two_j, 0, 3.0, 0.1).tolist() == [1.0]
+    with pytest.raises(ValueError, match="two_j < 2"):
+        _damping(1, 1, 3.0)
+    recs = [MeasurementRecord(math.pi / 2.0, a * math.pi / 4.0, 0.25, 1, 1) for a in range(4)]
+    with pytest.raises(ValueError, match="two_j < 2"):
+        fbp_inplane(recs, ReconstructionConfig(kmax=1, noise=NoiseModel(sigma_n=0.5),
+                                               two_j_ref=1))
+
+
+def test_noisy_reconstruction_takes_records_of_zero_spin():
+    noise = NoiseModel(sigma_n=3.0)
+    recs = sample_measurements(coherent_state(4, 0.0, 0.0, 0.0, 4), _plane_axes(8), 50,
+                               noise, seed=1)
+    assert sum(r.two_j == 0 for r in recs) == 28
+    with pytest.warns(UserWarning, match="below the requested kmax"):
+        noisy = reconstruct(recs, ReconstructionConfig(kmax=4, noise=noise, two_j_ref=4))
+    with pytest.warns(UserWarning, match="below the requested kmax"):
+        plain = reconstruct(recs, ReconstructionConfig(kmax=4, two_j_ref=4))
+    assert noisy.coeff(0, 0) == plain.coeff(0, 0)  # no record is damped at k = 0
 
 
 def test_damp_inside_equals_post_smoothing():
