@@ -261,29 +261,30 @@ def legendre_sph_table(kmax, x):
     Y_kq(theta, phi) = S_k^q(cos theta) e^(i q phi) for q >= 0, with the
     Condon-Shortley phase folded into S.  Fully normalized recurrence
     (plain P_k^q overflows near k ~ 150; this form is good to k of a few
-    thousand).  x may be scalar or 1-d; returns (kmax+1, kmax+1) + x.shape
+    thousand).  x may have any shape; returns (kmax+1, kmax+1) + x.shape
     with entries for q > k left at zero.
     """
     x = np.asarray(x, dtype=float)
     s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     out = np.zeros((kmax + 1, kmax + 1) + x.shape)
-    out[0, 0] = 1.0 / SQRT_4PI
+    column = (1,) * x.ndim  # trailing axes that broadcast a per-order factor over x
+    # sectoral seeds S_q^q = S_{q-1}^{q-1} (-sqrt((2q+1)/(2q)) s) as one running product
+    qs = np.arange(1, kmax + 1, dtype=float)
+    factors = np.empty((kmax + 1,) + x.shape)
+    factors[0] = 1.0 / SQRT_4PI
+    factors[1:] = -np.sqrt((2.0 * qs + 1.0) / (2.0 * qs)).reshape((kmax,) + column) * s
+    diag = np.arange(kmax + 1)
+    seeds = np.multiply.accumulate(factors, axis=0)
+    out[diag, diag] = seeds
     if kmax == 0:
         return out
-    # sectoral seeds S_q^q, then one step up, then the three-term ladder in k
-    for q in range(1, kmax + 1):
-        out[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * s * out[q - 1, q - 1]
-    qs = np.arange(kmax, dtype=float)
-    shape = (kmax,) + (1,) * x.ndim
-    out[np.arange(1, kmax + 1), np.arange(kmax)] = (
-        np.sqrt(2.0 * qs + 3.0).reshape(shape) * x * out[np.arange(kmax), np.arange(kmax)]
-    )
+    # then one step up, then the three-term ladder in k
+    out[diag[1:], diag[:-1]] = np.sqrt(2.0 * qs + 1.0).reshape((kmax,) + column) * x * seeds[:-1]
     a, b = _sph_recurrence_coeffs(kmax)
+    a, b = a.reshape(a.shape + column), b.reshape(b.shape + column)
     for k in range(2, kmax + 1):
         nq = k - 1  # orders 0..k-2
-        ak = a[k, :nq].reshape((nq,) + (1,) * x.ndim)
-        bk = b[k, :nq].reshape((nq,) + (1,) * x.ndim)
-        out[k, :nq] = ak * (x * out[k - 1, :nq] - bk * out[k - 2, :nq])
+        out[k, :nq] = a[k, :nq] * (x * out[k - 1, :nq] - b[k, :nq] * out[k - 2, :nq])
     return out
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import states
 from .angular import cg_tau_table, check_spin_label
 from .states import _check_noise, _wave_sums
 
@@ -134,14 +135,20 @@ def _physical(p):
 
 
 def _draw(p, u):
-    """Outcome index per uniform u[i] by inverse CDF of row i of p (or its only row)."""
+    """Outcome indices for the uniforms u[i, s] by inverse CDF of row i of p.
+
+    The comparison block runs over chunks of rows, within states._CHUNK_BUDGET
+    elements (at least one row).
+    """
     p = _physical(p)
     total = p.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("projection probabilities sum to zero")
     cdf = np.cumsum(p / total, axis=1)
     cdf /= cdf[:, -1:]
-    return np.sum(cdf <= u[:, None], axis=1)
+    rows = max(1, int(states._CHUNK_BUDGET // (u.shape[1] * cdf.shape[1])))
+    return np.concatenate([np.sum(cdf[lo:lo + rows, None, :] <= u[lo:lo + rows, :, None], axis=2)
+                           for lo in range(0, len(u), rows)])
 
 
 def sample_measurements(s, axes, shots_per_axis, noise, seed):
@@ -170,21 +177,30 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
 
     sigma_j = noise.sigma_n / math.sqrt(2.0)
     sigma_t = noise.sigma_omega / math.sqrt(2.0)
-    weight = 1.0 / (len(axes) * shots_per_axis)
-    records = []
-    for a, (theta_a, phi_a) in enumerate(axes):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,)))
-        )
-        sigma_phi_a = float(noise.azimuth_sigma(phi_a))
-        if not noise.has_axis_noise:
-            djs = (np.rint(rng.normal(0.0, sigma_j, size=shots_per_axis))
-                   if sigma_j > 0.0 else np.zeros(shots_per_axis))
-            u = rng.random(shots_per_axis)
-            p = _probabilities(s, theta_a, phi_a)
-        else:
+    rngs = [np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,))))
+        for a in range(len(axes))]
+    djs = []
+    if not noise.has_axis_noise:
+        # every axis's stream first, in stream order: the number jitters, then the
+        # outcome uniforms; then p_m of all axes, a chunk of axes per kernel call,
+        # and one draw over all shots
+        us = []
+        for rng in rngs:
+            djs.append(np.rint(rng.normal(0.0, sigma_j, size=shots_per_axis))
+                       if sigma_j > 0.0 else np.zeros(shots_per_axis))
+            us.append(rng.random(shots_per_axis))
+        theta, phi = np.array(axes, dtype=float).T
+        chunk = max(1, int(states._CHUNK_BUDGET // (two_j + 1)))
+        p = np.concatenate([_probabilities(s, theta[lo:lo + chunk], phi[lo:lo + chunk])
+                            for lo in range(0, len(axes), chunk)])
+        idx = _draw(p, np.array(us))
+    else:
+        idx = []
+        for (theta_a, phi_a), rng in zip(axes, rngs):
             # per shot, in stream order: dj, the phase jitter, (t1, t2), the outcome
             # uniform; normal(0, sigma) draws are sigma * standard_normal() bitwise
+            sigma_phi_a = float(noise.azimuth_sigma(phi_a))
             n_z = (sigma_j > 0.0) + (sigma_phi_a > 0.0) + 2 * (noise.sigma_omega > 0.0)
             z = np.empty((shots_per_axis, n_z))
             u = np.empty(shots_per_axis)
@@ -192,18 +208,21 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
                 z[i] = rng.standard_normal(n_z)
                 u[i] = rng.random()
             cols = iter(z.T)
-            djs = np.rint(sigma_j * next(cols)) if sigma_j > 0.0 else np.zeros(shots_per_axis)
+            djs.append(np.rint(sigma_j * next(cols)) if sigma_j > 0.0
+                       else np.zeros(shots_per_axis))
             th = np.full(shots_per_axis, float(theta_a))
             ph = (phi_a + sigma_phi_a * next(cols) if sigma_phi_a > 0.0
                   else np.full(shots_per_axis, float(phi_a)))
             if noise.sigma_omega > 0.0:
                 th, ph = _tilted_axes(th, ph, sigma_t * next(cols), sigma_t * next(cols))
-            p = _probabilities(s, th, ph)
-        two_m = 2 * _draw(p, u) - two_j
-        two_j_n = np.maximum(two_j + 2 * djs.astype(int), np.abs(two_m))
-        records.extend(MeasurementRecord(theta_a, phi_a, weight, jn, m)
-                       for jn, m in zip(two_j_n.tolist(), two_m.tolist()))
-    return records
+            # one kernel call per axis, a jittered axis per shot
+            idx.append(_draw(_probabilities(s, th, ph), u[:, None])[:, 0])
+    two_m = 2 * np.array(idx) - two_j
+    two_j_n = np.maximum(two_j + 2 * np.array(djs).astype(int), np.abs(two_m))
+    weight = 1.0 / (len(axes) * shots_per_axis)
+    return [MeasurementRecord(theta_a, phi_a, weight, jn, m)
+            for (theta_a, phi_a), js, ms in zip(axes, two_j_n.tolist(), two_m.tolist())
+            for jn, m in zip(js, ms)]
 
 
 def exact_records(s, axes, axis_weights=None):

@@ -40,6 +40,10 @@ def _fmt(x):
 
 
 def _atomic_write(path, text):
+    if not path:
+        # abspath("") is the working directory, so the temporary file would land
+        # in its parent and the rename fail with a misleading message
+        raise ValueError("the output path is empty")
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
     try:

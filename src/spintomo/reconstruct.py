@@ -180,15 +180,17 @@ def _axis_ids(theta, phi):
 def compute_weights(records, mode, scheme="voronoi"):
     """Assign homogenizing weights c_n (sum 1) to measurement records.
 
-    Weights depend only on the axis layout, never on the outcomes.  The
-    "voronoi" scheme gives each distinct axis the share of orientation
+    The "voronoi" scheme gives each distinct axis the share of orientation
     space it covers (arc length on the half-circle in in-plane mode,
-    antipodally-folded spherical cell area otherwise) split equally among
-    its records; "uniform" sets every weight to 1/M.
+    antipodally-folded spherical cell area otherwise), which depends only
+    on the axis layout, never on the outcomes.  Each axis's share is split
+    among its records in proportion to their incoming weights, so the c_a
+    p_m of :func:`exact_records` keep their p_m; when any weight is
+    pending (NaN) it is split equally.  "uniform" sets every weight to 1/M.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    theta, phi, _, _, _ = _record_arrays(records)
+    theta, phi, weight, _, _ = _record_arrays(records)
     n = len(records)
     if scheme == "uniform":
         return [replace(r, weight=1.0 / n) for r in records]
@@ -221,7 +223,13 @@ def compute_weights(records, mode, scheme="voronoi"):
             m = first.size
             axis_w = (areas[:m] + areas[m:]) / (4.0 * math.pi)
 
-    per_record = axis_w[axis] / np.bincount(axis)[axis]
+    if np.isnan(weight).any():
+        per_record = axis_w[axis] / np.bincount(axis)[axis]
+    else:
+        axis_total = np.bincount(axis, weights=weight)
+        if np.any(axis_total <= 0.0):
+            raise ValueError("the records of an axis carry zero total weight")
+        per_record = axis_w[axis] * (weight / axis_total[axis])
     per_record = per_record / per_record.sum()
     return [replace(r, weight=float(w)) for r, w in zip(records, per_record)]
 

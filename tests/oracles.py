@@ -76,6 +76,33 @@ def sph_harm_y(k, q, theta, phi):
     return _sph(k, q, theta, phi)
 
 
+def legendre_sph_loop(kmax, x):
+    """S_k^q(x) by the plain recurrences, one order or degree per step.
+
+    A loop over the sectoral seeds S_q^q, one over the first step up
+    S_{q+1}^q, then the three-term ladder in k (orders q <= k - 2).  Each
+    product is formed in the same order as in the library, so the tables
+    agree bitwise.
+    """
+    x = np.asarray(x, dtype=float)
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    out = np.zeros((kmax + 1, kmax + 1) + x.shape)
+    out[0, 0] = 1.0 / math.sqrt(4.0 * math.pi)
+    if kmax == 0:
+        return out
+    for q in range(1, kmax + 1):
+        out[q, q] = -math.sqrt((2.0 * q + 1.0) / (2.0 * q)) * s * out[q - 1, q - 1]
+    for q in range(kmax):
+        out[q + 1, q] = math.sqrt(2.0 * q + 3.0) * x * out[q, q]
+    col = (1,) * x.ndim
+    for k in range(2, kmax + 1):
+        q = np.arange(k - 1, dtype=float).reshape((k - 1,) + col)  # orders 0..k-2
+        a = np.sqrt((4.0 * k * k - 1.0) / (k * k - q * q))
+        b = np.sqrt(((k - 1.0) ** 2 - q * q) / (4.0 * (k - 1.0) ** 2 - 1.0))
+        out[k, :k - 1] = a * (x * out[k - 1, :k - 1] - b * out[k - 2, :k - 1])
+    return out
+
+
 def hemi_overlap_quadrature(k, kp, q, n=120):
     """2 * Integral over the upper hemisphere of conj(Y_kq) Y_k'q by quadrature."""
     x, w = leggauss(n)

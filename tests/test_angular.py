@@ -326,3 +326,15 @@ def test_legendre_sph_matches_harmonic_theta_part():
         for q in range(k + 1):
             want = oracles.sph_harm_y(k, q, theta, 0.0).real
             assert np.allclose(table[k, q], want, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("x", [0.3, np.array([-1.0, -0.5, 0.0, 1e-300, 0.7, 1.0]),
+                               np.random.default_rng(5).uniform(-1.0, 1.0, (3, 4))],
+                         ids=["scalar", "1-d", "2-d"])
+def test_legendre_sph_equals_per_order_loop_bitwise(x):
+    # the sectoral seeds as one running product take the loop's products in its order
+    for kmax in range(261):
+        table = legendre_sph_table(kmax, x)
+        want = oracles.legendre_sph_loop(kmax, x)
+        assert table.shape == (kmax + 1, kmax + 1) + np.shape(x)
+        assert np.array_equal(table, want), kmax

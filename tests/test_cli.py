@@ -109,6 +109,22 @@ def test_simulate_non_finite_state_exits_2(workdir, capsys, flags):
     assert not os.path.exists("meas.csv")
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_empty_output_path_exits_2(tmp_path, monkeypatch, capsys, via):
+    # rejected before any write: nothing lands here or in the parent directory
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (tmp_path / "e.cfg").write_text("out =\n")
+    out = ("--out", "") if via == "flag" else ("--config", tmp_path / "e.cfg")
+    assert run("simulate", "--axes", "3", "--shots", "2", *out) == 2
+    err = capsys.readouterr().err
+    assert "the output path is empty" in err
+    assert "check the path" not in err
+    assert os.listdir(work) == []
+    assert sorted(os.listdir(tmp_path)) == ["e.cfg", "work"]
+
+
 def test_analyze_without_azimuths_exits_2(workdir, capsys):
     stio.write_coefficients("c.csv", coherent_state(8, 0.0, 0.0, 0.0, kmax=8))
     assert run("analyze", "c.csv", "--phi-steps", "0") == 2

@@ -282,6 +282,17 @@ def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
     assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)
 
 
+def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
+    # without axis noise all axes share the kernel calls: two axes per call here,
+    # one Legendre point per table and one axis per comparison block of the draw
+    s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * 11)
+    for case in ("none", "number"):
+        noise = _SAMPLER_NOISE[case]
+        got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8)
+        assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8), case
+
+
 def test_sampler_argument_validation():
     s = maximally_mixed_state(2)
     with pytest.raises(ValueError):

@@ -137,6 +137,43 @@ def test_weights_uneven_axes_follow_arcs():
     assert np.allclose([r.weight for r in out], arcs, rtol=1e-12)
 
 
+def test_weights_keep_the_probabilities_of_exact_records():
+    # the Voronoi share of each axis is split in proportion to c_a p_m, so the
+    # default scheme reproduces the weights exact_records set
+    s = coherent_state(10, 0.0, 0.0, 0.0, kmax=10)
+    recs = exact_records(s, _plane_axes(24))
+    cfg = ReconstructionConfig(kmax=10, mode="in-plane", two_j_ref=10)
+    kept = reconstruct(recs, cfg, weight_scheme="keep").coeffs
+    assert np.abs(reconstruct(recs, cfg).coeffs - kept).max() <= 1e-14
+    out = compute_weights(recs, "in-plane")
+    assert max(abs(x.weight - y.weight) for x, y in zip(out, recs)) <= 1e-16
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+def test_weights_of_sampled_records_split_equally():
+    # equal incoming weights split as the pending ones do, up to rounding
+    s = coherent_state(20, 0.4, 0.9, 0.0, kmax=20)
+    recs = sample_measurements(s, _plane_axes(12) + _plane_axes(5), 30,
+                               NoiseModel(sigma_n=2.0), seed=6)
+    pending = [MeasurementRecord(r.theta, r.phi, math.nan, r.two_j, r.two_m) for r in recs]
+    cfg = ReconstructionConfig(kmax=11, mode="in-plane", fold_north=True, two_j_ref=20)
+    got = reconstruct(recs, cfg).coeffs
+    want = reconstruct(pending, cfg).coeffs
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_weights_pending_or_zero():
+    # one pending weight splits every axis equally; an axis of zero total weight raises
+    recs = [MeasurementRecord(math.pi / 2.0, ph, w, 2, 0)
+            for ph, w in ((0.0, 0.2), (0.0, 0.6), (1.0, math.nan), (2.0, 0.3))]
+    side = 0.5 * (1.0 + (math.pi - 2.0)) / math.pi  # arcs of the axes 0 and 2; axis 1 has 1/pi
+    assert [r.weight for r in compute_weights(recs, "in-plane")] == pytest.approx(
+        [side / 2.0, side / 2.0, 1.0 / math.pi, side], rel=1e-12)
+    zero = [MeasurementRecord(math.pi / 2.0, ph, w, 2, 0) for ph, w in ((0.0, 0.0), (1.0, 0.5))]
+    with pytest.raises(ValueError, match="zero total weight"):
+        compute_weights(zero, "in-plane")
+
+
 def test_weights_uniform_scheme():
     recs = [MeasurementRecord(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)]
     out = compute_weights(recs, "in-plane", scheme="uniform")
@@ -533,6 +570,42 @@ def test_fbp_invariant_to_record_order_and_antipodes(seed, mode):
     assert np.abs(reconstruct(shuffled, cfg).coeffs - base).max() < 1e-12
     flipped = [_antipode(x) if f else x for x, f in zip(recs, r.random(len(recs)) < 0.5)]
     assert np.abs(reconstruct(flipped, cfg).coeffs - base).max() < 1e-12
+
+
+def _unit_weight_records(r, mode):
+    recs = _mixed_records(r, mode, n_axes=int(r.integers(7, 12)), shots=int(r.integers(1, 5)))
+    total = sum(x.weight for x in recs)
+    return [MeasurementRecord(x.theta, x.phi, x.weight / total, x.two_j, x.two_m) for x in recs]
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_fbp_inplane_odd_waves_are_exact_zeros(seed):
+    # before the fold, k + q odd carries no information on the equator
+    recs = _unit_weight_records(np.random.default_rng(seed), "in-plane")
+    out = fbp_inplane(recs, ReconstructionConfig(kmax=6, noise=_CORE_NOISE, two_j_ref=8))
+    k = np.arange(7)[:, None]
+    q = np.arange(-6, 7)[None, :]
+    assert np.all(out.coeffs[(k + q) % 2 == 1] == 0.0)
+
+
+# the phase noise is constant: the model form depends on the azimuth itself
+_ROTATION_NOISE = NoiseModel(sigma_n=1.5, sigma_omega=0.1, phase_mode="constant", sigma_phi=0.2)
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(["full-sphere", "in-plane"]),
+       alpha=st.floats(-2.0 * math.pi, 2.0 * math.pi))
+def test_fbp_azimuthal_rotation_multiplies_by_the_order_phase(seed, mode, alpha):
+    # phi -> phi + alpha on every record takes rho_kq to rho_kq e^(-i q alpha)
+    recs = _unit_weight_records(np.random.default_rng(seed), mode)
+    turned = [MeasurementRecord(x.theta, x.phi + alpha, x.weight, x.two_j, x.two_m) for x in recs]
+    cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_ROTATION_NOISE, two_j_ref=8)
+    base = _FBP[mode](recs, cfg).coeffs
+    q = np.arange(-6, 7)[None, :]
+    assert np.abs(_FBP[mode](turned, cfg).coeffs - base * np.exp(-1j * q * alpha)).max() <= 1e-12
 
 
 _rc = importlib.import_module("spintomo.reconstruct")  # the package re-exports reconstruct()
