@@ -33,6 +33,7 @@ from .states import (
 from .forward import (
     MeasurementRecord,
     NoiseModel,
+    Records,
     exact_records,
     projection_probabilities,
     sample_measurements,

@@ -207,9 +207,9 @@ def _cmd_reconstruct(args):
     noise = _noise_from(args)
     kmax = args.kmax
     if kmax is None:
-        kmax = min(r.two_j for r in records)
+        kmax = int(records.two_j.min())
         if args.mode == "in-plane":
-            _, first, _ = _axis_ids(math.pi / 2.0, np.array([r.phi for r in records]))
+            _, first, _ = _axis_ids(math.pi / 2.0, records.phi)
             kmax = min(kmax, first.size - 1)
     config = ReconstructionConfig(kmax=kmax, mode=args.mode, noise=noise,
                                   fold_north=args.fold_north, two_j_ref=args.two_j_ref)

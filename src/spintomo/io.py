@@ -8,13 +8,11 @@ lossless.  Writes are atomic (temp file then rename).
 import math
 import os
 import tempfile
-from itertools import chain
-from operator import attrgetter
 
 import numpy as np
 
 from .angular import _mirror_negative_q
-from .forward import MeasurementRecord
+from .forward import MeasurementRecord, Records
 from .states import SphericalState
 
 __all__ = [
@@ -32,7 +30,6 @@ __all__ = [
 
 MEASUREMENT_HEADER = "theta,phi,weight,two_j,two_m"
 _MAX_REPORTED_ERRORS = 20
-_RECORD_FIELDS = attrgetter("theta", "phi", "weight", "two_j", "two_m")
 
 
 def _fmt(x):
@@ -61,56 +58,90 @@ class MeasurementFormatError(ValueError):
 
 
 def parse_measurements(path):
-    """Read measurement records from CSV.
+    """Read measurement records from CSV as a :class:`~spintomo.forward.Records`.
 
     Format: header ``theta,phi,weight,two_j,two_m``; angles in radians;
-    weight may be empty (pending); ``#`` starts a comment line.  Every
-    row is validated against the record invariants; a malformed file
-    raises with line-numbered diagnostics and yields no partial output.
+    weight may be empty (pending); ``#`` starts a comment line; a UTF-8
+    byte-order mark is skipped.  Every row is validated against the record
+    invariants; a malformed file raises with line-numbered diagnostics and
+    yields no partial output.
     """
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            break
+    else:
+        raise MeasurementFormatError(f"{path}: no header line found")
+    if line != MEASUREMENT_HEADER:
+        raise MeasurementFormatError(
+            f"{path}:{lineno}: expected header {MEASUREMENT_HEADER!r}, got {line!r}")
+    records = _parse_columns(lines[lineno:])
+    return records if records is not None else _parse_lines(path, lines, lineno)
+
+
+def _parse_columns(lines):
+    """The records of the data lines in one pass over each field, or None.
+
+    float() and int() read the fields, as in the line-by-line rule; any
+    irregularity (a field count, a number, a record invariant) gives None.
+    """
+    rows = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    # "\n" marks the end of a row: splitlines left none inside a field
+    fields = ",\n,".join(rows).split(",")
+    if len(fields) != 6 * len(rows) - 1 or fields[5::6].count("\n") != len(rows) - 1:
+        return None
+    try:
+        theta = np.array(list(map(float, fields[0::6])))
+        phi = np.array(list(map(float, fields[1::6])))
+        weight = np.array([float(w) if w.strip() else math.nan for w in fields[2::6]])
+        two_j = np.fromiter(map(int, fields[3::6]), np.int64, len(rows))
+        two_m = np.fromiter(map(int, fields[4::6]), np.int64, len(rows))
+        return Records(theta, phi, weight, two_j, two_m)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_lines(path, lines, header_lineno):
+    """The line-by-line rule for the rows after the header line: their
+    records, or a MeasurementFormatError naming the first bad lines (at most 20)."""
     records = []
     errors = []
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    saw_header = False
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(lines[header_lineno:], start=header_lineno + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if not saw_header:
-            if line != MEASUREMENT_HEADER:
-                raise MeasurementFormatError(
-                    f"{path}:{lineno}: expected header {MEASUREMENT_HEADER!r}, got {line!r}")
-            saw_header = True
-            continue
         parts = line.split(",")
-        if len(parts) != 5:
-            errors.append(f"line {lineno}: expected 5 fields, got {len(parts)}")
-            continue
         try:
-            theta = float(parts[0])
-            phi = float(parts[1])
+            if len(parts) != 5:
+                raise ValueError(f"expected 5 fields, got {len(parts)}")
+            theta, phi = float(parts[0]), float(parts[1])
             weight = math.nan if parts[2].strip() == "" else float(parts[2])
-            two_j = int(parts[3])
-            two_m = int(parts[4])
-            records.append(MeasurementRecord(theta, phi, weight, two_j, two_m))
+            records.append(MeasurementRecord(theta, phi, weight, int(parts[3]), int(parts[4])))
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
-        if len(errors) >= _MAX_REPORTED_ERRORS:
-            break
-    if not saw_header:
-        raise MeasurementFormatError(f"{path}: no header line found")
+            if len(errors) == _MAX_REPORTED_ERRORS:
+                break
     if errors:
         raise MeasurementFormatError(f"{path}: " + "; ".join(errors))
     if not records:
         raise MeasurementFormatError(f"{path}: no measurement rows")
-    return records
+    return Records.of(records)
 
 
 def write_measurements(path, records):
-    """Write records as canonical measurement CSV (17 significant digits)."""
-    values = tuple(chain.from_iterable(map(_RECORD_FIELDS, records)))
-    text = ("%.17g,%.17g,%.17g,%s,%s\n" * (len(values) // 5)) % values
+    """Write records as canonical measurement CSV (17 significant digits).
+
+    records is a Records or a sequence of MeasurementRecord; an empty one
+    raises ValueError before anything is written.
+    """
+    columns = Records.of(records).columns
+    n = columns[0].size
+    values = [None] * (5 * n)
+    for i, column in enumerate(columns):
+        values[i::5] = column.tolist()
+    text = ("%.17g,%.17g,%.17g,%s,%s\n" * n) % tuple(values)
     # a pending (NaN) weight is an empty field; angles are finite and spins are
     # integers, so ",nan," can only be a weight
     _atomic_write(path, MEASUREMENT_HEADER + "\n" + text.replace(",nan,", ",,"))
@@ -137,7 +168,7 @@ def read_coefficients(path):
     """
     header = {}
     rows = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -241,7 +272,7 @@ def parse_config(path):
     values).
     """
     out = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh.read().splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

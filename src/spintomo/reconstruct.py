@@ -18,7 +18,7 @@ contributions.
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .angular import (
     legendre_table,
     pochhammer_half,
 )
-from .forward import NoiseModel
+from .forward import NoiseModel, Records
 from .states import SphericalState, _damping, _damping_alpha
 
 __all__ = [
@@ -78,17 +78,6 @@ class ReconstructionConfig:
             raise ValueError("kmax must be non-negative")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-
-
-def _record_arrays(records):
-    if len(records) == 0:
-        raise ValueError("no measurement records")
-    theta = np.array([r.theta for r in records])
-    phi = np.array([r.phi for r in records])
-    weight = np.array([r.weight for r in records])
-    two_j = np.array([r.two_j for r in records], dtype=int)
-    two_m = np.array([r.two_m for r in records], dtype=int)
-    return theta, phi, weight, two_j, two_m
 
 
 def _require_weights(weight):
@@ -187,13 +176,15 @@ def compute_weights(records, mode, scheme="voronoi"):
     among its records in proportion to their incoming weights, so the c_a
     p_m of :func:`exact_records` keep their p_m; when any weight is
     pending (NaN) it is split equally.  "uniform" sets every weight to 1/M.
+    Returns the records as a Records with the new weight column.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
-    theta, phi, weight, _, _ = _record_arrays(records)
+    records = Records.of(records)
+    theta, phi, weight = records.theta, records.phi, records.weight
     n = len(records)
     if scheme == "uniform":
-        return [replace(r, weight=1.0 / n) for r in records]
+        return records._with_weights(np.full(n, 1.0 / n))
     if scheme != "voronoi":
         raise ValueError(f"unknown weight scheme {scheme!r}")
 
@@ -230,8 +221,7 @@ def compute_weights(records, mode, scheme="voronoi"):
         if np.any(axis_total <= 0.0):
             raise ValueError("the records of an axis carry zero total weight")
         per_record = axis_w[axis] * (weight / axis_total[axis])
-    per_record = per_record / per_record.sum()
-    return [replace(r, weight=float(w)) for r, w in zip(records, per_record)]
+    return records._with_weights(per_record / per_record.sum())
 
 
 def _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise):
@@ -260,7 +250,7 @@ def _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise):
 def _backproject(records, config):
     # rho_kq = f_kq sum_a A[k, a] D^k_{q0}(phi_a, theta_a, 0) [x phase damping on the
     # equator]; only f and the kernel depend on the mode
-    theta, phi, weight, two_j, two_m = _record_arrays(records)
+    theta, phi, weight, two_j, two_m = Records.of(records).columns
     _require_weights(weight)
     inplane = config.mode == "in-plane"
     if inplane and np.abs(theta - math.pi / 2.0).max() > _EQUATOR_TOL:
@@ -382,7 +372,7 @@ def xi_assemble(records, theta, phi, kmax, noise=NoiseModel()):
     """
     th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
                                  np.asarray(phi, dtype=float))
-    theta_r, phi_r, weight, two_j, two_m = _record_arrays(records)
+    theta_r, phi_r, weight, two_j, two_m = Records.of(records).columns
     _require_weights(weight)
     axis, first, flip = _axis_ids(theta_r, phi_r)
     k = np.arange(kmax + 1, dtype=float)

@@ -411,3 +411,46 @@ def squeezing_text(report, sigma_n):
             cells.append(_fmt17(10.0 * math.log10(arg)) if arg > 0 else "")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
+
+
+def parse_measurements_by_line(path):
+    """Measurement CSV read line by line: the records, or MeasurementFormatError.
+
+    One MeasurementRecord per data line, so each row meets the record
+    invariants; the error names ``path`` and the first 20 bad lines.
+    """
+    from spintomo.forward import MeasurementRecord
+    from spintomo.io import MEASUREMENT_HEADER, MeasurementFormatError
+
+    records, errors, saw_header = [], [], False
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if not saw_header:
+            if line != MEASUREMENT_HEADER:
+                raise MeasurementFormatError(
+                    f"{path}:{lineno}: expected header {MEASUREMENT_HEADER!r}, got {line!r}")
+            saw_header = True
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != 5:
+                raise ValueError(f"expected 5 fields, got {len(parts)}")
+            theta = float(parts[0])
+            phi = float(parts[1])
+            weight = math.nan if parts[2].strip() == "" else float(parts[2])
+            records.append(MeasurementRecord(theta, phi, weight, int(parts[3]), int(parts[4])))
+        except ValueError as exc:
+            errors.append(f"line {lineno}: {exc}")
+        if len(errors) == 20:
+            break
+    if not saw_header:
+        raise MeasurementFormatError(f"{path}: no header line found")
+    if errors:
+        raise MeasurementFormatError(f"{path}: " + "; ".join(errors))
+    if not records:
+        raise MeasurementFormatError(f"{path}: no measurement rows")
+    return records

@@ -1,13 +1,17 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 import spintomo.states as states
 from spintomo.forward import (
     MeasurementRecord,
     NoiseModel,
+    Records,
     _probabilities,
     exact_records,
     projection_probabilities,
@@ -67,6 +71,111 @@ def test_record_invariants():
         MeasurementRecord(4.0, 0.0, 1.0, 4, 2)  # theta out of range
     r = MeasurementRecord(0.1, 0.0, math.nan, 4, 2)  # pending weight is fine
     assert math.isnan(r.weight)
+
+
+# ---------------------------------------------------------------- record columns
+
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, math.pi, 3.1415926535897936, -1e-300, 1.0, 4.0,
+                                math.inf, -math.inf, math.nan])
+_VALID_SPINS = st.integers(0, 6).flatmap(
+    lambda j: st.tuples(st.just(j), st.integers(0, j).map(lambda k: 2 * k - j)))
+_INT_SPINS = _VALID_SPINS | st.tuples(st.integers(-2, 6), st.integers(-8, 8))
+# a spin column holds one type, so its rows print as the record's fields do
+_FLOAT_SPINS = _INT_SPINS.map(lambda s: (float(s[0]), float(s[1]))) | st.sampled_from(
+    [(4.5, 0.5), (4.0, 2.5), (4.0, 2.0)])
+
+
+def _rows(spins):
+    return st.lists(st.tuples(st.floats(0.0, math.pi) | _EDGE_FLOATS | st.floats(-1.0, 4.0),
+                              st.floats(allow_nan=False, allow_infinity=False) | _EDGE_FLOATS,
+                              st.floats(0.0, 1e300) | _EDGE_FLOATS,
+                              spins).map(lambda r: r[:3] + r[3]), min_size=1, max_size=6)
+
+
+def _record_error(row):
+    try:
+        MeasurementRecord(*row)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_rows(_INT_SPINS) | _rows(_FLOAT_SPINS))
+@example(rows=[(0.5, 0.0, 1.0, 4, 2), (0.5, 0.0, math.inf, 4, 2)])
+@example(rows=[(0.5, 0.0, -math.inf, 4, 2)])
+@example(rows=[(math.nan, 0.0, 1.0, 4, 2)])
+@example(rows=[(0.5, math.nan, 1.0, 4, 2)])
+@example(rows=[(0.5, 0.0, 1.0, 4.5, 0.5)])
+@example(rows=[(0.5, 0.0, 1.0, 4, 3)])
+@example(rows=[(0.5, 0.0, 1.0, -2, 0)])
+def test_records_refuse_what_the_record_refuses(rows):
+    # one vector check, with the record's own message for the first bad row
+    errors = [e for e in map(_record_error, rows) if e is not None]
+    if errors:
+        with pytest.raises(ValueError) as got:
+            Records(*zip(*rows))
+        assert str(got.value) == errors[0]
+    else:
+        assert Records(*zip(*rows)) == [MeasurementRecord(*row) for row in rows]
+
+
+def test_records_behave_as_a_sequence_of_records():
+    rows = [MeasurementRecord(0.5, 0.1 * i, math.nan if i == 2 else 0.25, 4, 2 * i - 4)
+            for i in range(5)]
+    recs = Records.of(rows)
+    assert Records.of(recs) is recs
+    assert len(recs) == 5 and recs[1] == rows[1] and recs[-1] == rows[-1]
+    assert isinstance(recs[0].two_j, int) and isinstance(recs[0].theta, float)
+    assert recs == rows and rows == recs and list(recs)[:2] == rows[:2]
+    assert recs[1:3] == rows[1:3] and isinstance(recs[1:3], Records)
+    assert recs + rows == rows + rows and recs + recs == rows + rows
+    assert recs != rows[::-1] and recs != rows[:4] and recs != [] and recs != 5
+    listed = []
+    listed += recs  # extends a list with MeasurementRecords
+    assert listed[:2] == rows[:2] and type(listed[0]) is MeasurementRecord
+    assert pickle.loads(pickle.dumps(recs)) == recs
+    with pytest.raises(IndexError):
+        recs[5]
+
+
+def test_records_are_read_only_and_never_empty():
+    recs = Records([0.5], [0.0], [1.0], [2], [0])
+    with pytest.raises(AttributeError):
+        recs.weight = np.zeros(1)
+    with pytest.raises(ValueError):
+        recs.weight[0] = 0.0
+    assert recs.two_j.dtype == np.int64 and recs.columns[0] is recs.theta
+    with pytest.raises(ValueError, match="no measurement records"):
+        Records.of([])
+    with pytest.raises(ValueError, match="one length"):
+        Records([0.5, 0.5], [0.0], [1.0], [2], [0])
+
+
+def test_producers_return_record_columns():
+    s = coherent_state(6, 0.4, 0.2, 0.0, 6)
+    for recs in (sample_measurements(s, [(0.3, 0.1), (1.2, 2.0)], 5, NoiseModel(), seed=1),
+                 sample_measurements(s, [(0.3, 0.1)], 5, NoiseModel(sigma_omega=0.1), seed=1),
+                 exact_records(s, [(0.3, 0.1), (1.2, 2.0)])):
+        assert isinstance(recs, Records)
+        assert recs == Records(*recs.columns)  # the producers' columns pass the check
+
+
+@pytest.mark.parametrize("axes, message", [
+    ([(0.3, 0.1), (3.5, 0.0)], r"theta = 3.5 outside \[0, pi\]"),
+    ([(0.3, math.inf)], "phi must be finite"),
+    ([(math.nan, 0.0)], "theta = nan outside"),
+])
+def test_producers_refuse_bad_axes_as_records_do(axes, message):
+    s = coherent_state(6, 0.4, 0.2, 0.0, 6)
+    with pytest.raises(ValueError, match=message):
+        sample_measurements(s, axes, 3, NoiseModel(), seed=1)
+    with pytest.raises(ValueError, match=message):
+        sample_measurements(s, axes, 3, NoiseModel(sigma_omega=0.1), seed=1)
+    with pytest.raises(ValueError, match=message):
+        exact_records(s, axes)
+    with pytest.raises(ValueError, match="weight must be non-negative or NaN, got -0.5"):
+        exact_records(s, [(0.3, 0.1), (1.2, 2.0)], [0.5, -0.5])
 
 
 # ---------------------------------------------------------------- probabilities

@@ -3,10 +3,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spintomo import io as stio
 from spintomo.analysis import SqueezingReport, power_spectrum, squeezing_scan
-from spintomo.forward import MeasurementRecord, NoiseModel, sample_measurements
+from spintomo.forward import MeasurementRecord, NoiseModel, Records, sample_measurements
 from spintomo.reconstruct import ReconstructionConfig, reconstruct
 from spintomo.states import WignerGrid, coherent_state, maximally_mixed_state, wigner_grid
 
@@ -70,6 +72,146 @@ def test_measurement_round_trip_byte_stable(tmp_path):
     stio.write_measurements(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
     assert back == recs
+
+
+_BOM = "\ufeff"
+_FILE_EXAMPLES = settings(max_examples=60, deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def test_measurement_file_with_byte_order_mark(tmp_path):
+    # as spreadsheets export CSV: the mark is not part of the header
+    path = tmp_path / "bom.csv"
+    path.write_text(_BOM + "theta,phi,weight,two_j,two_m\n1.5,0.2,,4,2\n", encoding="utf-8")
+    recs = stio.parse_measurements(path)
+    assert recs == [MeasurementRecord(1.5, 0.2, math.nan, 4, 2)]
+
+
+def test_coefficient_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "c.csv"
+    stio.write_coefficients(path, maximally_mixed_state(4, kmax=2))
+    bom = tmp_path / "bom.csv"
+    bom.write_text(_BOM + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert np.array_equal(stio.read_coefficients(bom).coeffs, stio.read_coefficients(path).coeffs)
+
+
+def test_config_file_with_byte_order_mark(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(_BOM + "sigma_n = 2\n", encoding="utf-8")
+    assert stio.parse_config(path) == {"sigma_n": "2"}
+
+
+@pytest.mark.parametrize("records", [[], ()])
+def test_writing_no_records_fails_before_any_write(tmp_path, records):
+    # the parser refuses a header-only file, so the writer does not make one
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="no measurement records"):
+        stio.write_measurements(path, records)
+    assert not path.exists()
+
+
+def test_float_spins_are_written_as_integers(tmp_path):
+    # MeasurementRecord takes 4.0 for 4; the file must hold what the parser reads
+    path = tmp_path / "m.csv"
+    stio.write_measurements(path, [MeasurementRecord(0.5, 0.0, 1.0, 4.0, 2.0)])
+    assert path.read_text().splitlines()[1] == "0.5,0,1,4,2"
+    assert stio.parse_measurements(path) == [MeasurementRecord(0.5, 0.0, 1.0, 4, 2)]
+
+
+@st.composite
+def _record_columns(draw, max_rows=12):
+    """Valid record columns: any finite phi, theta in [0, pi], weights
+    non-negative or pending, spins up to 4000."""
+    n = draw(st.integers(1, max_rows))
+    theta = draw(st.lists(st.floats(0.0, math.pi) | st.just(-0.0), min_size=n, max_size=n))
+    phi = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                        min_size=n, max_size=n))
+    weight = draw(st.lists(st.floats(0.0, allow_infinity=False) | st.just(-0.0)
+                           | st.just(math.nan), min_size=n, max_size=n))
+    two_j = draw(st.lists(st.integers(0, 4000), min_size=n, max_size=n))
+    two_m = [2 * draw(st.integers(0, j)) - j for j in two_j]
+    return Records(theta, phi, weight, two_j, two_m)
+
+
+def _sprinkle(draw, text):
+    # comment and blank lines at random places, before the header too
+    lines = text.splitlines()
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.sampled_from(["", "   ", "# a comment", "  # 1,2,3,4,5", "\t"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + "\n"
+
+
+def _bits(records):
+    return [c.view(np.int64).tolist() for c in records.columns]
+
+
+@_FILE_EXAMPLES
+@given(records=_record_columns(), data=st.data())
+def test_measurement_csv_round_trip_is_lossless(tmp_path, records, data):
+    path = tmp_path / "m.csv"
+    stio.write_measurements(path, records)
+    path.write_text(_sprinkle(data.draw, path.read_text()))
+    back = stio.parse_measurements(path)
+    assert _bits(back) == _bits(records)
+
+
+_FAULTS = {
+    "not a number": lambda row, d: row[:2] + ["1.2.3"] + row[3:],
+    "four fields": lambda row, d: row[:4],
+    "six fields": lambda row, d: row + ["0"],
+    "theta above pi": lambda row, d: ["3.1415926535897936"] + row[1:],
+    "theta nan": lambda row, d: ["nan"] + row[1:],
+    "phi inf": lambda row, d: row[:1] + ["inf"] + row[2:],
+    "negative weight": lambda row, d: row[:2] + ["-1e-300"] + row[3:],
+    "infinite weight": lambda row, d: row[:2] + ["inf"] + row[3:],
+    "odd parity": lambda row, d: row[:4] + [str(int(row[4]) + 1)],
+    "m above j": lambda row, d: row[:4] + [str(int(row[3]) + 2)],
+    "spin as float": lambda row, d: row[:3] + [row[3] + ".0"] + row[4:],
+}
+
+
+@_FILE_EXAMPLES
+@given(records=_record_columns(), fault=st.sampled_from(sorted(_FAULTS)), data=st.data())
+def test_measurement_parser_agrees_with_the_line_by_line_rule(tmp_path, records, fault, data):
+    # one corrupted row of a well-formed file: the same error text as the oracle
+    path = tmp_path / "m.csv"
+    stio.write_measurements(path, records)
+    lines = path.read_text().splitlines()
+    at = data.draw(st.integers(1, len(lines) - 1))
+    lines[at] = ",".join(_FAULTS[fault](lines[at].split(","), data.draw))
+    path.write_text(_sprinkle(data.draw, "\n".join(lines)))
+    with pytest.raises(stio.MeasurementFormatError) as want:
+        oracles.parse_measurements_by_line(path)
+    with pytest.raises(stio.MeasurementFormatError) as got:
+        stio.parse_measurements(path)
+    assert str(got.value) == str(want.value)
+
+
+@_FILE_EXAMPLES
+@given(records=_record_columns(), data=st.data())
+def test_measurement_parser_reads_what_the_line_by_line_rule_reads(tmp_path, records, data):
+    path = tmp_path / "m.csv"
+    stio.write_measurements(path, records)
+    path.write_text(_sprinkle(data.draw, path.read_text()))
+    assert stio.parse_measurements(path) == oracles.parse_measurements_by_line(path)
+
+
+@pytest.mark.parametrize("good_between", [0, 1])
+@pytest.mark.parametrize("bad_row", ["0.5,0.1,0.2,4", "0.5,0.1,0.2,4,3", "x,0.1,0.2,4,2"])
+def test_measurement_errors_stop_at_twenty(tmp_path, bad_row, good_between):
+    # 25 bad rows, back to back or among good ones: the first 20 are named,
+    # whatever their fault
+    rows = (["0.5,0.1,0.2,4,2"] * good_between + [bad_row]) * 25
+    path = tmp_path / "m.csv"
+    path.write_text("theta,phi,weight,two_j,two_m\n" + "\n".join(rows) + "\n")
+    with pytest.raises(stio.MeasurementFormatError) as got:
+        stio.parse_measurements(path)
+    named = [part.split(":")[0] for part in str(got.value).split(": ", 1)[1].split("; ")]
+    assert named == [f"line {2 + (good_between + 1) * i + good_between}" for i in range(20)]
+    with pytest.raises(stio.MeasurementFormatError) as want:
+        oracles.parse_measurements_by_line(path)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------- coefficients

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 
 import spintomo.states as states
 from spintomo.angular import cg_tau_table
-from spintomo.forward import MeasurementRecord, NoiseModel, exact_records, sample_measurements
+from spintomo.forward import (
+    MeasurementRecord,
+    NoiseModel,
+    Records,
+    exact_records,
+    sample_measurements,
+)
 from spintomo.reconstruct import (
     _AXIS_TOL,
     ReconstructionConfig,
@@ -645,6 +651,26 @@ def test_outputs_invariant_to_chunk_budgets(forward_budget, reconstruct_budget):
     assert max(abs(x.weight - y.weight) for x, y in zip(exact, base[1])) <= 1e-15
     assert np.abs(inplane - base[2]).max() <= 1e-14
     assert np.abs(full - base[3]).max() <= 1e-14
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), mode=st.sampled_from(["full-sphere", "in-plane"]),
+       alpha=st.just(0.0) | st.floats(1e-6, 3.0), beta=st.just(0.0) | st.floats(1e-6, 3.0))
+def test_fbp_is_linear_in_the_weights(seed, mode, alpha, beta):
+    # rho(alpha w1 + beta w2) = alpha rho(w1) + beta rho(w2) on the same rows
+    r = np.random.default_rng(seed)
+    rows = Records.of(_mixed_records(r, mode, n_axes=int(r.integers(7, 12))))
+    w1, w2 = r.uniform(0.0, 1.0, (2, len(rows))) * r.uniform(0.0, 2.0, (2, 1))
+    cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_CORE_NOISE, two_j_ref=8)
+
+    def rho(w):
+        recs = Records(rows.theta, rows.phi, w, rows.two_j, rows.two_m)
+        return reconstruct(recs, cfg, weight_scheme="keep").coeffs
+
+    want = alpha * rho(w1) + beta * rho(w2)
+    got = rho(alpha * w1 + beta * w2)
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(got).max(), np.abs(want).max())
 
 
 # ---------------------------------------------------------------- folding
