@@ -7,9 +7,6 @@ spin-squeezing analysis.
 """
 
 from .angular import (
-    cg_general,
-    cg_t,
-    cg_tau,
     cg_tau_table,
     hemi_overlap,
     pochhammer_half,

@@ -23,11 +23,7 @@ import numpy as np
 
 __all__ = [
     "check_spin_label",
-    "check_wave_index",
-    "cg_tau",
     "cg_tau_table",
-    "cg_general",
-    "cg_t",
     "legendre_table",
     "legendre_sph_table",
     "rot_elements_axis",
@@ -38,6 +34,7 @@ __all__ = [
 
 _LNPI = math.log(math.pi)
 SQRT_4PI = math.sqrt(4.0 * math.pi)
+LABEL_BOUND = 2 ** 63  # doubled spin labels are stored as int64
 
 
 def _lgamma(x):
@@ -47,7 +44,9 @@ def _lgamma(x):
 
 
 def check_spin_label(two_j, two_m):
-    """Validate a doubled (j, m) pair: integers, |m| <= j, same parity."""
+    """Validate a doubled (j, m) pair: integers within int64, |m| <= j, same parity."""
+    if max(abs(two_j), abs(two_m)) >= LABEL_BOUND:
+        raise ValueError(f"spin labels must lie within the int64 range, got ({two_j}, {two_m})")
     if two_j != int(two_j) or two_m != int(two_m):
         raise ValueError(f"spin labels must be doubled integers, got ({two_j}, {two_m})")
     if two_j < 0:
@@ -56,16 +55,6 @@ def check_spin_label(two_j, two_m):
         raise ValueError(f"|two_m| = {abs(two_m)} exceeds two_j = {two_j}")
     if (two_j - two_m) % 2 != 0:
         raise ValueError(f"two_m = {two_m} and two_j = {two_j} have different parity")
-
-
-def check_wave_index(k, q, two_j=None):
-    """Validate a partial-wave index (k, q), optionally against a spin bound."""
-    if k != int(k) or q != int(q):
-        raise ValueError(f"wave indices must be integers, got ({k}, {q})")
-    if k < 0 or abs(q) > k:
-        raise ValueError(f"wave index (k={k}, q={q}) violates 0 <= |q| <= k")
-    if two_j is not None and k > two_j:
-        raise ValueError(f"k = {k} exceeds 2j = {two_j}")
 
 
 def _coupling_table(two_j, q, kmax):
@@ -146,81 +135,6 @@ def cg_tau_table(two_j, kmax):
     tau = _coupling_table(int(two_j), 0, int(kmax))[1]
     tau.flags.writeable = False
     return tau
-
-
-def cg_tau(two_j, two_m, k):
-    """Diagonal coupling coefficient tau_k^{j,m} (recursion path)."""
-    check_spin_label(two_j, two_m)
-    check_wave_index(k, 0, two_j)
-    table = cg_tau_table(two_j, int(k))
-    return float(table[int(k), (two_m + two_j) // 2])
-
-
-def cg_general(two_j1, two_m1, two_j2, two_m2, two_k, two_q):
-    """Clebsch-Gordan coefficient <j1,m1; j2,m2 | k,q> via the Racah sum.
-
-    All six labels are doubled integers.  The alternating Racah series is
-    summed in exact rational arithmetic (big integers cannot overflow and
-    the heavy cancellation at desk-scale j costs no precision), with a
-    single square root at the end; the result is correct to a couple of
-    ulps.  Serves as the brute-force oracle for the recursion path.
-    """
-    from fractions import Fraction
-
-    for tj, tm in ((two_j1, two_m1), (two_j2, two_m2), (two_k, two_q)):
-        check_spin_label(tj, tm)
-    if two_q != two_m1 + two_m2:
-        return 0.0
-    if two_k < abs(two_j1 - two_j2) or two_k > two_j1 + two_j2:
-        return 0.0
-    if (two_j1 + two_j2 + two_k) % 2 != 0:
-        return 0.0
-
-    # halved combinations below are all integers once the checks above pass
-    a = (two_j1 + two_j2 - two_k) // 2
-    b = (two_j1 - two_j2 + two_k) // 2
-    c = (-two_j1 + two_j2 + two_k) // 2
-    j1m = (two_j1 - two_m1) // 2
-    j1p = (two_j1 + two_m1) // 2
-    j2m = (two_j2 - two_m2) // 2
-    j2p = (two_j2 + two_m2) // 2
-    kp = (two_k + two_q) // 2
-    km = (two_k - two_q) // 2
-    d1 = (two_k - two_j2 + two_m1) // 2  # k - j2 + m1
-    d2 = (two_k - two_j1 - two_m2) // 2  # k - j1 - m2
-
-    t_min = max(0, -d1, -d2)
-    t_max = min(a, j1m, j2p)
-    if t_min > t_max:
-        return 0.0
-    f = math.factorial
-    s = Fraction(0)
-    for t in range(t_min, t_max + 1):
-        den = (f(t) * f(a - t) * f(j1m - t) * f(j2p - t) * f(d1 + t) * f(d2 + t))
-        s += Fraction(-1 if t % 2 else 1, den)
-    if s == 0:
-        return 0.0
-    pref = Fraction(
-        (two_k + 1) * f(a) * f(b) * f(c) * f(kp) * f(km)
-        * f(j1m) * f(j1p) * f(j2m) * f(j2p),
-        f((two_j1 + two_j2 + two_k) // 2 + 1),
-    )
-    value = math.sqrt(float(pref * s * s))
-    return value if s > 0 else -value
-
-
-def cg_t(two_j, two_m, two_mp, k, q):
-    """Dicke-to-partial-wave coupling t_kq^{j m m'} = (-1)^(j-m-q) <j,m; j,-m'|k,q>.
-
-    Nonzero only for q = m - m'.
-    """
-    check_spin_label(two_j, two_m)
-    check_spin_label(two_j, two_mp)
-    check_wave_index(k, q)
-    if 2 * q != two_m - two_mp:
-        return 0.0
-    sign = -1.0 if ((two_j - two_m) // 2 + q) % 2 else 1.0
-    return sign * cg_general(two_j, two_m, two_j, -two_mp, 2 * k, 2 * q)
 
 
 def legendre_table(kmax, x):

@@ -156,7 +156,6 @@ def _build_parser():
     p.add_argument("--grid", default="64x128", help="grid NxM")
     p.add_argument("--out", help="output prefix (default: input stem)")
 
-    sub.add_parser("selftest", help="run the built-in oracle battery")
     return parser, sub.choices
 
 
@@ -265,106 +264,6 @@ def _cmd_render(args):
     return 0
 
 
-def _selftest_checks():
-    from .angular import _coupling_table, cg_t, cg_tau_table, hemi_overlap, rot_elements_axis
-    from .forward import exact_records, projection_probabilities
-    from .reconstruct import fbp_inplane
-    from .states import DickeState, dicke_to_spherical, spherical_to_dicke
-
-    def check_tau_orthogonality():
-        for two_j in range(0, 21):
-            t = cg_tau_table(two_j, two_j)
-            err = np.abs(t @ t.T - np.eye(two_j + 1)).max()
-            if err > 1e-10:
-                return f"j = {two_j / 2}: deviation {err:.2e}"
-        t = cg_tau_table(400, 400)
-        err = np.abs(t @ t.T - np.eye(401)).max()
-        return None if err < 1e-8 else f"j = 200: deviation {err:.2e}"
-
-    def check_coupling_vs_racah():
-        for two_j in range(1, 11):
-            for q in range(-two_j, two_j + 1):
-                two_m, table = _coupling_table(two_j, q, two_j)
-                for k in range(abs(q), two_j + 1):
-                    for tm, a in zip(two_m.tolist(), table[k].tolist()):
-                        b = cg_t(two_j, tm, tm - 2 * q, k, q)
-                        if abs(a - b) > 1e-9 * max(1e-3, abs(b)):
-                            return f"(two_j={two_j}, k={k}, q={q}, two_m={tm}): {a} vs {b}"
-        return None
-
-    def check_rotation_unitarity():
-        d = rot_elements_axis(300, 1.234, 0.777)
-        err = np.abs((np.abs(d) ** 2).sum(axis=1) - 1.0).max()
-        return None if err < 1e-10 else f"row-sum deviation {err:.2e}"
-
-    def check_round_trip():
-        rng = np.random.default_rng(1)
-        two_j = 8
-        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        d = DickeState(two_j, rho)
-        back = spherical_to_dicke(dicke_to_spherical(d, two_j))
-        err = np.abs(back.matrix - rho).max()
-        return None if err < 1e-12 else f"deviation {err:.2e}"
-
-    def check_inplane_recovery():
-        rng = np.random.default_rng(2)
-        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        rho = a @ a.conj().T
-        rho /= np.trace(rho).real
-        truth = dicke_to_spherical(DickeState(4, rho), 4)
-        axes = [(math.pi / 2.0, i * math.pi / 16) for i in range(16)]
-        recs = exact_records(truth, axes)
-        rec = fbp_inplane(recs, ReconstructionConfig(kmax=4, mode="in-plane", two_j_ref=4))
-        err = max(
-            abs(rec.coeff(k, q) - truth.coeff(k, q))
-            for k in range(5) for q in range(-k, k + 1) if (k + q) % 2 == 0)
-        odd = max(abs(rec.coeff(k, q))
-                  for k in range(5) for q in range(-k, k + 1) if (k + q) % 2 == 1)
-        if err > 1e-8:
-            return f"even-parity deviation {err:.2e}"
-        return None if odd == 0.0 else f"odd-parity residue {odd:.2e}"
-
-    def check_probability_trace():
-        s = coherent_state(12, 0.4, 1.1, 0.0, 12)
-        p = projection_probabilities(s, 1.9, -0.3)
-        err = abs(p.sum() - 1.0)
-        return None if err < 1e-10 else f"trace deviation {err:.2e}"
-
-    def check_overlap_symmetry():
-        for q in range(0, 4):
-            for k in range(q, 12):
-                for kp in range(q, 12):
-                    if abs(hemi_overlap(k, kp, q) - hemi_overlap(kp, k, q)) > 1e-12:
-                        return f"asymmetry at (k={k}, k'={kp}, q={q})"
-        return None
-
-    return [
-        ("tau orthogonality", check_tau_orthogonality),
-        ("coupling rows vs Racah sum", check_coupling_vs_racah),
-        ("rotation unitarity", check_rotation_unitarity),
-        ("Dicke round trip", check_round_trip),
-        ("in-plane recovery", check_inplane_recovery),
-        ("probability trace", check_probability_trace),
-        ("overlap symmetry", check_overlap_symmetry),
-    ]
-
-
-def _cmd_selftest(_args):
-    failures = 0
-    for name, check in _selftest_checks():
-        detail = check()
-        if detail is None:
-            print(f"PASS  {name}")
-        else:
-            failures += 1
-            print(f"FAIL  {name}: {detail}")
-    if failures:
-        raise NumericalFailure(f"{failures} selftest check(s) failed")
-    return 0
-
-
 def main(argv=None):
     parser, parsers = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -374,7 +273,6 @@ def main(argv=None):
         "reconstruct": _cmd_reconstruct,
         "analyze": _cmd_analyze,
         "render": _cmd_render,
-        "selftest": _cmd_selftest,
     }
     try:
         if getattr(args, "config", None):

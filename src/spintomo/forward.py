@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
-from .angular import cg_tau_table, check_spin_label
+from .angular import LABEL_BOUND, cg_tau_table, check_spin_label
 from .states import _check_noise, _wave_sums
 
 __all__ = [
@@ -113,12 +113,17 @@ def _check_rows(theta, phi, weight, two_j, two_m):
     integers or floats.  The first bad row is built as a MeasurementRecord,
     so the error is the record's own.
     """
+    rows = np.broadcast_arrays(theta, phi, weight, two_j, two_m)
+    if any(c.dtype.kind in "uO" for c in rows[3:]):
+        # integers beyond int64, where the vector arithmetic would fail or wrap
+        for row in zip(*(c.tolist() for c in rows)):
+            MeasurementRecord(*row)
     with np.errstate(invalid="ignore"):
         ok = (_angles_ok(theta, phi) & ~(weight < 0.0) & (weight != math.inf)
-              & (two_j == np.round(two_j)) & (np.abs(two_m) <= two_j)
+              & (two_j == np.round(two_j)) & (two_j < LABEL_BOUND)
+              & (-LABEL_BOUND < two_m) & (two_m < LABEL_BOUND) & (np.abs(two_m) <= two_j)
               & ((two_j - two_m) % 2 == 0))
     if not np.all(ok):
-        rows = np.broadcast_arrays(theta, phi, weight, two_j, two_m)
         i = int(np.argmin(np.broadcast_to(ok, rows[0].shape)))
         MeasurementRecord(*(c[i].item() for c in rows))
 

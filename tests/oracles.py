@@ -1,11 +1,13 @@
 """Independent oracle implementations used across the test suite.
 
 Everything here is deliberately brute force: explicit operator algebra in
-the Dicke basis, quadrature for integrals, sympy for coupling
-coefficients.  None of it shares code with the paths it checks.
+the Dicke basis, quadrature for integrals, and for coupling coefficients
+the Racah sum in exact rational arithmetic (``cg_general``, ``cg_t``) or
+sympy.  None of it shares code with the paths it checks.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -137,6 +139,77 @@ def hemi_overlap_tables_quadrature(kmax, n=80):
         full[q:, q:] = gram
         tables[q] = full
     return tables
+
+
+def _check_label(two_j, two_m):
+    if two_j != int(two_j) or two_m != int(two_m) or two_j < 0 or abs(two_m) > two_j \
+            or (two_j - two_m) % 2:
+        raise ValueError(f"malformed doubled spin label ({two_j}, {two_m})")
+
+
+def cg_general(two_j1, two_m1, two_j2, two_m2, two_k, two_q):
+    """Clebsch-Gordan coefficient <j1,m1; j2,m2 | k,q> via the Racah sum.
+
+    All six labels are doubled integers.  The alternating Racah series is
+    summed in exact rational arithmetic (big integers cannot overflow and
+    the heavy cancellation at desk-scale j costs no precision), with a
+    single square root at the end; the result is correct to a couple of
+    ulps.  Serves as the brute-force oracle for the coupling recursion.
+    """
+    for tj, tm in ((two_j1, two_m1), (two_j2, two_m2), (two_k, two_q)):
+        _check_label(tj, tm)
+    if two_q != two_m1 + two_m2:
+        return 0.0
+    if two_k < abs(two_j1 - two_j2) or two_k > two_j1 + two_j2:
+        return 0.0
+    if (two_j1 + two_j2 + two_k) % 2 != 0:
+        return 0.0
+
+    # halved combinations below are all integers once the checks above pass
+    a = (two_j1 + two_j2 - two_k) // 2
+    b = (two_j1 - two_j2 + two_k) // 2
+    c = (-two_j1 + two_j2 + two_k) // 2
+    j1m = (two_j1 - two_m1) // 2
+    j1p = (two_j1 + two_m1) // 2
+    j2m = (two_j2 - two_m2) // 2
+    j2p = (two_j2 + two_m2) // 2
+    kp = (two_k + two_q) // 2
+    km = (two_k - two_q) // 2
+    d1 = (two_k - two_j2 + two_m1) // 2  # k - j2 + m1
+    d2 = (two_k - two_j1 - two_m2) // 2  # k - j1 - m2
+
+    t_min = max(0, -d1, -d2)
+    t_max = min(a, j1m, j2p)
+    if t_min > t_max:
+        return 0.0
+    f = math.factorial
+    s = Fraction(0)
+    for t in range(t_min, t_max + 1):
+        den = (f(t) * f(a - t) * f(j1m - t) * f(j2p - t) * f(d1 + t) * f(d2 + t))
+        s += Fraction(-1 if t % 2 else 1, den)
+    if s == 0:
+        return 0.0
+    pref = Fraction(
+        (two_k + 1) * f(a) * f(b) * f(c) * f(kp) * f(km)
+        * f(j1m) * f(j1p) * f(j2m) * f(j2p),
+        f((two_j1 + two_j2 + two_k) // 2 + 1),
+    )
+    value = math.sqrt(float(pref * s * s))
+    return value if s > 0 else -value
+
+
+def cg_t(two_j, two_m, two_mp, k, q):
+    """Dicke-to-partial-wave coupling t_kq^{j m m'} = (-1)^(j-m-q) <j,m; j,-m'|k,q>.
+
+    Nonzero only for q = m - m'; malformed labels raise ValueError.
+    """
+    _check_label(two_j, two_m)
+    _check_label(two_j, two_mp)
+    _check_label(2 * k, 2 * q)
+    if 2 * q != two_m - two_mp:
+        return 0.0
+    sign = -1.0 if ((two_j - two_m) // 2 + q) % 2 else 1.0
+    return sign * cg_general(two_j, two_m, two_j, -two_mp, 2 * k, 2 * q)
 
 
 def racah_cg(two_j1, two_m1, two_j2, two_m2, two_j3, two_m3):

@@ -109,6 +109,11 @@ def _record_error(row):
 @example(rows=[(0.5, 0.0, 1.0, 4.5, 0.5)])
 @example(rows=[(0.5, 0.0, 1.0, 4, 3)])
 @example(rows=[(0.5, 0.0, 1.0, -2, 0)])
+@example(rows=[(0.5, 0.0, 1.0, 4, 2), (1.5, 0.2, 1.0, 10 ** 20, 0)])
+@example(rows=[(0.5, 0.0, 1.0, 2 ** 63, 0)])
+@example(rows=[(0.5, 0.0, 1.0, 0, -2 ** 63)])
+@example(rows=[(0.5, 0.0, 1.0, 1e20, 0.0)])
+@example(rows=[(0.5, 0.0, 1.0, 2 ** 63 - 1, 1 - 2 ** 63)])
 def test_records_refuse_what_the_record_refuses(rows):
     # one vector check, with the record's own message for the first bad row
     errors = [e for e in map(_record_error, rows) if e is not None]

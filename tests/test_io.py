@@ -39,6 +39,17 @@ def test_measurement_parity_violation_reports_line(tmp_path):
         stio.parse_measurements(path)
 
 
+@pytest.mark.parametrize("spins", ["100000000000000000000,0", "4,-9223372036854775808",
+                                   "9223372036854775808,0"])
+def test_measurement_spin_beyond_int64_reports_line(tmp_path, spins):
+    path = tmp_path / "m.csv"
+    path.write_text("theta,phi,weight,two_j,two_m\n"
+                    "0.5,0.1,0.2,4,2\n"
+                    f"1.5,0.2,1,{spins}\n")
+    with pytest.raises(stio.MeasurementFormatError, match="line 3: .*int64 range"):
+        stio.parse_measurements(path)
+
+
 def test_measurement_malformed_rows(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("theta,phi,weight,two_j,two_m\n"
@@ -168,6 +179,8 @@ _FAULTS = {
     "odd parity": lambda row, d: row[:4] + [str(int(row[4]) + 1)],
     "m above j": lambda row, d: row[:4] + [str(int(row[3]) + 2)],
     "spin as float": lambda row, d: row[:3] + [row[3] + ".0"] + row[4:],
+    "j beyond int64": lambda row, d: row[:3] + [str(2 ** 64)] + row[4:],
+    "m beyond int64": lambda row, d: row[:4] + [str(-2 ** 63)],
 }
 
 

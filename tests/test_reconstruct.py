@@ -596,6 +596,29 @@ def test_fbp_inplane_odd_waves_are_exact_zeros(seed):
     assert np.all(out.coeffs[(k + q) % 2 == 1] == 0.0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), two_j=st.integers(0, 10), extra=st.integers(0, 4))
+def test_fbp_recovers_exact_records_to_machine_precision(seed, two_j, extra):
+    # infinite data on the fewest nodes that integrate kmax = 2j exactly, or more:
+    # A > kmax equally spaced equatorial axes give every k + q even coefficient,
+    # Gauss-Legendre in cos(theta) times 2 kmax + 1 azimuths give them all
+    r = np.random.default_rng(seed)
+    truth, _ = _random_state(two_j, seed)
+    n_axes = two_j + 1 + extra
+    phi0 = r.uniform(0.0, math.pi / n_axes)
+    inplane = fbp_inplane(exact_records(truth, [(t, p + phi0) for t, p in _plane_axes(n_axes)]),
+                          ReconstructionConfig(kmax=two_j, two_j_ref=two_j))
+    k = np.arange(two_j + 1)[:, None]
+    even = (k + np.arange(-two_j, two_j + 1)[None, :]) % 2 == 0
+    assert np.abs(inplane.coeffs - truth.coeffs)[even].max() <= 1e-14
+    assert np.all(inplane.coeffs[~even] == 0.0)
+    theta, phi, w = hemisphere_quadrature(two_j + 1 + extra, 2 * two_j + 1 + extra)
+    axes = [(t, p) for t in theta for p in phi]
+    full = fbp_full(exact_records(truth, axes, w.ravel() / (2.0 * math.pi)),
+                    ReconstructionConfig(kmax=two_j, mode="full-sphere", two_j_ref=two_j))
+    assert np.abs(full.coeffs - truth.coeffs).max() <= 1e-14
+
+
 # the phase noise is constant: the model form depends on the azimuth itself
 _ROTATION_NOISE = NoiseModel(sigma_n=1.5, sigma_omega=0.1, phase_mode="constant", sigma_phi=0.2)
 
