@@ -60,7 +60,6 @@ def _noise_from(args):
         phase_mode=mode,
         sigma_phi=amount if mode == "constant" else 0.0,
         sigma_ph=amount if mode == "model" else 0.0,
-        phase_variant=args.phase_variant,
     )
 
 
@@ -97,9 +96,6 @@ def _add_noise_flags(p):
                    help="axis pointing uncertainty (rad)")
     p.add_argument("--phase-noise", dest="phase_noise", default="none",
                    help="none | constant:<rad> | model:<rad>")
-    p.add_argument("--phase-variant", dest="phase_variant", default="quadratic",
-                   choices=("quadratic", "linear"),
-                   help="mapping of the model amplitude to sigma_phi(phi)")
 
 
 def _build_parser():
@@ -137,7 +133,6 @@ def _build_parser():
     p.add_argument("--weights", choices=("uniform", "voronoi"), default="voronoi")
     p.add_argument("--fold-north", dest="fold_north", action="store_true")
     p.add_argument("--two-j-ref", dest="two_j_ref", type=int)
-    p.add_argument("--grid", default="64x128", help="render grid NxM for the grid CSV")
     _add_noise_flags(p)
     p.add_argument("--out", help="output prefix (default: input stem)")
 
@@ -217,11 +212,9 @@ def _cmd_reconstruct(args):
     prefix = args.out or _stem(args.measurements)
     stio.write_coefficients(f"{prefix}_coeffs.csv", state)
     stio.write_spectrum(f"{prefix}_spectrum.csv", power_spectrum(state))
-    n_theta, n_phi = _parse_grid(args.grid)
-    stio.write_grid(f"{prefix}_grid.csv", wigner_grid(state, n_theta, n_phi))
     print(f"reconstructed kmax={kmax} mode={args.mode} fold_north={args.fold_north} "
           f"two_j_ref={state.two_j_ref}")
-    print(f"wrote {prefix}_coeffs.csv, {prefix}_spectrum.csv, {prefix}_grid.csv")
+    print(f"wrote {prefix}_coeffs.csv, {prefix}_spectrum.csv")
     return 0
 
 

@@ -27,7 +27,6 @@ __all__ = [
 ]
 
 _PHASE_MODES = ("none", "constant", "model")
-_PHASE_VARIANTS = ("quadratic", "linear")
 _FIELDS = ("theta", "phi", "weight", "two_j", "two_m")
 
 
@@ -40,11 +39,8 @@ class NoiseModel:
     sigma_omega  quantization-axis pointing uncertainty (radians), defined
                  through the mean squared sine of the pointing error angle.
     phase_mode   azimuthal phase noise: "none", "constant" (fixed
-                 sigma_phi), or "model" (amplitude sigma_ph mapped to a
-                 phi-dependent sigma).
-    phase_variant  "quadratic" applies sigma_ph^2 sin|phi| / sqrt(2) with
-                 sigma_ph in radians (the verbatim reading); "linear" is
-                 the alternative sigma_ph sin|phi| / sqrt(2).
+                 sigma_phi), or "model" (amplitude sigma_ph, in radians,
+                 mapped to sigma_ph^2 sin|phi| / sqrt(2)).
     """
 
     sigma_n: float = 0.0
@@ -52,15 +48,12 @@ class NoiseModel:
     phase_mode: str = "none"
     sigma_phi: float = 0.0
     sigma_ph: float = 0.0
-    phase_variant: str = "quadratic"
 
     def __post_init__(self):
         for name in ("sigma_n", "sigma_omega", "sigma_phi", "sigma_ph"):
             _check_noise(name, getattr(self, name))
         if self.phase_mode not in _PHASE_MODES:
             raise ValueError(f"phase_mode must be one of {_PHASE_MODES}")
-        if self.phase_variant not in _PHASE_VARIANTS:
-            raise ValueError(f"phase_variant must be one of {_PHASE_VARIANTS}")
 
     def azimuth_sigma(self, phi):
         """Azimuth-noise standard deviation at quantization-axis azimuth phi."""
@@ -68,8 +61,7 @@ class NoiseModel:
             return np.zeros_like(np.asarray(phi, dtype=float)) + 0.0
         if self.phase_mode == "constant":
             return np.full_like(np.asarray(phi, dtype=float), self.sigma_phi) + 0.0
-        amp = self.sigma_ph ** 2 if self.phase_variant == "quadratic" else self.sigma_ph
-        return amp * np.sin(np.abs(np.asarray(phi, dtype=float))) / math.sqrt(2.0)
+        return self.sigma_ph ** 2 * np.sin(np.abs(np.asarray(phi, dtype=float))) / math.sqrt(2.0)
 
     @property
     def has_axis_noise(self):
@@ -128,14 +120,6 @@ def _check_rows(theta, phi, weight, two_j, two_m):
         MeasurementRecord(*(c[i].item() for c in rows))
 
 
-def _check_shapes(columns):
-    n = columns[0].shape
-    if any(c.ndim != 1 or c.shape != n for c in columns):
-        raise ValueError("record columns must be one-dimensional and of one length")
-    if n[0] == 0:
-        raise ValueError("no measurement records")
-
-
 def _records(columns):
     # MeasurementRecords of checked field lists, without running the check again
     for theta, phi, weight, two_j, two_m in zip(*columns):
@@ -145,27 +129,40 @@ def _records(columns):
         yield r
 
 
+@dataclass(frozen=True, eq=False)
 class Records(Sequence):
-    """Measurement records as five read-only columns, checked once.
+    """Measurement records as five read-only columns, checked when built.
 
     theta, phi and weight are float arrays and two_j, two_m int64 arrays,
-    all of one length n >= 1.  Building a Records checks every row against
-    the MeasurementRecord invariants in one vector pass and raises the
-    record's own error for the first bad row.  As a Sequence it yields
-    MeasurementRecords: len, indexing and iteration work as on a list, a
-    non-empty slice is a Records, and ``+`` concatenates.  ``==`` holds
-    against a Records or a sequence of MeasurementRecord with the same
-    rows, field by field, a pending (NaN) weight equal to a pending one.
+    all of one length n >= 1.  Building a Records, by any producer or by
+    ``dataclasses.replace``, checks every row against the MeasurementRecord
+    invariants in one vector pass and raises the record's own error for the
+    first bad row.  As a Sequence it yields MeasurementRecords: len,
+    indexing and iteration work as on a list, a non-empty slice is a
+    Records, and ``+`` concatenates.  ``==`` holds against a Records or a
+    sequence of MeasurementRecord with the same rows, field by field, a
+    pending (NaN) weight equal to a pending one.
     """
 
-    __slots__ = _FIELDS
+    theta: np.ndarray
+    phi: np.ndarray
+    weight: np.ndarray
+    two_j: np.ndarray
+    two_m: np.ndarray
 
-    def __init__(self, theta, phi, weight, two_j, two_m):
-        columns = [np.array(c, dtype=float) for c in (theta, phi, weight)]
-        columns += [np.array(c) for c in (two_j, two_m)]
-        _check_shapes(columns)
+    def __post_init__(self):
+        columns = [np.array(getattr(self, f), dtype=float) for f in _FIELDS[:3]]
+        columns += [np.array(getattr(self, f)) for f in _FIELDS[3:]]
+        n = columns[0].shape
+        if any(c.ndim != 1 or c.shape != n for c in columns):
+            raise ValueError("record columns must be one-dimensional and of one length")
+        if n[0] == 0:
+            raise ValueError("no measurement records")
         _check_rows(*columns)
-        self._set(columns)
+        for name, c, dtype in zip(_FIELDS, columns, (float, float, float, np.int64, np.int64)):
+            c = c.astype(dtype, copy=False)
+            c.flags.writeable = False
+            object.__setattr__(self, name, c)
 
     @classmethod
     def of(cls, records):
@@ -175,35 +172,10 @@ class Records(Sequence):
             return records
         return cls(*([getattr(r, f) for r in records] for f in _FIELDS))
 
-    @classmethod
-    def _valid(cls, theta, phi, weight, two_j, two_m):
-        # columns that their producer made valid: only the shapes are checked
-        self = object.__new__(cls)
-        columns = [theta, phi, weight, two_j, two_m]
-        _check_shapes(columns)
-        self._set(columns)
-        return self
-
-    def _set(self, columns):
-        for name, c, dtype in zip(_FIELDS, columns, (float, float, float, np.int64, np.int64)):
-            c = c.astype(dtype, copy=False)
-            c.flags.writeable = False
-            object.__setattr__(self, name, c)
-
     @property
     def columns(self):
         """The tuple (theta, phi, weight, two_j, two_m)."""
         return self.theta, self.phi, self.weight, self.two_j, self.two_m
-
-    def _with_weights(self, weight):
-        # the weighting step's output: the same rows with a new weight column
-        return Records._valid(self.theta, self.phi, weight, self.two_j, self.two_m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"Records is read-only: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"Records is read-only: cannot delete {name!r}")
 
     def __reduce__(self):
         return Records, self.columns
@@ -213,7 +185,7 @@ class Records(Sequence):
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Records._valid(*(c[i] for c in self.columns))
+            return Records(*(c[i] for c in self.columns))
         return next(_records([c[i].item()] for c in self.columns))
 
     def __iter__(self):
@@ -221,7 +193,7 @@ class Records(Sequence):
 
     def __add__(self, other):
         other = Records.of(other)
-        return Records._valid(*map(np.concatenate, zip(self.columns, other.columns)))
+        return Records(*map(np.concatenate, zip(self.columns, other.columns)))
 
     def __eq__(self, other):
         if not isinstance(other, Records):
@@ -363,13 +335,11 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
                 th, ph = _tilted_axes(th, ph, sigma_t * next(cols), sigma_t * next(cols))
             # one kernel call per axis, a jittered axis per shot
             idx.append(_draw(_probabilities(s, th, ph), u[:, None])[:, 0])
-    # every shot of an axis repeats its checked angles; the spins are valid by
-    # construction (2j_n >= |2m|, both of the parity of 2j)
     two_m = 2 * np.array(idx).ravel() - two_j
     two_j_n = np.maximum(two_j + 2 * np.array(djs).astype(int).ravel(), np.abs(two_m))
     weight = 1.0 / (len(axes) * shots_per_axis)
-    return Records._valid(np.repeat(theta, shots_per_axis), np.repeat(phi, shots_per_axis),
-                          np.full(two_m.size, weight), two_j_n, two_m)
+    return Records(np.repeat(theta, shots_per_axis), np.repeat(phi, shots_per_axis),
+                   np.full(two_m.size, weight), two_j_n, two_m)
 
 
 def exact_records(s, axes, axis_weights=None):
@@ -388,8 +358,7 @@ def exact_records(s, axes, axis_weights=None):
     _check_rows(theta, phi, axis_weights, 0, 0)
     two_j = s.two_j_ref
     p = _physical(_probabilities(s, theta, phi))
-    # one record per (axis, outcome) with p_m > 0, axis by axis; c_a p_m is
-    # valid where the checked c_a is
+    # one record per (axis, outcome) with p_m > 0, axis by axis
     a, i = np.nonzero(p > 0.0)
-    return Records._valid(theta[a], phi[a], axis_weights[a] * p[a, i],
-                          np.full(a.size, two_j), 2 * i - two_j)
+    return Records(theta[a], phi[a], axis_weights[a] * p[a, i], np.full(a.size, two_j),
+                   2 * i - two_j)

@@ -18,7 +18,7 @@ contributions.
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -184,7 +184,7 @@ def compute_weights(records, mode, scheme="voronoi"):
     theta, phi, weight = records.theta, records.phi, records.weight
     n = len(records)
     if scheme == "uniform":
-        return records._with_weights(np.full(n, 1.0 / n))
+        return replace(records, weight=np.full(n, 1.0 / n))
     if scheme != "voronoi":
         raise ValueError(f"unknown weight scheme {scheme!r}")
 
@@ -221,7 +221,7 @@ def compute_weights(records, mode, scheme="voronoi"):
         if np.any(axis_total <= 0.0):
             raise ValueError("the records of an axis carry zero total weight")
         per_record = axis_w[axis] * (weight / axis_total[axis])
-    return records._with_weights(per_record / per_record.sum())
+    return replace(records, weight=per_record / per_record.sum())
 
 
 def _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise):

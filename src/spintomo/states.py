@@ -130,14 +130,6 @@ class DickeState:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def trace(self):
-        return float(np.trace(self.matrix).real)
-
-    def m_values(self):
-        """Doubled projections for the matrix rows, ascending."""
-        return np.arange(-self.two_j, self.two_j + 1, 2)
-
 
 @dataclass(frozen=True)
 class WignerGrid:

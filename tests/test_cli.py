@@ -8,8 +8,9 @@ import pytest
 import spintomo
 from spintomo import io as stio
 from spintomo.cli import main
-from spintomo.forward import MeasurementRecord
-from spintomo.states import coherent_state
+from spintomo.forward import MeasurementRecord, NoiseModel
+from spintomo.reconstruct import ReconstructionConfig, reconstruct
+from spintomo.states import coherent_state, wigner_grid
 
 
 def run(*argv):
@@ -34,7 +35,7 @@ def test_full_pipeline_coherent(workdir, capsys):
     db = float(out.split("squeezing:")[1].split("dB")[0])
     assert abs(db) < 2.0  # coherent input at modest statistics; plumbing check
     assert run("render", "run_coeffs.csv", "--grid", "16x32", "--out", "img") == 0
-    for name in ("run_coeffs.csv", "run_spectrum.csv", "run_grid.csv",
+    for name in ("run_coeffs.csv", "run_spectrum.csv",
                  "run_coeffs_squeezing.csv", "img_grid.csv", "img.pgm"):
         assert os.path.exists(name), name
 
@@ -59,7 +60,7 @@ def test_pipeline_determinism(workdir):
                    "--out", tag) == 0
         assert run("analyze", f"{tag}_coeffs.csv", "--out", f"{tag}_sq.csv") == 0
         assert run("render", f"{tag}_coeffs.csv", "--out", f"{tag}_img") == 0
-    for suffix in (".csv", "_coeffs.csv", "_spectrum.csv", "_grid.csv", "_sq.csv",
+    for suffix in (".csv", "_coeffs.csv", "_spectrum.csv", "_sq.csv",
                    "_img_grid.csv", "_img.pgm"):
         a = open(f"a{suffix}", "rb").read()
         b = open(f"b{suffix}", "rb").read()
@@ -108,6 +109,31 @@ def test_reconstruct_default_kmax_counts_near_duplicate_azimuths_once(workdir, c
     stio.write_measurements("probe.csv", recs)
     assert run("reconstruct", "probe.csv", "--out", "probe") == 0
     assert "reconstructed kmax=11 " in capsys.readouterr().out
+
+
+def test_reconstruct_writes_coefficients_and_spectrum_only(workdir, capsys):
+    assert run("simulate", "--two-j", "20", "--axes", "8", "--shots", "20", "--seed", "2",
+               "--out", "m.csv") == 0
+    assert run("reconstruct", "m.csv", "--out", "r") == 0
+    assert sorted(os.listdir()) == ["m.csv", "r_coeffs.csv", "r_spectrum.csv"]
+    assert "wrote r_coeffs.csv, r_spectrum.csv\n" in capsys.readouterr().out
+    # the grid file is render's alone
+    with pytest.raises(SystemExit) as exc:
+        run("reconstruct", "m.csv", "--grid", "8x16", "--out", "g")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --grid" in capsys.readouterr().err
+
+
+def test_render_grid_is_the_library_grid(workdir):
+    assert run("simulate", "--state", "oat", "--two-j", "20", "--chi", "0.05", "--axes", "8",
+               "--shots", "30", "--seed", "6", "--sigma-n", "1.5", "--out", "m.csv") == 0
+    assert run("reconstruct", "m.csv", "--fold-north", "--kmax", "7", "--sigma-n", "1.5",
+               "--out", "r") == 0
+    assert run("render", "r_coeffs.csv", "--out", "w") == 0
+    config = ReconstructionConfig(kmax=7, noise=NoiseModel(sigma_n=1.5), fold_north=True)
+    state = reconstruct(stio.parse_measurements("m.csv"), config)
+    stio.write_grid("library_grid.csv", wigner_grid(state, 64, 128))
+    assert open("w_grid.csv", "rb").read() == open("library_grid.csv", "rb").read()
 
 
 @pytest.mark.parametrize("flags", [("--state", "oat", "--chi", "nan"), ("--phi0", "nan")])
@@ -325,10 +351,18 @@ def test_simulate_sphere_layout_and_full_sphere_reconstruction(workdir):
 
 def test_simulate_phase_noise_flag(workdir):
     assert run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10",
-               "--seed", "1", "--phase-noise", "model:0.14",
-               "--phase-variant", "quadratic", "--out", "pn.csv") == 0
+               "--seed", "1", "--phase-noise", "model:0.14", "--out", "pn.csv") == 0
     assert run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10",
                "--seed", "1", "--phase-noise", "junk", "--out", "x.csv") == 2
+    # the model law is always sigma_ph^2 sin|phi| / sqrt(2): no variant to choose
+    with pytest.raises(SystemExit) as exc:
+        run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10", "--seed", "1",
+            "--phase-noise", "model:0.14", "--phase-variant", "quadratic", "--out", "pv.csv")
+    assert exc.value.code == 2
+    with open("pv.cfg", "w") as fh:
+        fh.write("phase_variant = linear\n")
+    assert run("simulate", "--config", "pv.cfg", "--out", "pv.csv") == 2
+    assert not os.path.exists("pv.csv")
 
 
 _NO_SCIPY_CHAIN = """

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -37,8 +38,6 @@ def test_noise_model_validation():
         NoiseModel(sigma_n=-1.0)
     with pytest.raises(ValueError):
         NoiseModel(phase_mode="sometimes")
-    with pytest.raises(ValueError):
-        NoiseModel(phase_variant="cubic")
     for name in ("sigma_n", "sigma_omega", "sigma_phi", "sigma_ph"):
         with pytest.raises(ValueError, match=f"{name} .* with a finite square"):
             NoiseModel(**{name: 1e200})  # finite, but its square overflows
@@ -51,10 +50,6 @@ def test_noise_model_phase_mapping():
     want = math.radians(8.2) ** 2 * math.sin(phi) / math.sqrt(2.0)
     assert float(nm.azimuth_sigma(phi)) == pytest.approx(want, rel=1e-12)
     assert float(nm.azimuth_sigma(-phi)) == pytest.approx(want, rel=1e-12)
-    lin = NoiseModel(phase_mode="model", sigma_ph=math.radians(8.2),
-                     phase_variant="linear")
-    assert float(lin.azimuth_sigma(phi)) == pytest.approx(
-        math.radians(8.2) * math.sin(phi) / math.sqrt(2.0), rel=1e-12)
     const = NoiseModel(phase_mode="constant", sigma_phi=0.05)
     assert float(const.azimuth_sigma(2.0)) == 0.05
     assert float(NoiseModel().azimuth_sigma(2.0)) == 0.0
@@ -155,6 +150,25 @@ def test_records_are_read_only_and_never_empty():
         Records.of([])
     with pytest.raises(ValueError, match="one length"):
         Records([0.5, 0.5], [0.0], [1.0], [2], [0])
+
+
+def test_every_records_is_checked_when_built():
+    recs = Records([0.5, 0.7], [0.0, 0.1], [0.5, 0.5], [2, 2], [0, 2])
+    with pytest.raises(ValueError, match=r"^weight must be non-negative or NaN, got -1.0$"):
+        dataclasses.replace(recs, weight=[-1.0, 0.5])
+    with pytest.raises(ValueError, match="one length"):
+        dataclasses.replace(recs, two_m=[0])
+    assert dataclasses.replace(recs, weight=[math.nan, 1.0]) == [
+        MeasurementRecord(0.5, 0.0, math.nan, 2, 0), MeasurementRecord(0.7, 0.1, 1.0, 2, 2)]
+
+
+def test_unpickled_records_stay_read_only():
+    recs = pickle.loads(pickle.dumps(Records([0.5, 0.7], [0.0, 0.1], [0.5, 0.5], [2, 2], [0, 2])))
+    assert recs == [MeasurementRecord(0.5, 0.0, 0.5, 2, 0), MeasurementRecord(0.7, 0.1, 0.5, 2, 2)]
+    for name, column in zip(("theta", "phi", "weight", "two_j", "two_m"), recs.columns):
+        assert not column.flags.writeable, name
+    with pytest.raises(AttributeError):
+        recs.theta = np.zeros(2)
 
 
 def test_producers_return_record_columns():
