@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import cg_tau_table, check_spin_label
-from .forward import _probabilities
+from .forward import projection_probabilities
 from .states import _check_noise, _damping, _wave_sums
 
 __all__ = [
@@ -33,24 +33,22 @@ def power_spectrum(s):
     return np.sum(np.abs(s.coeffs) ** 2, axis=1) / (2.0 * k + 1.0)
 
 
-def _moments(s, theta, phi):
-    # (<m>, <m^2>) along n axes (theta, phi broadcast), as two (n,) arrays: p.m and p.m^2
-    # of the k <= 2 part of p_m, since sum_m m tau_k and sum_m m^2 tau_k vanish for k > 2
+def moments(s, theta, phi):
+    """First two projection moments (<m>, <m^2>) along the axes (theta, phi).
+
+    Two floats for scalar theta and phi, else two arrays of their broadcast
+    shape.  Uses only the k <= 2 coefficients, which are the most
+    noise-robust part of any reconstruction; the coupling table is that of
+    the state's reference spin.
+    """
+    # p.m and p.m^2 of the k <= 2 part of p_m: sum_m m tau_k and sum_m m^2 tau_k
+    # vanish for k > 2
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
     kuse = min(2, s.kmax)
     p = _wave_sums(s, theta, phi, kuse) @ cg_tau_table(s.two_j_ref, kuse)
     m = np.arange(s.two_j_ref + 1) - s.two_j_ref / 2.0
-    return p @ m, p @ (m * m)
-
-
-def moments(s, theta, phi):
-    """First two projection moments (<m>, <m^2>) along the axis (theta, phi).
-
-    Uses only the k <= 2 coefficients, which are the most noise-robust
-    part of any reconstruction; the coupling table is that of the state's
-    reference spin.
-    """
-    mean, mean2 = _moments(s, theta, phi)
-    return float(mean[0]), float(mean2[0])
+    mean, mean2 = (p @ m).reshape(shape), (p @ (m * m)).reshape(shape)
+    return (float(mean), float(mean2)) if not shape else (mean, mean2)
 
 
 def coherent_reference_variance(two_j, sigma_n):
@@ -212,8 +210,8 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     phis = np.asarray(phis, dtype=float).ravel()
     if phis.size == 0:
         raise ValueError("squeezing scan needs at least one azimuth")
-    means, mean2s = _moments(s, math.pi / 2.0, phis)
-    fits, ok = _gaussian_fits(_probabilities(s, math.pi / 2.0, phis), m)
+    means, mean2s = moments(s, math.pi / 2.0, phis)
+    fits, ok = _gaussian_fits(projection_probabilities(s, math.pi / 2.0, phis), m)
     v_fits = np.where(ok, fits[:, 2], math.nan)
     curve = list(zip(phis.tolist(), (mean2s - means ** 2).tolist(), v_fits.tolist()))
     failures = int(np.sum(~ok))
@@ -232,4 +230,4 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
 
 def mean_spin_vector(s):
     """<S> = (<Sx>, <Sy>, <Sz>) from first moments along the lab axes."""
-    return _moments(s, [math.pi / 2.0, math.pi / 2.0, 0.0], [0.0, math.pi / 2.0, 0.0])[0]
+    return moments(s, [math.pi / 2.0, math.pi / 2.0, 0.0], [0.0, math.pi / 2.0, 0.0])[0]

@@ -233,10 +233,15 @@ def rot_elements_axis(kmax, theta, phi):
 
 
 def pochhammer_half(a):
-    """Half-step Pochhammer symbol (a)_(1/2) = Gamma(a + 1/2) / Gamma(a)."""
-    if a <= 0.0:
-        raise ValueError(f"pochhammer_half requires a > 0, got {a}")
-    return math.exp(math.lgamma(a + 0.5) - math.lgamma(a))
+    """Half-step Pochhammer symbol (a)_(1/2) = Gamma(a + 1/2) / Gamma(a), elementwise.
+
+    A float for a scalar a, else an array of a's shape.
+    """
+    a = np.asarray(a, dtype=float)
+    if np.any(a <= 0.0):
+        raise ValueError(f"pochhammer_half requires a > 0, got {a[a <= 0.0][0]}")
+    out = np.array([math.exp(math.lgamma(v + 0.5) - math.lgamma(v)) for v in a.ravel().tolist()])
+    return float(out[0]) if a.ndim == 0 else out.reshape(a.shape)
 
 
 def hemi_overlap(k, k_prime, q):

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import states
 from .angular import LABEL_BOUND, cg_tau_table, check_spin_label
-from .states import _check_noise, _wave_sums
+from .states import _check_noise, _chunks, _wave_sums
 
 __all__ = [
     "NoiseModel",
@@ -41,6 +40,9 @@ class NoiseModel:
     phase_mode   azimuthal phase noise: "none", "constant" (fixed
                  sigma_phi), or "model" (amplitude sigma_ph, in radians,
                  mapped to sigma_ph^2 sin|phi| / sqrt(2)).
+
+    A phase amount needs its mode: sigma_phi > 0 only with "constant" and
+    sigma_ph > 0 only with "model", so at most one of them is non-zero.
     """
 
     sigma_n: float = 0.0
@@ -54,20 +56,20 @@ class NoiseModel:
             _check_noise(name, getattr(self, name))
         if self.phase_mode not in _PHASE_MODES:
             raise ValueError(f"phase_mode must be one of {_PHASE_MODES}")
+        for name, mode in (("sigma_phi", "constant"), ("sigma_ph", "model")):
+            if getattr(self, name) > 0.0 and self.phase_mode != mode:
+                raise ValueError(f"{name} = {getattr(self, name)} needs phase_mode "
+                                 f"{mode!r}, not {self.phase_mode!r}")
 
     def azimuth_sigma(self, phi):
         """Azimuth-noise standard deviation at quantization-axis azimuth phi."""
-        if self.phase_mode == "none":
-            return np.zeros_like(np.asarray(phi, dtype=float)) + 0.0
-        if self.phase_mode == "constant":
-            return np.full_like(np.asarray(phi, dtype=float), self.sigma_phi) + 0.0
-        return self.sigma_ph ** 2 * np.sin(np.abs(np.asarray(phi, dtype=float))) / math.sqrt(2.0)
+        # the amount of a mode not in use is zero
+        return self.sigma_phi + self.sigma_ph ** 2 * np.sin(
+            np.abs(np.asarray(phi, dtype=float))) / math.sqrt(2.0)
 
     @property
     def has_axis_noise(self):
-        return self.sigma_omega > 0.0 or (
-            self.phase_mode == "constant" and self.sigma_phi > 0.0
-        ) or (self.phase_mode == "model" and self.sigma_ph > 0.0)
+        return self.sigma_omega > 0.0 or self.sigma_phi > 0.0 or self.sigma_ph > 0.0
 
 
 @dataclass(frozen=True)
@@ -218,21 +220,17 @@ def _axis_columns(axes):
     return theta, phi
 
 
-def _probabilities(s, theta, phi):
-    """p_m along many axes at once: an array of shape (n, 2j+1).
-
-    theta and phi broadcast to n axes.
-    """
-    return _wave_sums(s, theta, phi, s.kmax) @ cg_tau_table(s.two_j_ref, s.kmax)
-
-
 def projection_probabilities(s, theta, phi):
-    """Projection-number distribution p_m along the axis (theta, phi).
+    """Projection-number distribution p_m along the axes (theta, phi).
 
-    Entries may be negative when s comes from a noisy reconstruction; the
-    sum always equals sqrt(2j+1) rho_00 (the trace).
+    theta and phi are scalars or broadcastable arrays; the result has their
+    broadcast shape + (2j+1,), m ascending.  Entries may be negative when s
+    comes from a noisy reconstruction; the sum always equals sqrt(2j+1)
+    rho_00 (the trace).
     """
-    return _probabilities(s, theta, phi)[0]
+    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    p = _wave_sums(s, theta, phi, s.kmax) @ cg_tau_table(s.two_j_ref, s.kmax)
+    return p.reshape(shape + p.shape[1:])
 
 
 def _tilted_axes(theta, phi, t1, t2):
@@ -265,9 +263,8 @@ def _draw(p, u):
         raise ValueError("projection probabilities sum to zero")
     cdf = np.cumsum(p / total, axis=1)
     cdf /= cdf[:, -1:]
-    rows = max(1, int(states._CHUNK_BUDGET // (u.shape[1] * cdf.shape[1])))
-    return np.concatenate([np.sum(cdf[lo:lo + rows, None, :] <= u[lo:lo + rows, :, None], axis=2)
-                           for lo in range(0, len(u), rows)])
+    return np.concatenate([np.sum(cdf[sl, None, :] <= u[sl, :, None], axis=2)
+                           for sl in _chunks(len(u), u.shape[1] * cdf.shape[1])])
 
 
 def sample_measurements(s, axes, shots_per_axis, noise, seed):
@@ -299,44 +296,44 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
     rngs = [np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,))))
         for a in range(len(axes))]
-    djs = []
-    if not noise.has_axis_noise:
-        # every axis's stream first, in stream order: the number jitters, then the
-        # outcome uniforms; then p_m of all axes, a chunk of axes per kernel call,
-        # and one draw over all shots
-        us = []
-        for rng in rngs:
-            djs.append(np.rint(rng.normal(0.0, sigma_j, size=shots_per_axis))
-                       if sigma_j > 0.0 else np.zeros(shots_per_axis))
-            us.append(rng.random(shots_per_axis))
-        chunk = max(1, int(states._CHUNK_BUDGET // (two_j + 1)))
-        p = np.concatenate([_probabilities(s, theta[lo:lo + chunk], phi[lo:lo + chunk])
-                            for lo in range(0, len(axes), chunk)])
-        idx = _draw(p, np.array(us))
-    else:
-        idx = []
-        for theta_a, phi_a, rng in zip(theta.tolist(), phi.tolist(), rngs):
-            # per shot, in stream order: dj, the phase jitter, (t1, t2), the outcome
-            # uniform; normal(0, sigma) draws are sigma * standard_normal() bitwise
-            sigma_phi_a = float(noise.azimuth_sigma(phi_a))
-            n_z = (sigma_j > 0.0) + (sigma_phi_a > 0.0) + 2 * (noise.sigma_omega > 0.0)
-            z = np.empty((shots_per_axis, n_z))
-            u = np.empty(shots_per_axis)
-            for i in range(shots_per_axis):
-                z[i] = rng.standard_normal(n_z)
-                u[i] = rng.random()
-            cols = iter(z.T)
-            djs.append(np.rint(sigma_j * next(cols)) if sigma_j > 0.0
+    # each axis's stream in turn: its number jitters, its points and its uniforms
+    # u[point, shot]; without axis noise its shots share the axis as one point,
+    # with axis noise each shot is a jittered point of its own
+    djs, ths, phs, us = [], [], [], []
+    for theta_a, phi_a, rng in zip(theta.tolist(), phi.tolist(), rngs):
+        if not noise.has_axis_noise:
+            # in stream order: the number jitters, then the outcome uniforms
+            djs.append(rng.normal(0.0, sigma_j, size=shots_per_axis) if sigma_j > 0.0
                        else np.zeros(shots_per_axis))
-            th = np.full(shots_per_axis, theta_a)
-            ph = (phi_a + sigma_phi_a * next(cols) if sigma_phi_a > 0.0
-                  else np.full(shots_per_axis, phi_a))
-            if noise.sigma_omega > 0.0:
-                th, ph = _tilted_axes(th, ph, sigma_t * next(cols), sigma_t * next(cols))
-            # one kernel call per axis, a jittered axis per shot
-            idx.append(_draw(_probabilities(s, th, ph), u[:, None])[:, 0])
-    two_m = 2 * np.array(idx).ravel() - two_j
-    two_j_n = np.maximum(two_j + 2 * np.array(djs).astype(int).ravel(), np.abs(two_m))
+            us.append(rng.random((1, shots_per_axis)))
+            ths.append([theta_a])
+            phs.append([phi_a])
+            continue
+        # per shot, in stream order: dj, the phase jitter, (t1, t2), the outcome
+        # uniform; normal(0, sigma) draws are sigma * standard_normal() bitwise
+        sigma_phi_a = float(noise.azimuth_sigma(phi_a))
+        n_z = (sigma_j > 0.0) + (sigma_phi_a > 0.0) + 2 * (noise.sigma_omega > 0.0)
+        z = np.empty((shots_per_axis, n_z))
+        u = np.empty((shots_per_axis, 1))
+        for i in range(shots_per_axis):
+            z[i] = rng.standard_normal(n_z)
+            u[i] = rng.random()
+        cols = iter(z.T)
+        djs.append(sigma_j * next(cols) if sigma_j > 0.0 else np.zeros(shots_per_axis))
+        th = np.full(shots_per_axis, theta_a)
+        ph = (phi_a + sigma_phi_a * next(cols) if sigma_phi_a > 0.0
+              else np.full(shots_per_axis, phi_a))
+        if noise.sigma_omega > 0.0:
+            th, ph = _tilted_axes(th, ph, sigma_t * next(cols), sigma_t * next(cols))
+        ths.append(th)
+        phs.append(ph)
+        us.append(u)
+    # p_m and the draw over every point, a chunk of points at a time
+    th, ph, u = np.concatenate(ths), np.concatenate(phs), np.concatenate(us)
+    idx = np.concatenate([_draw(projection_probabilities(s, th[sl], ph[sl]), u[sl])
+                          for sl in _chunks(len(u), two_j + 1)])
+    two_m = 2 * idx.ravel() - two_j
+    two_j_n = np.maximum(two_j + 2 * np.rint(np.concatenate(djs)).astype(int), np.abs(two_m))
     weight = 1.0 / (len(axes) * shots_per_axis)
     return Records(np.repeat(theta, shots_per_axis), np.repeat(phi, shots_per_axis),
                    np.full(two_m.size, weight), two_j_n, two_m)
@@ -357,7 +354,7 @@ def exact_records(s, axes, axis_weights=None):
         raise ValueError("axis_weights must match the number of axes")
     _check_rows(theta, phi, axis_weights, 0, 0)
     two_j = s.two_j_ref
-    p = _physical(_probabilities(s, theta, phi))
+    p = _physical(projection_probabilities(s, theta, phi))
     # one record per (axis, outcome) with p_m > 0, axis by axis
     a, i = np.nonzero(p > 0.0)
     return Records(theta[a], phi[a], axis_weights[a] * p[a, i], np.full(a.size, two_j),

@@ -33,7 +33,7 @@ from .angular import (
     pochhammer_half,
 )
 from .forward import NoiseModel, Records
-from .states import SphericalState, _damping, _damping_alpha
+from .states import SphericalState, _chunks, _damping, _damping_alpha
 
 __all__ = [
     "ReconstructionConfig",
@@ -52,7 +52,6 @@ __all__ = [
 _MODES = ("full-sphere", "in-plane")
 _EQUATOR_TOL = 1e-6
 _AXIS_TOL = 1e-9  # radians; far above the rounding error of any angle pair
-_CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of an angular kernel
 # projection axis of the _axis_ids sweep: a unit vector off the coordinate planes
 _SWEEP_DIRECTION = np.array([2.0, 3.0, 5.0]) / math.sqrt(38.0)
 
@@ -282,18 +281,16 @@ def _backproject(records, config):
         x = np.zeros(n_axes)
         sig = config.noise.azimuth_sigma(ph)
         E = E * np.exp(-0.5 * q * q * sig * sig)
-        filt = np.zeros((kmax + 1, kmax + 1))
-        for ki in range(kmax + 1):
-            for qi in range(ki % 2, ki + 1, 2):  # k + q odd carries no information
-                filt[ki, qi] = (pochhammer_half((ki - qi + 1) / 2.0)
-                                * pochhammer_half((ki + qi + 1) / 2.0) * math.pi)
+        # pi ((k-q+1)/2)_(1/2) ((k+q+1)/2)_(1/2) for q <= k; k + q odd carries no information
+        ph_half = pochhammer_half(np.arange(1, 2 * kmax + 2) / 2.0)
+        kk, qq = q, q.T  # k down the rows, q along the columns
+        filt = np.where((qq <= kk) & ((kk + qq) % 2 == 0),
+                        ph_half[np.abs(kk - qq)] * ph_half[kk + qq] * math.pi, 0.0)
     else:
         x = np.cos(theta[first])
         filt = (2.0 * k + 1.0)[:, None]
     half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
-    chunk = max(1, int(_CHUNK_BUDGET / ((kmax + 1) * (2 * kmax + 1) + 1)))
-    for lo in range(0, n_axes, chunk):
-        sl = slice(lo, lo + chunk)
+    for sl in _chunks(n_axes, (kmax + 1) * (2 * kmax + 1) + 1):
         S = legendre_sph_table(kmax, x[sl])                   # (K+1, K+1, c)
         half += np.einsum("kqa,ka->kq", S * E[None, :, sl], A[:, sl])
 
@@ -379,13 +376,12 @@ def xi_assemble(records, theta, phi, kmax, noise=NoiseModel()):
     per_k = (2.0 * k + 1.0) ** 1.5 / SQRT_4PI
     coef = per_k[:, None] * _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise)
     out = np.zeros(th.shape)
-    chunk = max(1, int(_CHUNK_BUDGET / ((kmax + 1) * max(th.size, 1))))
-    for lo in range(0, first.size, chunk):
-        f = first[lo:lo + chunk]
+    for sl in _chunks(first.size, (kmax + 1) * max(th.size, 1)):
+        f = first[sl]
         cos_eta = (np.cos(th)[..., None] * np.cos(theta_r[f])
                    + np.sin(th)[..., None] * np.sin(theta_r[f]) * np.cos(ph[..., None] - phi_r[f]))
         P = legendre_table(kmax, np.clip(cos_eta, -1.0, 1.0))  # (K+1,) + th.shape + (c,)
-        out += np.einsum("ka,k...a->...", coef[:, lo:lo + chunk], P)
+        out += np.einsum("ka,k...a->...", coef[:, sl], P)
     return float(out) if out.ndim == 0 else out
 
 

@@ -41,7 +41,7 @@ __all__ = [
 ]
 
 DESK_SCALE_LIMIT = 2000  # paths that allocate a (2j+1)^2 matrix: 64 MB at the limit
-_CHUNK_BUDGET = 2.0e6  # array elements per axis chunk of the partial-wave kernel
+_CHUNK_BUDGET = 2.0e6  # array elements per chunk of a batched kernel or draw
 
 
 @dataclass(frozen=True)
@@ -200,6 +200,12 @@ def spherical_to_dicke(s):
     return DickeState(two_j, mat)
 
 
+def _chunks(n, per_item):
+    """Slices over n items, at most _CHUNK_BUDGET // per_item items each (at least one)."""
+    step = max(1, int(_CHUNK_BUDGET // per_item))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def _wave_sums(s, theta, phi, kuse):
     """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
 
@@ -223,9 +229,7 @@ def _wave_sums(s, theta, phi, kuse):
     c = norm * np.where(q > 0, 2.0, 1.0) * s.coeffs[: kuse + 1, s.kmax: s.kmax + kuse + 1]
     a, b = c.real[:, None, :], -c.imag[:, None, :]             # (k, 1, q)
     out = np.empty((theta.size, kuse + 1))
-    chunk = max(1, int(_CHUNK_BUDGET / (kuse + 1) ** 2))
-    for lo in range(0, theta.size, chunk):
-        sl = slice(lo, lo + chunk)
+    for sl in _chunks(theta.size, (kuse + 1) ** 2):
         S = legendre_sph_table(kuse, np.cos(theta[sl]))          # (k, q, points)
         qphi = q[:, None] * phi[sl]
         out[sl] = (a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi)))[:, 0].T

@@ -17,7 +17,6 @@ from spintomo.analysis import (
 )
 from spintomo.forward import (
     NoiseModel,
-    _probabilities,
     projection_probabilities,
     sample_measurements,
 )
@@ -76,6 +75,24 @@ def test_moments_maximally_mixed():
     j = two_j / 2.0
     assert mean == pytest.approx(0.0, abs=1e-14)
     assert mean2 == pytest.approx(j * (j + 1.0) / 3.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (np.array([0.0, 0.4, 1.9, math.pi]), np.array([0.3, -1.0, 2.5, 0.0])),
+    (np.array([[0.2], [1.1], [2.7]]), np.array([-0.5, 0.0, 1.4, 3.0])),
+    (math.pi / 2.0, np.array([[0.1, 0.2], [0.3, 0.4]])),
+])
+def test_moments_broadcast_the_angles(theta, phi):
+    two_j = 6
+    s = dicke_to_spherical(DickeState(two_j, oracles.random_density_matrix(
+        two_j, np.random.default_rng(5))), two_j)
+    mean, mean2 = moments(s, theta, phi)
+    th, ph = np.broadcast_arrays(theta, phi)
+    assert mean.shape == mean2.shape == th.shape
+    for i in np.ndindex(th.shape):  # equal up to the rounding of a batched product
+        want = moments(s, float(th[i]), float(ph[i]))
+        assert abs(mean[i] - want[0]) <= 1e-14 and abs(mean2[i] - want[1]) <= 1e-13
+    assert all(isinstance(v, float) for v in moments(s, 0.3, 0.4))
 
 
 def test_moments_halfspin_along_z():
@@ -253,7 +270,7 @@ def _workload_scan(shape):
                             ReconstructionConfig(kmax=kmax, noise=noise, fold_north=True,
                                                  two_j_ref=40))
     phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
-    return _probabilities(state, math.pi / 2.0, phis), np.arange(41) - 20.0
+    return projection_probabilities(state, math.pi / 2.0, phis), np.arange(41) - 20.0
 
 
 @pytest.mark.parametrize("shape", ["paper", "cli"])

@@ -263,6 +263,12 @@ def test_pochhammer_half_values():
     assert pochhammer_half(10.0) == pytest.approx(3.1230114334, rel=1e-9)
     approx = math.sqrt(10.0) - 1.0 / (8.0 * math.sqrt(10.0))
     assert abs(pochhammer_half(10.0) - approx) / approx < 1e-3
+    # elementwise over an array: the scalar values, in the array's shape
+    a = np.array([[1.0, 0.5, 10.0], [2.5, 130.5, 0.25]])
+    got = pochhammer_half(a)
+    assert got.shape == a.shape
+    assert isinstance(pochhammer_half(1.0), float)
+    assert all(got[i] == pochhammer_half(float(a[i])) for i in np.ndindex(a.shape))
 
 
 def test_pochhammer_half_domain():

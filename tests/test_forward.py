@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+import spintomo.forward as forward
 import spintomo.states as states
 from spintomo.forward import (
     MeasurementRecord,
     NoiseModel,
     Records,
-    _probabilities,
     exact_records,
     projection_probabilities,
     sample_measurements,
@@ -53,6 +53,19 @@ def test_noise_model_phase_mapping():
     const = NoiseModel(phase_mode="constant", sigma_phi=0.05)
     assert float(const.azimuth_sigma(2.0)) == 0.05
     assert float(NoiseModel().azimuth_sigma(2.0)) == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"sigma_phi": 0.3},
+    {"phase_mode": "model", "sigma_phi": 0.3},
+    {"sigma_ph": 0.3},
+    {"phase_mode": "constant", "sigma_ph": 0.3},
+    {"phase_mode": "constant", "sigma_phi": 0.1, "sigma_ph": 0.3},
+])
+def test_noise_model_rejects_a_phase_amount_its_mode_ignores(kwargs):
+    # such an amount would leave the records and the damping silently noise-free
+    with pytest.raises(ValueError, match="needs phase_mode"):
+        NoiseModel(**kwargs)
 
 
 def test_record_invariants():
@@ -238,7 +251,7 @@ def test_batched_probabilities_match_rotation_oracle(two_j):
     s = dicke_to_spherical(DickeState(two_j, rho), two_j)
     theta = np.concatenate([[0.0, math.pi], r.uniform(0.0, math.pi, 48)])
     phi = r.uniform(-math.pi, math.pi, 50)
-    got = _probabilities(s, theta, phi)
+    got = projection_probabilities(s, theta, phi)
     want = np.array([oracles.rotated_diagonal(rho, two_j, t, f) for t, f in zip(theta, phi)])
     assert got.shape == (50, two_j + 1)
     assert np.abs(got - want).max() < 1e-10
@@ -254,10 +267,27 @@ def test_batched_probabilities_check_reality_per_axis():
         SphericalState(2, 1, coeffs)
     coeffs[1, 0] = -0.1
     s = SphericalState(2, 1, coeffs)
-    assert _probabilities(s, 0.0, 0.0).shape == (1, 3)
-    assert _probabilities(s, [0.0, math.pi / 2.0], [0.0, 1.0]).shape == (2, 3)
+    assert projection_probabilities(s, 0.0, 0.0).shape == (3,)
+    assert projection_probabilities(s, [0.0, math.pi / 2.0], [0.0, 1.0]).shape == (2, 3)
     with pytest.raises(ValueError, match="outside"):
-        _probabilities(s, [0.5, 3.5], [0.0, 0.0])
+        projection_probabilities(s, [0.5, 3.5], [0.0, 0.0])
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (np.array([0.0, 0.4, 1.9, math.pi]), np.array([0.3, -1.0, 2.5, 0.0])),
+    (np.array([[0.2], [1.1], [2.7]]), np.array([-0.5, 0.0, 1.4, 3.0])),
+    (0.8, np.array([[0.1, 0.2], [0.3, 0.4]])),
+])
+def test_probabilities_broadcast_the_angles(theta, phi):
+    two_j = 6
+    s = dicke_to_spherical(DickeState(two_j, oracles.random_density_matrix(
+        two_j, np.random.default_rng(4))), two_j)
+    got = projection_probabilities(s, theta, phi)
+    th, ph = np.broadcast_arrays(theta, phi)
+    assert got.shape == th.shape + (two_j + 1,)
+    for i in np.ndindex(th.shape):  # equal up to the rounding of a batched product
+        want = projection_probabilities(s, float(th[i]), float(ph[i]))
+        assert np.abs(got[i] - want).max() <= 1e-15
 
 
 def test_probabilities_sum_is_trace():
@@ -419,6 +449,26 @@ def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
         noise = _SAMPLER_NOISE[case]
         got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8)
         assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8), case
+
+
+@pytest.mark.parametrize("case", ["none", "number", "all"])
+def test_sampler_probability_calls_stay_within_the_budget(case, monkeypatch):
+    # one path for every noise model: p_m of at most _CHUNK_BUDGET // (2j+1) points a call
+    s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
+    noise = _SAMPLER_NOISE[case]
+    want = oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)
+    seen = []
+
+    def spy(s, theta, phi):
+        seen.append(np.size(theta))
+        return projection_probabilities(s, theta, phi)
+
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11)
+    monkeypatch.setattr(forward, "projection_probabilities", spy)
+    assert sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8) == want
+    assert max(seen) <= 3
+    points = len(_SAMPLER_AXES) * (30 if noise.has_axis_noise else 1)
+    assert sum(seen) == points
 
 
 def test_sampler_argument_validation():

@@ -1,4 +1,3 @@
-import importlib
 import math
 from functools import lru_cache
 from unittest import mock
@@ -637,9 +636,6 @@ def test_fbp_azimuthal_rotation_multiplies_by_the_order_phase(seed, mode, alpha)
     assert np.abs(_FBP[mode](turned, cfg).coeffs - base * np.exp(-1j * q * alpha)).max() <= 1e-12
 
 
-_rc = importlib.import_module("spintomo.reconstruct")  # the package re-exports reconstruct()
-
-
 def _chunked_outputs():
     # sampler records, exact records and both backprojections on one small case
     two_j = 8
@@ -661,12 +657,11 @@ _default_chunked_outputs = lru_cache(maxsize=1)(_chunked_outputs)
 
 @pytest.mark.filterwarnings("ignore:skipped")
 @settings(max_examples=15, deadline=None)
-@given(forward_budget=st.integers(1, 2000), reconstruct_budget=st.integers(1, 2000))
-def test_outputs_invariant_to_chunk_budgets(forward_budget, reconstruct_budget):
+@given(budget=st.integers(1, 2000))
+def test_outputs_invariant_to_chunk_budgets(budget):
     # down to one axis per chunk; only the order of floating-point sums may change
     base = _default_chunked_outputs()
-    with (mock.patch.object(states, "_CHUNK_BUDGET", forward_budget),
-          mock.patch.object(_rc, "_CHUNK_BUDGET", reconstruct_budget)):
+    with mock.patch.object(states, "_CHUNK_BUDGET", budget):
         sampled, exact, inplane, full = _chunked_outputs()
     assert sampled == base[0]
     assert [(x.theta, x.phi, x.two_j, x.two_m) for x in exact] == [
