@@ -18,12 +18,9 @@ from .states import (
     coherent_state,
     dicke_basis_state,
     dicke_to_spherical,
-    grid_theta_weights,
     maximally_mixed_state,
     oat_squeezed_state,
-    sphere_integral,
     spherical_to_dicke,
-    spin_expectation_from_grid,
     wigner_eval,
     wigner_grid,
 )
@@ -42,10 +39,8 @@ from .reconstruct import (
     fbp_full,
     fbp_inplane,
     fold_northern,
-    hemisphere_quadrature,
     reconstruct,
     uniform_damping_alpha,
-    xi_assemble,
     xi_contribution,
 )
 from .analysis import (

@@ -174,6 +174,12 @@ def gaussian_fit(p, m=None):
     return GaussianFit(*(float(v) for v in x[0]))
 
 
+def _squeezing_db(v, sigma_n, v_coh):
+    """10 log10((V - sigma_n^2 / 2) / V_coh), or None where that argument is not positive."""
+    arg = (v - sigma_n ** 2 / 2.0) / v_coh
+    return 10.0 * math.log10(arg) if arg > 0.0 else None
+
+
 @dataclass(frozen=True)
 class SqueezingReport:
     """Outcome of a squeezing scan over equatorial quantization axes.
@@ -222,10 +228,9 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
         v_min, _, phi_s = min(valid)
     else:
         v_min, _, phi_s = min((v_d, abs(phi), phi) for phi, v_d, _ in curve)
-    arg = (v_min - sigma_n ** 2 / 2.0) / v_coh
-    db = 10.0 * math.log10(arg) if arg > 0.0 else None
     return SqueezingReport(phi_s=float(phi_s), variance_curve=curve, v_coh=float(v_coh),
-                           squeezing_db=db, v_min_fit=float(v_min), fit_failures=failures)
+                           squeezing_db=_squeezing_db(v_min, sigma_n, v_coh),
+                           v_min_fit=float(v_min), fit_failures=failures)
 
 
 def mean_spin_vector(s):

@@ -39,7 +39,7 @@ class NoiseModel:
                  through the mean squared sine of the pointing error angle.
     phase_mode   azimuthal phase noise: "none", "constant" (fixed
                  sigma_phi), or "model" (amplitude sigma_ph, in radians,
-                 mapped to sigma_ph^2 sin|phi| / sqrt(2)).
+                 mapped to sigma_ph^2 |sin phi| / sqrt(2)).
 
     A phase amount needs its mode: sigma_phi > 0 only with "constant" and
     sigma_ph > 0 only with "model", so at most one of them is non-zero.
@@ -64,8 +64,9 @@ class NoiseModel:
     def azimuth_sigma(self, phi):
         """Azimuth-noise standard deviation at quantization-axis azimuth phi."""
         # the amount of a mode not in use is zero
-        return self.sigma_phi + self.sigma_ph ** 2 * np.sin(
-            np.abs(np.asarray(phi, dtype=float))) / math.sqrt(2.0)
+        # |sin phi| is sin|phi| on [-pi, pi], continued with period 2 pi
+        return self.sigma_phi + self.sigma_ph ** 2 * np.abs(
+            np.sin(np.asarray(phi, dtype=float))) / math.sqrt(2.0)
 
     @property
     def has_axis_noise(self):

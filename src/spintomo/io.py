@@ -11,6 +11,7 @@ import tempfile
 
 import numpy as np
 
+from .analysis import _squeezing_db
 from .angular import _mirror_negative_q
 from .forward import MeasurementRecord, Records
 from .states import SphericalState
@@ -218,13 +219,13 @@ def write_spectrum(path, c_k):
 def write_squeezing(path, report, sigma_n):
     """Write a squeezing scan as CSV ``phi,v_direct,v_fit,db_direct,db_fit``.
 
-    The dB columns hold 10 log10((V - sigma_n^2 / 2) / V_coh) and are empty
-    where that argument is not positive; both fit columns are empty where
+    The dB columns hold the headline's law, 10 log10((V - sigma_n^2 / 2) / V_coh),
+    and are empty where it is undefined; both fit columns are empty where
     the Gaussian fit failed (V_fit is NaN).
     """
     def db(v):
-        arg = (v - sigma_n ** 2 / 2.0) / report.v_coh
-        return _fmt(10.0 * math.log10(arg)) if arg > 0 else ""
+        value = _squeezing_db(v, sigma_n, report.v_coh)
+        return "" if value is None else _fmt(value)
 
     lines = ["phi,v_direct,v_fit,db_direct,db_fit"]
     for phi, v_d, v_f in report.variance_curve:

@@ -12,8 +12,9 @@ two directions within ``_AXIS_TOL`` radians are one axis.
 
 The module also homogenizes measurement weights, folds even-parity
 reconstructions onto the northern hemisphere for states known to live
-there, and assembles the Wigner function directly from per-measurement
-contributions.
+there, and gives the single-measurement contribution Xi_{jm}(cos eta).
+W itself comes from the coefficients (states.wigner_eval, wigner_grid):
+the backprojection is the package's one route from records to W.
 """
 
 import math
@@ -42,8 +43,6 @@ __all__ = [
     "fbp_inplane",
     "fold_northern",
     "xi_contribution",
-    "xi_assemble",
-    "hemisphere_quadrature",
     "apply_uniform_damping",
     "uniform_damping_alpha",
     "reconstruct",
@@ -352,54 +351,11 @@ def xi_contribution(two_j, two_m, x, kmax):
     check_spin_label(two_j, two_m)
     if kmax > two_j:
         raise ValueError(f"kmax = {kmax} exceeds two_j = {two_j}")
-    xarr = np.asarray(x, dtype=float)
     tau = cg_tau_table(two_j, kmax)[:, (two_m + two_j) // 2]
     k = np.arange(kmax + 1, dtype=float)
     coef = (2.0 * k + 1.0) ** 1.5 * tau / SQRT_4PI
-    out = np.tensordot(coef, legendre_table(kmax, xarr), axes=(0, 0))
+    out = np.tensordot(coef, legendre_table(kmax, x), axes=(0, 0))
     return float(out) if out.ndim == 0 else out
-
-
-def xi_assemble(records, theta, phi, kmax, noise=NoiseModel()):
-    """Wigner function assembled directly from per-measurement contributions.
-
-    Equivalent to backprojecting and evaluating, by the addition-theorem
-    rearrangement; number and pointing damping can be folded in per k
-    (azimuthal phase damping has no q-resolved analogue on this route).
-    """
-    th, ph = np.broadcast_arrays(np.asarray(theta, dtype=float),
-                                 np.asarray(phi, dtype=float))
-    theta_r, phi_r, weight, two_j, two_m = Records.of(records).columns
-    _require_weights(weight)
-    axis, first, flip = _axis_ids(theta_r, phi_r)
-    k = np.arange(kmax + 1, dtype=float)
-    per_k = (2.0 * k + 1.0) ** 1.5 / SQRT_4PI
-    coef = per_k[:, None] * _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise)
-    out = np.zeros(th.shape)
-    for sl in _chunks(first.size, (kmax + 1) * max(th.size, 1)):
-        f = first[sl]
-        cos_eta = (np.cos(th)[..., None] * np.cos(theta_r[f])
-                   + np.sin(th)[..., None] * np.sin(theta_r[f]) * np.cos(ph[..., None] - phi_r[f]))
-        P = legendre_table(kmax, np.clip(cos_eta, -1.0, 1.0))  # (K+1,) + th.shape + (c,)
-        out += np.einsum("ka,k...a->...", coef[:, sl], P)
-    return float(out) if out.ndim == 0 else out
-
-
-def hemisphere_quadrature(n_theta, n_phi):
-    """Product quadrature over the upper hemisphere (weights sum to 2 pi).
-
-    Gauss-Legendre in cos(theta) on [0, 1] crossed with uniform azimuths,
-    so band-limited integrands are integrated to machine precision; used
-    to drive the backprojection in the infinite-data limit.
-    """
-    x, wx = np.polynomial.legendre.leggauss(n_theta)
-    x = 0.5 * (x + 1.0)
-    wx = 0.5 * wx
-    order = np.argsort(-x)  # ascending theta
-    theta = np.arccos(x[order])
-    phi = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
-    w = np.outer(wx[order], np.full(n_phi, 2.0 * math.pi / n_phi))
-    return theta, phi, w
 
 
 def uniform_damping_alpha(noise, two_j):

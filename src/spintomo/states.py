@@ -35,9 +35,6 @@ __all__ = [
     "dicke_basis_state",
     "maximally_mixed_state",
     "oat_squeezed_state",
-    "grid_theta_weights",
-    "sphere_integral",
-    "spin_expectation_from_grid",
 ]
 
 DESK_SCALE_LIMIT = 2000  # paths that allocate a (2j+1)^2 matrix: 64 MB at the limit
@@ -270,47 +267,6 @@ def wigner_grid(s, n_theta, n_phi):
     z = np.einsum("kq,kqt->tq", s.coeffs[:, kmax:] * np.where(q > 0, 2.0, 1.0), S)
     qphi = q[:, None] * phi[None, :]
     return WignerGrid(theta, phi, z.real @ np.cos(qphi) - z.imag @ np.sin(qphi))
-
-
-def grid_theta_weights(n_theta):
-    """Latitude quadrature weights for the cell-center grid (sum to 2).
-
-    The latitudes theta_i = (i + 1/2) pi / n are Chebyshev points in
-    x = cos(theta), so Fejer's first rule applies: the weights integrate
-    every polynomial in x up to degree n-1 exactly, which makes sphere
-    integrals of band-limited W exact rather than O(1/n^2).
-    """
-    n = int(n_theta)
-    theta = (np.arange(n) + 0.5) * math.pi / n
-    m = np.arange(1, n // 2 + 1)
-    corr = np.cos(2.0 * np.outer(theta, m)) / (4.0 * m * m - 1.0)[None, :]
-    return (2.0 / n) * (1.0 - 2.0 * corr.sum(axis=1))
-
-
-def sphere_integral(grid):
-    """Integral of the gridded function over the full sphere."""
-    w_theta = grid_theta_weights(grid.theta.size)
-    return float(w_theta @ grid.values.sum(axis=1)) * 2.0 * math.pi / grid.phi.size
-
-
-def spin_expectation_from_grid(grid, two_j):
-    """Angular-momentum vector <S> from the Wigner function's center of mass.
-
-    Returns (Sx, Sy, Sz) in units of hbar, using the proportionality of
-    <S> to the first moment of W over the sphere.
-    """
-    check_spin_label(two_j, two_j % 2)
-    j = two_j / 2.0
-    pref = math.sqrt(j * (j + 1.0) * (two_j + 1.0) / (4.0 * math.pi))
-    w_theta = grid_theta_weights(grid.theta.size)
-    dphi = 2.0 * math.pi / grid.phi.size
-    sin_t = np.sin(grid.theta)
-    cos_t = np.cos(grid.theta)
-    row = grid.values * (w_theta)[:, None] * dphi
-    sx = float(np.sum(row * np.outer(sin_t, np.cos(grid.phi))))
-    sy = float(np.sum(row * np.outer(sin_t, np.sin(grid.phi))))
-    sz = float(np.sum(row * cos_t[:, None]))
-    return pref * np.array([sx, sy, sz])
 
 
 def _check_noise(name, value):

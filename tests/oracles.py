@@ -267,6 +267,98 @@ def fbp_direct(records, kmax, mode, noise):
     return out
 
 
+@lru_cache(maxsize=None)
+def _tau_exact(two_j, two_m, kuse):
+    """tau_k^{j,m} for k = 0..kuse from the exact-rational Racah sum."""
+    return np.array([cg_t(two_j, two_m, two_m, k, 0) for k in range(kuse + 1)])
+
+
+def xi_sum(records, theta, phi, kmax, noise):
+    """W(theta, phi) as the sum of single-measurement contributions, record by record.
+
+    W = sum_n c_n Xi_n(n . n_n) with
+    Xi_n(x) = (4 pi)^(-1/2) sum_k (2k+1)^(3/2) tau_k^{j_n,m_n} N_k(j_n) P_k(x)
+    over k <= min(kmax, 2j_n), where the damping is
+    N_k(j) = exp(-(sigma_Omega^2 / 4 + sigma_N^2 / (2j (2j - 1))) k(k+1)), the
+    number term only when sigma_N > 0.  Each record keeps its own axis as
+    given (no grouping, no antipode flip); numpy's legval sums the series.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float),
+                                     np.asarray(phi, dtype=float))
+    out = np.zeros(theta.shape)
+    for r in records:
+        kuse = min(kmax, r.two_j)
+        k = np.arange(kuse + 1, dtype=float)
+        alpha = 0.25 * noise.sigma_omega ** 2
+        if noise.sigma_n > 0.0:
+            alpha += noise.sigma_n ** 2 / (r.two_j * (r.two_j - 1.0))
+        coef = ((2.0 * k + 1.0) ** 1.5 / math.sqrt(4.0 * math.pi)
+                * _tau_exact(r.two_j, r.two_m, kuse) * np.exp(-alpha * k * (k + 1.0)))
+        cos_eta = (np.cos(theta) * math.cos(r.theta)
+                   + np.sin(theta) * math.sin(r.theta) * np.cos(phi - r.phi))
+        out += r.weight * np.polynomial.legendre.legval(np.clip(cos_eta, -1.0, 1.0), coef)
+    return out
+
+
+def hemisphere_quadrature(n_theta, n_phi):
+    """Product quadrature over the upper hemisphere (weights sum to 2 pi).
+
+    Gauss-Legendre in cos(theta) on [0, 1] crossed with uniform azimuths,
+    so band-limited integrands are integrated to machine precision; drives
+    the backprojection in the infinite-data limit.  Returns (theta, phi, w)
+    with theta ascending and w[i, l] the weight of node (theta_i, phi_l).
+    """
+    x, wx = leggauss(n_theta)
+    x = 0.5 * (x + 1.0)
+    wx = 0.5 * wx
+    order = np.argsort(-x)  # ascending theta
+    theta = np.arccos(x[order])
+    phi = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
+    w = np.outer(wx[order], np.full(n_phi, 2.0 * math.pi / n_phi))
+    return theta, phi, w
+
+
+def grid_theta_weights(n_theta):
+    """Latitude quadrature weights for the cell-center grid (sum to 2).
+
+    The latitudes theta_i = (i + 1/2) pi / n are Chebyshev points in
+    x = cos(theta), so Fejer's first rule applies: the weights integrate
+    every polynomial in x up to degree n-1 exactly, which makes sphere
+    integrals of band-limited W exact rather than O(1/n^2).
+    """
+    n = int(n_theta)
+    theta = (np.arange(n) + 0.5) * math.pi / n
+    m = np.arange(1, n // 2 + 1)
+    corr = np.cos(2.0 * np.outer(theta, m)) / (4.0 * m * m - 1.0)[None, :]
+    return (2.0 / n) * (1.0 - 2.0 * corr.sum(axis=1))
+
+
+def sphere_integral(grid):
+    """Integral of a gridded function over the full sphere (Fejer rule in theta)."""
+    w_theta = grid_theta_weights(grid.theta.size)
+    return float(w_theta @ grid.values.sum(axis=1)) * 2.0 * math.pi / grid.phi.size
+
+
+def spin_expectation_from_grid(grid, two_j):
+    """Angular-momentum vector <S> from the Wigner function's center of mass.
+
+    Returns (Sx, Sy, Sz) in units of hbar, using the proportionality of
+    <S> to the first moment of W over the sphere.
+    """
+    _check_label(two_j, two_j % 2)
+    j = two_j / 2.0
+    pref = math.sqrt(j * (j + 1.0) * (two_j + 1.0) / (4.0 * math.pi))
+    w_theta = grid_theta_weights(grid.theta.size)
+    dphi = 2.0 * math.pi / grid.phi.size
+    sin_t = np.sin(grid.theta)
+    cos_t = np.cos(grid.theta)
+    row = grid.values * w_theta[:, None] * dphi
+    sx = float(np.sum(row * np.outer(sin_t, np.cos(grid.phi))))
+    sy = float(np.sum(row * np.outer(sin_t, np.sin(grid.phi))))
+    sz = float(np.sum(row * cos_t[:, None]))
+    return pref * np.array([sx, sy, sz])
+
+
 def dicke_moments(rho, two_j, theta, phi):
     """(<m>, <m^2>) along an axis, by explicit rotation in the Dicke basis."""
     p = rotated_diagonal(rho, two_j, theta, phi)

@@ -354,7 +354,7 @@ def test_simulate_phase_noise_flag(workdir):
                "--seed", "1", "--phase-noise", "model:0.14", "--out", "pn.csv") == 0
     assert run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10",
                "--seed", "1", "--phase-noise", "junk", "--out", "x.csv") == 2
-    # the model law is always sigma_ph^2 sin|phi| / sqrt(2): no variant to choose
+    # the model law is always sigma_ph^2 |sin phi| / sqrt(2): no variant to choose
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10", "--seed", "1",
             "--phase-noise", "model:0.14", "--phase-variant", "quadratic", "--out", "pv.csv")

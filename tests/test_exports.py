@@ -1,0 +1,53 @@
+"""Every public name of the package has a user outside the test suite.
+
+A name that only tests call belongs in ``tests/oracles.py``, not in
+``src/``.  A user is a whole-word match in the package modules (not on the
+name's own ``def`` or ``class`` line, nor in an ``__all__`` list or the
+package's import block), in a demo, in the README or in the benchmark.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "spintomo"
+
+
+def _exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return sorted(alias.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                  for alias in node.names)
+
+
+def _without_export_lists(path):
+    # the module's text with its __all__ assignment blanked out
+    text = path.read_text()
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            lines[node.lineno - 1: node.end_lineno] = [""] * (node.end_lineno - node.lineno + 1)
+    return "\n".join(lines)
+
+
+def _user_texts():
+    texts = {p: _without_export_lists(p) for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"}
+    for pattern in ("demos/*.py", "perfbench/*.py", "README.md"):
+        texts.update((p, p.read_text()) for p in sorted(ROOT.glob(pattern)))
+    return texts
+
+
+_TEXTS = _user_texts()
+
+
+@pytest.mark.parametrize("name", _exported_names())
+def test_exported_name_has_a_user_outside_the_tests(name):
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    own = re.compile(rf"^\s*(def|class)\s+{re.escape(name)}\b")
+    users = [str(path.relative_to(ROOT)) for path, text in _TEXTS.items()
+             if any(word.search(line) and not own.match(line) for line in text.splitlines())]
+    assert users, f"spintomo.{name} is used only by tests; move it to tests/oracles.py"

@@ -45,7 +45,7 @@ def test_noise_model_validation():
 
 def test_noise_model_phase_mapping():
     nm = NoiseModel(phase_mode="model", sigma_ph=math.radians(8.2))
-    # verbatim quadratic reading: sigma_ph^2 sin|phi| / sqrt(2)
+    # verbatim quadratic reading: sigma_ph^2 |sin phi| / sqrt(2)
     phi = 0.6
     want = math.radians(8.2) ** 2 * math.sin(phi) / math.sqrt(2.0)
     assert float(nm.azimuth_sigma(phi)) == pytest.approx(want, rel=1e-12)
@@ -53,6 +53,29 @@ def test_noise_model_phase_mapping():
     const = NoiseModel(phase_mode="constant", sigma_phi=0.05)
     assert float(const.azimuth_sigma(2.0)) == 0.05
     assert float(NoiseModel().azimuth_sigma(2.0)) == 0.0
+
+
+def test_noise_model_phase_law_has_period_two_pi():
+    # a spread must be non-negative and 2 pi-periodic; sin|phi| is neither past pi
+    nm = NoiseModel(phase_mode="model", sigma_ph=0.4)
+    phi = np.linspace(-2.0 * math.pi, 4.0 * math.pi, 601)
+    got, shifted = nm.azimuth_sigma(phi), nm.azimuth_sigma(phi - 2.0 * math.pi)
+    assert np.all(got >= 0.0)
+    assert np.abs(got - shifted).max() <= 1e-15
+    assert float(nm.azimuth_sigma(4.0)) == pytest.approx(0.16 * abs(math.sin(4.0)) / math.sqrt(2.0),
+                                                         rel=1e-15)
+
+
+def test_phase_noise_same_records_one_turn_apart():
+    # an axis at phi in (pi, 2 pi) and the same axis at phi - 2 pi draw the same outcomes
+    s = coherent_state(20, math.pi / 2.0, 4.0, 0.0, kmax=20)
+    noise = NoiseModel(phase_mode="model", sigma_ph=0.6)
+    here = sample_measurements(s, [(math.pi / 2.0, 4.0)], 200, noise, seed=5)
+    there = sample_measurements(s, [(math.pi / 2.0, 4.0 - 2.0 * math.pi)], 200, noise, seed=5)
+    assert np.array_equal(here.two_m, there.two_m)
+    assert np.array_equal(here.two_j, there.two_j)
+    quiet = sample_measurements(s, [(math.pi / 2.0, 4.0)], 200, NoiseModel(), seed=5)
+    assert not np.array_equal(here.two_m, quiet.two_m)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import spintomo.states as states
 from spintomo.angular import cg_tau_table
@@ -25,10 +26,8 @@ from spintomo.reconstruct import (
     fbp_full,
     fbp_inplane,
     fold_northern,
-    hemisphere_quadrature,
     reconstruct,
     uniform_damping_alpha,
-    xi_assemble,
     xi_contribution,
 )
 from spintomo.states import (
@@ -38,8 +37,8 @@ from spintomo.states import (
     coherent_state,
     dicke_basis_state,
     dicke_to_spherical,
-    grid_theta_weights,
     maximally_mixed_state,
+    spherical_to_dicke,
     wigner_eval,
     wigner_grid,
 )
@@ -60,7 +59,7 @@ def _random_state(two_j, seed):
 
 
 def _quadrature_records(state, n_theta=32, n_phi=64):
-    theta_q, phi_q, w = hemisphere_quadrature(n_theta, n_phi)
+    theta_q, phi_q, w = oracles.hemisphere_quadrature(n_theta, n_phi)
     records = []
     from spintomo.forward import projection_probabilities
 
@@ -611,7 +610,7 @@ def test_fbp_recovers_exact_records_to_machine_precision(seed, two_j, extra):
     even = (k + np.arange(-two_j, two_j + 1)[None, :]) % 2 == 0
     assert np.abs(inplane.coeffs - truth.coeffs)[even].max() <= 1e-14
     assert np.all(inplane.coeffs[~even] == 0.0)
-    theta, phi, w = hemisphere_quadrature(two_j + 1 + extra, 2 * two_j + 1 + extra)
+    theta, phi, w = oracles.hemisphere_quadrature(two_j + 1 + extra, 2 * two_j + 1 + extra)
     axes = [(t, p) for t in theta for p in phi]
     full = fbp_full(exact_records(truth, axes, w.ravel() / (2.0 * math.pi)),
                     ReconstructionConfig(kmax=two_j, mode="full-sphere", two_j_ref=two_j))
@@ -634,6 +633,47 @@ def test_fbp_azimuthal_rotation_multiplies_by_the_order_phase(seed, mode, alpha)
     base = _FBP[mode](recs, cfg).coeffs
     q = np.arange(-6, 7)[None, :]
     assert np.abs(_FBP[mode](turned, cfg).coeffs - base * np.exp(-1j * q * alpha)).max() <= 1e-12
+
+
+def _rotation(two_j, alpha, beta, gamma):
+    # U = exp(-i alpha Jz) exp(-i beta Jy) exp(-i gamma Jz) and its rotation of R^3
+    _, jy, jz = oracles.spin_operators(two_j)
+    u = expm(-1j * alpha * jz) @ expm(-1j * beta * jy) @ expm(-1j * gamma * jz)
+    ca, sa, cb, sb, cg, sg = (math.cos(alpha), math.sin(alpha), math.cos(beta),
+                              math.sin(beta), math.cos(gamma), math.sin(gamma))
+    rz_a = np.array([[ca, -sa, 0.0], [sa, ca, 0.0], [0.0, 0.0, 1.0]])
+    ry_b = np.array([[cb, 0.0, sb], [0.0, 1.0, 0.0], [-sb, 0.0, cb]])
+    rz_g = np.array([[cg, -sg, 0.0], [sg, cg, 0.0], [0.0, 0.0, 1.0]])
+    return u, rz_a @ ry_b @ rz_g
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), two_j=st.integers(1, 10), data=st.data(),
+       alpha=st.floats(-math.pi, math.pi), beta=st.floats(0.0, math.pi),
+       gamma=st.floats(-math.pi, math.pi))
+def test_fbp_full_sphere_is_rotation_equivariant(seed, two_j, data, alpha, beta, gamma):
+    # the state U s U^dagger seen along the axes R n reconstructs to U rho U^dagger,
+    # rho the reconstruction of s along n: the backprojection commutes with rotations
+    kmax = data.draw(st.integers(0, two_j), label="kmax")
+    r = np.random.default_rng(seed)
+    rho = oracles.random_density_matrix(two_j, r)
+    u, rot = _rotation(two_j, alpha, beta, gamma)
+    n = int(r.integers(1, 12))
+    theta, phi = np.arccos(r.uniform(-1.0, 1.0, n)), r.uniform(-math.pi, math.pi, n)
+    v = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
+                 axis=1) @ rot.T
+    turned = np.stack([np.arctan2(np.hypot(v[:, 0], v[:, 1]), v[:, 2]),
+                       np.arctan2(v[:, 1], v[:, 0])], axis=1)
+    cfg = ReconstructionConfig(kmax=kmax, mode="full-sphere", two_j_ref=two_j)
+
+    def fbp(matrix, axes):
+        s = dicke_to_spherical(DickeState(two_j, matrix), two_j)
+        return reconstruct(exact_records(s, axes), cfg, weight_scheme="keep")
+
+    base = spherical_to_dicke(fbp(rho, np.stack([theta, phi], axis=1))).matrix
+    want = dicke_to_spherical(DickeState(two_j, u @ base @ u.conj().T), kmax).coeffs
+    got = fbp(u @ rho @ u.conj().T, turned).coeffs
+    assert np.abs(got - want).max() <= 1e-13
 
 
 def _chunked_outputs():
@@ -710,7 +750,7 @@ def test_fold_preserves_northern_integral():
     n_theta, n_phi = 128, 64
     g_even = wigner_grid(even, n_theta, n_phi)
     g_fold = wigner_grid(folded, n_theta, n_phi)
-    w = grid_theta_weights(n_theta) * 2.0 * math.pi / n_phi
+    w = oracles.grid_theta_weights(n_theta) * 2.0 * math.pi / n_phi
     north = slice(0, n_theta // 2)
     total_fold = float(w @ g_fold.values.sum(axis=1))
     north_even = float(w[north] @ g_even.values[north].sum(axis=1))
@@ -725,7 +765,7 @@ def test_fold_localizes_coherent_state():
             even[k, 40] = 0.0
     folded = fold_northern(SphericalState(40, 40, even))
     g = wigner_grid(folded, 128, 32)
-    w = grid_theta_weights(128) * 2.0 * math.pi / 32
+    w = oracles.grid_theta_weights(128) * 2.0 * math.pi / 32
     south = float(np.abs(w[64:] @ g.values[64:].sum(axis=1)))
     total = float(w @ g.values.sum(axis=1))
     assert south < 0.05 * abs(total)
@@ -763,7 +803,7 @@ def test_xi_assembly_equals_coefficient_route():
     state = fbp_full(recs, ReconstructionConfig(kmax=40, mode="full-sphere", two_j_ref=40))
     theta = rng.uniform(0.0, math.pi, 250)
     phi = rng.uniform(0.0, 2.0 * math.pi, 250)
-    direct = xi_assemble(recs, theta, phi, 40)
+    direct = oracles.xi_sum(recs, theta, phi, 40, NoiseModel())
     via_coeffs = wigner_eval(state, theta, phi)
     assert np.abs(direct - via_coeffs).max() < 1e-8
 
@@ -776,14 +816,14 @@ def test_xi_assembly_with_damping_matches_damped_coefficients():
                                                 noise=noise, two_j_ref=20))
     theta = rng.uniform(0.0, math.pi, 50)
     phi = rng.uniform(0.0, 2.0 * math.pi, 50)
-    assert np.allclose(xi_assemble(recs, theta, phi, 20, noise=noise),
+    assert np.allclose(oracles.xi_sum(recs, theta, phi, 20, noise),
                        wigner_eval(state, theta, phi), atol=1e-10)
 
 
 # ---------------------------------------------------------------- quadrature helper
 
 def test_hemisphere_quadrature_weights():
-    theta, phi, w = hemisphere_quadrature(32, 64)
+    theta, phi, w = oracles.hemisphere_quadrature(32, 64)
     assert w.sum() == pytest.approx(2.0 * math.pi, rel=1e-12)
     assert theta.min() > 0.0 and theta.max() < math.pi / 2.0
     # discrete orthogonality of rotation elements over the hemisphere
