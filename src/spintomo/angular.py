@@ -169,6 +169,54 @@ def _sph_recurrence_coeffs(kmax):
     return a, b
 
 
+def _sectoral_seeds(kmax, x):
+    """Sectoral seeds S_q^q(x), q = 0..kmax, shape (kmax+1,) + x.shape.
+
+    One running product S_q^q = S_{q-1}^{q-1} (-sqrt((2q+1)/(2q)) s),
+    s = sqrt(1 - x^2).
+    """
+    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    qs = np.arange(1, kmax + 1, dtype=float).reshape((kmax,) + (1,) * x.ndim)
+    factors = np.empty((kmax + 1,) + x.shape)
+    factors[0] = 1.0 / SQRT_4PI
+    factors[1:] = -np.sqrt((2.0 * qs + 1.0) / (2.0 * qs)) * s
+    return np.multiply.accumulate(factors, axis=0)
+
+
+def _sph_rows(x, seeds, out):
+    """The rows S_k^q(x), q = 0..k, of the normalized recurrence, k = 0..kmax.
+
+    seeds are the sectoral seeds S_q^q(x).  Row k holds the seed S_k^k,
+    the step up S_k^(k-1) = sqrt(2k+1) x S_(k-1)^(k-1) and, for the orders
+    q <= k-2, the three-term ladder a_kq (x S_(k-1)^q - b_kq S_(k-2)^q).
+    It is written to out[k % len(out), :k+1] and yielded as that view: out
+    with kmax+1 slots keeps every row (a full table), fewer slots (at least
+    three) keep the latest rows.  x broadcasts against seeds[q].
+    """
+    kmax = len(seeds) - 1
+    column = (1,) * (out.ndim - 2)  # trailing axes that broadcast a per-order factor
+    out[0, 0] = seeds[0]
+    yield out[0, :1]
+    if kmax == 0:
+        return
+    qs = np.arange(1, kmax + 1, dtype=float).reshape((kmax,) + column)
+    edges = np.stack([np.sqrt(2.0 * qs + 1.0) * x * seeds[:-1], seeds[1:]], axis=1)
+    a, b = _sph_recurrence_coeffs(kmax)
+    a, b = a.reshape(a.shape + column), b.reshape(b.shape + column)
+    xs = np.empty(out.shape[1:])
+    prev2, prev = out[-1], out[0]
+    for k in range(1, kmax + 1):
+        row = out[k % len(out)]
+        nq = k - 1  # orders 0..k-2, formed in place
+        ladder, xp = row[:nq], np.multiply(x, prev[:nq], out=xs[:nq])
+        np.multiply(b[k, :nq], prev2[:nq], out=ladder)
+        np.subtract(xp, ladder, out=ladder)
+        np.multiply(a[k, :nq], ladder, out=ladder)
+        row[nq:k + 1] = edges[nq]
+        yield row[:k + 1]
+        prev2, prev = prev, row
+
+
 def legendre_sph_table(kmax, x):
     """Theta-part of the orthonormal spherical harmonics, S_k^q(x).
 
@@ -179,26 +227,9 @@ def legendre_sph_table(kmax, x):
     with entries for q > k left at zero.
     """
     x = np.asarray(x, dtype=float)
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
     out = np.zeros((kmax + 1, kmax + 1) + x.shape)
-    column = (1,) * x.ndim  # trailing axes that broadcast a per-order factor over x
-    # sectoral seeds S_q^q = S_{q-1}^{q-1} (-sqrt((2q+1)/(2q)) s) as one running product
-    qs = np.arange(1, kmax + 1, dtype=float)
-    factors = np.empty((kmax + 1,) + x.shape)
-    factors[0] = 1.0 / SQRT_4PI
-    factors[1:] = -np.sqrt((2.0 * qs + 1.0) / (2.0 * qs)).reshape((kmax,) + column) * s
-    diag = np.arange(kmax + 1)
-    seeds = np.multiply.accumulate(factors, axis=0)
-    out[diag, diag] = seeds
-    if kmax == 0:
-        return out
-    # then one step up, then the three-term ladder in k
-    out[diag[1:], diag[:-1]] = np.sqrt(2.0 * qs + 1.0).reshape((kmax,) + column) * x * seeds[:-1]
-    a, b = _sph_recurrence_coeffs(kmax)
-    a, b = a.reshape(a.shape + column), b.reshape(b.shape + column)
-    for k in range(2, kmax + 1):
-        nq = k - 1  # orders 0..k-2
-        out[k, :nq] = a[k, :nq] * (x * out[k - 1, :nq] - b[k, :nq] * out[k - 2, :nq])
+    for _ in _sph_rows(x, _sectoral_seeds(kmax, x), out):
+        pass  # each row lands in its own slot of out
     return out
 
 

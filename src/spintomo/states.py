@@ -11,12 +11,15 @@ for each k) that the forward model and the analysis also use.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from .angular import (
     _coupling_table,
     _mirror_negative_q,
+    _sectoral_seeds,
+    _sph_rows,
     cg_tau_table,
     check_spin_label,
     legendre_sph_table,
@@ -39,6 +42,7 @@ __all__ = [
 
 DESK_SCALE_LIMIT = 2000  # paths that allocate a (2j+1)^2 matrix: 64 MB at the limit
 _CHUNK_BUDGET = 2.0e6  # array elements per chunk of a batched kernel or draw
+_ROW_BLOCK = 8  # Legendre rows of scattered points contracted at once
 
 
 @dataclass(frozen=True)
@@ -203,6 +207,14 @@ def _chunks(n, per_item):
     return [slice(lo, lo + step) for lo in range(0, n, step)]
 
 
+@lru_cache(maxsize=16)
+def _polar_table(kuse, x):
+    """S_k^q(x) of one polar angle, x = cos(theta), for k <= kuse (cached, read-only)."""
+    S = legendre_sph_table(kuse, x)
+    S.flags.writeable = False
+    return S
+
+
 def _wave_sums(s, theta, phi, kuse):
     """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
 
@@ -210,26 +222,59 @@ def _wave_sums(s, theta, phi, kuse):
     (n, kuse+1) array.  Since D^k_q0 = sqrt(4 pi / (2k+1)) conj(Y_kq), this
     is the partial-wave sum behind the Wigner function and the projection
     probabilities.  The state is Hermitian, so the q < 0 terms are the
-    conjugates of the q > 0 ones and only the q >= 0 half is read.  Per
-    chunk of points: one Legendre table over cos(theta) and one contraction
-    with the state's (k, q) block.
+    conjugates of the q > 0 ones and only the q >= 0 half is read:
+        z_k = sum_q S_k^q(cos theta) (Re c_kq cos q phi - Im c_kq sin q phi),
+    c_kq = sqrt(4 pi / (2k+1)) w_q rho_kq, w_0 = 1 and w_q = 2 for q > 0.
+
+    The points' layout picks the route.  When all points share one polar
+    angle (the squeezing scan, equatorial axes without axis noise, a scalar
+    theta), the (k, q) table of that angle comes from a small cache keyed
+    by (kuse, cos theta), and each point costs one product of its phases
+    with the (k, q) block c S.  Scattered points run one Legendre ladder
+    per chunk, and every _ROW_BLOCK rows, as they are made, are contracted
+    with their c_k and the points' phases e^(i q phi) (a running product),
+    so no (k, q, points) table exists.  A chunk holds at most
+    _CHUNK_BUDGET // (16 (kuse+1)) points, which keeps its arrays near
+    _CHUNK_BUDGET numbers.  Each point's sums run in the same order
+    whatever the chunking, so the result does not depend on _CHUNK_BUDGET.
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     theta, phi = theta.ravel(), phi.ravel()
     bad = ~((theta >= 0.0) & (theta <= math.pi + 1e-12))
     if bad.any():
         raise ValueError(f"theta = {theta[bad][0]} outside [0, pi]")
-    # z_k = sqrt(4 pi / (2k+1)) sum_{q >= 0} w_q S_kq(cos theta) (Re rho_kq cos(q phi) - Im rho_kq sin(q phi))
-    # with w_0 = 1 and w_q = 2 for q > 0
     q = np.arange(kuse + 1)
     norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]     # over k
     c = norm * np.where(q > 0, 2.0, 1.0) * s.coeffs[: kuse + 1, s.kmax: s.kmax + kuse + 1]
-    a, b = c.real[:, None, :], -c.imag[:, None, :]             # (k, 1, q)
     out = np.empty((theta.size, kuse + 1))
-    for sl in _chunks(theta.size, (kuse + 1) ** 2):
-        S = legendre_sph_table(kuse, np.cos(theta[sl]))          # (k, q, points)
-        qphi = q[:, None] * phi[sl]
-        out[sl] = (a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi)))[:, 0].T
+    chunks = _chunks(theta.size, 16 * (kuse + 1))
+    if theta.size and np.all(theta == theta[0]):
+        cs = c * _polar_table(kuse, float(np.cos(theta[0])))
+        w = np.concatenate([cs.real.T, -cs.imag.T])                # (cos q, sin q; k)
+        for sl in chunks:
+            qphi = phi[sl, None] * q
+            phases = np.concatenate([np.cos(qphi), np.sin(qphi)], axis=1)
+            # one vector product per point, so the chunking changes no bit
+            out[sl] = (phases[:, None, :] @ w)[:, 0]
+        return out
+    c = np.stack([c.real, -c.imag], axis=-1)                       # (k, q, re/im)
+    for sl in chunks:
+        x = np.cos(theta[sl])
+        phases = np.empty((kuse + 1, x.size), dtype=complex)        # e^(i q phi), a running product
+        phases[0], phases[1:] = 1.0, np.exp(1j * phi[sl])
+        phases = np.multiply.accumulate(phases, axis=0)
+        phases = np.stack([phases.real, phases.imag], axis=1)      # (q, re/im, points)
+        rows = np.zeros((_ROW_BLOCK, kuse + 1, x.size))
+        z = np.empty((kuse + 1, 2, x.size))
+        for k, _ in enumerate(_sph_rows(x, _sectoral_seeds(kuse, x), rows)):
+            if k % _ROW_BLOCK == _ROW_BLOCK - 1 or k == kuse:
+                # rows k0..k, zero past each row's end as c is; numpy's own loop
+                # (no BLAS) keeps the sum over q outside, so each point's sums
+                # run in q order whatever the chunk
+                k0 = k - k % _ROW_BLOCK
+                np.einsum("kqn,qrn,kqr->krn", rows[:k - k0 + 1, :k + 1], phases[:k + 1],
+                          c[k0:k + 1, :k + 1], out=z[k0:k + 1])
+        out[sl] = (z[:, 0] + z[:, 1]).T
     return out
 
 

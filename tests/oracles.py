@@ -105,6 +105,25 @@ def legendre_sph_loop(kmax, x):
     return out
 
 
+def wave_sums_table(s, theta, phi, kuse):
+    """The partial-wave sums of ``states._wave_sums`` from one full table.
+
+    z[n, k] = sum_{q >= 0} w_q sqrt(4 pi / (2k+1)) S_k^q(cos theta_n)
+    (Re rho_kq cos q phi_n - Im rho_kq sin q phi_n), w_0 = 1 and w_q = 2:
+    one (k, q, points) table from ``legendre_sph_loop`` for all points at
+    once, then one contraction with the state's (k, q >= 0) block.
+    """
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    theta, phi = theta.ravel(), phi.ravel()
+    q = np.arange(kuse + 1)
+    norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]
+    c = norm * np.where(q > 0, 2.0, 1.0) * s.coeffs[: kuse + 1, s.kmax: s.kmax + kuse + 1]
+    a, b = c.real[:, None, :], -c.imag[:, None, :]             # (k, 1, q)
+    S = legendre_sph_loop(kuse, np.cos(theta))                  # (k, q, points)
+    qphi = q[:, None] * phi
+    return (a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi)))[:, 0].T
+
+
 def hemi_overlap_quadrature(k, kp, q, n=120):
     """2 * Integral over the upper hemisphere of conj(Y_kq) Y_k'q by quadrature."""
     x, w = leggauss(n)

@@ -4,9 +4,11 @@ A name that only tests call belongs in ``tests/oracles.py``, not in
 ``src/``.  A user is a whole-word match in the package modules (not on the
 name's own ``def`` or ``class`` line, nor in an ``__all__`` list or the
 package's import block), in a demo, in the README or in the benchmark.
+Every name the traced benchmark wraps must also exist where it looks.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -51,3 +53,22 @@ def test_exported_name_has_a_user_outside_the_tests(name):
     users = [str(path.relative_to(ROOT)) for path, text in _TEXTS.items()
              if any(word.search(line) and not own.match(line) for line in text.splitlines())]
     assert users, f"spintomo.{name} is used only by tests; move it to tests/oracles.py"
+
+
+def _traced_names():
+    # the (module, attribute) pairs of perfbench/tracing.py's _WRAPPERS, read
+    # from its source without importing the benchmark
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "_WRAPPERS" for t in node.targets):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracing.py has no _WRAPPERS list")
+
+
+@pytest.mark.parametrize("module, attr", _traced_names())
+def test_traced_benchmark_wraps_names_that_exist(module, attr):
+    # the traced benchmark replaces spintomo.<module>.<attr> by getattr, so a
+    # name moved, renamed or no longer imported there would crash that run
+    assert callable(getattr(importlib.import_module(f"spintomo.{module}"), attr, None)), \
+        f"spintomo.{module}.{attr} is wrapped by perfbench/tracing.py but does not exist"

@@ -457,7 +457,7 @@ def test_sampler_matches_per_shot_oracle_truncated_state(two_j):
 
 def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11 ** 2)  # 3 axes per chunk
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11 ** 2)  # 2 points per kernel chunk
     noise = _SAMPLER_NOISE["all"]
     got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8)
     assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)
@@ -465,7 +465,7 @@ def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
 
 def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
     # without axis noise all axes share the kernel calls: two axes per call here,
-    # one Legendre point per table and one axis per comparison block of the draw
+    # one point per kernel chunk and one axis per comparison block of the draw
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
     monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * 11)
     for case in ("none", "number"):

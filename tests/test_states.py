@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spintomo import states
 from spintomo.analysis import moments
 from spintomo.forward import projection_probabilities
 from spintomo.states import (
@@ -186,6 +189,66 @@ def test_evaluators_match_direct_harmonic_sum(two_j, kmax):
         got = np.array(moments(s, t, f))
         ref = np.array(oracles.dicke_moments(rho, two_j, t, f))
         assert np.abs(got - ref).max() < 1e-12 * max(1.0, float(np.abs(ref).max()))
+
+
+# ---------------------------------------------------------------- partial-wave kernel
+
+_POLAR = {"north pole": 0.0, "equator": math.pi / 2.0, "south pole": math.pi}
+
+
+def _assert_matches_table_oracle(s, theta, phi, kuse):
+    got = states._wave_sums(s, theta, phi, kuse)
+    want = oracles.wave_sums_table(s, theta, phi, kuse)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), two_j=st.integers(0, 40), data=st.data(),
+       layout=st.sampled_from(sorted(_POLAR) + ["random polar angle", "scattered"]))
+def test_wave_sums_match_table_oracle(seed, two_j, data, layout):
+    # both routes: one polar angle shared by every point (cached table), and
+    # scattered polar angles, both poles among them (the streaming ladder)
+    r = np.random.default_rng(seed)
+    kmax = data.draw(st.integers(0, two_j), label="kmax")
+    kuse = data.draw(st.integers(0, kmax), label="kuse")
+    s = dicke_to_spherical(DickeState(two_j, oracles.random_hermitian(two_j, r)), kmax)
+    n = data.draw(st.integers(1, 12), label="points")
+    if layout == "scattered":
+        theta = r.permutation(np.concatenate([[0.0, math.pi], r.uniform(0.0, math.pi, n)]))
+        n += 2
+    else:
+        theta = _POLAR.get(layout, r.uniform(0.0, math.pi))
+        if data.draw(st.booleans(), label="theta as an array"):
+            theta = np.full(n, theta)
+    _assert_matches_table_oracle(s, theta, r.uniform(-2.0 * math.pi, 4.0 * math.pi, n), kuse)
+
+
+@pytest.mark.parametrize("layout", ["one polar angle", "scattered"])
+def test_wave_sums_do_not_depend_on_the_chunking(layout, monkeypatch):
+    s = dicke_to_spherical(DickeState(16, oracles.random_hermitian(16, rng)), 16)
+    theta = (math.pi / 2.0 if layout == "one polar angle"
+             else np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 23)]))
+    phi = rng.uniform(0.0, 2.0 * math.pi, 25)
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 1e12)  # all points in one chunk
+    whole = states._wave_sums(s, theta, phi, 16)
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 1)  # one point per chunk
+    assert np.array_equal(states._wave_sums(s, theta, phi, 16), whole)
+
+
+def test_polar_table_cache_keeps_each_angle_apart():
+    # theta1, theta2, theta1 again: the third call reads the first call's table
+    s = dicke_to_spherical(DickeState(10, oracles.random_hermitian(10, rng)), 10)
+    phi = rng.uniform(0.0, 2.0 * math.pi, 7)
+    states._polar_table.cache_clear()
+    for theta in (0.4, 1.1, 0.4):
+        _assert_matches_table_oracle(s, theta, phi, 10)
+    info = states._polar_table.cache_info()
+    assert (info.hits, info.misses) == (1, 2)
+    table = states._polar_table(10, float(np.cos(0.4)))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 1.0
 
 
 def test_sphere_integral_equals_monopole():
