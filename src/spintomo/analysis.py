@@ -78,12 +78,14 @@ def _gaussian_residual(x, m, p):
     return x[..., 0, None] * np.exp(-0.5 * d * d) - p
 
 
-def _gaussian_jacobian(x, m, p):
-    # d residual / d (A, mu, sigma): shape x.shape[:-1] + (points, 3)
+def _gaussian_jacobian(x, m, p, out=None):
+    # d residual / d (A, mu, sigma): shape x.shape[:-1] + (points, 3), a view of
+    # J^T, which is written to out (shape x.shape[:-1] + (3, points)) when given
     a, sigma = x[..., 0, None], x[..., 2, None]
     d = (m - x[..., 1, None]) / sigma
     g = np.exp(-0.5 * d * d)
-    return np.stack([g, a * g * d / sigma, a * g * d * d / sigma], axis=-1)
+    agd = a * g * d
+    return np.stack([g, agd / sigma, agd * d / sigma], axis=-2, out=out).swapaxes(-1, -2)
 
 
 _FIT_FTOL = 1e-8    # relative reduction of the squared residual, actual and predicted
@@ -96,63 +98,77 @@ def _gaussian_fits(P, m):
 
     Returns (x, ok): x[n] = (A, mu, V) for A exp(-(m - mu)^2 / (2 V)) and
     ok[n] whether row n converged to a finite fit with V > 1e-300.  One
-    Levenberg-Marquardt iteration in (A, mu, sigma) runs over all rows.
-    Each row has its own damping lambda (Marquardt's: the normal equations
-    J^T J + lambda D, D the largest squared column norms of J seen so far;
-    lambda / 10 after a step that reduces the squared residual, x 10 after
-    one that does not) and stops by MINPACK's rules: the actual and the
-    predicted relative reduction both at most _FIT_FTOL, or a scaled step
-    at most _FIT_XTOL of the scaled parameters.  A row's arithmetic does
-    not depend on the other rows.
+    Levenberg-Marquardt iteration in (A, mu, sigma) runs over all rows,
+    which stay in place: a mask marks the rows still iterating, and the
+    other rows keep their x.  J^T J, J^T r and |r|^2 come from one batched
+    Gram product of [J | r]; the product at a trial point gives its
+    squared residual and, once the step is taken, the next step's normal
+    equations.  Each row has its own damping lambda (Marquardt's: the
+    normal equations J^T J + lambda D, D the largest squared column norms
+    of J seen so far; lambda / 10 after a step that reduces the squared
+    residual, x 10 after one that does not) and stops by MINPACK's rules:
+    the actual and the predicted relative reduction both at most
+    _FIT_FTOL, or a scaled step at most _FIT_XTOL of the scaled
+    parameters.  A row's arithmetic does not depend on the other rows.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     m = np.asarray(m, dtype=float)
     if P.shape[1] < 5:
         raise ValueError("need at least 5 points to fit")
     n = P.shape[0]
-    x = np.zeros((n, 3))
     pos = np.clip(P, 0.0, None)
     tot = pos.sum(axis=1)
-    active = np.flatnonzero((tot > 0.0) & np.isfinite(P).all(axis=1))
-    mu0 = np.sum(pos[active] * m, axis=1) / tot[active]
-    var0 = np.sum(pos[active] * (m - mu0[:, None]) ** 2, axis=1) / tot[active]
-    x[active] = np.stack([np.maximum(P[active].max(axis=1), 1e-12), mu0,
-                          np.sqrt(np.maximum(var0, 0.25))], axis=1)
+    active = (tot > 0.0) & np.isfinite(P).all(axis=1)
     done = np.zeros(n, dtype=bool)
     lam = np.full(n, 1e-3)
     scale = np.full((n, 3), np.finfo(float).tiny)
-    eye = np.eye(3)
+    JrT = np.empty((n, 4, P.shape[1]))
+
+    def gram(x):
+        # [J | r]^T [J | r] at x; r = A g - p from J's first column g, the same
+        # bits as _gaussian_residual
+        _gaussian_jacobian(x, m, P, out=JrT[:, :3])
+        r = np.multiply(x[:, :1], JrT[:, 0], out=JrT[:, 3])
+        r -= P
+        return JrT @ np.swapaxes(JrT, 1, 2)
+
     with np.errstate(all="ignore"):
+        mu0 = np.sum(pos * m, axis=1) / tot
+        var0 = np.sum(pos * (m - mu0[:, None]) ** 2, axis=1) / tot
+        x = np.stack([np.maximum(P.max(axis=1), 1e-12), mu0, np.sqrt(np.maximum(var0, 0.25))],
+                     axis=1)
+        x[~active] = 0.0
+        G = gram(x)
         for _ in range(_FIT_STEPS):
-            if active.size == 0:
+            if not active.any():
                 break
-            xa, pa, la = x[active], P[active], lam[active]
-            J = _gaussian_jacobian(xa, m, pa)
-            r = xa[:, :1] * J[..., 0] - pa
-            f = np.sum(r * r, axis=1)
-            JT = np.swapaxes(J, 1, 2)
-            A = JT @ J
-            grad = (JT @ r[..., None])[..., 0]
-            D = np.maximum(scale[active], np.diagonal(A, axis1=1, axis2=2))
-            scale[active] = D
-            # a non-finite row leaves the fit; the identity keeps it out of the solve
+            A, grad, f = G[:, :3, :3], G[:, :3, 3], G[:, 3, 3]
+            # rows that are not iterating never read their damping again
+            scale = D = np.maximum(scale, np.diagonal(A, axis1=1, axis2=2))
+            # a non-finite row leaves the fit; the identity keeps it, and every
+            # row that is not iterating, out of the solve
             finite = np.isfinite(A).all(axis=(1, 2))
-            M = np.where(finite[:, None, None], A + la[:, None, None] * (D[..., None] * eye), eye)
+            live = active & finite
+            M = A.copy()
+            M.reshape(n, 9)[:, ::4] += lam[:, None] * D                 # J^T J + lambda D
+            M[~live] = np.eye(3)
             h = -np.linalg.solve(M, grad[..., None])[..., 0]
-            xt = xa + h
-            rt = _gaussian_residual(xt, m, pa)
-            actual = 1.0 - np.sum(rt * rt, axis=1) / f
+            xt = x + h
+            Gt = gram(xt)
+            actual = 1.0 - Gt[:, 3, 3] / f
             hDh = np.sum(D * h * h, axis=1)
             # |J h|^2 + 2 lambda h^T D h, as (J^T J + lambda D) h = -grad
-            pred = (la * hDh - np.sum(h * grad, axis=1)) / f
+            pred = (lam * hDh - np.sum(h * grad, axis=1)) / f
             ratio = actual / pred
             good = ratio > 1e-4
-            x[active[good]] = xt[good]
-            lam[active] = la * np.where(good, 0.1, 10.0)
             stop = (((np.abs(actual) <= _FIT_FTOL) & (pred <= _FIT_FTOL) & (ratio <= 2.0))
-                    | (hDh <= _FIT_XTOL ** 2 * np.sum(D * xa * xa, axis=1)))
-            done[active[stop & finite]] = True
-            active = active[~stop & finite]
+                    | (hDh <= _FIT_XTOL ** 2 * np.sum(D * x * x, axis=1)))
+            step = active & good
+            x = np.where(step[:, None], xt, x)
+            G = np.where(step[:, None, None], Gt, G)
+            lam = lam * np.where(good, 0.1, 10.0)
+            done |= live & stop
+            active = live & ~stop
     x[:, 2] = x[:, 2] ** 2
     ok = done & np.isfinite(x).all(axis=1) & (x[:, 2] > 1e-300)
     return x, ok
@@ -201,10 +217,12 @@ class SqueezingReport:
 def squeezing_scan(s, phis, sigma_n, j_mean):
     """Scan projection variance over equatorial azimuths, report squeezing.
 
-    For each phi both the direct second-moment variance and the
-    Gaussian-fit variance are computed; the imaging-noise floor
-    sigma_n^2/2 is subtracted before normalizing by the coherent-state
-    reference j_mean/2.  Negative dB means spin squeezing.
+    One partial-wave pass gives p_m at every phi.  The direct variance
+    comes from its moments p . m and p . m^2 (equal to :func:`moments` up
+    to rounding, as sum_m m^n tau_k vanishes for k > n), and the
+    Gaussian-fit variance from a fit to the same p_m.  The imaging-noise
+    floor sigma_n^2/2 is subtracted before normalizing by the
+    coherent-state reference j_mean/2.  Negative dB means spin squeezing.
     """
     if s.kmax < 2:
         raise ValueError("squeezing scan needs a state with kmax >= 2")
@@ -216,8 +234,9 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     phis = np.asarray(phis, dtype=float).ravel()
     if phis.size == 0:
         raise ValueError("squeezing scan needs at least one azimuth")
-    means, mean2s = moments(s, math.pi / 2.0, phis)
-    fits, ok = _gaussian_fits(projection_probabilities(s, math.pi / 2.0, phis), m)
+    P = projection_probabilities(s, math.pi / 2.0, phis)
+    means, mean2s = P @ m, P @ (m * m)
+    fits, ok = _gaussian_fits(P, m)
     v_fits = np.where(ok, fits[:, 2], math.nan)
     curve = list(zip(phis.tolist(), (mean2s - means ** 2).tolist(), v_fits.tolist()))
     failures = int(np.sum(~ok))

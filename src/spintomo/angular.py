@@ -297,25 +297,54 @@ def hemi_overlap_matrix(kmax, q):
     ((n+1)/2)!), collapses to central binomials c(n) = C(n, n/2) / 2^n:
         s sqrt((2ke+1) c(ke+q) c(ke-q) (2ko+1) (ko+q+1) (ko-q) c(ko+q+1) c(ko-q-1))
           / (|ke-ko| (ke+ko+1)),
-    s = (-1)^floor((ke-ko-1)/2) sign(ke-ko).  The whole mixed block comes
-    from one log-Gamma vector, ln c(2i) = ln Gamma(i+1/2) - ln Gamma(i+1)
-    - ln(pi)/2; the other mixed block is its transpose.  Rows and columns
-    below q are zero.
+    s = (-1)^floor((ke-ko-1)/2) sign(ke-ko).  The matrix is the one-order
+    case of the builder that the fold runs on chunks of orders, so the
+    closed form is evaluated in one place: one log-Gamma vector,
+    ln c(2i) = ln Gamma(i+1/2) - ln Gamma(i+1) - ln(pi)/2, serves every
+    order, and the other mixed block is the transpose of the first.  Rows
+    and columns below q are zero.
     """
     q = abs(int(q))
-    i = np.arange(kmax + 1)
-    ln_c = _lgamma(i + 0.5) - _lgamma(i + 1.0) - 0.5 * _LNPI
-    ke = np.arange(q, kmax + 1, 2)
-    ko = np.arange(q + 1, kmax + 1, 2)
-    ln_row = 0.5 * (np.log(2.0 * ke + 1.0) + ln_c[(ke + q) // 2] + ln_c[(ke - q) // 2])
-    ln_col = 0.5 * (np.log((2.0 * ko + 1.0) * (ko + q + 1.0) * (ko - q))
-                    + ln_c[(ko + q + 1) // 2] + ln_c[(ko - q - 1) // 2])
-    d = ke[:, None] - ko[None, :]
-    sign = np.where((d - 1) // 2 % 2 == 1, -1.0, 1.0) * np.sign(d)
-    mixed = (sign * np.exp(ln_row[:, None] + ln_col[None, :])
-             / (np.abs(d) * (ke[:, None] + ko[None, :] + 1.0)))
     out = np.zeros((kmax + 1, kmax + 1))
-    out[q::2, q + 1::2] = mixed
-    out[q + 1::2, q::2] = mixed.T
-    out[i[q:], i[q:]] = 1.0
+    out[q:, q:] = _hemi_overlap_orders(kmax, q, q + 1, _hemi_ln_c(kmax))[0]
+    return out
+
+
+def _hemi_ln_c(kmax):
+    """ln c(2i), i = 0..kmax, for the central binomials c(n) = C(n, n/2) / 2^n."""
+    i = np.arange(kmax + 1)
+    return _lgamma(i + 0.5) - _lgamma(i + 1.0) - 0.5 * _LNPI
+
+
+def _hemi_overlap_orders(kmax, q0, q1, ln_c):
+    """Overlap matrices of the orders q0..q1-1 over the degrees q0..kmax.
+
+    out[i, k - q0, l - q0] is entry (k, l) of the order q0 + i, shape
+    (q1 - q0, kmax + 1 - q0, kmax + 1 - q0); ln_c from _hemi_ln_c(kmax).
+    See :func:`hemi_overlap_matrix` for the closed form.  Each mixed entry
+    is the product of a row factor and a column factor, and its degree of
+    even parity (relative to q) takes the row factor, so one half-log per
+    (q, k) serves both mixed blocks.  Entries whose degrees lie below
+    their order come out as zeros.
+    """
+    q = np.arange(q0, q1)[:, None]
+    k = np.arange(q0, kmax + 1)[None, :]
+    below = k < q
+    odd = (k - q) % 2
+    # the row factor for k - q even, the column factor for k - q odd
+    arg = np.where(odd == 1, (2.0 * k + 1.0) * (k + q + 1.0) * (k - q), 2.0 * k + 1.0)
+    a, b = (k + q + odd) // 2, np.where(below, 0, (k - q - odd) // 2)
+    half = 0.5 * (np.log(np.where(below, 1.0, arg)) + ln_c[a] + ln_c[b])    # half-logs
+    half[below] = -np.inf                                      # exp gives exact zeros
+    d = np.abs(k.T - k)                                        # |ke - ko| over (k, l)
+    # (-1)^floor((ke-ko-1)/2) sign(ke-ko) depends on |ke - ko| alone; even d is not mixed
+    sign = np.where(d % 2 == 0, 0.0, np.where(d % 4 == 1, 1.0, -1.0))
+    denom = np.where(d % 2 == 0, 1.0, d * (k.T + k + 1.0))
+    out = half[:, :, None] + half[:, None, :]
+    np.exp(out, out=out)
+    out *= sign
+    out /= denom
+    out += 0.0                                    # masked entries times -1 are -0.0: make them +0.0
+    size = kmax + 1 - q0
+    out.reshape(q.size, size * size)[:, :: size + 1] = ~below  # the diagonal from q on
     return out

@@ -205,7 +205,14 @@ def read_coefficients(path):
             raise ValueError(f"{path}:{lineno}: coefficient ({k}, {q}) out of range")
         coeffs[k, kmax + q] = value
     _mirror_negative_q(coeffs, kmax)
-    return SphericalState(two_j_ref, kmax, coeffs)
+    try:
+        return SphericalState(two_j_ref, kmax, coeffs)
+    except ValueError as exc:
+        # the rows are in range and mirrored, so what the state refuses is a
+        # complex rho_k0: name the row with the largest imaginary part
+        k0 = [(abs(v.imag), lineno) for (_, q), (v, lineno) in rows.items() if q == 0]
+        imag, lineno = max(k0, default=(0.0, None))
+        raise ValueError(f"{path}:{lineno}: {exc}" if imag > 0.0 else f"{path}: {exc}") from None
 
 
 def write_spectrum(path, c_k):

@@ -25,16 +25,17 @@ import numpy as np
 
 from .angular import (
     SQRT_4PI,
+    _hemi_ln_c,
+    _hemi_overlap_orders,
     _mirror_negative_q,
     cg_tau_table,
     check_spin_label,
-    hemi_overlap_matrix,
     legendre_sph_table,
     legendre_table,
     pochhammer_half,
 )
 from .forward import NoiseModel, Records
-from .states import SphericalState, _chunks, _damping, _damping_alpha
+from .states import SphericalState, _chunks, _damping, _damping_alpha, _polar_table
 
 __all__ = [
     "ReconstructionConfig",
@@ -276,8 +277,9 @@ def _backproject(records, config):
     ph = phi[first]
     E = np.exp(-1j * q * ph)                                  # (q, axes)
     if inplane:
-        # every axis at cos(theta) = 0; the azimuth noise damps each order q
-        x = np.zeros(n_axes)
+        # every axis at cos(theta) = 0, one (k, q) table for all; the azimuth
+        # noise damps each order q
+        equator = _polar_table(kmax, 0.0)[..., None]
         sig = config.noise.azimuth_sigma(ph)
         E = E * np.exp(-0.5 * q * q * sig * sig)
         # pi ((k-q+1)/2)_(1/2) ((k+q+1)/2)_(1/2) for q <= k; k + q odd carries no information
@@ -290,7 +292,7 @@ def _backproject(records, config):
         filt = (2.0 * k + 1.0)[:, None]
     half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
     for sl in _chunks(n_axes, (kmax + 1) * (2 * kmax + 1) + 1):
-        S = legendre_sph_table(kmax, x[sl])                   # (K+1, K+1, c)
+        S = equator if inplane else legendre_sph_table(kmax, x[sl])  # (K+1, K+1, c or 1)
         half += np.einsum("kqa,ka->kq", S * E[None, :, sl], A[:, sl])
 
     scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))          # D^k_{q0} = scale conj(Y_kq)
@@ -330,13 +332,22 @@ def fold_northern(s):
 
     For states known to live at z > 0 the true coefficients follow from
     the even-parity ones through the hemispherical overlap integrals;
-    the series is truncated at the input kmax.
+    the series is truncated at the input kmax.  The overlap matrices of a
+    chunk of orders (sized by states._chunks) are built in one array
+    expression over the degrees from the chunk's lowest order, and each
+    chunk is contracted with one einsum; the result does not depend on
+    the chunking.
     """
     kmax = s.kmax
+    ln_c = _hemi_ln_c(kmax)
     coeffs = np.zeros_like(s.coeffs)
-    for q in range(kmax + 1):
-        U = hemi_overlap_matrix(kmax, q)
-        coeffs[:, kmax + q] = U @ s.coeffs[:, kmax + q]
+    for sl in _chunks(kmax + 1, (kmax + 1) ** 2):
+        orders = range(kmax + 1)[sl]
+        q0, q1 = orders.start, orders.stop
+        cols = slice(kmax + q0, kmax + q1)
+        # U[q, k, k'] over the degrees from q0; one chunk's U is alive at a time
+        coeffs[q0:, cols] = np.einsum("qkl,lq->kq", _hemi_overlap_orders(kmax, q0, q1, ln_c),
+                                      s.coeffs[q0:, cols])
     coeffs[0, kmax] = coeffs[0, kmax].real
     _mirror_negative_q(coeffs, kmax)
     return SphericalState(s.two_j_ref, kmax, coeffs)

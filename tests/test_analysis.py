@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -254,9 +255,12 @@ def test_gaussian_fit_failure_modes():
         gaussian_fit(np.ones(3))                      # too short
 
 
-def _workload_scan(shape):
-    # the squeezing-scan input of either benchmark workload, seed 1: p_m of the
-    # folded reconstruction along 181 equatorial azimuths
+_SCAN_PHIS = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
+
+
+@lru_cache(maxsize=2)
+def _workload_state(shape):
+    # the folded reconstruction that either benchmark workload scans, seed 1
     if shape == "paper":
         truth, n_axes, shots, kmax = oat_squeezed_state(40, 0.05, 40), 24, 50, 23
         noise = NoiseModel(sigma_n=2.0, sigma_omega=0.05, phase_mode="model", sigma_ph=0.2)
@@ -266,11 +270,16 @@ def _workload_scan(shape):
     axes = [(math.pi / 2.0, a * math.pi / n_axes) for a in range(n_axes)]
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "skipped", UserWarning)  # records with 2j < kmax
-        state = reconstruct(sample_measurements(truth, axes, shots, noise, 1),
-                            ReconstructionConfig(kmax=kmax, noise=noise, fold_north=True,
-                                                 two_j_ref=40))
-    phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
-    return projection_probabilities(state, math.pi / 2.0, phis), np.arange(41) - 20.0
+        return reconstruct(sample_measurements(truth, axes, shots, noise, 1),
+                           ReconstructionConfig(kmax=kmax, noise=noise, fold_north=True,
+                                                two_j_ref=40))
+
+
+def _workload_scan(shape):
+    # the squeezing-scan input of either benchmark workload, seed 1: p_m of the
+    # folded reconstruction along 181 equatorial azimuths
+    P = projection_probabilities(_workload_state(shape), math.pi / 2.0, _SCAN_PHIS)
+    return P, np.arange(41) - 20.0
 
 
 @pytest.mark.parametrize("shape", ["paper", "cli"])
@@ -306,6 +315,17 @@ def test_batched_fits_equal_fits_row_by_row(shape):
 
 
 # ---------------------------------------------------------------- squeezing scan
+
+@pytest.mark.parametrize("shape", ["paper", "cli"])
+def test_scan_direct_variance_equals_moments(shape):
+    # the scan's moments of the fitted p_m against the k <= 2 kernel of moments()
+    state = _workload_state(shape)
+    rep = squeezing_scan(state, _SCAN_PHIS, 2.0, 20.0)
+    mean, mean2 = moments(state, math.pi / 2.0, _SCAN_PHIS)
+    want = mean2 - mean ** 2
+    got = np.array([v_direct for _, v_direct, _ in rep.variance_curve])
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
 
 def test_scan_coherent_is_zero_db():
     s = coherent_state(40, 0.0, 0.0, 0.0, kmax=40)

@@ -6,6 +6,8 @@ import pytest
 
 from spintomo.angular import (
     _coupling_table,
+    _hemi_ln_c,
+    _hemi_overlap_orders,
     cg_tau_table,
     hemi_overlap,
     hemi_overlap_matrix,
@@ -317,6 +319,22 @@ def test_hemi_overlap_matrix_large_kmax_against_quadrature():
         assert np.array_equal(mat, mat.T), q
         assert np.all(np.diag(mat)[q:] == 1.0), q
         assert np.abs(mat - tables[q]).max() < 1e-11, q
+
+
+@pytest.mark.parametrize("kmax", [23, 29, 60])
+def test_hemi_overlap_chunk_builder_equals_matrix_bitwise(kmax):
+    # every chunking of the orders, down to one order a chunk, gives the
+    # matrices of hemi_overlap_matrix bit for bit, zeros below the order included
+    ln_c = _hemi_ln_c(kmax)
+    for size in (1, 3, 7, kmax + 1):
+        for q0 in range(0, kmax + 1, size):
+            q1 = min(q0 + size, kmax + 1)
+            block = _hemi_overlap_orders(kmax, q0, q1, ln_c)
+            assert block.shape == (q1 - q0, kmax + 1 - q0, kmax + 1 - q0)
+            for i, q in enumerate(range(q0, q1)):
+                got = np.zeros((kmax + 1, kmax + 1))
+                got[q0:, q0:] = block[i]
+                assert got.tobytes() == hemi_overlap_matrix(kmax, q).tobytes(), (size, q)
 
 
 # ---------------------------------------------------------------- legendre_sph internals

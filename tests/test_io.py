@@ -283,7 +283,9 @@ _HEAD = "# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n"
     ("# two_j_ref = 2\n# kmax = x\nk,q,re,im\n0,0,0.5,0.0\n", "c.csv:2: invalid literal"),
     ("# two_j_ref = 2\n# kmax = 3\nk,q,re,im\n0,0,0.5,0.0\n",
      r"c.csv:2: kmax = 3 outside 0\.\.two_j_ref = 2"),
-], ids=["row_int", "row_float", "out_of_range", "non_finite", "header_int", "header_kmax"])
+    (_HEAD + "1,1,0.1,0.2\n0,0,0.5,0.7\n", "c.csv:5: rho_k0 is not real: imaginary part 0.7"),
+], ids=["row_int", "row_float", "out_of_range", "non_finite", "header_int", "header_kmax",
+        "complex_k0"])
 def test_coefficient_errors_name_file_and_line(tmp_path, text, message):
     path = tmp_path / "c.csv"
     path.write_text(text)

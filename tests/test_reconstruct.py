@@ -741,6 +741,17 @@ def test_fold_monopole_creates_dipole():
     assert out.coeff(1, 0).real == pytest.approx(math.sqrt(3.0) / 2.0 * rho00, rel=1e-12)
 
 
+def test_fold_does_not_depend_on_the_order_chunks(monkeypatch):
+    # the default budget takes all 30 orders in one chunk; a budget of
+    # 4 (kmax+1)^2 elements takes 4 orders a chunk, so 8 chunks
+    kmax = 29
+    truth, _ = _random_state(kmax, seed=7)
+    want = fold_northern(truth).coeffs
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 4 * (kmax + 1) ** 2)
+    assert len(states._chunks(kmax + 1, (kmax + 1) ** 2)) >= 3
+    assert fold_northern(truth).coeffs.tobytes() == want.tobytes()
+
+
 def test_fold_preserves_northern_integral():
     # sphere integral of the folded state = 2 x northern integral of the input
     truth, _ = _random_state(6, seed=41)
