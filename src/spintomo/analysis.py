@@ -72,12 +72,6 @@ class GaussianFit:
     variance: float
 
 
-def _gaussian_residual(x, m, p):
-    # x = (A, mu, sigma) on the last axis; one residual per point
-    d = (m - x[..., 1, None]) / x[..., 2, None]
-    return x[..., 0, None] * np.exp(-0.5 * d * d) - p
-
-
 def _gaussian_jacobian(x, m, p, out=None):
     # d residual / d (A, mu, sigma): shape x.shape[:-1] + (points, 3), a view of
     # J^T, which is written to out (shape x.shape[:-1] + (3, points)) when given
@@ -125,8 +119,7 @@ def _gaussian_fits(P, m):
     JrT = np.empty((n, 4, P.shape[1]))
 
     def gram(x):
-        # [J | r]^T [J | r] at x; r = A g - p from J's first column g, the same
-        # bits as _gaussian_residual
+        # [J | r]^T [J | r] at x; the residual r = A g - p from J's first column g
         _gaussian_jacobian(x, m, P, out=JrT[:, :3])
         r = np.multiply(x[:, :1], JrT[:, 0], out=JrT[:, 3])
         r -= P

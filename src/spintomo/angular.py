@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "check_spin_label",
     "cg_tau_table",
-    "legendre_table",
     "legendre_sph_table",
     "rot_elements_axis",
     "pochhammer_half",
@@ -43,6 +42,29 @@ def _lgamma(x):
     return np.array([math.lgamma(v) for v in np.asarray(x, dtype=float).tolist()])
 
 
+def _angles_ok(theta, phi):
+    """The angle domain of records, axes and kernels, elementwise: theta in [0, pi]
+    and phi finite, exact bounds (x = cos(theta) in [-1, 1] for kernels of x)."""
+    return (theta >= 0.0) & (theta <= math.pi) & np.isfinite(phi)
+
+
+def _check_angles(theta, phi):
+    """Raise ValueError for the first (theta, phi) pair outside _angles_ok's domain."""
+    if not _angles_ok(theta, phi).all():
+        theta, phi = np.broadcast_arrays(theta, phi)
+        bad = ~_angles_ok(theta, phi)
+        t, p = theta[bad][0], phi[bad][0]
+        raise ValueError(f"theta = {t} outside [0, pi]" if not 0.0 <= t <= math.pi
+                         else f"phi = {p} is non-finite; phi must be finite")
+
+
+def _check_cos(x):
+    """Raise ValueError unless every x = cos(theta) of the array x lies in [-1, 1]."""
+    bad = ~((x >= -1.0) & (x <= 1.0))
+    if bad.any():
+        raise ValueError(f"x = {x[bad][0]} outside [-1, 1]")
+
+
 def check_spin_label(two_j, two_m):
     """Validate a doubled (j, m) pair: integers within int64, |m| <= j, same parity."""
     if max(abs(two_j), abs(two_m)) >= LABEL_BOUND:
@@ -58,11 +80,11 @@ def check_spin_label(two_j, two_m):
 
 
 def _coupling_table(two_j, q, kmax):
-    """Couplings t_kq^{j,m,m-q} of one order q, for k = 0..kmax and every m.
+    """Couplings t_kq^{j,m,m-q} of one order q >= 0, for k = 0..kmax and every m.
 
     Returns (two_m, T): two_m runs over the projections for which both
     (j, m) and (j, m-q) are valid labels, and T[k, i] is the coupling at
-    two_m[i] (rows k < |q| are zero).  With m2 = q - m1, the coefficients
+    two_m[i] (rows k < q are zero).  With m2 = q - m1, the coefficients
     C(m1) = <j,m1; j,m2|k,q> obey the J^2 three-term relation
         [k(k+1) - 2j(j+1) - 2 m1 m2] C(m1) = a(m1) C(m1-1) + a(m1+1) C(m1+1),
         a(m1)^2 = (j+m1)(j-m1+1)(j-m2)(j+m2+1),
@@ -77,13 +99,8 @@ def _coupling_table(two_j, q, kmax):
     t = (-1)^(j-m1-q) C itself, whose sign alternates with m1; that flips
     the sign of the diagonal term.  The other half follows from
     t(q-m1) = (-1)^(k+q) t(m1), which also gives the exact zeros at the
-    centre, and q < 0 from
-    t_{k,-q}^{j,m,m+q} = (-1)^k t_kq^{j,-m,-m-q}.
+    centre.
     """
-    sign_k = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, -1.0)[:, None]
-    if q < 0:
-        two_m, t = _coupling_table(two_j, -q, kmax)
-        return -two_m[::-1], sign_k * t[:, ::-1]
     j = two_j / 2.0
     two_m = np.arange(2 * q - two_j, two_j + 1, 2)
     n, mid = two_m.size, two_m.size // 2
@@ -111,7 +128,7 @@ def _coupling_table(two_j, q, kmax):
         raise ValueError(f"coupling recursion at two_j = {two_j}, q = {q} leaves the double range")
     t = np.zeros((kmax + 1, n))
     t[q:, mid:] = c[:-1].T * np.exp(-shift)[:, None]
-    sign = sign_k if q % 2 == 0 else -sign_k
+    sign = np.where((np.arange(kmax + 1) + q) % 2 == 0, 1.0, -1.0)[:, None]  # (-1)^(k+q)
     t[:, :mid] = sign * t[:, n - mid:][:, ::-1]
     if n % 2:
         t[sign[:, 0] < 0.0, mid] = 0.0
@@ -135,23 +152,6 @@ def cg_tau_table(two_j, kmax):
     tau = _coupling_table(int(two_j), 0, int(kmax))[1]
     tau.flags.writeable = False
     return tau
-
-
-def legendre_table(kmax, x):
-    """Legendre polynomials P_0..P_kmax at x via the upward recurrence.
-
-    x may be a scalar or array; returns shape (kmax+1,) + x.shape.
-    """
-    x = np.asarray(x, dtype=float)
-    if np.any(np.abs(x) > 1.0 + 1e-12):
-        raise ValueError("legendre argument outside [-1, 1]")
-    out = np.zeros((kmax + 1,) + x.shape)
-    out[0] = 1.0
-    if kmax >= 1:
-        out[1] = x
-    for k in range(2, kmax + 1):
-        out[k] = ((2 * k - 1) * x * out[k - 1] - (k - 1) * out[k - 2]) / k
-    return out
 
 
 @lru_cache(maxsize=16)
@@ -223,10 +223,11 @@ def legendre_sph_table(kmax, x):
     Y_kq(theta, phi) = S_k^q(cos theta) e^(i q phi) for q >= 0, with the
     Condon-Shortley phase folded into S.  Fully normalized recurrence
     (plain P_k^q overflows near k ~ 150; this form is good to k of a few
-    thousand).  x may have any shape; returns (kmax+1, kmax+1) + x.shape
-    with entries for q > k left at zero.
+    thousand).  x may have any shape, within [-1, 1]; returns (kmax+1,
+    kmax+1) + x.shape with entries for q > k left at zero.
     """
     x = np.asarray(x, dtype=float)
+    _check_cos(x)
     out = np.zeros((kmax + 1, kmax + 1) + x.shape)
     for _ in _sph_rows(x, _sectoral_seeds(kmax, x), out):
         pass  # each row lands in its own slot of out
@@ -246,13 +247,13 @@ def _mirror_negative_q(coeffs, kmax):
 def rot_elements_axis(kmax, theta, phi):
     """Rotation elements D^k_{q0}(phi, theta, 0) for all k <= kmax, |q| <= k.
 
-    Returns a complex array of shape (kmax+1, 2*kmax+1) with q = column -
-    kmax.  D^k_{q0}(phi, theta, 0) = sqrt(4 pi / (2k+1)) conj(Y_kq(theta,
-    phi)); the q < 0 half mirrors the q > 0 half exactly, so consumers can
-    rely on the conjugation symmetry holding bitwise.
+    theta in [0, pi] and phi finite.  Returns a complex array of shape
+    (kmax+1, 2*kmax+1) with q = column - kmax.  D^k_{q0}(phi, theta, 0) =
+    sqrt(4 pi / (2k+1)) conj(Y_kq(theta, phi)); the q < 0 half mirrors the
+    q > 0 half exactly, so consumers can rely on the conjugation symmetry
+    holding bitwise.
     """
-    if not 0.0 <= theta <= math.pi + 1e-12:
-        raise ValueError(f"theta = {theta} outside [0, pi]")
+    _check_angles(theta, phi)
     S = legendre_sph_table(kmax, float(np.cos(theta)))
     k = np.arange(kmax + 1, dtype=float)
     scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))

@@ -37,9 +37,7 @@ def _parse_grid(text):
         n_theta, n_phi = int(a), int(b)
     except ValueError:
         raise ValueError(f"--grid expects NxM, got {text!r}") from None
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError("grid dimensions must be at least 2")
-    return n_theta, n_phi
+    return n_theta, n_phi  # wigner_grid refuses a dimension below 2
 
 
 def _parse_phase_noise(text):
@@ -155,8 +153,7 @@ def _build_parser():
 
 
 def _simulate_axes(layout, n):
-    if n < 1:
-        raise ValueError("--axes must be positive")
+    # n < 1 gives no axes, which sample_measurements refuses
     if layout == "plane":
         return [(math.pi / 2.0, a * math.pi / n) for a in range(n)]
     # Fibonacci spread over the upper hemisphere of orientations

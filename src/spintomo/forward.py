@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import LABEL_BOUND, cg_tau_table, check_spin_label
+from .angular import LABEL_BOUND, _angles_ok, _check_angles, cg_tau_table, check_spin_label
 from .states import _check_noise, _chunks, _wave_sums
 
 __all__ = [
@@ -88,17 +88,10 @@ class MeasurementRecord:
 
     def __post_init__(self):
         check_spin_label(self.two_j, self.two_m)
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta = {self.theta} outside [0, pi]")
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
+        _check_angles(self.theta, self.phi)
         if not math.isnan(self.weight) and not (math.isfinite(self.weight)
                                                 and self.weight >= 0.0):
             raise ValueError(f"weight must be non-negative or NaN, got {self.weight}")
-
-
-def _angles_ok(theta, phi):
-    return (theta >= 0.0) & (theta <= math.pi) & np.isfinite(phi)
 
 
 def _check_rows(theta, phi, weight, two_j, two_m):
@@ -216,18 +209,17 @@ def _axis_columns(axes):
     if len(axes) == 0:
         raise ValueError("at least one axis is required")
     theta, phi = np.array(axes, dtype=float).T
-    if not np.all(_angles_ok(theta, phi)):
-        _check_rows(theta, phi, 0.0, 0, 0)  # raises the record's error
+    _check_angles(theta, phi)
     return theta, phi
 
 
 def projection_probabilities(s, theta, phi):
     """Projection-number distribution p_m along the axes (theta, phi).
 
-    theta and phi are scalars or broadcastable arrays; the result has their
-    broadcast shape + (2j+1,), m ascending.  Entries may be negative when s
-    comes from a noisy reconstruction; the sum always equals sqrt(2j+1)
-    rho_00 (the trace).
+    theta and phi are scalars or broadcastable arrays, theta in [0, pi] and
+    phi finite; the result has their broadcast shape + (2j+1,), m
+    ascending.  Entries may be negative when s comes from a noisy
+    reconstruction; the sum always equals sqrt(2j+1) rho_00 (the trace).
     """
     shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
     p = _wave_sums(s, theta, phi, s.kmax) @ cg_tau_table(s.two_j_ref, s.kmax)

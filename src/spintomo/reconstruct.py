@@ -25,13 +25,13 @@ import numpy as np
 
 from .angular import (
     SQRT_4PI,
+    _check_cos,
     _hemi_ln_c,
     _hemi_overlap_orders,
     _mirror_negative_q,
     cg_tau_table,
     check_spin_label,
     legendre_sph_table,
-    legendre_table,
     pochhammer_half,
 )
 from .forward import NoiseModel, Records
@@ -77,11 +77,6 @@ class ReconstructionConfig:
             raise ValueError("kmax must be non-negative")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
-
-
-def _require_weights(weight):
-    if np.any(np.isnan(weight)):
-        raise ValueError("records carry pending weights; run compute_weights first")
 
 
 def _resolve_two_j_ref(config, two_j):
@@ -250,7 +245,8 @@ def _backproject(records, config):
     # rho_kq = f_kq sum_a A[k, a] D^k_{q0}(phi_a, theta_a, 0) [x phase damping on the
     # equator]; only f and the kernel depend on the mode
     theta, phi, weight, two_j, two_m = Records.of(records).columns
-    _require_weights(weight)
+    if np.any(np.isnan(weight)):
+        raise ValueError("records carry pending weights; run compute_weights first")
     inplane = config.mode == "in-plane"
     if inplane and np.abs(theta - math.pi / 2.0).max() > _EQUATOR_TOL:
         raise ValueError("in-plane reconstruction requires all axes on the equator")
@@ -357,16 +353,19 @@ def xi_contribution(two_j, two_m, x, kmax):
     """Single-measurement contribution to W as a function of cos(angle).
 
     Xi_{jm}(x) = (4 pi)^(-1/2) sum_k (2k+1)^(3/2) tau_k^{j,m} P_k(x),
-    truncated at kmax.
+    truncated at kmax, for x in [-1, 1]; the series is summed by
+    Clenshaw's recurrence (numpy's legval).
     """
     check_spin_label(two_j, two_m)
-    if kmax > two_j:
-        raise ValueError(f"kmax = {kmax} exceeds two_j = {two_j}")
+    x = np.asarray(x, dtype=float)
+    _check_cos(x)
     tau = cg_tau_table(two_j, kmax)[:, (two_m + two_j) // 2]
-    k = np.arange(kmax + 1, dtype=float)
-    coef = (2.0 * k + 1.0) ** 1.5 * tau / SQRT_4PI
-    out = np.tensordot(coef, legendre_table(kmax, x), axes=(0, 0))
-    return float(out) if out.ndim == 0 else out
+    coef = (2.0 * np.arange(kmax + 1) + 1.0) ** 1.5 * tau / SQRT_4PI
+    # parts of at most 8192 points keep legval's temporaries at 64 KB, below the
+    # size from which malloc maps (and page-faults) each new array afresh
+    parts = np.array_split(x.ravel(), x.size // 8192 + 1)
+    out = np.concatenate([np.polynomial.legendre.legval(p, coef) for p in parts])
+    return float(out[0]) if x.ndim == 0 else out.reshape(x.shape)
 
 
 def uniform_damping_alpha(noise, two_j):

@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import (
+    _check_angles,
     _coupling_table,
     _mirror_negative_q,
     _sectoral_seeds,
@@ -76,27 +77,21 @@ class SphericalState:
         object.__setattr__(self, "coeffs", coeffs)
         self.validate()
 
-    def coeff(self, k, q):
-        """Single coefficient rho_kq."""
-        if not (0 <= k <= self.kmax and abs(q) <= k):
-            raise ValueError(f"(k={k}, q={q}) outside the stored range")
-        return complex(self.coeffs[k, self.kmax + q])
-
-    def validate(self, tol=1e-10):
+    def validate(self):
         """Check the reality invariant rho_{k,-q} = (-1)^q conj(rho_kq).
 
         That is, the q < 0 half mirrors the q > 0 half and every rho_k0 is
-        real, within tol * max(1, max |rho_kq|); entries outside |q| <= k
-        must be zero.  Runs on construction with the default tol.
+        real, within 1e-10 * max(1, max |rho_kq|); entries outside |q| <= k
+        must be zero.  Runs on construction.
         """
-        scale = max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
+        tol = 1e-10 * max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
         imag = np.abs(self.coeffs[:, self.kmax].imag).max()
-        if imag > tol * scale:
+        if imag > tol:
             raise ValueError(f"rho_k0 is not real: imaginary part {imag:.3g}")
         mirrored = self.coeffs.copy()
         _mirror_negative_q(mirrored, self.kmax)
         err = np.abs(self.coeffs - mirrored).max()
-        if err > tol * scale:
+        if err > tol:
             raise ValueError(f"reality invariant violated by {err:.3g}")
         k = np.arange(self.kmax + 1)[:, None]
         qq = np.abs(np.arange(-self.kmax, self.kmax + 1))[None, :]
@@ -218,9 +213,10 @@ def _polar_table(kuse, x):
 def _wave_sums(s, theta, phi, kuse):
     """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
 
-    theta and phi broadcast to n points, flattened; returns a real
-    (n, kuse+1) array.  Since D^k_q0 = sqrt(4 pi / (2k+1)) conj(Y_kq), this
-    is the partial-wave sum behind the Wigner function and the projection
+    theta and phi broadcast to n points, flattened, in the angle domain
+    (theta in [0, pi], phi finite); returns a real (n, kuse+1) array.
+    Since D^k_q0 = sqrt(4 pi / (2k+1)) conj(Y_kq), this is the
+    partial-wave sum behind the Wigner function and the projection
     probabilities.  The state is Hermitian, so the q < 0 terms are the
     conjugates of the q > 0 ones and only the q >= 0 half is read:
         z_k = sum_q S_k^q(cos theta) (Re c_kq cos q phi - Im c_kq sin q phi),
@@ -240,9 +236,7 @@ def _wave_sums(s, theta, phi, kuse):
     """
     theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
     theta, phi = theta.ravel(), phi.ravel()
-    bad = ~((theta >= 0.0) & (theta <= math.pi + 1e-12))
-    if bad.any():
-        raise ValueError(f"theta = {theta[bad][0]} outside [0, pi]")
+    _check_angles(theta, phi)
     q = np.arange(kuse + 1)
     norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]     # over k
     c = norm * np.where(q > 0, 2.0, 1.0) * s.coeffs[: kuse + 1, s.kmax: s.kmax + kuse + 1]
@@ -281,19 +275,14 @@ def _wave_sums(s, theta, phi, kuse):
 def wigner_eval(s, theta, phi):
     """Wigner function W(theta, phi) of a partial-wave state.
 
-    Accepts scalars or broadcastable arrays; theta must lie in [0, pi].
+    Accepts scalars or broadcastable arrays; theta must lie in [0, pi] and
+    phi must be finite.
     W is the real partial-wave sum over q >= 0 of the Hermitian state.
     """
     shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
     k = np.arange(s.kmax + 1)
     w = (_wave_sums(s, theta, phi, s.kmax) @ np.sqrt((2.0 * k + 1.0) / (4.0 * math.pi))).reshape(shape)
     return float(w) if w.ndim == 0 else w
-
-
-def _grid_axes(n_theta, n_phi):
-    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
-    phi = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
-    return theta, phi
 
 
 def wigner_grid(s, n_theta, n_phi):
@@ -305,7 +294,8 @@ def wigner_grid(s, n_theta, n_phi):
     if n_theta < 2 or n_phi < 2:
         raise ValueError("grid dimensions must be at least 2")
     kmax = s.kmax
-    theta, phi = _grid_axes(n_theta, n_phi)
+    theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
+    phi = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi
     q = np.arange(kmax + 1)
     S = legendre_sph_table(kmax, np.cos(theta))               # (K+1, K+1, nt)
     # W = sum_{q >= 0} w_q Re(z_q e^{iq phi}), w_0 = 1 and w_q = 2 for q > 0

@@ -3,7 +3,10 @@
 Everything here is deliberately brute force: explicit operator algebra in
 the Dicke basis, quadrature for integrals, and for coupling coefficients
 the Racah sum in exact rational arithmetic (``cg_general``, ``cg_t``) or
-sympy.  None of it shares code with the paths it checks.
+sympy.  None of it shares code with the paths it checks, except two
+helpers that tests read the package through: ``coeff`` (one entry of a
+state) and ``coupling_table_signed`` (the package's coupling table for
+negative orders too, by the mirror identity).
 """
 
 import math
@@ -76,6 +79,21 @@ def sph_harm_y(k, q, theta, phi):
     from scipy.special import sph_harm_y as _sph
 
     return _sph(k, q, theta, phi)
+
+
+def legendre_table(kmax, x):
+    """Legendre polynomials P_0..P_kmax at x by the plain upward recurrence.
+
+    x may be a scalar or array; returns shape (kmax+1,) + x.shape.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.zeros((kmax + 1,) + x.shape)
+    out[0] = 1.0
+    if kmax >= 1:
+        out[1] = x
+    for k in range(2, kmax + 1):
+        out[k] = ((2 * k - 1) * x * out[k - 1] - (k - 1) * out[k - 2]) / k
+    return out
 
 
 def legendre_sph_loop(kmax, x):
@@ -215,6 +233,22 @@ def cg_general(two_j1, two_m1, two_j2, two_m2, two_k, two_q):
     )
     value = math.sqrt(float(pref * s * s))
     return value if s > 0 else -value
+
+
+def coupling_table_signed(two_j, q, kmax):
+    """The package's coupling table (``angular._coupling_table``) for an order of either sign.
+
+    The package builds q >= 0 only; q < 0 follows from the mirror identity
+    t_{k,-q}^{j,m,m+q} = (-1)^k t_kq^{j,-m,-m-q}, so the negative orders can
+    be checked against ``cg_t`` as well.
+    """
+    from spintomo.angular import _coupling_table
+
+    two_m, t = _coupling_table(two_j, abs(q), kmax)
+    if q >= 0:
+        return two_m, t
+    sign_k = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, -1.0)[:, None]
+    return -two_m[::-1], sign_k * t[:, ::-1]
 
 
 def cg_t(two_j, two_m, two_mp, k, q):
@@ -468,7 +502,8 @@ def sample_per_shot(s, axes, shots_per_axis, noise, seed):
     return records
 
 
-def _gaussian_model(x, m):
+def gaussian_model(x, m):
+    """A exp(-(m - mu)^2 / (2 sigma^2)) at the points m, for x = (A, mu, sigma)."""
     return x[0] * np.exp(-((m - x[1]) ** 2) / (2.0 * x[2] ** 2))
 
 
@@ -484,7 +519,7 @@ def gaussian_fit_fd(p, m):
     """Gaussian fit by least_squares with a finite-difference Jacobian: (A, mu, V)."""
     from scipy.optimize import least_squares
 
-    res = least_squares(lambda x: _gaussian_model(x, m) - p, _gaussian_start(p, m),
+    res = least_squares(lambda x: gaussian_model(x, m) - p, _gaussian_start(p, m),
                         method="lm", xtol=1e-9, max_nfev=600)
     assert res.success
     return np.array([res.x[0], res.x[1], res.x[2] ** 2])
@@ -496,7 +531,7 @@ def gaussian_fit_tight(p, m):
     package's fits stop; None when MINPACK reports no convergence."""
     from scipy.optimize import leastsq
 
-    x, _, _, _, info = leastsq(lambda x: _gaussian_model(x, m) - p, _gaussian_start(p, m),
+    x, _, _, _, info = leastsq(lambda x: gaussian_model(x, m) - p, _gaussian_start(p, m),
                                full_output=True, ftol=1e-15, xtol=1e-15, maxfev=20000)
     if info not in (1, 2, 3, 4) or x[2] ** 2 <= 1e-300:
         return None
@@ -550,12 +585,19 @@ def measurements_text(records):
     return "\n".join(lines) + "\n"
 
 
+def coeff(state, k, q):
+    """The single coefficient rho_kq of a SphericalState, |q| <= k <= kmax."""
+    if not (0 <= k <= state.kmax and abs(q) <= k):
+        raise ValueError(f"(k={k}, q={q}) outside the stored range")
+    return complex(state.coeffs[k, state.kmax + q])
+
+
 def coefficients_text(state):
-    """Coefficient CSV text built from one ``state.coeff(k, q)`` call per row."""
+    """Coefficient CSV text built from one ``coeff(state, k, q)`` call per row."""
     lines = [f"# two_j_ref = {state.two_j_ref}", f"# kmax = {state.kmax}", "k,q,re,im"]
     for k in range(state.kmax + 1):
         for q in range(k + 1):
-            c = state.coeff(k, q)
+            c = coeff(state, k, q)
             lines.append(f"{k},{q},{_fmt17(c.real)},{_fmt17(c.imag)}")
     return "\n".join(lines) + "\n"
 

@@ -12,10 +12,10 @@ from spintomo.angular import (
     hemi_overlap,
     hemi_overlap_matrix,
     legendre_sph_table,
-    legendre_table,
     pochhammer_half,
     rot_elements_axis,
 )
+from spintomo.reconstruct import xi_contribution
 
 import oracles
 
@@ -134,7 +134,7 @@ def test_coupling_table_matches_scalar():
     for two_j in range(1, 11):
         for k in range(two_j + 1):
             for q in range(-k, k + 1):
-                two_m, table = _coupling_table(two_j, q, two_j)
+                two_m, table = oracles.coupling_table_signed(two_j, q, two_j)
                 for tm, v in zip(two_m, table[k]):
                     want = oracles.cg_t(two_j, int(tm), int(tm) - 2 * q, k, q)
                     assert v == pytest.approx(want, rel=1e-11, abs=1e-13)
@@ -152,12 +152,26 @@ for _two_j in (100, 200, 400):
 
 @pytest.mark.parametrize("two_j,k,q", _LARGE_J_ROWS)
 def test_coupling_table_matches_exact_at_large_j(two_j, k, q):
-    two_m, table = _coupling_table(two_j, q, k)
+    two_m, table = oracles.coupling_table_signed(two_j, q, k)
     row = table[k]
     picks = np.unique(np.linspace(0, two_m.size - 1, 7).astype(int))
     picks = np.union1d(picks, [int(np.argmax(np.abs(row)))])
     want = np.array([oracles.cg_t(two_j, int(tm), int(tm) - 2 * q, k, q) for tm in two_m[picks]])
     assert np.abs(row[picks] - want).max() < 1e-11 * np.abs(row).max()
+
+
+@pytest.mark.parametrize("two_j", [40, 400, 1260, 2000])
+def test_tau_low_wave_sums_stay_accurate_at_paper_scale(two_j):
+    # sum_m tau_0 = sqrt(2j+1), |sum_m m tau_1| = sqrt(j(j+1)(2j+1)/3) and
+    # sum_m m^2 tau_0 = j(j+1) sqrt(2j+1) / 3, the sums behind the trace and the
+    # moments; the worst relative error is 9.8e-13 (m tau_1 at 2j = 2000)
+    tau = cg_tau_table(two_j, 1)
+    j = two_j / 2.0
+    m = np.arange(two_j + 1) - j
+    got = [tau[0].sum(), abs(m @ tau[1]), (m * m) @ tau[0]]
+    want = [math.sqrt(two_j + 1.0), math.sqrt(j * (j + 1.0) * (two_j + 1.0) / 3.0),
+            j * (j + 1.0) * math.sqrt(two_j + 1.0) / 3.0]
+    assert np.abs(np.array(got) / want - 1.0).max() <= 2e-12
 
 
 def test_tau_table_full_at_paper_scale():
@@ -189,27 +203,75 @@ def test_coupling_recursion_raises_beyond_double_range():
 
 # ---------------------------------------------------------------- Legendre
 
+# Xi_{jm}(x) = (4 pi)^(-1/2) sum_k (2k+1)^(3/2) tau_k^{j,m} P_k(x), xi_contribution's series
+
+def _xi_coefficients(two_j, two_m, kmax):
+    k = np.arange(kmax + 1, dtype=float)
+    return (2.0 * k + 1.0) ** 1.5 * cg_tau_table(two_j, kmax)[:, (two_m + two_j) // 2] \
+        / math.sqrt(4.0 * math.pi)
+
+
 def test_legendre_examples():
-    assert legendre_table(3, 0.5)[3] == -0.4375
-    assert legendre_table(2, 0.0)[2] == -0.5
-    ends = legendre_table(40, np.array([1.0, -1.0]))
-    for k in (0, 1, 5, 40):
-        assert ends[k, 0] == 1.0
-        assert ends[k, 1] == (-1.0) ** k
+    # spin 1/2 up: tau_0 = tau_1 = 1/sqrt(2), so Xi(x) = (1 + 3 sqrt(3) x) / sqrt(8 pi)
+    for x in (-1.0, -0.25, 0.0, 0.5, 1.0):
+        want = (1.0 + 3.0 * math.sqrt(3.0) * x) / math.sqrt(8.0 * math.pi)
+        assert xi_contribution(1, 1, x, 1) == pytest.approx(want, rel=1e-14, abs=1e-15)
+    # P_k(+-1) = (+-1)^k
+    c = _xi_coefficients(40, 32, 40)
+    ends = xi_contribution(40, 32, np.array([1.0, -1.0]), 40)
+    sign = np.where(np.arange(41) % 2 == 0, 1.0, -1.0)
+    assert ends == pytest.approx([c.sum(), sign @ c], rel=1e-13)
+    # within 1e-13 max|Xi| of the sum over the plain recurrence's table
+    x = np.linspace(-1.0, 1.0, 2001)
+    want = c @ oracles.legendre_table(40, x)
+    assert np.abs(xi_contribution(40, 32, x, 40) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_legendre_against_scipy():
     from scipy.special import eval_legendre
 
     x = rng.uniform(-1.0, 1.0, size=50)
-    table = legendre_table(30, x)
-    for k in range(31):
-        assert np.allclose(table[k], eval_legendre(k, x), rtol=1e-12, atol=1e-13)
+    for two_j, two_m, kmax in ((30, 30, 30), (30, -4, 30), (40, 32, 20)):
+        c = _xi_coefficients(two_j, two_m, kmax)
+        terms = c[:, None] * np.array([eval_legendre(k, x) for k in range(kmax + 1)])
+        want = terms.sum(axis=0)
+        # the atol floor, far below the rtol, serves a sum that cancels to near zero
+        assert np.allclose(xi_contribution(two_j, two_m, x, kmax), want, rtol=1e-12,
+                           atol=1e-14 * np.abs(terms).sum(axis=0).max())
 
 
 def test_legendre_domain_error():
-    with pytest.raises(ValueError):
-        legendre_table(3, 1.5)
+    for x in (1.5, -1.5, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), math.nan,
+              np.array([0.5, 1.5])):
+        with pytest.raises(ValueError, match="outside"):
+            xi_contribution(4, 0, x, 4)
+
+
+# ---------------------------------------------------------------- angle domain
+
+@pytest.mark.parametrize("theta, phi", [
+    (-0.1, 0.5), (float(np.nextafter(math.pi, 4.0)), 0.5), (math.nan, 0.5),
+    (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+])
+def test_rot_elements_refuse_angles_outside_the_domain(theta, phi):
+    with pytest.raises(ValueError, match=r"outside \[0, pi\]|phi must be finite"):
+        rot_elements_axis(3, theta, phi)
+
+
+@pytest.mark.parametrize("x", [2.0, -2.0, np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0),
+                               math.nan, np.array([0.5, 2.0])])
+def test_legendre_sph_table_refuses_x_outside_the_unit_interval(x):
+    with pytest.raises(ValueError, match=r"outside \[-1, 1\]"):
+        legendre_sph_table(3, x)
+
+
+def test_angle_domain_ends_are_accepted_by_the_kernels():
+    # D^k_00 at the poles is P_k(+-1) = (+-1)^k
+    for theta, sign in ((0.0, 1.0), (math.pi, -1.0)):
+        d = rot_elements_axis(4, theta, 0.0)
+        assert d[:, 4].real == pytest.approx(sign ** np.arange(5), rel=1e-12)
+    assert np.isfinite(legendre_sph_table(4, np.array([-1.0, 1.0]))).all()
+    assert np.isfinite(xi_contribution(4, 0, np.array([-1.0, 1.0]), 4)).all()
 
 
 # ---------------------------------------------------------------- rotation elements

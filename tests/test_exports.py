@@ -1,10 +1,15 @@
-"""Every public name of the package has a user outside the test suite.
+"""Every public name and every function of the package has a user outside the test suite.
 
 A name that only tests call belongs in ``tests/oracles.py``, not in
-``src/``.  A user is a whole-word match in the package modules (not on the
-name's own ``def`` or ``class`` line, nor in an ``__all__`` list or the
-package's import block), in a demo, in the README or in the benchmark.
-Every name the traced benchmark wraps must also exist where it looks.
+``src/``.  For a public name, a user is a whole-word match in the package
+modules (not on the name's own ``def`` or ``class`` line, nor in an
+``__all__`` list or the package's import block), in a demo, in the README
+or in the benchmark.  For a function or method, a user is a reference to
+its name in code outside its own definition (a name, an attribute, or a
+string that is the name, as the benchmark's tracer looks functions up)
+in the package, a demo or the benchmark, or a whole-word mention in the
+README.  Every name the traced benchmark wraps must also exist where it
+looks.
 """
 
 import ast
@@ -72,3 +77,65 @@ def test_traced_benchmark_wraps_names_that_exist(module, attr):
     # name moved, renamed or no longer imported there would crash that run
     assert callable(getattr(importlib.import_module(f"spintomo.{module}"), attr, None)), \
         f"spintomo.{module}.{attr} is wrapped by perfbench/tracing.py but does not exist"
+
+
+def _functions():
+    # (module.qualified name, name, file, first line, last line) of every function
+    # and method defined under src/spintomo, dunders aside
+    found = []
+
+    def visit(path, node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                qualified = f"{prefix}.{child.name}"
+                if not isinstance(child, ast.ClassDef) and not (
+                        child.name.startswith("__") and child.name.endswith("__")):
+                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                    found.append((qualified, child.name, path, first, child.end_lineno))
+                visit(path, child, qualified)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path, ast.parse(path.read_text()), path.stem)
+    return found
+
+
+def _code_references():
+    # file -> [(name, line)] for every name, attribute and string constant in the
+    # package (outside __all__ lists), the demos and the benchmark
+    refs = {}
+    for pattern in ("src/spintomo/*.py", "demos/*.py", "perfbench/*.py"):
+        for path in sorted(ROOT.glob(pattern)):
+            tree = ast.parse(path.read_text())
+            skip = set()
+            for node in tree.body:
+                if isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    skip.update(map(id, ast.walk(node)))
+            found = []
+            for node in ast.walk(tree):
+                if id(node) in skip:
+                    continue
+                if isinstance(node, ast.Name):
+                    found.append((node.id, node.lineno))
+                elif isinstance(node, ast.Attribute):
+                    found.append((node.attr, node.end_lineno))
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    found.append((node.value, node.lineno))
+            refs[path] = found
+    return refs
+
+
+_FUNCTIONS = _functions()
+_REFERENCES = _code_references()
+_README = (ROOT / "README.md").read_text()
+
+
+@pytest.mark.parametrize("function", _FUNCTIONS, ids=[f[0] for f in _FUNCTIONS])
+def test_function_has_a_user_outside_its_definition(function):
+    qualified, name, path, first, last = function
+    users = [str(p.relative_to(ROOT)) for p, found in _REFERENCES.items()
+             if any(ref == name and not (p == path and first <= line <= last)
+                    for ref, line in found)]
+    if re.search(rf"\b{re.escape(name)}\b", _README):
+        users.append("README.md")
+    assert users, f"spintomo.{qualified} is used only by tests; move it to tests/oracles.py"

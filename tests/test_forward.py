@@ -321,7 +321,7 @@ def test_probabilities_sum_is_trace():
         theta = float(rng.uniform(0.0, math.pi))
         phi = float(rng.uniform(-math.pi, math.pi))
         p = projection_probabilities(s, theta, phi)
-        assert p.sum() == pytest.approx(math.sqrt(two_j + 1.0) * s.coeff(0, 0).real,
+        assert p.sum() == pytest.approx(math.sqrt(two_j + 1.0) * oracles.coeff(s, 0, 0).real,
                                         abs=1e-10)
 
 

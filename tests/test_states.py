@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from spintomo import states
 from spintomo.analysis import moments
-from spintomo.forward import projection_probabilities
+from spintomo.forward import exact_records, projection_probabilities
 from spintomo.states import (
     DickeState,
     SphericalState,
@@ -72,17 +72,17 @@ def test_states_reject_non_finite_entries(bad):
 def test_dicke_to_spherical_halfspin_example():
     rho = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)  # |1/2, +1/2>
     s = dicke_to_spherical(DickeState(1, rho), 1)
-    assert s.coeff(0, 0) == pytest.approx(1.0 / math.sqrt(2.0))
-    assert s.coeff(1, 0) == pytest.approx(1.0 / math.sqrt(2.0))
-    assert s.coeff(1, 1) == 0.0
-    assert s.coeff(1, -1) == 0.0
+    assert oracles.coeff(s, 0, 0) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert oracles.coeff(s, 1, 0) == pytest.approx(1.0 / math.sqrt(2.0))
+    assert oracles.coeff(s, 1, 1) == 0.0
+    assert oracles.coeff(s, 1, -1) == 0.0
 
 
 def test_maximally_mixed_conversion():
     two_j = 8
     rho = np.eye(two_j + 1, dtype=complex) / (two_j + 1)
     s = dicke_to_spherical(DickeState(two_j, rho), two_j)
-    assert s.coeff(0, 0) == pytest.approx(1.0 / math.sqrt(two_j + 1.0))
+    assert oracles.coeff(s, 0, 0) == pytest.approx(1.0 / math.sqrt(two_j + 1.0))
     higher = s.coeffs.copy()
     higher[0, two_j] = 0.0
     assert np.abs(higher).max() < 1e-14
@@ -93,7 +93,10 @@ def test_round_trip_random_hermitian(two_j):
     rho = oracles.random_hermitian(two_j, rng)
     d = DickeState(two_j, rho)
     s = dicke_to_spherical(d, two_j)
-    s.validate(tol=1e-12)
+    # the producer mirrors the q < 0 half and takes the real part of rho_k0,
+    # so the invariant rho_{k,-q} = (-1)^q conj(rho_kq) holds bitwise
+    q = np.arange(-two_j, two_j + 1)
+    assert np.array_equal(s.coeffs[:, ::-1], np.where(q % 2, -1.0, 1.0) * s.coeffs.conj())
     back = spherical_to_dicke(s)
     assert np.abs(back.matrix - rho).max() < 1e-12
 
@@ -143,6 +146,33 @@ def test_wigner_eval_rejects_theta_outside_range():
         wigner_eval(s, np.array([0.5, 4.0]), 0.5)
 
 
+_PAST_PI = float(np.nextafter(math.pi, 4.0))
+
+
+@pytest.mark.parametrize("theta, phi", [
+    (_PAST_PI, 0.5), (1.0, math.nan), (1.0, math.inf), (1.0, -math.inf),
+    (np.array([0.5, 1.0]), np.array([0.2, math.nan])),
+])
+@pytest.mark.parametrize("evaluate", [wigner_eval, projection_probabilities, moments])
+def test_partial_wave_kernel_refuses_angles_outside_the_domain(evaluate, theta, phi):
+    # theta in [0, pi] exactly and phi finite, as for records
+    s = coherent_state(8, 0.4, 0.5, 0.0, kmax=8)
+    with pytest.raises(ValueError, match=r"outside \[0, pi\]|phi must be finite"):
+        evaluate(s, theta, phi)
+
+
+def test_angle_domain_ends_are_accepted():
+    s = coherent_state(8, 0.0, 0.0, 0.0, kmax=8)  # spin up along +z, j = 4
+    assert moments(s, 0.0, 1.0)[0] == pytest.approx(4.0, rel=1e-12)
+    assert moments(s, math.pi, 1.0)[0] == pytest.approx(-4.0, rel=1e-12)
+    p = projection_probabilities(s, np.array([0.0, math.pi]), 0.0)
+    assert p[0, -1] == pytest.approx(1.0, rel=1e-12) and p[1, 0] == pytest.approx(1.0, rel=1e-12)
+    assert wigner_eval(s, 0.0, 0.0) > wigner_eval(s, math.pi, 0.0)
+    records = exact_records(s, [(0.0, 0.0), (math.pi, 0.3)])
+    assert set(records.theta.tolist()) == {0.0, math.pi}
+    assert np.isfinite(coherent_state(8, math.pi, 0.0, 0.0, kmax=8).coeffs).all()
+
+
 def test_wigner_eval_rejects_invariant_violation():
     bad = np.zeros((3, 5), dtype=complex)
     bad[0, 2] = 1.0
@@ -173,7 +203,7 @@ def test_evaluators_match_direct_harmonic_sum(two_j, kmax):
     s = dicke_to_spherical(DickeState(two_j, rho), kmax)
 
     def direct(theta, phi):
-        return sum(s.coeff(k, q) * oracles.sph_harm_y(k, q, theta, phi)
+        return sum(oracles.coeff(s, k, q) * oracles.sph_harm_y(k, q, theta, phi)
                    for k in range(kmax + 1) for q in range(-k, k + 1))
 
     theta = rng.uniform(0.0, math.pi, 40)
@@ -256,7 +286,7 @@ def test_sphere_integral_equals_monopole():
     rho = oracles.random_density_matrix(two_j, rng)
     s = dicke_to_spherical(DickeState(two_j, rho), two_j)
     g = wigner_grid(s, 48, 96)
-    want = math.sqrt(4.0 * math.pi) * s.coeff(0, 0).real
+    want = math.sqrt(4.0 * math.pi) * oracles.coeff(s, 0, 0).real
     assert oracles.sphere_integral(g) == pytest.approx(want, abs=1e-10)
     assert want == pytest.approx(math.sqrt(4.0 * math.pi / (two_j + 1.0)), rel=1e-12)
 
@@ -357,7 +387,7 @@ def test_coherent_number_noise_needs_enough_spin():
 
 
 def test_dicke_basis_state_properties():
-    from spintomo.forward import projection_probabilities
+    from spintomo.forward import exact_records, projection_probabilities
 
     s = dicke_basis_state(10, 4, 10)
     p = projection_probabilities(s, 0.0, 0.0)
@@ -380,7 +410,7 @@ def test_oat_preserves_trace_and_squeezes():
     two_j = 40
     s = oat_squeezed_state(two_j, 0.05, two_j)
     s.validate()
-    assert s.coeff(0, 0).real == pytest.approx(1.0 / math.sqrt(two_j + 1.0), rel=1e-10)
+    assert oracles.coeff(s, 0, 0).real == pytest.approx(1.0 / math.sqrt(two_j + 1.0), rel=1e-10)
     # squeezing present below the coherent j/2 reference; variance curve
     # along equatorial axes matches the Dicke-basis oracle pointwise
     d = spherical_to_dicke(s)
