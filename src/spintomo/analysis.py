@@ -72,14 +72,16 @@ class GaussianFit:
     variance: float
 
 
-def _gaussian_jacobian(x, m, p, out=None):
-    # d residual / d (A, mu, sigma): shape x.shape[:-1] + (points, 3), a view of
-    # J^T, which is written to out (shape x.shape[:-1] + (3, points)) when given
-    a, sigma = x[..., 0, None], x[..., 2, None]
-    d = (m - x[..., 1, None]) / sigma
+def _gaussian_gram(x, m, P):
+    # [J | r]^T [J | r], shape (rows, 4, 4), for the fits A exp(-(m - mu)^2 / (2 sigma^2))
+    # to the rows of P at x[n] = (A, mu, sigma): J = d r / d (A, mu, sigma) and the
+    # residual r = A g - P are stacked once, so J^T J, J^T r and |r|^2 come from one product
+    a, sigma = x[:, :1], x[:, 2:]
+    d = (m - x[:, 1:2]) / sigma
     g = np.exp(-0.5 * d * d)
     agd = a * g * d
-    return np.stack([g, agd / sigma, agd * d / sigma], axis=-2, out=out).swapaxes(-1, -2)
+    JrT = np.stack([g, agd / sigma, agd * d / sigma, a * g - P], axis=1)
+    return JrT @ np.swapaxes(JrT, 1, 2)
 
 
 _FIT_FTOL = 1e-8    # relative reduction of the squared residual, actual and predicted
@@ -95,9 +97,9 @@ def _gaussian_fits(P, m):
     Levenberg-Marquardt iteration in (A, mu, sigma) runs over all rows,
     which stay in place: a mask marks the rows still iterating, and the
     other rows keep their x.  J^T J, J^T r and |r|^2 come from one batched
-    Gram product of [J | r]; the product at a trial point gives its
-    squared residual and, once the step is taken, the next step's normal
-    equations.  Each row has its own damping lambda (Marquardt's: the
+    Gram product of [J | r] (_gaussian_gram); the product at a trial point
+    gives its squared residual and, once the step is taken, the next
+    step's normal equations.  Each row has its own damping lambda (Marquardt's: the
     normal equations J^T J + lambda D, D the largest squared column norms
     of J seen so far; lambda / 10 after a step that reduces the squared
     residual, x 10 after one that does not) and stops by MINPACK's rules:
@@ -116,14 +118,6 @@ def _gaussian_fits(P, m):
     done = np.zeros(n, dtype=bool)
     lam = np.full(n, 1e-3)
     scale = np.full((n, 3), np.finfo(float).tiny)
-    JrT = np.empty((n, 4, P.shape[1]))
-
-    def gram(x):
-        # [J | r]^T [J | r] at x; the residual r = A g - p from J's first column g
-        _gaussian_jacobian(x, m, P, out=JrT[:, :3])
-        r = np.multiply(x[:, :1], JrT[:, 0], out=JrT[:, 3])
-        r -= P
-        return JrT @ np.swapaxes(JrT, 1, 2)
 
     with np.errstate(all="ignore"):
         mu0 = np.sum(pos * m, axis=1) / tot
@@ -131,7 +125,7 @@ def _gaussian_fits(P, m):
         x = np.stack([np.maximum(P.max(axis=1), 1e-12), mu0, np.sqrt(np.maximum(var0, 0.25))],
                      axis=1)
         x[~active] = 0.0
-        G = gram(x)
+        G = _gaussian_gram(x, m, P)
         for _ in range(_FIT_STEPS):
             if not active.any():
                 break
@@ -140,14 +134,13 @@ def _gaussian_fits(P, m):
             scale = D = np.maximum(scale, np.diagonal(A, axis1=1, axis2=2))
             # a non-finite row leaves the fit; the identity keeps it, and every
             # row that is not iterating, out of the solve
-            finite = np.isfinite(A).all(axis=(1, 2))
-            live = active & finite
+            active &= np.isfinite(A).all(axis=(1, 2))
             M = A.copy()
             M.reshape(n, 9)[:, ::4] += lam[:, None] * D                 # J^T J + lambda D
-            M[~live] = np.eye(3)
+            M[~active] = np.eye(3)
             h = -np.linalg.solve(M, grad[..., None])[..., 0]
             xt = x + h
-            Gt = gram(xt)
+            Gt = _gaussian_gram(xt, m, P)
             actual = 1.0 - Gt[:, 3, 3] / f
             hDh = np.sum(D * h * h, axis=1)
             # |J h|^2 + 2 lambda h^T D h, as (J^T J + lambda D) h = -grad
@@ -160,8 +153,8 @@ def _gaussian_fits(P, m):
             x = np.where(step[:, None], xt, x)
             G = np.where(step[:, None, None], Gt, G)
             lam = lam * np.where(good, 0.1, 10.0)
-            done |= live & stop
-            active = live & ~stop
+            done |= active & stop
+            active &= ~stop
     x[:, 2] = x[:, 2] ** 2
     ok = done & np.isfinite(x).all(axis=1) & (x[:, 2] > 1e-300)
     return x, ok
@@ -219,6 +212,9 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     """
     if s.kmax < 2:
         raise ValueError("squeezing scan needs a state with kmax >= 2")
+    if s.two_j_ref < 4:
+        raise ValueError("squeezing scan needs two_j_ref >= 4 for the 5 projections a Gaussian "
+                         f"fit needs, got two_j_ref = {s.two_j_ref}")
     _check_noise("sigma_n", sigma_n)
     if not (math.isfinite(j_mean) and j_mean > 0.0):
         raise ValueError(f"j_mean must be finite and positive, got {j_mean}")

@@ -302,32 +302,28 @@ def hemi_overlap_matrix(kmax, q):
     case of the builder that the fold runs on chunks of orders, so the
     closed form is evaluated in one place: one log-Gamma vector,
     ln c(2i) = ln Gamma(i+1/2) - ln Gamma(i+1) - ln(pi)/2, serves every
-    order, and the other mixed block is the transpose of the first.  Rows
-    and columns below q are zero.
+    order of a chunk, and the other mixed block is the transpose of the
+    first.  Rows and columns below q are zero.
     """
     q = abs(int(q))
     out = np.zeros((kmax + 1, kmax + 1))
-    out[q:, q:] = _hemi_overlap_orders(kmax, q, q + 1, _hemi_ln_c(kmax))[0]
+    out[q:, q:] = _hemi_overlap_orders(kmax, q, q + 1)[0]
     return out
 
 
-def _hemi_ln_c(kmax):
-    """ln c(2i), i = 0..kmax, for the central binomials c(n) = C(n, n/2) / 2^n."""
-    i = np.arange(kmax + 1)
-    return _lgamma(i + 0.5) - _lgamma(i + 1.0) - 0.5 * _LNPI
-
-
-def _hemi_overlap_orders(kmax, q0, q1, ln_c):
+def _hemi_overlap_orders(kmax, q0, q1):
     """Overlap matrices of the orders q0..q1-1 over the degrees q0..kmax.
 
     out[i, k - q0, l - q0] is entry (k, l) of the order q0 + i, shape
-    (q1 - q0, kmax + 1 - q0, kmax + 1 - q0); ln_c from _hemi_ln_c(kmax).
+    (q1 - q0, kmax + 1 - q0, kmax + 1 - q0).
     See :func:`hemi_overlap_matrix` for the closed form.  Each mixed entry
     is the product of a row factor and a column factor, and its degree of
     even parity (relative to q) takes the row factor, so one half-log per
     (q, k) serves both mixed blocks.  Entries whose degrees lie below
     their order come out as zeros.
     """
+    i = np.arange(kmax + 1)
+    ln_c = _lgamma(i + 0.5) - _lgamma(i + 1.0) - 0.5 * _LNPI    # ln c(2i)
     q = np.arange(q0, q1)[:, None]
     k = np.arange(q0, kmax + 1)[None, :]
     below = k < q

@@ -43,11 +43,14 @@ def _parse_grid(text):
 def _parse_phase_noise(text):
     if text == "none":
         return "none", 0.0
-    kind, sep, value = text.partition(":")
-    if not sep or kind not in ("constant", "model"):
-        raise ValueError(
-            f"--phase-noise expects 'none', 'constant:<rad>' or 'model:<rad>', got {text!r}")
-    return kind, float(value)
+    kind, _, value = text.partition(":")
+    try:
+        if kind not in ("constant", "model"):
+            raise ValueError
+        return kind, float(value)
+    except ValueError:
+        raise ValueError(f"--phase-noise expects 'none', 'constant:<rad>' or 'model:<rad>', "
+                         f"got {text!r}") from None
 
 
 def _noise_from(args):

@@ -26,7 +26,6 @@ import numpy as np
 from .angular import (
     SQRT_4PI,
     _check_cos,
-    _hemi_ln_c,
     _hemi_overlap_orders,
     _mirror_negative_q,
     cg_tau_table,
@@ -335,14 +334,13 @@ def fold_northern(s):
     the chunking.
     """
     kmax = s.kmax
-    ln_c = _hemi_ln_c(kmax)
     coeffs = np.zeros_like(s.coeffs)
     for sl in _chunks(kmax + 1, (kmax + 1) ** 2):
         orders = range(kmax + 1)[sl]
         q0, q1 = orders.start, orders.stop
         cols = slice(kmax + q0, kmax + q1)
         # U[q, k, k'] over the degrees from q0; one chunk's U is alive at a time
-        coeffs[q0:, cols] = np.einsum("qkl,lq->kq", _hemi_overlap_orders(kmax, q0, q1, ln_c),
+        coeffs[q0:, cols] = np.einsum("qkl,lq->kq", _hemi_overlap_orders(kmax, q0, q1),
                                       s.coeffs[q0:, cols])
     coeffs[0, kmax] = coeffs[0, kmax].real
     _mirror_negative_q(coeffs, kmax)

@@ -7,7 +7,7 @@ import pytest
 
 from spintomo.analysis import (
     _gaussian_fits,
-    _gaussian_jacobian,
+    _gaussian_gram,
     coherent_reference_variance,
     gaussian_fit,
     mean_spin_vector,
@@ -225,16 +225,19 @@ def _fit_fixture(name):
     return clean - 0.04 * np.exp(-((np.abs(m) - 8.0) ** 2) / 2.0), m
 
 
-def test_gaussian_jacobian_matches_central_differences():
+def test_gaussian_gram_matches_central_differences():
     m = np.arange(-12, 13, dtype=float)
-    p = np.zeros_like(m)
+    p = 0.8 * np.exp(-((m - 0.5) ** 2) / 9.0)
     h = 1e-6
-    for x in ([0.3, 1.2, 2.5], [1.7, -3.0, 0.8], [0.05, 0.4, 6.0]):
-        x = np.array(x)
+    x = np.array([[0.3, 1.2, 2.5], [1.7, -3.0, 0.8], [0.05, 0.4, 6.0]])
+    model = oracles.gaussian_model
+    for xi, got in zip(x, _gaussian_gram(x, m, p)):
         # the residual is the model minus p, so p drops out of its differences
-        fd = np.stack([(oracles.gaussian_model(x + h * e, m) - oracles.gaussian_model(x - h * e, m))
-                       / (2.0 * h) for e in np.eye(3)], axis=1)
-        assert np.abs(_gaussian_jacobian(x, m, p) - fd).max() < 1e-8
+        J = np.stack([(model(xi + h * e, m) - model(xi - h * e, m)) / (2.0 * h)
+                      for e in np.eye(3)], axis=1)
+        Jr = np.column_stack([J, model(xi, m) - p])
+        want = Jr.T @ Jr
+        assert np.abs(got - want).max() < 1e-8 * max(1.0, np.abs(want).max())
 
 
 @pytest.mark.parametrize("name", ["exact", "binomial", "squeezed", "clean", "lobes"])
@@ -317,6 +320,18 @@ def test_batched_fits_equal_fits_row_by_row(shape):
 # ---------------------------------------------------------------- squeezing scan
 
 @pytest.mark.parametrize("shape", ["paper", "cli"])
+def test_scan_in_calls_of_eight_azimuths_equals_one_call(shape):
+    # the paper-inplane-noisy workload scans 181 azimuths in calls of 8; a call
+    # fits its rows alone, so the curve is that of one call, failed fits (NaN) included
+    state = _workload_state(shape)
+    whole = np.array(squeezing_scan(state, _SCAN_PHIS, 2.0, 20.0).variance_curve)
+    parts = np.vstack([squeezing_scan(state, _SCAN_PHIS[i:i + 8], 2.0, 20.0).variance_curve
+                       for i in range(0, _SCAN_PHIS.size, 8)])
+    assert parts.shape == whole.shape == (181, 3)
+    assert parts.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["paper", "cli"])
 def test_scan_direct_variance_equals_moments(shape):
     # the scan's moments of the fitted p_m against the k <= 2 kernel of moments()
     state = _workload_state(shape)
@@ -382,6 +397,14 @@ def test_scan_requires_an_azimuth():
     s = coherent_state(8, 0.0, 0.0, 0.0, kmax=8)
     with pytest.raises(ValueError, match="at least one azimuth"):
         squeezing_scan(s, [], 0.0, 4.0)
+
+
+@pytest.mark.parametrize("two_j", [2, 3])
+def test_scan_refuses_a_spin_with_fewer_than_five_projections(two_j):
+    # kmax = 2 passes the kmax check; the Gaussian fit needs 2j + 1 >= 5 points
+    s = coherent_state(two_j, math.pi / 2.0, 0.0, 0.0, kmax=2)
+    with pytest.raises(ValueError, match=r"two_j_ref >= 4 .* 5 projections"):
+        squeezing_scan(s, [0.0, 0.5], 0.0, 1.0)
 
 
 def test_scan_direct_exceeds_fit_on_noisy_reconstruction():

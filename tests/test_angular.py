@@ -6,7 +6,6 @@ import pytest
 
 from spintomo.angular import (
     _coupling_table,
-    _hemi_ln_c,
     _hemi_overlap_orders,
     cg_tau_table,
     hemi_overlap,
@@ -387,11 +386,10 @@ def test_hemi_overlap_matrix_large_kmax_against_quadrature():
 def test_hemi_overlap_chunk_builder_equals_matrix_bitwise(kmax):
     # every chunking of the orders, down to one order a chunk, gives the
     # matrices of hemi_overlap_matrix bit for bit, zeros below the order included
-    ln_c = _hemi_ln_c(kmax)
     for size in (1, 3, 7, kmax + 1):
         for q0 in range(0, kmax + 1, size):
             q1 = min(q0 + size, kmax + 1)
-            block = _hemi_overlap_orders(kmax, q0, q1, ln_c)
+            block = _hemi_overlap_orders(kmax, q0, q1)
             assert block.shape == (q1 - q0, kmax + 1 - q0, kmax + 1 - q0)
             for i, q in enumerate(range(q0, q1)):
                 got = np.zeros((kmax + 1, kmax + 1))

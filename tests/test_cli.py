@@ -169,6 +169,16 @@ def test_analyze_without_azimuths_exits_2(workdir, capsys):
     assert not os.path.exists("c_squeezing.csv")
 
 
+def test_analyze_spin_too_small_to_fit_exits_2(workdir, capsys):
+    assert run("simulate", "--two-j", "3", "--axes", "6", "--shots", "20", "--seed", "1",
+               "--out", "m.csv") == 0
+    assert run("reconstruct", "m.csv", "--out", "r") == 0
+    capsys.readouterr()
+    assert run("analyze", "r_coeffs.csv") == 2
+    assert "needs two_j_ref >= 4 for the 5 projections" in capsys.readouterr().err
+    assert not os.path.exists("r_squeezing.csv")
+
+
 @pytest.mark.parametrize("command", ["render", "analyze"])
 def test_imaginary_rho_k0_exits_2(workdir, capsys, command):
     # Im rho_10 leaves p_m unchanged on the equator, so analyze must reject it on read
@@ -352,11 +362,17 @@ def test_simulate_sphere_layout_and_full_sphere_reconstruction(workdir):
     assert oracles.coeff(state, 0, 0).real == pytest.approx(1.0 / math.sqrt(21.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("value", ["junk", "model", "model:", "model:abc", "constant:1rad"])
+def test_simulate_bad_phase_noise_exits_2(workdir, capsys, value):
+    assert run("simulate", "--phase-noise", value, "--out", "x.csv") == 2
+    assert (f"--phase-noise expects 'none', 'constant:<rad>' or 'model:<rad>', got {value!r}"
+            in capsys.readouterr().err)
+    assert not os.path.exists("x.csv")
+
+
 def test_simulate_phase_noise_flag(workdir):
     assert run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10",
                "--seed", "1", "--phase-noise", "model:0.14", "--out", "pn.csv") == 0
-    assert run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10",
-               "--seed", "1", "--phase-noise", "junk", "--out", "x.csv") == 2
     # the model law is always sigma_ph^2 |sin phi| / sqrt(2): no variant to choose
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--two-j", "20", "--axes", "6", "--shots", "10", "--seed", "1",

@@ -9,7 +9,8 @@ its name in code outside its own definition (a name, an attribute, or a
 string that is the name, as the benchmark's tracer looks functions up)
 in the package, a demo or the benchmark, or a whole-word mention in the
 README.  Every name the traced benchmark wraps must also exist where it
-looks.
+looks, and every parameter of a function under ``src/spintomo`` is read
+in its body.
 """
 
 import ast
@@ -139,3 +140,23 @@ def test_function_has_a_user_outside_its_definition(function):
     if re.search(rf"\b{re.escape(name)}\b", _README):
         users.append("README.md")
     assert users, f"spintomo.{qualified} is used only by tests; move it to tests/oracles.py"
+
+
+def test_every_parameter_is_read_in_its_body():
+    # a parameter no statement of the body loads (self and cls aside) is one
+    # that callers pass for nothing
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs
+                      + [v for v in (a.vararg, a.kwarg) if v is not None]]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            name = getattr(node, "name", "<lambda>")
+            unread += [f"{path.stem}.{name}({p})" for p in params
+                       if p not in ("self", "cls") and p not in read]
+    assert not unread, f"parameters never read in their function's body: {unread}"
