@@ -25,7 +25,6 @@ from .states import (
     wigner_grid,
 )
 from .forward import (
-    MeasurementRecord,
     NoiseModel,
     Records,
     exact_records,

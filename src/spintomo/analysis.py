@@ -105,7 +105,8 @@ def _gaussian_fits(P, m):
     residual, x 10 after one that does not) and stops by MINPACK's rules:
     the actual and the predicted relative reduction both at most
     _FIT_FTOL, or a scaled step at most _FIT_XTOL of the scaled
-    parameters.  A row's arithmetic does not depend on the other rows.
+    parameters.  A row whose step matrix is singular leaves as a failed
+    fit.  A row's arithmetic does not depend on the other rows.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
     m = np.asarray(m, dtype=float)
@@ -138,7 +139,17 @@ def _gaussian_fits(P, m):
             M = A.copy()
             M.reshape(n, 9)[:, ::4] += lam[:, None] * D                 # J^T J + lambda D
             M[~active] = np.eye(3)
-            h = -np.linalg.solve(M, grad[..., None])[..., 0]
+            try:
+                h = -np.linalg.solve(M, grad[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # only now look for the rows whose step is singular: each leaves as a failed fit
+                for i in np.flatnonzero(active):
+                    try:
+                        np.linalg.solve(M[i], grad[i])
+                    except np.linalg.LinAlgError:
+                        active[i] = False
+                M[~active] = np.eye(3)
+                h = -np.linalg.solve(M, grad[..., None])[..., 0]
             xt = x + h
             Gt = _gaussian_gram(xt, m, P)
             actual = 1.0 - Gt[:, 3, 3] / f

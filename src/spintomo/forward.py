@@ -8,7 +8,7 @@ of execution order).
 """
 
 import math
-from collections.abc import Sequence
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +18,6 @@ from .states import _check_noise, _chunks, _wave_sums
 
 __all__ = [
     "NoiseModel",
-    "MeasurementRecord",
     "Records",
     "projection_probabilities",
     "sample_measurements",
@@ -27,6 +26,7 @@ __all__ = [
 
 _PHASE_MODES = ("none", "constant", "model")
 _FIELDS = ("theta", "phi", "weight", "two_j", "two_m")
+_Row = namedtuple("Row", _FIELDS)
 
 
 @dataclass(frozen=True)
@@ -73,39 +73,26 @@ class NoiseModel:
         return self.sigma_omega > 0.0 or self.sigma_phi > 0.0 or self.sigma_ph > 0.0
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One Stern-Gerlach outcome: axis, weight, total spin, projection.
-
-    weight may be NaN while pending (filled later by the weighting step).
-    """
-
-    theta: float
-    phi: float
-    weight: float
-    two_j: int
-    two_m: int
-
-    def __post_init__(self):
-        check_spin_label(self.two_j, self.two_m)
-        _check_angles(self.theta, self.phi)
-        if not math.isnan(self.weight) and not (math.isfinite(self.weight)
-                                                and self.weight >= 0.0):
-            raise ValueError(f"weight must be non-negative or NaN, got {self.weight}")
+def _check_row(theta, phi, weight, two_j, two_m):
+    """Raise a bad record's ValueError: spin labels, then angles, then weight (NaN: pending)."""
+    check_spin_label(two_j, two_m)
+    _check_angles(theta, phi)
+    if not math.isnan(weight) and not (math.isfinite(weight) and weight >= 0.0):
+        raise ValueError(f"weight must be non-negative or NaN, got {weight}")
 
 
 def _check_rows(theta, phi, weight, two_j, two_m):
-    """Refuse the rows that MeasurementRecord refuses, all at once.
+    """Refuse the rows that _check_row refuses, all at once.
 
     The columns broadcast against each other; the spin columns may hold
-    integers or floats.  The first bad row is built as a MeasurementRecord,
-    so the error is the record's own.
+    integers or floats.  The first bad row goes through _check_row, so the
+    error is the one that a single row raises.
     """
     rows = np.broadcast_arrays(theta, phi, weight, two_j, two_m)
     if any(c.dtype.kind in "uO" for c in rows[3:]):
         # integers beyond int64, where the vector arithmetic would fail or wrap
         for row in zip(*(c.tolist() for c in rows)):
-            MeasurementRecord(*row)
+            _check_row(*row)
     with np.errstate(invalid="ignore"):
         ok = (_angles_ok(theta, phi) & ~(weight < 0.0) & (weight != math.inf)
               & (two_j == np.round(two_j)) & (two_j < LABEL_BOUND)
@@ -113,31 +100,20 @@ def _check_rows(theta, phi, weight, two_j, two_m):
               & ((two_j - two_m) % 2 == 0))
     if not np.all(ok):
         i = int(np.argmin(np.broadcast_to(ok, rows[0].shape)))
-        MeasurementRecord(*(c[i].item() for c in rows))
-
-
-def _records(columns):
-    # MeasurementRecords of checked field lists, without running the check again
-    for theta, phi, weight, two_j, two_m in zip(*columns):
-        r = object.__new__(MeasurementRecord)
-        d = r.__dict__
-        d["theta"], d["phi"], d["weight"], d["two_j"], d["two_m"] = theta, phi, weight, two_j, two_m
-        yield r
+        _check_row(*(c[i].item() for c in rows))
 
 
 @dataclass(frozen=True, eq=False)
-class Records(Sequence):
-    """Measurement records as five read-only columns, checked when built.
+class Records:
+    """Stern-Gerlach outcomes as five read-only columns, checked when built.
 
     theta, phi and weight are float arrays and two_j, two_m int64 arrays,
     all of one length n >= 1.  Building a Records, by any producer or by
-    ``dataclasses.replace``, checks every row against the MeasurementRecord
-    invariants in one vector pass and raises the record's own error for the
-    first bad row.  As a Sequence it yields MeasurementRecords: len,
-    indexing and iteration work as on a list, a non-empty slice is a
-    Records, and ``+`` concatenates.  ``==`` holds against a Records or a
-    sequence of MeasurementRecord with the same rows, field by field, a
-    pending (NaN) weight equal to a pending one.
+    ``dataclasses.replace``, checks every row in one vector pass and raises
+    _check_row's error for the first bad row.  A slice is a Records, ``+``
+    concatenates two, and ``==`` holds between Records of equal columns, a
+    pending (NaN) weight equal to a pending one.  Iteration yields the rows
+    as named tuples of the five fields; Records.of takes a list of rows back.
     """
 
     theta: np.ndarray
@@ -162,11 +138,11 @@ class Records(Sequence):
 
     @classmethod
     def of(cls, records):
-        """records as a Records: itself if it is one, else the columns of a
-        sequence of MeasurementRecord (checked as the constructor checks)."""
+        """records as a Records: itself if it is one, else the columns of a list of
+        (theta, phi, weight, two_j, two_m) rows, checked as the constructor checks."""
         if isinstance(records, cls):
             return records
-        return cls(*([getattr(r, f) for r in records] for f in _FIELDS))
+        return cls(*([row[i] for row in records] for i in range(len(_FIELDS))))
 
     @property
     def columns(self):
@@ -179,24 +155,22 @@ class Records(Sequence):
     def __len__(self):
         return self.theta.size
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return Records(*(c[i] for c in self.columns))
-        return next(_records([c[i].item()] for c in self.columns))
+    def __getitem__(self, rows):
+        if not isinstance(rows, slice):
+            raise TypeError("Records take a slice; read single rows from the columns")
+        return Records(*(c[rows] for c in self.columns))
 
     def __iter__(self):
-        return _records(c.tolist() for c in self.columns)
+        return map(_Row._make, zip(*(c.tolist() for c in self.columns)))
 
     def __add__(self, other):
-        other = Records.of(other)
+        if not isinstance(other, Records):
+            return NotImplemented
         return Records(*map(np.concatenate, zip(self.columns, other.columns)))
 
     def __eq__(self, other):
         if not isinstance(other, Records):
-            try:
-                other = Records.of(other)
-            except (TypeError, ValueError, AttributeError):
-                return NotImplemented
+            return NotImplemented
         return all(np.array_equal(a, b, equal_nan=True)
                    for a, b in zip(self.columns, other.columns))
 

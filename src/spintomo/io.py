@@ -13,7 +13,7 @@ import numpy as np
 
 from .analysis import _squeezing_db
 from .angular import _mirror_negative_q
-from .forward import MeasurementRecord, Records
+from .forward import Records, _check_row
 from .states import SphericalState
 
 __all__ = [
@@ -119,7 +119,9 @@ def _parse_lines(path, lines, header_lineno):
                 raise ValueError(f"expected 5 fields, got {len(parts)}")
             theta, phi = float(parts[0]), float(parts[1])
             weight = math.nan if parts[2].strip() == "" else float(parts[2])
-            records.append(MeasurementRecord(theta, phi, weight, int(parts[3]), int(parts[4])))
+            row = (theta, phi, weight, int(parts[3]), int(parts[4]))
+            _check_row(*row)
+            records.append(row)
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
             if len(errors) == _MAX_REPORTED_ERRORS:
@@ -128,13 +130,13 @@ def _parse_lines(path, lines, header_lineno):
         raise MeasurementFormatError(f"{path}: " + "; ".join(errors))
     if not records:
         raise MeasurementFormatError(f"{path}: no measurement rows")
-    return Records.of(records)
+    return Records(*zip(*records))
 
 
 def write_measurements(path, records):
     """Write records as canonical measurement CSV (17 significant digits).
 
-    records is a Records or a sequence of MeasurementRecord; an empty one
+    records is a Records or a list of its rows; an empty one
     raises ValueError before anything is written.
     """
     columns = Records.of(records).columns
@@ -277,7 +279,8 @@ def parse_config(path):
 
     Blank lines and ``#`` comments are ignored; values keep their raw
     string form (the CLI performs typed validation, flags win over file
-    values).
+    values).  A repeated key, or a ``config`` key naming another file,
+    raises ValueError naming ``path:line``.
     """
     out = {}
     with open(path, encoding="utf-8-sig") as fh:
@@ -288,5 +291,10 @@ def parse_config(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another one")
+            out[key] = value.strip()
     return out

@@ -462,7 +462,7 @@ def sample_per_shot(s, axes, shots_per_axis, noise, seed):
     noise all shots of an axis share one probability vector and one
     vectorized choice.
     """
-    from spintomo.forward import MeasurementRecord, projection_probabilities
+    from spintomo.forward import Records, projection_probabilities
 
     two_j = s.two_j_ref
     sigma_j = noise.sigma_n / math.sqrt(2.0)
@@ -480,7 +480,7 @@ def sample_per_shot(s, axes, shots_per_axis, noise, seed):
             for dj, i in zip(djs, idx):
                 two_m = 2 * int(i) - two_j
                 two_j_n = max(two_j + 2 * int(dj), abs(two_m))
-                records.append(MeasurementRecord(theta_a, phi_a, weight, two_j_n, two_m))
+                records.append((theta_a, phi_a, weight, two_j_n, two_m))
             continue
         for _ in range(shots_per_axis):
             dj = int(np.rint(rng.normal(0.0, sigma_j))) if sigma_j > 0.0 else 0
@@ -498,8 +498,8 @@ def sample_per_shot(s, axes, shots_per_axis, noise, seed):
             i = int(rng.choice(p.size, p=p))
             two_m = 2 * i - two_j
             two_j_n = max(two_j + 2 * dj, abs(two_m))
-            records.append(MeasurementRecord(theta_a, phi_a, weight, two_j_n, two_m))
-    return records
+            records.append((theta_a, phi_a, weight, two_j_n, two_m))
+    return Records(*zip(*records))
 
 
 def gaussian_model(x, m):
@@ -640,12 +640,13 @@ def squeezing_text(report, sigma_n):
 
 
 def parse_measurements_by_line(path):
-    """Measurement CSV read line by line: the records, or MeasurementFormatError.
+    """Measurement CSV read line by line: the Records, or MeasurementFormatError.
 
-    One MeasurementRecord per data line, so each row meets the record
-    invariants; the error names ``path`` and the first 20 bad lines.
+    Each data line is checked on its own by ``forward._check_row``, so each
+    row meets the record invariants; the error names ``path`` and the first
+    20 bad lines.
     """
-    from spintomo.forward import MeasurementRecord
+    from spintomo.forward import Records, _check_row
     from spintomo.io import MEASUREMENT_HEADER, MeasurementFormatError
 
     records, errors, saw_header = [], [], False
@@ -668,7 +669,9 @@ def parse_measurements_by_line(path):
             theta = float(parts[0])
             phi = float(parts[1])
             weight = math.nan if parts[2].strip() == "" else float(parts[2])
-            records.append(MeasurementRecord(theta, phi, weight, int(parts[3]), int(parts[4])))
+            row = (theta, phi, weight, int(parts[3]), int(parts[4]))
+            _check_row(*row)
+            records.append(row)
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
         if len(errors) == 20:
@@ -679,4 +682,4 @@ def parse_measurements_by_line(path):
         raise MeasurementFormatError(f"{path}: " + "; ".join(errors))
     if not records:
         raise MeasurementFormatError(f"{path}: no measurement rows")
-    return records
+    return Records(*zip(*records))

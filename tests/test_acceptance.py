@@ -15,7 +15,7 @@ from spintomo.analysis import (
     squeezing_scan,
 )
 from spintomo.angular import cg_tau_table
-from spintomo.forward import MeasurementRecord, NoiseModel, projection_probabilities, sample_measurements
+from spintomo.forward import NoiseModel, Records, projection_probabilities, sample_measurements
 from spintomo.reconstruct import (
     ReconstructionConfig,
     apply_uniform_damping,
@@ -116,8 +116,9 @@ def test_criterion_05_inplane_infinite_data():
         p = np.clip(projection_probabilities(truth, th, ph), 0.0, None)
         for i, pm in enumerate(p):
             if pm > 0.0:
-                records.append(MeasurementRecord(th, ph, pm / n_axes, 4, 2 * i - 4))
-    out = fbp_inplane(records, ReconstructionConfig(kmax=4, mode="in-plane", two_j_ref=4))
+                records.append((th, ph, pm / n_axes, 4, 2 * i - 4))
+    out = fbp_inplane(Records.of(records),
+                      ReconstructionConfig(kmax=4, mode="in-plane", two_j_ref=4))
     for k in range(5):
         for q in range(-k, k + 1):
             if (k + q) % 2 == 0:
@@ -138,8 +139,9 @@ def test_criterion_06_full_sphere_infinite_data():
             c = w[i, l] / (2.0 * math.pi)
             for mi, pm in enumerate(p):
                 if pm > 0.0:
-                    records.append(MeasurementRecord(th, ph, c * pm, 4, 2 * mi - 4))
-    out = fbp_full(records, ReconstructionConfig(kmax=4, mode="full-sphere", two_j_ref=4))
+                    records.append((th, ph, c * pm, 4, 2 * mi - 4))
+    out = fbp_full(Records.of(records),
+                   ReconstructionConfig(kmax=4, mode="full-sphere", two_j_ref=4))
     err = float(np.abs(out.coeffs - truth.coeffs).max())
     assert err < 1e-6, err
     _report(6, f"full-sphere infinite-data (64x128): worst {err:.1e} < 1e-6", t0, 10.0)

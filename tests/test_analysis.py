@@ -254,6 +254,7 @@ def test_gaussian_fit_failure_modes():
     m = np.arange(-5, 6, dtype=float)
     assert gaussian_fit(np.zeros(11), m) is None      # nothing to fit
     assert gaussian_fit(-np.ones(11), m) is None      # no positive part
+    assert gaussian_fit(np.exp(-m ** 2 / 1e-4), m) is None  # one spike: a singular step
     with pytest.raises(ValueError):
         gaussian_fit(np.ones(3))                      # too short
 
@@ -315,6 +316,17 @@ def test_batched_fits_equal_fits_row_by_row(shape):
         if ok[i]:
             assert np.all(np.abs(xi[0] - x[i]) <= 1e-15 * np.abs(x[i]))
             assert (fit.amplitude, fit.mean, fit.variance) == tuple(xi[0])
+
+
+@pytest.mark.parametrize("shape", ["paper", "cli"])
+def test_a_singular_row_leaves_the_other_fits_bitwise(shape):
+    P, m = _workload_scan(shape)
+    x, ok = _gaussian_fits(P, m)
+    spike = np.exp(-m ** 2 / 1e-4)
+    xs, oks = _gaussian_fits(np.vstack([P[:90], spike, P[90:]]), m)
+    assert not oks[90]
+    assert np.array_equal(np.delete(oks, 90), ok)
+    assert np.array_equal(np.delete(xs, 90, axis=0), x, equal_nan=True)
 
 
 # ---------------------------------------------------------------- squeezing scan

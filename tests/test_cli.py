@@ -9,7 +9,7 @@ import pytest
 import spintomo
 from spintomo import io as stio
 from spintomo.cli import main
-from spintomo.forward import MeasurementRecord, NoiseModel
+from spintomo.forward import NoiseModel, Records
 from spintomo.reconstruct import ReconstructionConfig, reconstruct
 from spintomo.states import coherent_state, wigner_grid
 
@@ -107,8 +107,9 @@ def test_reconstruct_default_kmax_counts_near_duplicate_azimuths_once(workdir, c
     phis = []
     for a in range(12):
         phis += [split + 1e-15] + [split - 1e-15] * 9 if a == 5 else [a * math.pi / 12.0] * 10
-    recs = [MeasurementRecord(math.pi / 2.0, ph, math.nan, 12, 2 * (n % 7) - 6)
-            for n, ph in enumerate(phis)]
+    n = len(phis)
+    recs = Records([math.pi / 2.0] * n, phis, [math.nan] * n, [12] * n,
+                   [2 * (i % 7) - 6 for i in range(n)])
     stio.write_measurements("probe.csv", recs)
     assert run("reconstruct", "probe.csv", "--out", "probe") == 0
     assert "reconstructed kmax=11 " in capsys.readouterr().out
@@ -179,6 +180,14 @@ def test_analyze_spin_too_small_to_fit_exits_2(workdir, capsys):
     assert not os.path.exists("r_squeezing.csv")
 
 
+def test_analyze_of_an_exact_coherent_state_reports_failed_fits(workdir, capsys):
+    # along the state's own axis p_m is one spike, where a fit step is singular
+    stio.write_coefficients("c.csv", coherent_state(8, math.pi / 2.0, 0.0, 0.0, kmax=8))
+    assert run("analyze", "c.csv") == 0
+    assert "warning: Gaussian fit failed for 29 axes" in capsys.readouterr().out
+    assert os.path.exists("c_squeezing.csv")
+
+
 @pytest.mark.parametrize("command", ["render", "analyze"])
 def test_imaginary_rho_k0_exits_2(workdir, capsys, command):
     # Im rho_10 leaves p_m unchanged on the equator, so analyze must reject it on read
@@ -211,8 +220,8 @@ def test_analyze_bad_noise_parameters_exit_2(workdir, capsys, flags, message):
     (("simulate", "--sigma-n", "1e200"), "sigma_n"),
 ])
 def test_noise_with_an_overflowing_square_exits_2(workdir, capsys, argv, message):
-    stio.write_measurements("m.csv", [MeasurementRecord(math.pi / 2.0, 0.1 * a, math.nan, 8, 0)
-                                      for a in range(12)])
+    stio.write_measurements("m.csv", Records([math.pi / 2.0] * 12, [0.1 * a for a in range(12)],
+                                             [math.nan] * 12, [8] * 12, [0] * 12))
     assert run(*argv, "--out", "out") == 2
     assert f"{message} must be finite and non-negative, with a finite square" in (
         capsys.readouterr().err)
@@ -312,6 +321,20 @@ def test_config_key_of_no_subcommand_exits_2(workdir, capsys, key):
     assert sorted(os.listdir()) == ["sim.cfg"]
 
 
+@pytest.mark.parametrize("key, message", [
+    ("sigma_n = 2", "sim.cfg:3: repeated key 'sigma_n'"),
+    ("config = other.cfg", "sim.cfg:3: a config file cannot name another one")])
+def test_config_key_that_would_be_ignored_exits_2(workdir, capsys, key, message):
+    # a second value of a key, or a file named by a file, would go unread
+    with open("sim.cfg", "w") as fh:
+        fh.write(f"axes = 2\nsigma_n = 1\n{key}\n")
+    with open("other.cfg", "w") as fh:
+        fh.write("shots = 3\n")
+    assert run("simulate", "--config", "sim.cfg", "--shots", "2") == 2
+    assert f"error: {message}\n" == capsys.readouterr().err
+    assert sorted(os.listdir()) == ["other.cfg", "sim.cfg"]
+
+
 @pytest.mark.parametrize("argv, line", [(("reconstruct", "m.csv"), "kmax = abc"),
                                         (("simulate",), "state = bogus")])
 def test_config_values_get_the_flag_checks(workdir, capsys, argv, line):
@@ -400,11 +423,11 @@ loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
 assert not loaded, loaded
 
 # the full-sphere Voronoi weights still load it on demand
-from spintomo.forward import MeasurementRecord
+from spintomo.forward import Records
 from spintomo.reconstruct import compute_weights
-recs = [MeasurementRecord(th, ph, float("nan"), 2, 0)
-        for th, ph in [(0.3, 0.1), (1.2, 2.0), (2.0, -1.0), (1.0, 4.0), (2.7, 0.5)]]
-w = [r.weight for r in compute_weights(recs, "full-sphere")]
+recs = Records([0.3, 1.2, 2.0, 1.0, 2.7], [0.1, 2.0, -1.0, 4.0, 0.5], [float("nan")] * 5,
+               [2] * 5, [0] * 5)
+w = compute_weights(recs, "full-sphere").weight
 assert abs(sum(w) - 1.0) < 1e-12 and min(w) > 0.0, w
 assert "scipy.spatial" in sys.modules
 """

@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import math
 import pickle
@@ -11,7 +12,6 @@ from scipy.stats import chisquare
 import spintomo.forward as forward
 import spintomo.states as states
 from spintomo.forward import (
-    MeasurementRecord,
     NoiseModel,
     Records,
     exact_records,
@@ -92,16 +92,18 @@ def test_noise_model_rejects_a_phase_amount_its_mode_ignores(kwargs):
 
 
 def test_record_invariants():
-    with pytest.raises(ValueError):
-        MeasurementRecord(0.1, 0.0, 1.0, 4, 3)  # parity
-    with pytest.raises(ValueError):
-        MeasurementRecord(0.1, 0.0, 1.0, 4, 6)  # |m| > j
-    with pytest.raises(ValueError):
-        MeasurementRecord(0.1, 0.0, -0.5, 4, 2)  # negative weight
-    with pytest.raises(ValueError):
-        MeasurementRecord(4.0, 0.0, 1.0, 4, 2)  # theta out of range
-    r = MeasurementRecord(0.1, 0.0, math.nan, 4, 2)  # pending weight is fine
-    assert math.isnan(r.weight)
+    # a one-row Records raises the message of the row's own check
+    for row, message in [
+            ((0.1, 0.0, 1.0, 4, 3), "two_m = 3 and two_j = 4 have different parity"),
+            ((0.1, 0.0, 1.0, 4, 6), "|two_m| = 6 exceeds two_j = 4"),
+            ((0.1, 0.0, -0.5, 4, 2), "weight must be non-negative or NaN, got -0.5"),
+            ((4.0, 0.0, 1.0, 4, 2), "theta = 4.0 outside [0, pi]")]:
+        for check in (lambda: Records(*zip(row)), lambda: forward._check_row(*row)):
+            with pytest.raises(ValueError) as got:
+                check()
+            assert str(got.value) == message
+    recs = Records([0.1], [0.0], [math.nan], [4], [2])  # pending weight is fine
+    assert math.isnan(recs.weight[0])
 
 
 # ---------------------------------------------------------------- record columns
@@ -125,7 +127,7 @@ def _rows(spins):
 
 def _record_error(row):
     try:
-        MeasurementRecord(*row)
+        forward._check_row(*row)
     except ValueError as exc:
         return str(exc)
     return None
@@ -146,33 +148,45 @@ def _record_error(row):
 @example(rows=[(0.5, 0.0, 1.0, 1e20, 0.0)])
 @example(rows=[(0.5, 0.0, 1.0, 2 ** 63 - 1, 1 - 2 ** 63)])
 def test_records_refuse_what_the_record_refuses(rows):
-    # one vector check, with the record's own message for the first bad row
+    # one vector check, with the single row's message for the first bad row
     errors = [e for e in map(_record_error, rows) if e is not None]
     if errors:
         with pytest.raises(ValueError) as got:
             Records(*zip(*rows))
         assert str(got.value) == errors[0]
     else:
-        assert Records(*zip(*rows)) == [MeasurementRecord(*row) for row in rows]
+        recs = Records(*zip(*rows))
+        assert all(np.array_equal(column, np.array(values, dtype=column.dtype), equal_nan=True)
+                   for column, values in zip(recs.columns, zip(*rows)))
 
 
-def test_records_behave_as_a_sequence_of_records():
-    rows = [MeasurementRecord(0.5, 0.1 * i, math.nan if i == 2 else 0.25, 4, 2 * i - 4)
-            for i in range(5)]
-    recs = Records.of(rows)
-    assert Records.of(recs) is recs
-    assert len(recs) == 5 and recs[1] == rows[1] and recs[-1] == rows[-1]
-    assert isinstance(recs[0].two_j, int) and isinstance(recs[0].theta, float)
-    assert recs == rows and rows == recs and list(recs)[:2] == rows[:2]
-    assert recs[1:3] == rows[1:3] and isinstance(recs[1:3], Records)
-    assert recs + rows == rows + rows and recs + recs == rows + rows
-    assert recs != rows[::-1] and recs != rows[:4] and recs != [] and recs != 5
-    listed = []
-    listed += recs  # extends a list with MeasurementRecords
-    assert listed[:2] == rows[:2] and type(listed[0]) is MeasurementRecord
+def test_records_slice_concatenate_and_compare_by_columns():
+    recs = Records([0.5] * 5, [0.1 * i for i in range(5)], [0.25, 0.25, math.nan, 0.25, 0.25],
+                   [4] * 5, [2 * i - 4 for i in range(5)])
+    assert Records.of(recs) is recs and len(recs) == 5
+    assert not isinstance(recs, collections.abc.Sequence)
+    assert isinstance(recs[1:3], Records) and recs[1:3].phi.tolist() == [0.1, 0.2]
+    assert recs[1:3] == Records([0.5] * 2, [0.1, 0.2], [0.25, math.nan], [4, 4], [-2, 0])
+    assert recs[:2] + recs[2:] == recs and len(recs + recs) == 10
+    assert recs != recs[::-1] and recs != recs[:4] and recs != 5
     assert pickle.loads(pickle.dumps(recs)) == recs
-    with pytest.raises(IndexError):
-        recs[5]
+    # neither a row by position nor the rows of a list: the columns are the records
+    with pytest.raises(TypeError):
+        recs[0]
+    with pytest.raises(TypeError):
+        recs + list(recs)
+    assert recs != list(recs) and list(recs) != recs
+
+
+def test_records_iterate_as_named_rows_that_records_of_takes_back():
+    # the row surface the benchmark uses: list += Records, then Records.of(list)
+    recs = Records([0.5, 0.7], [0.0, 0.1], [math.nan, 0.5], [2, 4], [0, -2])
+    rows = []
+    rows += recs
+    assert [r._fields for r in rows] == [("theta", "phi", "weight", "two_j", "two_m")] * 2
+    assert rows[1] == (0.7, 0.1, 0.5, 4, -2) and math.isnan(rows[0].weight)
+    assert type(rows[1].two_j) is int and type(rows[1].theta) is float
+    assert Records.of(rows) == recs
 
 
 def test_records_are_read_only_and_never_empty():
@@ -194,13 +208,13 @@ def test_every_records_is_checked_when_built():
         dataclasses.replace(recs, weight=[-1.0, 0.5])
     with pytest.raises(ValueError, match="one length"):
         dataclasses.replace(recs, two_m=[0])
-    assert dataclasses.replace(recs, weight=[math.nan, 1.0]) == [
-        MeasurementRecord(0.5, 0.0, math.nan, 2, 0), MeasurementRecord(0.7, 0.1, 1.0, 2, 2)]
+    assert dataclasses.replace(recs, weight=[math.nan, 1.0]) == Records(
+        [0.5, 0.7], [0.0, 0.1], [math.nan, 1.0], [2, 2], [0, 2])
 
 
 def test_unpickled_records_stay_read_only():
     recs = pickle.loads(pickle.dumps(Records([0.5, 0.7], [0.0, 0.1], [0.5, 0.5], [2, 2], [0, 2])))
-    assert recs == [MeasurementRecord(0.5, 0.0, 0.5, 2, 0), MeasurementRecord(0.7, 0.1, 0.5, 2, 2)]
+    assert recs == Records([0.5, 0.7], [0.0, 0.1], [0.5, 0.5], [2, 2], [0, 2])
     for name, column in zip(("theta", "phi", "weight", "two_j", "two_m"), recs.columns):
         assert not column.flags.writeable, name
     with pytest.raises(AttributeError):
@@ -350,17 +364,14 @@ def test_sampler_deterministic():
 def test_sampler_coherent_pole_all_stretched():
     s = coherent_state(40, 0.0, 0.0, 0.0, kmax=40)
     recs = sample_measurements(s, [(0.0, 0.0)], 500, NoiseModel(), seed=5)
-    assert all(r.two_m == 40 for r in recs)
-    assert all(r.two_j == 40 for r in recs)
-    assert sum(r.weight for r in recs) == pytest.approx(1.0, rel=1e-12)
+    assert np.all(recs.two_m == 40) and np.all(recs.two_j == 40)
+    assert recs.weight.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_sampler_mixed_state_chi_square():
     s = maximally_mixed_state(4, kmax=0)
     recs = sample_measurements(s, [(1.0, 2.0)], 100_000, NoiseModel(), seed=99)
-    counts = np.zeros(5)
-    for r in recs:
-        counts[(r.two_m + 4) // 2] += 1
+    counts = np.bincount((recs.two_m + 4) // 2, minlength=5)
     res = chisquare(counts)
     assert res.pvalue > 0.001
 
@@ -369,12 +380,11 @@ def test_sampler_number_noise_statistics():
     s = coherent_state(80, 0.0, 0.0, 0.0, kmax=80)
     noise = NoiseModel(sigma_n=6.0)
     recs = sample_measurements(s, [(0.9, 0.0)], 20_000, NoiseModel(sigma_n=6.0), seed=17)
-    js = np.array([r.two_j for r in recs]) / 2.0
+    js = recs.two_j / 2.0
     # variance of j should approach sigma_n^2 / 2 (rounding adds 1/12 per unit step)
     assert js.mean() == pytest.approx(40.0, abs=0.2)
     assert js.var() == pytest.approx(noise.sigma_n ** 2 / 2.0 + 1.0 / 12.0, rel=0.1)
-    assert all(r.two_j % 2 == 0 for r in recs)
-    assert all(abs(r.two_m) <= r.two_j for r in recs)
+    assert np.all(recs.two_j % 2 == 0) and np.all(np.abs(recs.two_m) <= recs.two_j)
 
 
 def test_sampler_bounds_number_noise_by_the_atom_number():
@@ -389,7 +399,7 @@ def test_sampler_empirical_moments_converge():
     s = coherent_state(two_j, 0.0, 0.0, 0.0, kmax=two_j)
     theta, phi = math.pi / 2.0, 0.3
     recs = sample_measurements(s, [(theta, phi)], 40_000, NoiseModel(), seed=3)
-    ms = np.array([r.two_m for r in recs]) / 2.0
+    ms = recs.two_m / 2.0
     p = projection_probabilities(s, theta, phi)
     m_grid = (2.0 * np.arange(two_j + 1) - two_j) / 2.0
     want_mean = p @ m_grid
@@ -507,8 +517,8 @@ def test_axis_jitter_broadens_outcomes():
     clean = sample_measurements(s, [(0.0, 0.0)], 400, NoiseModel(), seed=2)
     noisy = sample_measurements(s, [(0.0, 0.0)], 400,
                                 NoiseModel(sigma_omega=0.15), seed=2)
-    var_clean = np.var([r.two_m / 2.0 for r in clean])
-    var_noisy = np.var([r.two_m / 2.0 for r in noisy])
+    var_clean = np.var(clean.two_m / 2.0)
+    var_noisy = np.var(noisy.two_m / 2.0)
     # tilt by eta spreads m ~ j cos(eta); for sigma = 0.15, j = 100 that is O(1)
     assert var_clean == 0.0
     assert var_noisy > 1.0
@@ -522,8 +532,8 @@ def test_exact_records_weights_sum_to_trace():
     s = dicke_to_spherical(DickeState(two_j, rho), two_j)
     axes = [(math.pi / 2.0, a * math.pi / 8) for a in range(8)]
     recs = exact_records(s, axes)
-    assert sum(r.weight for r in recs) == pytest.approx(1.0, abs=1e-12)
-    assert all(r.two_j == two_j for r in recs)
+    assert recs.weight.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.all(recs.two_j == two_j)
 
 
 def test_exact_records_match_per_axis_build():
@@ -539,6 +549,7 @@ def test_exact_records_match_per_axis_build():
     for (th, ph), ca in zip(axes, c):
         p = np.clip(projection_probabilities(s, th, ph), 0.0, None)
         want += [(th, ph, ca * pm, two_j, 2 * i - two_j) for i, pm in enumerate(p) if pm > 0.0]
-    assert [(x.theta, x.phi, x.two_j, x.two_m) for x in recs] == [
-        (w[0], w[1], w[3], w[4]) for w in want]
-    assert max(abs(x.weight - w[2]) for x, w in zip(recs, want)) <= 1e-15
+    want = Records.of(want)
+    assert all(np.array_equal(getattr(recs, f), getattr(want, f))
+               for f in ("theta", "phi", "two_j", "two_m"))
+    assert np.abs(recs.weight - want.weight).max() <= 1e-15

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from spintomo import io as stio
 from spintomo.analysis import SqueezingReport, power_spectrum, squeezing_scan
-from spintomo.forward import MeasurementRecord, NoiseModel, Records, sample_measurements
+from spintomo.forward import NoiseModel, Records, sample_measurements
 from spintomo.reconstruct import ReconstructionConfig, reconstruct
 from spintomo.states import WignerGrid, coherent_state, maximally_mixed_state, wigner_grid
 
@@ -24,11 +24,7 @@ def test_measurement_row_parse(tmp_path):
                     "# a comment\n"
                     "0.5,2.0,0.25,40,-40\n")
     recs = stio.parse_measurements(path)
-    assert len(recs) == 2
-    assert recs[0].theta == pytest.approx(math.pi / 2.0, abs=1e-6)
-    assert math.isnan(recs[0].weight)
-    assert recs[0].two_j == 40 and recs[0].two_m == 32
-    assert recs[1].weight == 0.25
+    assert recs == Records([1.5707963, 0.5], [0.0, 2.0], [math.nan, 0.25], [40, 40], [32, -40])
 
 
 def test_measurement_parity_violation_reports_line(tmp_path):
@@ -95,7 +91,7 @@ def test_measurement_file_with_byte_order_mark(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_text(_BOM + "theta,phi,weight,two_j,two_m\n1.5,0.2,,4,2\n", encoding="utf-8")
     recs = stio.parse_measurements(path)
-    assert recs == [MeasurementRecord(1.5, 0.2, math.nan, 4, 2)]
+    assert recs == Records([1.5], [0.2], [math.nan], [4], [2])
 
 
 def test_coefficient_file_with_byte_order_mark(tmp_path):
@@ -122,11 +118,11 @@ def test_writing_no_records_fails_before_any_write(tmp_path, records):
 
 
 def test_float_spins_are_written_as_integers(tmp_path):
-    # MeasurementRecord takes 4.0 for 4; the file must hold what the parser reads
+    # Records takes 4.0 for 4; the file must hold what the parser reads
     path = tmp_path / "m.csv"
-    stio.write_measurements(path, [MeasurementRecord(0.5, 0.0, 1.0, 4.0, 2.0)])
+    stio.write_measurements(path, Records([0.5], [0.0], [1.0], [4.0], [2.0]))
     assert path.read_text().splitlines()[1] == "0.5,0,1,4,2"
-    assert stio.parse_measurements(path) == [MeasurementRecord(0.5, 0.0, 1.0, 4, 2)]
+    assert stio.parse_measurements(path) == Records([0.5], [0.0], [1.0], [4], [2])
 
 
 @st.composite
@@ -356,10 +352,10 @@ def written():
     grid = wigner_grid(recon, 64, 128)
     edge = WignerGrid([0.1, math.pi / 3.0], [0.0, 1.0, 2.0, 2.0 * math.pi - 1e-9],
                       [[-0.0, 5e-324, 1e300, -1e300], [1.0 / 3.0, -1.0 / 3.0, 0.0, 1e-300]])
-    pending = [MeasurementRecord(math.pi / 2.0, 0.1 * a, math.nan if a % 2 else 1.0 / 7.0,
-                                 7, 2 * (a % 8) - 7) for a in range(16)]
-    pending += [MeasurementRecord(0.0, -2.5, math.nan, 1, -1),
-                MeasurementRecord(math.pi, 0.0, 0.0, 0, 0)]
+    pending = Records([math.pi / 2.0] * 16, [0.1 * a for a in range(16)],
+                      [math.nan if a % 2 else 1.0 / 7.0 for a in range(16)],
+                      [7] * 16, [2 * (a % 8) - 7 for a in range(16)])
+    pending += Records([0.0, math.pi], [-2.5, 0.0], [math.nan, 0.0], [1, 0], [-1, 0])
     scan = squeezing_scan(recon, np.linspace(-math.pi / 2.0, math.pi / 2.0, 61), 1.5, 20.0)
     # a failed fit, a variance under the noise floor sigma_n^2 / 2 = 1.125, -0.0
     odd = SqueezingReport(phi_s=0.0, v_coh=10.0, squeezing_db=None, v_min_fit=1.0,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import lru_cache
 from unittest import mock
@@ -11,7 +12,6 @@ from scipy.linalg import expm
 import spintomo.states as states
 from spintomo.angular import cg_tau_table
 from spintomo.forward import (
-    MeasurementRecord,
     NoiseModel,
     Records,
     exact_records,
@@ -38,6 +38,7 @@ from spintomo.states import (
     dicke_basis_state,
     dicke_to_spherical,
     maximally_mixed_state,
+    oat_squeezed_state,
     spherical_to_dicke,
     wigner_eval,
     wigner_grid,
@@ -69,9 +70,8 @@ def _quadrature_records(state, n_theta=32, n_phi=64):
             c = w[i, l] / (2.0 * math.pi)
             for mi, pm in enumerate(p):
                 if pm > 0.0:
-                    records.append(MeasurementRecord(
-                        th, ph, c * pm, state.two_j_ref, 2 * mi - state.two_j_ref))
-    return records
+                    records.append((th, ph, c * pm, state.two_j_ref, 2 * mi - state.two_j_ref))
+    return Records.of(records)
 
 
 def _split_probe_records():
@@ -81,13 +81,15 @@ def _split_probe_records():
     phis = []
     for a in range(12):
         phis += [split + 1e-15] + [split - 1e-15] * 9 if a == 5 else [a * math.pi / 12.0] * 10
-    return [MeasurementRecord(math.pi / 2.0, ph, math.nan, 12, 2 * (n % 7) - 6)
-            for n, ph in enumerate(phis)]
+    return Records.of([(math.pi / 2.0, ph, math.nan, 12, 2 * (n % 7) - 6)
+                       for n, ph in enumerate(phis)])
 
 
-def _antipode(r):
-    # the same measurement taken along the opposite direction of its axis
-    return MeasurementRecord(math.pi - r.theta, r.phi + math.pi, r.weight, r.two_j, -r.two_m)
+def _antipodes(recs, flip=True):
+    # the records where flip holds taken along the opposite direction of their axes
+    return Records(np.where(flip, math.pi - recs.theta, recs.theta),
+                   np.where(flip, recs.phi + math.pi, recs.phi), recs.weight, recs.two_j,
+                   np.where(flip, -recs.two_m, recs.two_m))
 
 
 def _mixed_records(rng, mode, n_axes=7, shots=6):
@@ -102,9 +104,8 @@ def _mixed_records(rng, mode, n_axes=7, shots=6):
         for _ in range(shots):
             two_j = int(rng.choice([4, 5, 8, 10]))
             two_m = 2 * int(rng.integers(0, two_j + 1)) - two_j
-            recs.append(MeasurementRecord(float(th), float(ph), float(rng.uniform(0.5, 1.5)),
-                                          two_j, two_m))
-    return recs
+            recs.append((float(th), float(ph), float(rng.uniform(0.5, 1.5)), two_j, two_m))
+    return Records.of(recs)
 
 
 # ---------------------------------------------------------------- weights
@@ -113,8 +114,8 @@ def test_weights_equal_axes_uniform():
     s = maximally_mixed_state(4, kmax=0)
     recs = sample_measurements(s, _plane_axes(8), 10, NoiseModel(), seed=0)
     out = compute_weights(recs, "in-plane")
-    assert all(r.weight == pytest.approx(1.0 / 80.0, rel=1e-12) for r in out)
-    assert sum(r.weight for r in out) == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(out.weight, 1.0 / 80.0, rtol=1e-12, atol=0.0)
+    assert out.weight.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weights_oversampled_axis_halved():
@@ -122,23 +123,40 @@ def test_weights_oversampled_axis_halved():
     recs = []
     for th, ph in axes:
         n = 20 if ph == 0.0 else 10
-        recs.extend(MeasurementRecord(th, ph, math.nan, 4, 0) for _ in range(n))
-    out = compute_weights(recs, "in-plane")
-    w0 = [r.weight for r in out if r.phi == 0.0]
-    w1 = [r.weight for r in out if r.phi != 0.0]
-    assert all(w == pytest.approx(w1[0] / 2.0, rel=1e-12) for w in w0)
-    assert sum(r.weight for r in out) == pytest.approx(1.0, rel=1e-12)
+        recs += [(th, ph, math.nan, 4, 0)] * n
+    out = compute_weights(Records.of(recs), "in-plane")
+    w0, w1 = out.weight[out.phi == 0.0], out.weight[out.phi != 0.0]
+    assert np.allclose(w0, w1[0] / 2.0, rtol=1e-12, atol=0.0)
+    assert out.weight.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weights_uneven_axes_follow_arcs():
     # three axes at 0, pi/2, 3pi/4: half-circle Voronoi arcs 3/8, 5/16 + wrap
-    recs = [MeasurementRecord(math.pi / 2.0, ph, math.nan, 2, 0)
-            for ph in (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0)]
+    recs = Records.of([(math.pi / 2.0, ph, math.nan, 2, 0)
+                       for ph in (0.0, math.pi / 2.0, 3.0 * math.pi / 4.0)])
     out = compute_weights(recs, "in-plane")
     arcs = np.array([(math.pi / 4.0 + math.pi / 8.0),
                      (math.pi / 4.0 + math.pi / 8.0),
                      (math.pi / 8.0 + math.pi / 8.0)]) / math.pi
-    assert np.allclose([r.weight for r in out], arcs, rtol=1e-12)
+    assert np.allclose(out.weight, arcs, rtol=1e-12)
+
+
+def test_weights_of_listed_rows_equal_those_of_their_records():
+    # rows = []; rows += records, axis by axis, as an experiment appends them: the
+    # rows carry the five named fields and weigh bit for bit as the joined Records
+    s = oat_squeezed_state(20, 0.05, 20)
+    noise = NoiseModel(sigma_n=2.0, sigma_omega=0.05, phase_mode="model", sigma_ph=0.2)
+    rows, parts = [], []
+    for a, axis in enumerate(_plane_axes(6)):
+        parts.append(sample_measurements(s, [axis], 8, noise, seed=a))
+        rows += parts[-1]
+    assert len(rows) == 48
+    assert all(r._fields == ("theta", "phi", "weight", "two_j", "two_m") for r in rows)
+    joined = parts[0]
+    for part in parts[1:]:
+        joined = joined + part
+    got, want = compute_weights(rows, "in-plane"), compute_weights(joined, "in-plane")
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.columns, want.columns))
 
 
 def test_weights_keep_the_probabilities_of_exact_records():
@@ -150,7 +168,7 @@ def test_weights_keep_the_probabilities_of_exact_records():
     kept = reconstruct(recs, cfg, weight_scheme="keep").coeffs
     assert np.abs(reconstruct(recs, cfg).coeffs - kept).max() <= 1e-14
     out = compute_weights(recs, "in-plane")
-    assert max(abs(x.weight - y.weight) for x, y in zip(out, recs)) <= 1e-16
+    assert np.abs(out.weight - recs.weight).max() <= 1e-16
 
 
 @pytest.mark.filterwarnings("ignore:skipped")
@@ -159,7 +177,7 @@ def test_weights_of_sampled_records_split_equally():
     s = coherent_state(20, 0.4, 0.9, 0.0, kmax=20)
     recs = sample_measurements(s, _plane_axes(12) + _plane_axes(5), 30,
                                NoiseModel(sigma_n=2.0), seed=6)
-    pending = [MeasurementRecord(r.theta, r.phi, math.nan, r.two_j, r.two_m) for r in recs]
+    pending = dataclasses.replace(recs, weight=np.full(len(recs), math.nan))
     cfg = ReconstructionConfig(kmax=11, mode="in-plane", fold_north=True, two_j_ref=20)
     got = reconstruct(recs, cfg).coeffs
     want = reconstruct(pending, cfg).coeffs
@@ -168,57 +186,55 @@ def test_weights_of_sampled_records_split_equally():
 
 def test_weights_pending_or_zero():
     # one pending weight splits every axis equally; an axis of zero total weight raises
-    recs = [MeasurementRecord(math.pi / 2.0, ph, w, 2, 0)
-            for ph, w in ((0.0, 0.2), (0.0, 0.6), (1.0, math.nan), (2.0, 0.3))]
+    recs = Records([math.pi / 2.0] * 4, [0.0, 0.0, 1.0, 2.0], [0.2, 0.6, math.nan, 0.3],
+                   [2] * 4, [0] * 4)
     side = 0.5 * (1.0 + (math.pi - 2.0)) / math.pi  # arcs of the axes 0 and 2; axis 1 has 1/pi
-    assert [r.weight for r in compute_weights(recs, "in-plane")] == pytest.approx(
+    assert compute_weights(recs, "in-plane").weight.tolist() == pytest.approx(
         [side / 2.0, side / 2.0, 1.0 / math.pi, side], rel=1e-12)
-    zero = [MeasurementRecord(math.pi / 2.0, ph, w, 2, 0) for ph, w in ((0.0, 0.0), (1.0, 0.5))]
+    zero = Records([math.pi / 2.0] * 2, [0.0, 1.0], [0.0, 0.5], [2, 2], [0, 0])
     with pytest.raises(ValueError, match="zero total weight"):
         compute_weights(zero, "in-plane")
 
 
 def test_weights_uniform_scheme():
-    recs = [MeasurementRecord(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)]
+    recs = Records.of([(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)])
     out = compute_weights(recs, "in-plane", scheme="uniform")
-    assert all(r.weight == pytest.approx(0.2) for r in out)
+    assert out.weight.tolist() == pytest.approx([0.2] * 5)
 
 
 def test_weights_full_sphere_symmetric_axes():
     # orthogonal triad: each axis covers a third of orientation space
     axes = [(0.0, 0.0), (math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0)]
-    recs = [MeasurementRecord(th, ph, math.nan, 2, 0) for th, ph in axes]
+    recs = Records.of([(th, ph, math.nan, 2, 0) for th, ph in axes])
     out = compute_weights(recs, "full-sphere")
-    assert np.allclose([r.weight for r in out], 1.0 / 3.0, rtol=1e-9)
+    assert np.allclose(out.weight, 1.0 / 3.0, rtol=1e-9)
 
 
 def test_weights_full_sphere_antipodal_axes_merge():
     # an axis and its antipode are the same measurement direction
     axes = [(0.0, 0.0), (math.pi, 0.0), (math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0)]
-    recs = [MeasurementRecord(th, ph, math.nan, 2, 0) for th, ph in axes]
-    out = compute_weights(recs, "full-sphere")
-    w = [r.weight for r in out]
+    recs = Records.of([(th, ph, math.nan, 2, 0) for th, ph in axes])
+    w = compute_weights(recs, "full-sphere").weight
     assert w[0] == pytest.approx(w[1], rel=1e-9)
     assert w[0] + w[1] == pytest.approx(w[2], rel=1e-9)
     assert sum(w) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_weights_full_sphere_coplanar_falls_back_to_arcs():
-    recs = [MeasurementRecord(math.pi / 2.0, a * math.pi / 6.0, math.nan, 2, 0)
-            for a in range(6)]
+    recs = Records.of([(math.pi / 2.0, a * math.pi / 6.0, math.nan, 2, 0) for a in range(6)])
     out = compute_weights(recs, "full-sphere")
-    assert np.allclose([r.weight for r in out], 1.0 / 6.0, rtol=1e-9)
+    assert np.allclose(out.weight, 1.0 / 6.0, rtol=1e-9)
 
 
 def test_weights_check_mode_before_scheme():
-    recs = [MeasurementRecord(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)]
+    recs = Records.of([(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)])
     for scheme in ("uniform", "voronoi"):
         with pytest.raises(ValueError, match="mode must be one of"):
             compute_weights(recs, "bogus", scheme=scheme)
 
 
 def test_weights_degenerate_axes_error():
-    recs = [MeasurementRecord(0.3, 0.4, math.nan, 2, 0) for _ in range(4)]
+    recs = Records.of([(0.3, 0.4, math.nan, 2, 0)] * 4)
     with pytest.raises(ValueError):
         compute_weights(recs, "full-sphere")
 
@@ -227,7 +243,7 @@ def test_weights_axis_split_probe():
     # phi values 2e-15 apart straddling a 12-decimal rounding boundary are one axis
     recs = _split_probe_records()
     out = compute_weights(recs, "in-plane")
-    assert np.allclose([r.weight for r in out], 1.0 / 120.0, rtol=1e-9)
+    assert np.allclose(out.weight, 1.0 / 120.0, rtol=1e-9)
     with pytest.raises(ValueError, match="not below the 12 distinct axes"):
         fbp_inplane(out, ReconstructionConfig(kmax=12, two_j_ref=12))
 
@@ -236,8 +252,8 @@ def test_weights_full_sphere_pole_is_one_axis():
     # (0, 0), (0, 2), (1e-13, 0.5) and the antipode (pi, 1) share the z axis
     axes = [(0.0, 0.0), (0.0, 2.0), (1e-13, 0.5), (math.pi, 1.0),
             (math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0)]
-    recs = [MeasurementRecord(th, ph, math.nan, 2, 0) for th, ph in axes]
-    w = [r.weight for r in compute_weights(recs, "full-sphere")]
+    recs = Records.of([(th, ph, math.nan, 2, 0) for th, ph in axes])
+    w = compute_weights(recs, "full-sphere").weight
     assert np.allclose(w, [1.0 / 12.0] * 4 + [1.0 / 3.0] * 2, rtol=1e-9)
 
 
@@ -248,11 +264,11 @@ def test_weights_full_sphere_close_axes_are_distinct():
     v /= np.linalg.norm(v, axis=1)[:, None]
     axes = list(zip(np.arccos(v[:, 2]), np.arctan2(v[:, 1], v[:, 0])))
     close = (axes[0][0] + 1e-8, axes[0][1])
-    recs = [MeasurementRecord(th, ph, math.nan, 2, 0) for th, ph in axes + [close]]
-    w = [x.weight for x in compute_weights(recs, "full-sphere")]
-    assert sum(w) == pytest.approx(1.0, abs=1e-12)
+    recs = Records.of([(th, ph, math.nan, 2, 0) for th, ph in axes + [close]])
+    w = compute_weights(recs, "full-sphere").weight
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
     assert w[0] != w[-1]
-    merged = [x.weight for x in compute_weights(recs[:-1] + [recs[0]], "full-sphere")]
+    merged = compute_weights(recs[:-1] + recs[:1], "full-sphere").weight
     assert merged[0] == merged[-1]
     assert abs((w[0] + w[-1]) - (merged[0] + merged[-1])) < 1e-8
 
@@ -332,7 +348,7 @@ def test_damping_phase_noise_only_in_plane():
     noise = NoiseModel(phase_mode="constant", sigma_phi=0.2)
     assert _record_damping(noise, 40, 6)[6] == 1.0
     assert float(noise.azimuth_sigma(1.0)) == 0.2
-    recs = [MeasurementRecord(math.pi / 2.0, 1.0 + 0.3 * a, 0.125, 40, 8) for a in range(8)]
+    recs = Records.of([(math.pi / 2.0, 1.0 + 0.3 * a, 0.125, 40, 8) for a in range(8)])
 
     def ratio(fbp, mode):
         plain = fbp(recs, ReconstructionConfig(kmax=6, mode=mode, two_j_ref=40))
@@ -364,7 +380,7 @@ def test_damping_spares_k0_of_every_spin():
         assert _damping(two_j, 0, 3.0, 0.1).tolist() == [1.0]
     with pytest.raises(ValueError, match="two_j < 2"):
         _damping(1, 1, 3.0)
-    recs = [MeasurementRecord(math.pi / 2.0, a * math.pi / 4.0, 0.25, 1, 1) for a in range(4)]
+    recs = Records.of([(math.pi / 2.0, a * math.pi / 4.0, 0.25, 1, 1) for a in range(4)])
     with pytest.raises(ValueError, match="two_j < 2"):
         fbp_inplane(recs, ReconstructionConfig(kmax=1, noise=NoiseModel(sigma_n=0.5),
                                                two_j_ref=1))
@@ -374,7 +390,7 @@ def test_noisy_reconstruction_takes_records_of_zero_spin():
     noise = NoiseModel(sigma_n=3.0)
     recs = sample_measurements(coherent_state(4, 0.0, 0.0, 0.0, 4), _plane_axes(8), 50,
                                noise, seed=1)
-    assert sum(r.two_j == 0 for r in recs) == 28
+    assert np.sum(recs.two_j == 0) == 28
     with pytest.warns(UserWarning, match="below the requested kmax"):
         noisy = reconstruct(recs, ReconstructionConfig(kmax=4, noise=noise, two_j_ref=4))
     with pytest.warns(UserWarning, match="below the requested kmax"):
@@ -417,7 +433,7 @@ def test_uniform_damping_spectrum_ratio():
 
 def test_fbp_full_single_pole_record():
     two_j = 10
-    recs = [MeasurementRecord(0.0, 0.0, 1.0, two_j, two_j)]
+    recs = Records([0.0], [0.0], [1.0], [two_j], [two_j])
     out = fbp_full(recs, ReconstructionConfig(kmax=two_j, mode="full-sphere",
                                               two_j_ref=two_j))
     tau = cg_tau_table(two_j, two_j)
@@ -444,8 +460,7 @@ def test_fbp_full_infinite_data_recovery():
 
 
 def test_fbp_full_skips_out_of_range_waves():
-    recs = [MeasurementRecord(0.0, 0.0, 0.5, 2, 2),
-            MeasurementRecord(1.0, 0.0, 0.5, 8, 0)]
+    recs = Records([0.0, 1.0], [0.0, 0.0], [0.5, 0.5], [2, 8], [2, 0])
     cfg = ReconstructionConfig(kmax=6, mode="full-sphere", two_j_ref=8)
     with pytest.warns(UserWarning, match="skipped"):
         out = fbp_full(recs, cfg)
@@ -453,7 +468,7 @@ def test_fbp_full_skips_out_of_range_waves():
 
 
 def test_fbp_requires_weights():
-    recs = [MeasurementRecord(0.0, 0.0, math.nan, 2, 2)]
+    recs = Records([0.0], [0.0], [math.nan], [2], [2])
     with pytest.raises(ValueError, match="pending"):
         fbp_full(recs, ReconstructionConfig(kmax=2, mode="full-sphere", two_j_ref=2))
 
@@ -461,7 +476,7 @@ def test_fbp_requires_weights():
 # ---------------------------------------------------------------- in-plane fbp
 
 def test_fbp_inplane_rejects_off_plane_axes():
-    recs = [MeasurementRecord(1.0, 0.0, 1.0, 2, 0)]
+    recs = Records([1.0], [0.0], [1.0], [2], [0])
     with pytest.raises(ValueError, match="equator"):
         fbp_inplane(recs, ReconstructionConfig(kmax=0, two_j_ref=2))
 
@@ -475,7 +490,7 @@ def test_fbp_inplane_kmax_validity_bound():
 
 def test_fbp_inplane_monopole_single_record():
     two_j = 6
-    recs = [MeasurementRecord(math.pi / 2.0, 0.3, 1.0, two_j, 2)]
+    recs = Records([math.pi / 2.0], [0.3], [1.0], [two_j], [2])
     out = fbp_inplane(recs, ReconstructionConfig(kmax=0, two_j_ref=two_j))
     assert oracles.coeff(out, 0, 0).real == pytest.approx(1.0 / math.sqrt(two_j + 1.0), rel=1e-12)
 
@@ -520,8 +535,7 @@ def test_fbp_inplane_azimuth_equivariance():
     truth, _ = _random_state(4, seed=5)
     delta = 0.37
     base = exact_records(truth, _plane_axes(32))
-    shifted = [MeasurementRecord(r.theta, r.phi + delta, r.weight, r.two_j, r.two_m)
-               for r in base]
+    shifted = dataclasses.replace(base, phi=base.phi + delta)
     a = fbp_inplane(base, ReconstructionConfig(kmax=4, two_j_ref=4))
     b = fbp_inplane(shifted, ReconstructionConfig(kmax=4, two_j_ref=4))
     for k in range(5):
@@ -555,7 +569,7 @@ def test_fbp_matches_per_record_oracle(mode):
     # mixed spins, 2j < kmax records, antipodal records, and all three noises at once
     r = np.random.default_rng(17)
     recs = _mixed_records(r, mode)
-    recs += [_antipode(x) for x in recs[::3]]
+    recs += _antipodes(recs[::3])
     cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_CORE_NOISE, two_j_ref=8)
     with pytest.warns(UserWarning, match="skipped"):
         out = _FBP[mode](recs, cfg)
@@ -571,16 +585,16 @@ def test_fbp_invariant_to_record_order_and_antipodes(seed, mode):
     recs = _mixed_records(r, mode, n_axes=int(r.integers(7, 12)), shots=int(r.integers(1, 5)))
     cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_CORE_NOISE, two_j_ref=8)
     base = reconstruct(recs, cfg).coeffs
-    shuffled = [recs[i] for i in r.permutation(len(recs))]
+    order = r.permutation(len(recs))
+    shuffled = Records(*(c[order] for c in recs.columns))
     assert np.abs(reconstruct(shuffled, cfg).coeffs - base).max() < 1e-12
-    flipped = [_antipode(x) if f else x for x, f in zip(recs, r.random(len(recs)) < 0.5)]
+    flipped = _antipodes(recs, r.random(len(recs)) < 0.5)
     assert np.abs(reconstruct(flipped, cfg).coeffs - base).max() < 1e-12
 
 
 def _unit_weight_records(r, mode):
     recs = _mixed_records(r, mode, n_axes=int(r.integers(7, 12)), shots=int(r.integers(1, 5)))
-    total = sum(x.weight for x in recs)
-    return [MeasurementRecord(x.theta, x.phi, x.weight / total, x.two_j, x.two_m) for x in recs]
+    return dataclasses.replace(recs, weight=recs.weight / recs.weight.sum())
 
 
 @pytest.mark.filterwarnings("ignore:skipped")
@@ -629,7 +643,7 @@ _ROTATION_NOISE = NoiseModel(sigma_n=1.5, sigma_omega=0.1, phase_mode="constant"
 def test_fbp_azimuthal_rotation_multiplies_by_the_order_phase(seed, mode, alpha):
     # phi -> phi + alpha on every record takes rho_kq to rho_kq e^(-i q alpha)
     recs = _unit_weight_records(np.random.default_rng(seed), mode)
-    turned = [MeasurementRecord(x.theta, x.phi + alpha, x.weight, x.two_j, x.two_m) for x in recs]
+    turned = dataclasses.replace(recs, phi=recs.phi + alpha)
     cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_ROTATION_NOISE, two_j_ref=8)
     base = _FBP[mode](recs, cfg).coeffs
     q = np.arange(-6, 7)[None, :]
@@ -705,9 +719,9 @@ def test_outputs_invariant_to_chunk_budgets(budget):
     with mock.patch.object(states, "_CHUNK_BUDGET", budget):
         sampled, exact, inplane, full = _chunked_outputs()
     assert sampled == base[0]
-    assert [(x.theta, x.phi, x.two_j, x.two_m) for x in exact] == [
-        (x.theta, x.phi, x.two_j, x.two_m) for x in base[1]]
-    assert max(abs(x.weight - y.weight) for x, y in zip(exact, base[1])) <= 1e-15
+    assert all(np.array_equal(getattr(exact, f), getattr(base[1], f))
+               for f in ("theta", "phi", "two_j", "two_m"))
+    assert np.abs(exact.weight - base[1].weight).max() <= 1e-15
     assert np.abs(inplane - base[2]).max() <= 1e-14
     assert np.abs(full - base[3]).max() <= 1e-14
 
@@ -719,7 +733,7 @@ def test_outputs_invariant_to_chunk_budgets(budget):
 def test_fbp_is_linear_in_the_weights(seed, mode, alpha, beta):
     # rho(alpha w1 + beta w2) = alpha rho(w1) + beta rho(w2) on the same rows
     r = np.random.default_rng(seed)
-    rows = Records.of(_mixed_records(r, mode, n_axes=int(r.integers(7, 12))))
+    rows = _mixed_records(r, mode, n_axes=int(r.integers(7, 12)))
     w1, w2 = r.uniform(0.0, 1.0, (2, len(rows))) * r.uniform(0.0, 2.0, (2, 1))
     cfg = ReconstructionConfig(kmax=6, mode=mode, noise=_CORE_NOISE, two_j_ref=8)
 
@@ -822,8 +836,7 @@ def test_xi_assembly_equals_coefficient_route():
 
 def test_xi_assembly_with_damping_matches_damped_coefficients():
     noise = NoiseModel(sigma_n=1.2, sigma_omega=0.04)
-    recs = [MeasurementRecord(0.9, 0.3, 0.5, 20, 16),
-            MeasurementRecord(1.7, 2.0, 0.5, 20, 12)]
+    recs = Records([0.9, 1.7], [0.3, 2.0], [0.5, 0.5], [20, 20], [16, 12])
     state = fbp_full(recs, ReconstructionConfig(kmax=20, mode="full-sphere",
                                                 noise=noise, two_j_ref=20))
     theta = rng.uniform(0.0, math.pi, 50)
