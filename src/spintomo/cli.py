@@ -99,16 +99,7 @@ def _add_noise_flags(p):
                    help="none | constant:<rad> | model:<rad>")
 
 
-def _build_parser():
-    """The argument parser and its subcommand parsers by name."""
-    parser = argparse.ArgumentParser(
-        prog="spintomo",
-        description="Tomography of collective-spin Wigner functions from "
-                    "Stern-Gerlach records.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="generate a synthetic measurement CSV")
-    p.add_argument("--config", help="key = value defaults file (flags win)")
+def _simulate_options(p):
     p.add_argument("--state", choices=("coherent", "dicke", "oat", "mixed"), default="coherent")
     p.add_argument("--two-j", dest="two_j", type=int, default=40, help="doubled total spin")
     p.add_argument("--two-m", dest="two_m", type=int, help="doubled projection (dicke)")
@@ -126,9 +117,9 @@ def _build_parser():
     _add_noise_flags(p)
     p.add_argument("--out", default="measurements.csv", help="output measurement CSV")
 
-    p = sub.add_parser("reconstruct", help="backproject a measurement CSV")
+
+def _reconstruct_options(p):
     p.add_argument("measurements", help="input measurement CSV")
-    p.add_argument("--config", help="key = value defaults file (flags win)")
     p.add_argument("--mode", choices=("in-plane", "full-sphere"), default="in-plane")
     p.add_argument("--kmax", type=int)
     p.add_argument("--weights", choices=("uniform", "voronoi"), default="voronoi")
@@ -137,21 +128,36 @@ def _build_parser():
     _add_noise_flags(p)
     p.add_argument("--out", help="output prefix (default: input stem)")
 
-    p = sub.add_parser("analyze", help="squeezing analysis of a coefficient CSV")
+
+def _analyze_options(p):
     p.add_argument("coefficients", help="input coefficient CSV")
-    p.add_argument("--config", help="key = value defaults file (flags win)")
     p.add_argument("--sigma-n", dest="sigma_n", type=float, default=0.0)
     p.add_argument("--j-mean", dest="j_mean", type=float,
                    help="reference spin for the coherent variance (default two_j_ref/2)")
     p.add_argument("--phi-steps", dest="phi_steps", type=int, default=181)
     p.add_argument("--out", help="output squeezing CSV")
 
-    p = sub.add_parser("render", help="sample a coefficient CSV onto grid + PGM")
+
+def _render_options(p):
     p.add_argument("coefficients", help="input coefficient CSV")
-    p.add_argument("--config", help="key = value defaults file (flags win)")
     p.add_argument("--grid", default="64x128", help="grid NxM")
     p.add_argument("--out", help="output prefix (default: input stem)")
 
+
+def _build_parser(command=None):
+    """The argument parser and its subcommand parsers by name, every subcommand
+    with its help line but only command's options (all when command is None)."""
+    parser = argparse.ArgumentParser(
+        prog="spintomo",
+        description="Tomography of collective-spin Wigner functions from "
+                    "Stern-Gerlach records.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, options, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            # argparse lists positionals apart, so --config leads each command's options
+            p.add_argument("--config", help="key = value defaults file (flags win)")
+            options(p)
     return parser, sub.choices
 
 
@@ -257,23 +263,29 @@ def _cmd_render(args):
     return 0
 
 
+# name: (help line, options, handler)
+_COMMANDS = {
+    "simulate": ("generate a synthetic measurement CSV", _simulate_options, _cmd_simulate),
+    "reconstruct": ("backproject a measurement CSV", _reconstruct_options, _cmd_reconstruct),
+    "analyze": ("squeezing analysis of a coefficient CSV", _analyze_options, _cmd_analyze),
+    "render": ("sample a coefficient CSV onto grid + PGM", _render_options, _cmd_render),
+}
+
+
 def main(argv=None):
-    parser, parsers = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
+    # a run reads only its command's options; help, a usage error before the
+    # command and a config file's keys need every command's
+    parser, _ = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     args = parser.parse_args(argv)
-    handlers = {
-        "simulate": _cmd_simulate,
-        "reconstruct": _cmd_reconstruct,
-        "analyze": _cmd_analyze,
-        "render": _cmd_render,
-    }
     try:
         if getattr(args, "config", None):
             # the file's options go before the user's, and argparse keeps the last value
+            parser, parsers = _build_parser()
             at = argv.index(args.command) + 1
             args = parser.parse_args(
                 argv[:at] + _config_args(args.config, args.command, parsers) + argv[at:])
-        return handlers[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except (NumericalFailure, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

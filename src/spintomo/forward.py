@@ -130,7 +130,15 @@ class Records:
             raise ValueError("record columns must be one-dimensional and of one length")
         if n[0] == 0:
             raise ValueError("no measurement records")
-        _check_rows(*columns)
+        try:
+            _check_rows(*columns)
+        except ValueError:
+            # numpy makes floats of a spin column that mixes small integers with
+            # ones beyond int64: word the first bad row's error from the given labels
+            given = (np.array(getattr(self, f), dtype=object).tolist() for f in _FIELDS[3:])
+            for row in zip(*(c.tolist() for c in columns[:3]), *given):
+                _check_row(*row)
+            raise
         for name, c, dtype in zip(_FIELDS, columns, (float, float, float, np.int64, np.int64)):
             c = c.astype(dtype, copy=False)
             c.flags.writeable = False

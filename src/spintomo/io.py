@@ -169,10 +169,13 @@ def read_coefficients(path):
 
     A malformed file raises ValueError naming ``path:line``.
     """
-    header = {}
-    rows = {}
     with open(path, encoding="utf-8-sig") as fh:
         lines = fh.read().splitlines()
+    state = _read_coefficient_columns(lines)
+    if state is not None:
+        return state
+    header = {}
+    rows = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         try:
@@ -217,12 +220,39 @@ def read_coefficients(path):
         raise ValueError(f"{path}:{lineno}: {exc}" if imag > 0.0 else f"{path}: {exc}") from None
 
 
+def _read_coefficient_columns(lines):
+    """The state of a well-formed coefficient file, read one field column at a time
+    with int() and float() as line by line, or None on any irregularity."""
+    lines = [line.strip() for line in lines]
+    rows = [line for line in lines if line and line[0] != "#" and line != "k,q,re,im"]
+    # "\n" marks the end of a row: splitlines left none inside a field
+    fields = ",\n,".join(rows).split(",")
+    if len(fields) != 5 * len(rows) - 1 or fields[4::5].count("\n") != len(rows) - 1:
+        return None
+    try:
+        header = [(key.strip(), int(value)) for key, eq, value in
+                  (line[1:].partition("=") for line in lines if line[:1] == "#")
+                  if eq and key.strip() in ("two_j_ref", "kmax")]
+        two_j_ref, kmax = dict(header)["two_j_ref"], dict(header)["kmax"]
+        k, q = np.fromiter(map(int, fields[0::5] + fields[1::5]), np.int64).reshape(2, -1)
+        re, im = parts = np.fromiter(map(float, fields[2::5] + fields[3::5]), float).reshape(2, -1)
+        # each row's flat index in coeffs: sorted, a repeated (k, q) meets its twin
+        at = np.sort(k * (2 * kmax + 1) + (kmax + q))
+        if not (len(header) == 2 and 0 <= kmax <= two_j_ref and np.all(at[1:] != at[:-1])
+                and np.all((0 <= q) & (q <= k) & (k <= kmax)) and np.isfinite(parts).all()):
+            return None
+        coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+        coeffs[k, kmax + q] = re + 1j * im
+        _mirror_negative_q(coeffs, kmax)
+        return SphericalState(two_j_ref, kmax, coeffs)
+    except (KeyError, ValueError, OverflowError):
+        return None
+
+
 def write_spectrum(path, c_k):
     """Write an angular power spectrum as CSV ``k,C_k``."""
-    lines = ["k,C_k"]
-    for k, v in enumerate(np.asarray(c_k, dtype=float)):
-        lines.append(f"{k},{_fmt(v)}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    c_k = np.asarray(c_k, dtype=float).tolist()
+    _atomic_write(path, "k,C_k\n" + "".join(f"{k},%.17g\n" for k in range(len(c_k))) % tuple(c_k))
 
 
 def write_squeezing(path, report, sigma_n):

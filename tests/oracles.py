@@ -683,3 +683,66 @@ def parse_measurements_by_line(path):
     if not records:
         raise MeasurementFormatError(f"{path}: no measurement rows")
     return Records(*zip(*records))
+
+
+def spectrum_text(c_k):
+    """Power-spectrum CSV text built value by value (17 significant digits)."""
+    lines = ["k,C_k"]
+    for k in range(len(c_k)):
+        lines.append(f"{k},{_fmt17(c_k[k])}")
+    return "\n".join(lines) + "\n"
+
+
+def read_coefficients_by_line(path):
+    """Coefficient CSV read line by line: the SphericalState, or ValueError naming
+    ``path:line``.
+
+    Each row's value is ``re + 1j * im`` of its two float fields, set at
+    (k, kmax + q) of a zero array; the q < 0 half is the mirror of q > 0.
+    """
+    from spintomo.angular import _mirror_negative_q
+    from spintomo.states import SphericalState
+
+    header, rows = {}, {}
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = fh.read().splitlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        try:
+            if line.startswith("#"):
+                key, eq, value = line[1:].partition("=")
+                key = key.strip()
+                if eq and key in ("two_j_ref", "kmax"):
+                    if key in header:
+                        raise ValueError(f"repeated {key} header")
+                    header[key] = (int(value), lineno)
+            elif line and line != "k,q,re,im":
+                parts = line.split(",")
+                if len(parts) != 4:
+                    raise ValueError("expected 4 fields")
+                k, q = int(parts[0]), int(parts[1])
+                if (k, q) in rows:
+                    raise ValueError(f"repeated coefficient ({k}, {q})")
+                re, im = float(parts[2]), float(parts[3])
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError(f"non-finite coefficient ({k}, {q})")
+                rows[k, q] = (re + 1j * im, lineno)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if len(header) < 2:
+        raise ValueError(f"{path}: missing two_j_ref / kmax header comments")
+    (two_j_ref, _), (kmax, kmax_line) = header["two_j_ref"], header["kmax"]
+    if not 0 <= kmax <= two_j_ref:
+        raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} outside 0..two_j_ref = {two_j_ref}")
+    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    for (k, q), (value, lineno) in rows.items():
+        if not (0 <= k <= kmax and 0 <= q <= k):
+            raise ValueError(f"{path}:{lineno}: coefficient ({k}, {q}) out of range")
+        coeffs[k, kmax + q] = value
+    _mirror_negative_q(coeffs, kmax)
+    try:
+        return SphericalState(two_j_ref, kmax, coeffs)
+    except ValueError as exc:
+        k0 = [(abs(v.imag), lineno) for (_, q), (v, lineno) in rows.items() if q == 0]
+        imag, lineno = max(k0, default=(0.0, None))
+        raise ValueError(f"{path}:{lineno}: {exc}" if imag > 0.0 else f"{path}: {exc}") from None

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import spintomo
+from spintomo import cli
 from spintomo import io as stio
 from spintomo.cli import main
 from spintomo.forward import NoiseModel, Records
@@ -283,6 +284,38 @@ def test_no_selftest_subcommand(workdir, capsys):
     assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
+def _parser_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exc.value.code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["simulate", "-h"], ["reconstruct", "-h"], ["analyze", "-h"], ["render", "-h"],
+    ["selftest"], ["simulate", "--frobnicate"], ["render", "c.csv", "--fold-north"],
+    ["reconstruct"], ["analyze", "--sigma-n", "1"]],
+    ids=["help", "simulate_help", "reconstruct_help", "analyze_help", "render_help",
+         "unknown_command", "unknown_option", "other_command_option", "missing_input",
+         "missing_input_after_option"])
+def test_parser_text_is_that_of_the_full_parser(workdir, capsys, argv):
+    # main fills in only the run command's options; what it prints and its exit
+    # code are those of a parser with every command's options
+    got = _parser_text(main, argv, capsys)
+    want = _parser_text(lambda a: cli._build_parser()[0].parse_args(a), argv, capsys)
+    assert got == want
+    assert got[0] == (0 if "-h" in argv else 2)
+
+
+def test_a_command_builds_only_its_own_options():
+    _, parsers = cli._build_parser("render")
+    assert list(parsers) == ["simulate", "reconstruct", "analyze", "render"]
+    assert [a.dest for a in parsers["render"]._actions] == ["help", "config", "coefficients",
+                                                            "grid", "out"]
+    assert all([a.dest for a in parsers[name]._actions] == ["help"]
+               for name in ("simulate", "reconstruct", "analyze"))
+
+
 def test_config_file_with_flag_override(workdir):
     with open("sim.cfg", "w") as fh:
         fh.write("two_j = 20\naxes = 6\nshots = 20\nseed = 9\nout = from_cfg.csv\n")
@@ -419,7 +452,10 @@ steps = [["simulate", "--state", "oat", "--two-j", "20", "--chi", "0.05", "--axi
          ["render", "r_coeffs.csv", "--grid", "8x16", "--out", "w"]]
 for argv in steps:
     assert main(argv) == 0, argv
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+# a cold pass pays for every lazy import: neither scipy nor numpy.ma (which
+# np.unique loads on first use) is on the in-plane chain's path
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy"
+                or m == "numpy.ma" or m.startswith("numpy.ma."))
 assert not loaded, loaded
 
 # the full-sphere Voronoi weights still load it on demand

@@ -147,6 +147,11 @@ def _record_error(row):
 @example(rows=[(0.5, 0.0, 1.0, 0, -2 ** 63)])
 @example(rows=[(0.5, 0.0, 1.0, 1e20, 0.0)])
 @example(rows=[(0.5, 0.0, 1.0, 2 ** 63 - 1, 1 - 2 ** 63)])
+# numpy makes a float column of small labels and ones beyond int64; the error
+# quotes the labels as given
+@example(rows=[(0.5, 0.0, 1.0, 2, 0), (0.5, 0.0, 1.0, 2 ** 63, 0)])
+@example(rows=[(0.5, 0.0, 1.0, 2, 0), (0.5, 0.0, 1.0, 2, 2 ** 63)])
+@example(rows=[(0.5, 0.0, 1.0, 2, 0), (0.5, 0.0, 1.0, -4, 0), (0.5, 0.0, 1.0, 2 ** 63 + 2, 0)])
 def test_records_refuse_what_the_record_refuses(rows):
     # one vector check, with the single row's message for the first bad row
     errors = [e for e in map(_record_error, rows) if e is not None]

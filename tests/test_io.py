@@ -234,6 +234,8 @@ def test_coefficients_round_trip_lossless(tmp_path):
     path = tmp_path / "c.csv"
     stio.write_coefficients(path, s)
     back = stio.read_coefficients(path)
+    # a written file takes the columnar pass
+    assert stio._read_coefficient_columns(path.read_text().splitlines()) is not None
     assert back.two_j_ref == 7
     assert back.kmax == 7
     assert np.array_equal(back.coeffs, s.coeffs)
@@ -287,6 +289,100 @@ def test_coefficient_errors_name_file_and_line(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         stio.read_coefficients(path)
+
+
+@st.composite
+def _coefficient_lines(draw):
+    """The lines of a valid coefficient file, in file order: the two header
+    comments, the column line, then the rows.  kmax is 0-12, rows other than
+    (0, 0) may be left out (they read as zero), values are finite in several
+    spellings, and rho_k0 is real."""
+    kmax = draw(st.integers(0, 12))
+    two_j_ref = kmax + draw(st.integers(0, 3))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+    spell = st.sampled_from([repr, "{:.17g}".format, "{:e}".format, " {!r} ".format])
+    rows = []
+    for k in range(kmax + 1):
+        for q in range(k + 1):
+            if (k, q) == (0, 0) or draw(st.integers(0, 9)):
+                im = draw(st.sampled_from([0.0, -0.0, 5e-324]) if q == 0 else value)
+                rows.append(f"{k},{q},{draw(spell)(draw(value))},{draw(spell)(im)}")
+    kmax_line = draw(st.sampled_from([f"# kmax = {kmax}", f"#kmax={kmax}"]))
+    return [f"# two_j_ref = {two_j_ref}", kmax_line, "k,q,re,im"] + rows
+
+
+def _coefficient_text(draw, lines):
+    # the lines in any order, comment and blank lines anywhere, sometimes a
+    # byte-order mark
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 4))):
+        extra = draw(st.sampled_from(["", "  ", "# a comment", "# kmax", "# note = 3",
+                                      "k,q,re,im"]))
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return draw(st.sampled_from(["", _BOM])) + "\n".join(lines) + "\n"
+
+
+def _same_state(a, b):
+    return ((a.two_j_ref, a.kmax) == (b.two_j_ref, b.kmax)
+            and a.coeffs.view(np.int64).tolist() == b.coeffs.view(np.int64).tolist())
+
+
+@_FILE_EXAMPLES
+@given(lines=_coefficient_lines(), data=st.data())
+def test_coefficient_reader_reads_what_the_line_by_line_rule_reads(tmp_path, lines, data):
+    path = tmp_path / "c.csv"
+    path.write_text(_coefficient_text(data.draw, lines), encoding="utf-8")
+    want = oracles.read_coefficients_by_line(path)
+    # a well-formed file is read by columns, bit for bit as line by line
+    columns = stio._read_coefficient_columns(path.read_text("utf-8-sig").splitlines())
+    assert columns is not None and _same_state(columns, want)
+    assert _same_state(stio.read_coefficients(path), want)
+
+
+def _coefficient_field(i, text):
+    # a fault that sets field i of one row to text
+    def fault(lines, draw):
+        at = draw(st.integers(3, len(lines) - 1))
+        fields = lines[at].split(",")
+        fields[i] = text
+        return lines[:at] + [",".join(fields)] + lines[at + 1:]
+    return fault
+
+
+_COEFFICIENT_FAULTS = {
+    "k not an integer": _coefficient_field(0, "x"),
+    "k beyond int64": _coefficient_field(0, str(2 ** 64)),
+    "k beyond kmax": _coefficient_field(0, "99"),
+    "q negative": _coefficient_field(1, "-1"),
+    "re not a number": _coefficient_field(2, "1.2.3"),
+    "re nan": _coefficient_field(2, "nan"),
+    "im infinite": _coefficient_field(3, "-inf"),
+    "rho_00 complex": lambda lines, d: [*lines[:3], lines[3].rsplit(",", 1)[0] + ",1e300",
+                                        *lines[4:]],
+    "three fields": lambda lines, d: lines + ["0,0,0.5"],
+    "five fields": lambda lines, d: lines[:3] + [lines[3] + ",0"] + lines[4:],
+    "repeated row": lambda lines, d: lines + [lines[d(st.integers(3, len(lines) - 1))]],
+    "repeated kmax header": lambda lines, d: lines + [lines[1]],
+    "no kmax header": lambda lines, d: lines[:1] + lines[2:],
+    "kmax above two_j_ref": lambda lines, d: lines[:1] + [
+        f"# kmax = {int(lines[0].split('=')[1]) + 1}"] + lines[2:],
+    "header not an integer": lambda lines, d: lines[:1] + ["# kmax = 2.0"] + lines[2:],
+}
+
+
+@_FILE_EXAMPLES
+@given(lines=_coefficient_lines(), fault=st.sampled_from(sorted(_COEFFICIENT_FAULTS)),
+       data=st.data())
+def test_coefficient_reader_agrees_with_the_line_by_line_rule(tmp_path, lines, fault, data):
+    # one fault in a well-formed file: the same error text as the oracle
+    path = tmp_path / "c.csv"
+    lines = _COEFFICIENT_FAULTS[fault](lines, data.draw)
+    path.write_text(_coefficient_text(data.draw, lines), encoding="utf-8")
+    with pytest.raises(ValueError) as want:
+        oracles.read_coefficients_by_line(path)
+    with pytest.raises(ValueError) as got:
+        stio.read_coefficients(path)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------- spectrum / grid / pgm
@@ -376,6 +472,9 @@ def written():
         "coefficients_kmax0": (stio.write_coefficients, maximally_mixed_state(4, kmax=0),
                                oracles.coefficients_text),
         "coefficients_kmax29": (stio.write_coefficients, recon, oracles.coefficients_text),
+        "spectrum": (stio.write_spectrum, power_spectrum(recon), oracles.spectrum_text),
+        "spectrum_edge_values": (stio.write_spectrum, [-0.0, 5e-324, 1e300, 1.0 / 3.0, 0.0],
+                                 oracles.spectrum_text),
         "measurements_sampled": (stio.write_measurements, records, oracles.measurements_text),
         "measurements_pending": (stio.write_measurements, pending, oracles.measurements_text),
     }
@@ -384,7 +483,7 @@ def written():
 @pytest.mark.parametrize("case", [
     "grid", "grid_edge_values", "pgm", "pgm_flat", "pgm_edge_values", "coefficients_kmax0",
     "coefficients_kmax29", "measurements_sampled", "measurements_pending", "squeezing",
-    "squeezing_edge_values"])
+    "squeezing_edge_values", "spectrum", "spectrum_edge_values"])
 def test_writers_match_per_value_text(tmp_path, written, case):
     write, obj, text = written[case]
     path = tmp_path / case
