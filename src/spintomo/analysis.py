@@ -211,7 +211,7 @@ class SqueezingReport:
     fit_failures: int
 
 
-def squeezing_scan(s, phis, sigma_n, j_mean):
+def squeezing_scan(s, phis, sigma_n, j_mean=None):
     """Scan projection variance over equatorial azimuths, report squeezing.
 
     One partial-wave pass gives p_m at every phi.  The direct variance
@@ -219,7 +219,8 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
     to rounding, as sum_m m^n tau_k vanishes for k > n), and the
     Gaussian-fit variance from a fit to the same p_m.  The imaging-noise
     floor sigma_n^2/2 is subtracted before normalizing by the
-    coherent-state reference j_mean/2.  Negative dB means spin squeezing.
+    coherent-state reference j_mean/2, where j_mean defaults to
+    two_j_ref/2.  Negative dB means spin squeezing.
     """
     if s.kmax < 2:
         raise ValueError("squeezing scan needs a state with kmax >= 2")
@@ -227,6 +228,7 @@ def squeezing_scan(s, phis, sigma_n, j_mean):
         raise ValueError("squeezing scan needs two_j_ref >= 4 for the 5 projections a Gaussian "
                          f"fit needs, got two_j_ref = {s.two_j_ref}")
     _check_noise("sigma_n", sigma_n)
+    j_mean = s.two_j_ref / 2.0 if j_mean is None else j_mean
     if not (math.isfinite(j_mean) and j_mean > 0.0):
         raise ValueError(f"j_mean must be finite and positive, got {j_mean}")
     two_j = s.two_j_ref

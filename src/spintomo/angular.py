@@ -28,7 +28,6 @@ __all__ = [
     "rot_elements_axis",
     "pochhammer_half",
     "hemi_overlap",
-    "hemi_overlap_matrix",
 ]
 
 _LNPI = math.log(math.pi)
@@ -280,47 +279,33 @@ def hemi_overlap(k, k_prime, q):
     """Northern-hemisphere overlap of two spherical harmonics of equal order.
 
     2 * Integral over the upper hemisphere of conj(Y_kq) Y_k'q; one entry
-    of :func:`hemi_overlap_matrix`.
+    of the fold's builder :func:`_hemi_overlap_orders`.
     """
     q = abs(int(q))
     if k < 0 or k_prime < 0 or q > min(k, k_prime):
         raise ValueError(f"invalid overlap index (k={k}, k'={k_prime}, q={q})")
     k, k_prime = int(k), int(k_prime)
-    return float(hemi_overlap_matrix(max(k, k_prime), q)[k, k_prime])
-
-
-def hemi_overlap_matrix(kmax, q):
-    """Matrix of hemispherical overlaps for fixed order q, degrees 0..kmax.
-
-    Equal degrees give 1 and degrees of equal parity (relative to q) give
-    exactly 0.  For ke - q even and ko - q odd the factorial closed form,
-    its odd double factorials written as n!! = (n+1)! / (2^((n+1)/2)
-    ((n+1)/2)!), collapses to central binomials c(n) = C(n, n/2) / 2^n:
-        s sqrt((2ke+1) c(ke+q) c(ke-q) (2ko+1) (ko+q+1) (ko-q) c(ko+q+1) c(ko-q-1))
-          / (|ke-ko| (ke+ko+1)),
-    s = (-1)^floor((ke-ko-1)/2) sign(ke-ko).  The matrix is the one-order
-    case of the builder that the fold runs on chunks of orders, so the
-    closed form is evaluated in one place: one log-Gamma vector,
-    ln c(2i) = ln Gamma(i+1/2) - ln Gamma(i+1) - ln(pi)/2, serves every
-    order of a chunk, and the other mixed block is the transpose of the
-    first.  Rows and columns below q are zero.
-    """
-    q = abs(int(q))
-    out = np.zeros((kmax + 1, kmax + 1))
-    out[q:, q:] = _hemi_overlap_orders(kmax, q, q + 1)[0]
-    return out
+    return float(_hemi_overlap_orders(max(k, k_prime), q, q + 1)[0, k - q, k_prime - q])
 
 
 def _hemi_overlap_orders(kmax, q0, q1):
-    """Overlap matrices of the orders q0..q1-1 over the degrees q0..kmax.
+    """Hemispherical overlap matrices of the orders q0..q1-1 over the degrees q0..kmax.
 
     out[i, k - q0, l - q0] is entry (k, l) of the order q0 + i, shape
-    (q1 - q0, kmax + 1 - q0, kmax + 1 - q0).
-    See :func:`hemi_overlap_matrix` for the closed form.  Each mixed entry
-    is the product of a row factor and a column factor, and its degree of
-    even parity (relative to q) takes the row factor, so one half-log per
-    (q, k) serves both mixed blocks.  Entries whose degrees lie below
-    their order come out as zeros.
+    (q1 - q0, kmax + 1 - q0, kmax + 1 - q0); entries whose degrees lie
+    below their order are zeros.  Equal degrees give 1 and degrees of
+    equal parity (relative to q) give exactly 0.  For ke - q even and
+    ko - q odd the factorial closed form, its odd double factorials
+    written as n!! = (n+1)! / (2^((n+1)/2) ((n+1)/2)!), collapses to
+    central binomials c(n) = C(n, n/2) / 2^n:
+        s sqrt((2ke+1) c(ke+q) c(ke-q) (2ko+1) (ko+q+1) (ko-q) c(ko+q+1) c(ko-q-1))
+          / (|ke-ko| (ke+ko+1)),
+    s = (-1)^floor((ke-ko-1)/2) sign(ke-ko).  This is the one place the
+    closed form is evaluated: one log-Gamma vector, ln c(2i) =
+    ln Gamma(i+1/2) - ln Gamma(i+1) - ln(pi)/2, serves every order of a
+    chunk.  Each mixed entry is the product of a row factor and a column
+    factor, and its degree of even parity (relative to q) takes the row
+    factor, so one half-log per (q, k) serves both mixed blocks.
     """
     i = np.arange(kmax + 1)
     ln_c = _lgamma(i + 0.5) - _lgamma(i + 1.0) - 0.5 * _LNPI    # ln c(2i)

@@ -15,7 +15,7 @@ import numpy as np
 from . import io as stio
 from .analysis import power_spectrum, squeezing_scan
 from .forward import NoiseModel, sample_measurements
-from .reconstruct import ReconstructionConfig, _axis_ids, reconstruct
+from .reconstruct import ReconstructionConfig, reconstruct
 from .states import (
     coherent_state,
     dicke_basis_state,
@@ -122,7 +122,6 @@ def _reconstruct_options(p):
     p.add_argument("measurements", help="input measurement CSV")
     p.add_argument("--mode", choices=("in-plane", "full-sphere"), default="in-plane")
     p.add_argument("--kmax", type=int)
-    p.add_argument("--weights", choices=("uniform", "voronoi"), default="voronoi")
     p.add_argument("--fold-north", dest="fold_north", action="store_true")
     p.add_argument("--two-j-ref", dest="two_j_ref", type=int)
     _add_noise_flags(p)
@@ -204,21 +203,14 @@ def _stem(path):
 
 def _cmd_reconstruct(args):
     records = stio.parse_measurements(args.measurements)
-    noise = _noise_from(args)
-    kmax = args.kmax
-    if kmax is None:
-        kmax = int(records.two_j.min())
-        if args.mode == "in-plane":
-            _, first, _ = _axis_ids(math.pi / 2.0, records.phi)
-            kmax = min(kmax, first.size - 1)
-    config = ReconstructionConfig(kmax=kmax, mode=args.mode, noise=noise,
+    config = ReconstructionConfig(kmax=args.kmax, mode=args.mode, noise=_noise_from(args),
                                   fold_north=args.fold_north, two_j_ref=args.two_j_ref)
-    state = reconstruct(records, config, weight_scheme=args.weights)
+    state = reconstruct(records, config)
 
     prefix = args.out or _stem(args.measurements)
     stio.write_coefficients(f"{prefix}_coeffs.csv", state)
     stio.write_spectrum(f"{prefix}_spectrum.csv", power_spectrum(state))
-    print(f"reconstructed kmax={kmax} mode={args.mode} fold_north={args.fold_north} "
+    print(f"reconstructed kmax={state.kmax} mode={args.mode} fold_north={args.fold_north} "
           f"two_j_ref={state.two_j_ref}")
     print(f"wrote {prefix}_coeffs.csv, {prefix}_spectrum.csv")
     return 0
@@ -227,9 +219,8 @@ def _cmd_reconstruct(args):
 def _cmd_analyze(args):
     state = stio.read_coefficients(args.coefficients)
     sigma_n = args.sigma_n
-    j_mean = state.two_j_ref / 2.0 if args.j_mean is None else args.j_mean
     phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, args.phi_steps)
-    report = squeezing_scan(state, phis, sigma_n, j_mean)
+    report = squeezing_scan(state, phis, sigma_n, args.j_mean)
     if report.fit_failures == len(report.variance_curve):
         raise NumericalFailure("Gaussian fit failed along every quantization axis")
 

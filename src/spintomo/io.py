@@ -196,7 +196,7 @@ def read_coefficients(path):
                 re, im = float(parts[2]), float(parts[3])
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise ValueError(f"non-finite coefficient ({k}, {q})")
-                rows[k, q] = (re + 1j * im, lineno)
+                rows[k, q] = (complex(re, im), lineno)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(header) < 2:
@@ -242,7 +242,7 @@ def _read_coefficient_columns(lines):
                 and np.all((0 <= q) & (q <= k) & (k <= kmax)) and np.isfinite(parts).all()):
             return None
         coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-        coeffs[k, kmax + q] = re + 1j * im
+        coeffs.real[k, kmax + q], coeffs.imag[k, kmax + q] = re, im  # keeps signed zeros
         _mirror_negative_q(coeffs, kmax)
         return SphericalState(two_j_ref, kmax, coeffs)
     except (KeyError, ValueError, OverflowError):

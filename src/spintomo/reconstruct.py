@@ -61,18 +61,20 @@ class ReconstructionConfig:
 
     kmax bounds the reconstructed partial waves (in in-plane mode it must
     stay below the number of distinct axes for the discrete orthogonality
-    to hold); two_j_ref fixes the reference spin of the output state and
-    defaults to the rounded mean of the record spins.
+    to hold); None lets the backprojection take the smallest record spin,
+    capped in-plane at one below the number of distinct axes.  two_j_ref
+    fixes the reference spin of the output state and defaults to the
+    rounded mean of the record spins.
     """
 
-    kmax: int
+    kmax: int | None = None
     mode: str = "in-plane"
     noise: NoiseModel = NoiseModel()
     fold_north: bool = False
     two_j_ref: int | None = None
 
     def __post_init__(self):
-        if self.kmax < 0:
+        if self.kmax is not None and self.kmax < 0:
             raise ValueError("kmax must be non-negative")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
@@ -159,28 +161,22 @@ def _axis_ids(theta, phi):
     return axis[inverse], first[roots], flip[inverse]
 
 
-def compute_weights(records, mode, scheme="voronoi"):
-    """Assign homogenizing weights c_n (sum 1) to measurement records.
+def compute_weights(records, mode):
+    """Assign homogenizing Voronoi weights c_n (sum 1) to measurement records.
 
-    The "voronoi" scheme gives each distinct axis the share of orientation
-    space it covers (arc length on the half-circle in in-plane mode,
-    antipodally-folded spherical cell area otherwise), which depends only
-    on the axis layout, never on the outcomes.  Each axis's share is split
-    among its records in proportion to their incoming weights, so the c_a
-    p_m of :func:`exact_records` keep their p_m; when any weight is
-    pending (NaN) it is split equally.  "uniform" sets every weight to 1/M.
-    Returns the records as a Records with the new weight column.
+    Each distinct axis gets the share of orientation space it covers (arc
+    length on the half-circle in in-plane mode, antipodally-folded
+    spherical cell area otherwise), which depends only on the axis
+    layout, never on the outcomes.  Each axis's share is split among its
+    records in proportion to their incoming weights, so the c_a p_m of
+    :func:`exact_records` keep their p_m; when any weight is pending (NaN)
+    it is split equally.  Returns the records as a Records with the new
+    weight column.
     """
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}")
     records = Records.of(records)
     theta, phi, weight = records.theta, records.phi, records.weight
-    n = len(records)
-    if scheme == "uniform":
-        return replace(records, weight=np.full(n, 1.0 / n))
-    if scheme != "voronoi":
-        raise ValueError(f"unknown weight scheme {scheme!r}")
-
     if mode == "in-plane":
         axis, first, _ = _axis_ids(math.pi / 2.0, phi)
         axis_w = _circle_arc_weights(np.mod(phi[first], math.pi), math.pi)
@@ -249,12 +245,14 @@ def _backproject(records, config):
     inplane = config.mode == "in-plane"
     if inplane and np.abs(theta - math.pi / 2.0).max() > _EQUATOR_TOL:
         raise ValueError("in-plane reconstruction requires all axes on the equator")
+    axis, first, flip = _axis_ids(math.pi / 2.0 if inplane else theta, phi)
+    n_axes = first.size
     kmax = config.kmax
+    if kmax is None:  # the data run out at the smallest record spin, and in-plane at k = A - 1
+        kmax = min(int(two_j.min()), n_axes - 1 if inplane else math.inf)
     two_j_ref = _resolve_two_j_ref(config, two_j)
     if kmax > two_j_ref:
         raise ValueError(f"kmax = {kmax} exceeds two_j_ref = {two_j_ref}")
-    axis, first, flip = _axis_ids(math.pi / 2.0 if inplane else theta, phi)
-    n_axes = first.size
     if inplane and kmax >= n_axes:
         raise ValueError(
             f"kmax = {kmax} not below the {n_axes} distinct axes; the discrete "
@@ -379,9 +377,11 @@ def apply_uniform_damping(s, noise, two_j=None):
 
 
 def reconstruct(records, config, weight_scheme="voronoi"):
-    """Weight, backproject, and optionally fold: the full inverse pipeline."""
-    if weight_scheme != "keep":
-        records = compute_weights(records, config.mode, scheme=weight_scheme)
+    """Weight ("voronoi", or "keep" the records' own), backproject, and optionally fold."""
+    if weight_scheme == "voronoi":
+        records = compute_weights(records, config.mode)
+    elif weight_scheme != "keep":
+        raise ValueError(f"unknown weight scheme {weight_scheme!r}")
     if config.mode == "in-plane":
         state = fbp_inplane(records, config)
     else:

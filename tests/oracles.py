@@ -697,7 +697,7 @@ def read_coefficients_by_line(path):
     """Coefficient CSV read line by line: the SphericalState, or ValueError naming
     ``path:line``.
 
-    Each row's value is ``re + 1j * im`` of its two float fields, set at
+    Each row's value is ``complex(re, im)`` of its two float fields, set at
     (k, kmax + q) of a zero array; the q < 0 half is the mirror of q > 0.
     """
     from spintomo.angular import _mirror_negative_q
@@ -726,7 +726,7 @@ def read_coefficients_by_line(path):
                 re, im = float(parts[2]), float(parts[3])
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise ValueError(f"non-finite coefficient ({k}, {q})")
-                rows[k, q] = (re + 1j * im, lineno)
+                rows[k, q] = (complex(re, im), lineno)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if len(header) < 2:

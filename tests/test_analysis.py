@@ -354,6 +354,14 @@ def test_scan_direct_variance_equals_moments(shape):
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
 
+def test_scan_default_reference_spin_is_half_two_j_ref():
+    # j_mean=None takes two_j_ref / 2, as analyze does without --j-mean
+    state = _workload_state("paper")
+    got = squeezing_scan(state, _SCAN_PHIS, 2.0)
+    assert got == squeezing_scan(state, _SCAN_PHIS, 2.0, state.two_j_ref / 2.0)
+    assert got.v_coh == 10.0
+
+
 def test_scan_coherent_is_zero_db():
     s = coherent_state(40, 0.0, 0.0, 0.0, kmax=40)
     phis = np.linspace(-math.pi / 2.0, math.pi / 2.0, 25)

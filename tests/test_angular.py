@@ -9,7 +9,6 @@ from spintomo.angular import (
     _hemi_overlap_orders,
     cg_tau_table,
     hemi_overlap,
-    hemi_overlap_matrix,
     legendre_sph_table,
     pochhammer_half,
     rot_elements_axis,
@@ -357,9 +356,16 @@ def test_hemi_overlap_against_quadrature():
                 assert hemi_overlap(k, kp, q) == pytest.approx(want, abs=1e-10)
 
 
+def _overlap_matrix(kmax, q):
+    # the builder's matrix of order q over the degrees 0..kmax, zero below q
+    out = np.zeros((kmax + 1, kmax + 1))
+    out[q:, q:] = _hemi_overlap_orders(kmax, q, q + 1)[0]
+    return out
+
+
 def test_hemi_overlap_symmetry_and_matrix():
     for q in range(6):
-        mat = hemi_overlap_matrix(25, q)
+        mat = _overlap_matrix(25, q)
         assert np.allclose(mat, mat.T, atol=0.0)
         for k in range(q, 26):
             for kp in range(q, 26):
@@ -376,7 +382,7 @@ def test_hemi_overlap_matrix_large_kmax_against_quadrature():
     kmax = 120
     tables = oracles.hemi_overlap_tables_quadrature(kmax, n=128)
     for q in range(kmax + 1):
-        mat = hemi_overlap_matrix(kmax, q)
+        mat = _overlap_matrix(kmax, q)
         assert np.array_equal(mat, mat.T), q
         assert np.all(np.diag(mat)[q:] == 1.0), q
         assert np.abs(mat - tables[q]).max() < 1e-11, q
@@ -384,8 +390,8 @@ def test_hemi_overlap_matrix_large_kmax_against_quadrature():
 
 @pytest.mark.parametrize("kmax", [23, 29, 60])
 def test_hemi_overlap_chunk_builder_equals_matrix_bitwise(kmax):
-    # every chunking of the orders, down to one order a chunk, gives the
-    # matrices of hemi_overlap_matrix bit for bit, zeros below the order included
+    # every chunking of the orders gives the matrices of the one-order chunks
+    # bit for bit, zeros below the order included
     for size in (1, 3, 7, kmax + 1):
         for q0 in range(0, kmax + 1, size):
             q1 = min(q0 + size, kmax + 1)
@@ -394,7 +400,7 @@ def test_hemi_overlap_chunk_builder_equals_matrix_bitwise(kmax):
             for i, q in enumerate(range(q0, q1)):
                 got = np.zeros((kmax + 1, kmax + 1))
                 got[q0:, q0:] = block[i]
-                assert got.tobytes() == hemi_overlap_matrix(kmax, q).tobytes(), (size, q)
+                assert got.tobytes() == _overlap_matrix(kmax, q).tobytes(), (size, q)
 
 
 # ---------------------------------------------------------------- legendre_sph internals

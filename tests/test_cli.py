@@ -116,6 +116,33 @@ def test_reconstruct_default_kmax_counts_near_duplicate_azimuths_once(workdir, c
     assert "reconstructed kmax=11 " in capsys.readouterr().out
 
 
+def test_reconstruct_default_kmax_of_a_spin_zero_record_is_zero(workdir, capsys):
+    # number noise draws a record with 2j = 0, so the smallest spin gives kmax 0,
+    # and the CLI's run is the library's with that kmax written out
+    assert run("simulate", "--two-j", "4", "--sigma-n", "4", "--axes", "3", "--shots", "20",
+               "--seed", "2") == 0
+    assert run("reconstruct", "measurements.csv", "--out", "r") == 0
+    assert "reconstructed kmax=0 " in capsys.readouterr().out
+    records = stio.parse_measurements("measurements.csv")
+    assert records.two_j.min() == 0
+    stio.write_coefficients("want.csv", reconstruct(records, ReconstructionConfig(kmax=0)))
+    assert Path("r_coeffs.csv").read_bytes() == Path("want.csv").read_bytes()
+
+
+def test_weights_are_not_a_reconstruct_setting(workdir, capsys):
+    # Voronoi is the only weighting: neither the flag nor the config key exists
+    assert run("simulate", "--two-j", "8", "--axes", "4", "--shots", "5") == 0
+    with pytest.raises(SystemExit) as exc:
+        run("reconstruct", "measurements.csv", "--weights", "voronoi")
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --weights voronoi" in capsys.readouterr().err
+    with open("r.cfg", "w") as fh:
+        fh.write("weights = voronoi\n")
+    assert run("reconstruct", "measurements.csv", "--config", "r.cfg") == 2
+    assert "error: r.cfg: unknown key 'weights'\n" == capsys.readouterr().err
+    assert sorted(os.listdir()) == ["measurements.csv", "r.cfg"]
+
+
 def test_reconstruct_writes_coefficients_and_spectrum_only(workdir, capsys):
     assert run("simulate", "--two-j", "20", "--axes", "8", "--shots", "20", "--seed", "2",
                "--out", "m.csv") == 0

@@ -241,6 +241,26 @@ def test_coefficients_round_trip_lossless(tmp_path):
     assert np.array_equal(back.coeffs, s.coeffs)
 
 
+def test_coefficients_round_trip_keeps_signed_zeros(tmp_path):
+    # a coherent state on the pole writes 26 real parts as "-0"; each part is
+    # set apart (complex(re, im)), so the sign survives: re + 1j * im loses it
+    path = tmp_path / "c.csv"
+    polar = coherent_state(40, 0.0, 0.0, 0.0, kmax=26)
+    stio.write_coefficients(path, polar)
+    assert path.read_text().count(",-0,") == 26
+    for back in (stio.read_coefficients(path), oracles.read_coefficients_by_line(path)):
+        assert back.coeffs.view(np.int64).tolist() == polar.coeffs.view(np.int64).tolist()
+    # off the pole every stored entry (q >= 0) and its mirror come back bit for
+    # bit; the -0 zeros outside |q| <= k that the state builder leaves are not stored
+    s = coherent_state(40, 1.0, 0.3, 0.0, kmax=26)
+    stio.write_coefficients(path, s)
+    back = stio.read_coefficients(path)
+    k, q = np.tril_indices(27)
+    for cols in (26 + q, 26 - q):
+        assert back.coeffs[k, cols].view(np.int64).tolist() == (
+            s.coeffs[k, cols].view(np.int64).tolist())
+
+
 def test_coefficients_missing_header(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("k,q,re,im\n0,0,1.0,0.0\n")

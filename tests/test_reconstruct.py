@@ -196,12 +196,6 @@ def test_weights_pending_or_zero():
         compute_weights(zero, "in-plane")
 
 
-def test_weights_uniform_scheme():
-    recs = Records.of([(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)])
-    out = compute_weights(recs, "in-plane", scheme="uniform")
-    assert out.weight.tolist() == pytest.approx([0.2] * 5)
-
-
 def test_weights_full_sphere_symmetric_axes():
     # orthogonal triad: each axis covers a third of orientation space
     axes = [(0.0, 0.0), (math.pi / 2.0, 0.0), (math.pi / 2.0, math.pi / 2.0)]
@@ -227,10 +221,14 @@ def test_weights_full_sphere_coplanar_falls_back_to_arcs():
 
 
 def test_weights_check_mode_before_scheme():
+    # weights are Voronoi only: reconstruct knows "voronoi" and "keep"
     recs = Records.of([(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)])
-    for scheme in ("uniform", "voronoi"):
-        with pytest.raises(ValueError, match="mode must be one of"):
-            compute_weights(recs, "bogus", scheme=scheme)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        compute_weights(recs, "bogus")
+    cfg = ReconstructionConfig(kmax=2)
+    for scheme in ("uniform", "Voronoi", None):
+        with pytest.raises(ValueError, match="unknown weight scheme"):
+            reconstruct(recs, cfg, weight_scheme=scheme)
 
 
 def test_weights_degenerate_axes_error():
@@ -314,6 +312,39 @@ def test_axis_ids_match_brute_force_grouping(layout):
         assert np.array_equal(axis[:, None] == axis[None, :], want[:, None] == want[None, :])
         assert np.array_equal(want[first[axis]], want)
         assert np.array_equal(flip, np.einsum("ij,ij->i", u, u[first[axis]]) < 0.0)
+
+
+def _rule_kmax(recs, mode):
+    # the default kmax written out: the smallest record spin, and in-plane
+    # one below the number of distinct axes
+    kmax = int(recs.two_j.min())
+    if mode == "in-plane":
+        _, first, _ = _axis_ids(math.pi / 2.0, recs.phi)
+        kmax = min(kmax, first.size - 1)
+    return kmax
+
+
+@pytest.mark.parametrize("mode, n_axes, want", [
+    ("in-plane", 12, 11), ("in-plane", 40, 12), ("full-sphere", 8, 12)])
+def test_default_kmax_is_the_written_rule(mode, n_axes, want):
+    # kmax=None gives the run with the rule's kmax bit for bit, in-plane also
+    # after the fold: there the axes bind at 12 axes and the spins at 40, and
+    # the sphere has no axis bound
+    s = coherent_state(20, 0.4, 0.9, 0.0, kmax=20)
+    if mode == "in-plane":
+        axes = _plane_axes(n_axes)
+    else:
+        axes = [(math.acos((i + 0.5) / n_axes), 2.4 * i) for i in range(n_axes)]
+    noise = NoiseModel(sigma_n=2.0)
+    recs = sample_measurements(s, axes, 20, noise, seed=3)
+    kmax = _rule_kmax(recs, mode)
+    assert kmax == want
+    fold = mode == "in-plane"
+    got = reconstruct(recs, ReconstructionConfig(mode=mode, noise=noise, fold_north=fold))
+    ref = reconstruct(recs, ReconstructionConfig(kmax=kmax, mode=mode, noise=noise,
+                                                 fold_north=fold))
+    assert (got.two_j_ref, got.kmax) == (ref.two_j_ref, kmax)
+    assert got.coeffs.tobytes() == ref.coeffs.tobytes()
 
 
 # ---------------------------------------------------------------- damping
