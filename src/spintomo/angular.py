@@ -243,6 +243,18 @@ def _mirror_negative_q(coeffs, kmax):
     coeffs[:, kmax - 1::-1] = sign[None, :] * np.conj(coeffs[:, kmax + 1:])
 
 
+def _from_half(half):
+    """The (kmax+1, 2*kmax+1) array, q = column - kmax, of a (kmax+1, kmax+1) q >= 0
+    half: half[k, q] for 0 <= q <= k, its mirror (-1)^q conj(half[k, q]) at -q, and +0
+    elsewhere.  Halves that agree for q <= k thus give the same array bit for bit;
+    every state and the rotation elements are built from their q >= 0 half here."""
+    kmax = len(half) - 1
+    out = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    out[:, kmax:] = np.tril(half)  # q > k set to +0
+    _mirror_negative_q(out, kmax)
+    return out
+
+
 def rot_elements_axis(kmax, theta, phi):
     """Rotation elements D^k_{q0}(phi, theta, 0) for all k <= kmax, |q| <= k.
 
@@ -257,10 +269,7 @@ def rot_elements_axis(kmax, theta, phi):
     k = np.arange(kmax + 1, dtype=float)
     scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))
     q = np.arange(kmax + 1)
-    out = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    out[:, kmax:] = scale[:, None] * S * np.exp(-1j * q[None, :] * phi)
-    _mirror_negative_q(out, kmax)
-    return out
+    return _from_half(scale[:, None] * S * np.exp(-1j * q[None, :] * phi))
 
 
 def pochhammer_half(a):

@@ -108,10 +108,11 @@ def _simulate_options(p):
     p.add_argument("--phi0", type=float, default=0.0, help="state azimuth (coherent)")
     p.add_argument("--kmax", type=int, help="state truncation (default 2j)")
     p.add_argument("--axes", type=int, default=24, help="number of quantization axes")
-    p.add_argument("--axis-plane", action="store_true",
-                   help="equally spaced axes on the equator (default)")
-    p.add_argument("--axis-sphere", action="store_true",
-                   help="Fibonacci-spread axes over the upper hemisphere")
+    layout = p.add_mutually_exclusive_group()
+    layout.add_argument("--axis-plane", dest="axis_layout", action="store_const", const="plane",
+                        default="plane", help="equally spaced axes on the equator (default)")
+    layout.add_argument("--axis-sphere", dest="axis_layout", action="store_const",
+                        const="sphere", help="Fibonacci-spread axes over the upper hemisphere")
     p.add_argument("--shots", type=int, default=400, help="measurements per axis")
     p.add_argument("--seed", type=int, default=0, help="RNG seed")
     _add_noise_flags(p)
@@ -188,9 +189,7 @@ def _cmd_simulate(args):
     else:
         state = maximally_mixed_state(two_j, kmax)
 
-    if args.axis_plane and args.axis_sphere:
-        raise ValueError("--axis-plane and --axis-sphere are mutually exclusive")
-    axes = _simulate_axes("sphere" if args.axis_sphere else "plane", args.axes)
+    axes = _simulate_axes(args.axis_layout, args.axes)
     records = sample_measurements(state, axes, args.shots, _noise_from(args), args.seed)
     stio.write_measurements(args.out, records)
     print(f"wrote {len(records)} records to {args.out}")

@@ -2,7 +2,9 @@
 
 All angles are stored in radians, all spins as doubled integers, and all
 floats with 17 significant digits so that write -> parse round trips are
-lossless.  Writes are atomic (temp file then rename).
+lossless.  A coefficient file holds a state's q >= 0 half, which the reader
+hands to the producers' builder (angular._from_half): every state's round
+trip is bitwise, signed zeros included.  Writes are atomic (temp file then rename).
 """
 
 import math
@@ -12,7 +14,7 @@ import tempfile
 import numpy as np
 
 from .analysis import _squeezing_db
-from .angular import _mirror_negative_q
+from .angular import _from_half
 from .forward import Records, _check_row
 from .states import SphericalState
 
@@ -153,8 +155,8 @@ def write_measurements(path, records):
 def write_coefficients(path, state):
     """Write a partial-wave state as CSV ``k,q,re,im``.
 
-    Only q >= 0 rows are stored; the q < 0 half is implied by the
-    reality invariant and restored on read.
+    Only the 0 <= q <= k rows are stored; the q < 0 half is implied by
+    the reality invariant and restored on read.
     """
     kmax = state.kmax
     k, q = np.tril_indices(kmax + 1)
@@ -204,14 +206,13 @@ def read_coefficients(path):
     (two_j_ref, _), (kmax, kmax_line) = header["two_j_ref"], header["kmax"]
     if not 0 <= kmax <= two_j_ref:
         raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} outside 0..two_j_ref = {two_j_ref}")
-    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
     for (k, q), (value, lineno) in rows.items():
         if not (0 <= k <= kmax and 0 <= q <= k):
             raise ValueError(f"{path}:{lineno}: coefficient ({k}, {q}) out of range")
-        coeffs[k, kmax + q] = value
-    _mirror_negative_q(coeffs, kmax)
+        half[k, q] = value
     try:
-        return SphericalState(two_j_ref, kmax, coeffs)
+        return SphericalState(two_j_ref, kmax, _from_half(half))
     except ValueError as exc:
         # the rows are in range and mirrored, so what the state refuses is a
         # complex rho_k0: name the row with the largest imaginary part
@@ -236,15 +237,14 @@ def _read_coefficient_columns(lines):
         two_j_ref, kmax = dict(header)["two_j_ref"], dict(header)["kmax"]
         k, q = np.fromiter(map(int, fields[0::5] + fields[1::5]), np.int64).reshape(2, -1)
         re, im = parts = np.fromiter(map(float, fields[2::5] + fields[3::5]), float).reshape(2, -1)
-        # each row's flat index in coeffs: sorted, a repeated (k, q) meets its twin
-        at = np.sort(k * (2 * kmax + 1) + (kmax + q))
+        # each row's flat index in the half: sorted, a repeated (k, q) meets its twin
+        at = np.sort(k * (kmax + 1) + q)
         if not (len(header) == 2 and 0 <= kmax <= two_j_ref and np.all(at[1:] != at[:-1])
                 and np.all((0 <= q) & (q <= k) & (k <= kmax)) and np.isfinite(parts).all()):
             return None
-        coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-        coeffs.real[k, kmax + q], coeffs.imag[k, kmax + q] = re, im  # keeps signed zeros
-        _mirror_negative_q(coeffs, kmax)
-        return SphericalState(two_j_ref, kmax, coeffs)
+        half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
+        half.real[k, q], half.imag[k, q] = re, im  # keeps signed zeros
+        return SphericalState(two_j_ref, kmax, _from_half(half))
     except (KeyError, ValueError, OverflowError):
         return None
 

@@ -26,8 +26,8 @@ import numpy as np
 from .angular import (
     SQRT_4PI,
     _check_cos,
+    _from_half,
     _hemi_overlap_orders,
-    _mirror_negative_q,
     cg_tau_table,
     check_spin_label,
     legendre_sph_table,
@@ -161,6 +161,14 @@ def _axis_ids(theta, phi):
     return axis[inverse], first[roots], flip[inverse]
 
 
+def _on_equator(theta):
+    """pi / 2, the polar angle that groups in-plane axes; raises unless every theta lies
+    within _EQUATOR_TOL of it (one check for the weights and the backprojection)."""
+    if np.abs(theta - math.pi / 2.0).max() > _EQUATOR_TOL:
+        raise ValueError("in-plane reconstruction requires all axes on the equator")
+    return math.pi / 2.0
+
+
 def compute_weights(records, mode):
     """Assign homogenizing Voronoi weights c_n (sum 1) to measurement records.
 
@@ -178,7 +186,7 @@ def compute_weights(records, mode):
     records = Records.of(records)
     theta, phi, weight = records.theta, records.phi, records.weight
     if mode == "in-plane":
-        axis, first, _ = _axis_ids(math.pi / 2.0, phi)
+        axis, first, _ = _axis_ids(_on_equator(theta), phi)
         axis_w = _circle_arc_weights(np.mod(phi[first], math.pi), math.pi)
     else:
         axis, first, _ = _axis_ids(theta, phi)
@@ -243,9 +251,7 @@ def _backproject(records, config):
     if np.any(np.isnan(weight)):
         raise ValueError("records carry pending weights; run compute_weights first")
     inplane = config.mode == "in-plane"
-    if inplane and np.abs(theta - math.pi / 2.0).max() > _EQUATOR_TOL:
-        raise ValueError("in-plane reconstruction requires all axes on the equator")
-    axis, first, flip = _axis_ids(math.pi / 2.0 if inplane else theta, phi)
+    axis, first, flip = _axis_ids(_on_equator(theta) if inplane else theta, phi)
     n_axes = first.size
     kmax = config.kmax
     if kmax is None:  # the data run out at the smallest record spin, and in-plane at k = A - 1
@@ -289,11 +295,9 @@ def _backproject(records, config):
         half += np.einsum("kqa,ka->kq", S * E[None, :, sl], A[:, sl])
 
     scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))          # D^k_{q0} = scale conj(Y_kq)
-    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    coeffs[:, kmax:] = filt * scale[:, None] * half
-    coeffs[0, kmax] = coeffs[0, kmax].real
-    _mirror_negative_q(coeffs, kmax)
-    return SphericalState(two_j_ref, kmax, coeffs)
+    half *= filt * scale[:, None]
+    half[0, 0] = half[0, 0].real
+    return SphericalState(two_j_ref, kmax, _from_half(half))
 
 
 def fbp_full(records, config):
@@ -332,17 +336,14 @@ def fold_northern(s):
     the chunking.
     """
     kmax = s.kmax
-    coeffs = np.zeros_like(s.coeffs)
+    half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
     for sl in _chunks(kmax + 1, (kmax + 1) ** 2):
-        orders = range(kmax + 1)[sl]
-        q0, q1 = orders.start, orders.stop
-        cols = slice(kmax + q0, kmax + q1)
+        q0, q1 = sl.start, min(sl.stop, kmax + 1)
         # U[q, k, k'] over the degrees from q0; one chunk's U is alive at a time
-        coeffs[q0:, cols] = np.einsum("qkl,lq->kq", _hemi_overlap_orders(kmax, q0, q1),
-                                      s.coeffs[q0:, cols])
-    coeffs[0, kmax] = coeffs[0, kmax].real
-    _mirror_negative_q(coeffs, kmax)
-    return SphericalState(s.two_j_ref, kmax, coeffs)
+        half[q0:, q0:q1] = np.einsum("qkl,lq->kq", _hemi_overlap_orders(kmax, q0, q1),
+                                     s.coeffs[q0:, kmax + q0:kmax + q1])
+    half[0, 0] = half[0, 0].real
+    return SphericalState(s.two_j_ref, kmax, _from_half(half))
 
 
 def xi_contribution(two_j, two_m, x, kmax):
@@ -369,11 +370,10 @@ def uniform_damping_alpha(noise, two_j):
     return _damping_alpha(two_j, noise.sigma_n, noise.sigma_omega)
 
 
-def apply_uniform_damping(s, noise, two_j=None):
-    """Globally smooth a state as if every record carried the same noise."""
-    two_j = s.two_j_ref if two_j is None else two_j
-    factor = _damping(two_j, s.kmax, noise.sigma_n, noise.sigma_omega)
-    return SphericalState(s.two_j_ref, s.kmax, s.coeffs * factor[:, None])
+def apply_uniform_damping(s, noise):
+    """Globally smooth a state as if every record of spin two_j_ref carried the same noise."""
+    factor = _damping(s.two_j_ref, s.kmax, noise.sigma_n, noise.sigma_omega)
+    return SphericalState(s.two_j_ref, s.kmax, _from_half(s.coeffs[:, s.kmax:] * factor[:, None]))
 
 
 def reconstruct(records, config, weight_scheme="voronoi"):

@@ -18,6 +18,7 @@ import numpy as np
 from .angular import (
     _check_angles,
     _coupling_table,
+    _from_half,
     _mirror_negative_q,
     _sectoral_seeds,
     _sph_rows,
@@ -55,7 +56,9 @@ class SphericalState:
     total spin (doubled) used wherever j-dependent prefactors are needed;
     ``kmax`` records the truncation and every consumer must respect it.
     States are immutable and Hermitian by construction: the constructor
-    runs :meth:`validate`, so W is real and evaluators read only q >= 0.
+    checks the reality invariant rho_{k,-q} = (-1)^q conj(rho_kq), so W is
+    real and evaluators read only q >= 0.  Every producer in the package
+    builds its array from the q >= 0 half with ``angular._from_half``.
     """
 
     two_j_ref: int
@@ -66,37 +69,29 @@ class SphericalState:
         check_spin_label(self.two_j_ref, self.two_j_ref % 2)
         if not 0 <= self.kmax <= self.two_j_ref:
             raise ValueError(f"kmax = {self.kmax} outside 0..two_j_ref = {self.two_j_ref}")
-        coeffs = np.asarray(self.coeffs, dtype=complex)
+        coeffs = np.array(self.coeffs, dtype=complex)  # a copy, made read-only below
         if coeffs.shape != (self.kmax + 1, 2 * self.kmax + 1):
             raise ValueError(f"coefficient array has shape {coeffs.shape}, "
                              f"expected {(self.kmax + 1, 2 * self.kmax + 1)}")
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficient array contains non-finite entries")
-        coeffs = coeffs.copy()
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        self.validate()
-
-    def validate(self):
-        """Check the reality invariant rho_{k,-q} = (-1)^q conj(rho_kq).
-
-        That is, the q < 0 half mirrors the q > 0 half and every rho_k0 is
-        real, within 1e-10 * max(1, max |rho_kq|); entries outside |q| <= k
-        must be zero.  Runs on construction.
-        """
-        tol = 1e-10 * max(1.0, float(np.abs(self.coeffs).max(initial=0.0)))
-        imag = np.abs(self.coeffs[:, self.kmax].imag).max()
+        # the q < 0 half mirrors the q > 0 half and every rho_k0 is real, within
+        # 1e-10 * max(1, max |rho_kq|); entries outside |q| <= k are zero
+        tol = 1e-10 * max(1.0, float(np.abs(coeffs).max(initial=0.0)))
+        imag = np.abs(coeffs[:, self.kmax].imag).max()
         if imag > tol:
             raise ValueError(f"rho_k0 is not real: imaginary part {imag:.3g}")
-        mirrored = self.coeffs.copy()
+        mirrored = coeffs.copy()
         _mirror_negative_q(mirrored, self.kmax)
-        err = np.abs(self.coeffs - mirrored).max()
+        err = np.abs(coeffs - mirrored).max()
         if err > tol:
             raise ValueError(f"reality invariant violated by {err:.3g}")
         k = np.arange(self.kmax + 1)[:, None]
         qq = np.abs(np.arange(-self.kmax, self.kmax + 1))[None, :]
-        if np.abs(np.where(qq > k, self.coeffs, 0.0)).max(initial=0.0) > 0.0:
+        if np.abs(np.where(qq > k, coeffs, 0.0)).max(initial=0.0) > 0.0:
             raise ValueError("nonzero coefficient outside |q| <= k")
+        coeffs.flags.writeable = False
+        object.__setattr__(self, "coeffs", coeffs)
 
 
 @dataclass(frozen=True)
@@ -166,14 +161,13 @@ def dicke_to_spherical(d, kmax):
     two_j = d.two_j
     if not 0 <= kmax <= two_j:
         raise ValueError(f"kmax = {kmax} outside 0..two_j = {two_j}")
-    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
     for q in range(kmax + 1):
         two_m, t = _coupling_table(two_j, q, kmax)
         i = (two_m + two_j) // 2
-        coeffs[:, kmax + q] = t @ d.matrix[i, i - q]
-    coeffs[:, kmax] = coeffs[:, kmax].real  # the diagonal of a Hermitian matrix
-    _mirror_negative_q(coeffs, kmax)
-    return SphericalState(two_j, kmax, coeffs)
+        half[:, q] = t @ d.matrix[i, i - q]
+    half[:, 0] = half[:, 0].real  # the diagonal of a Hermitian matrix
+    return SphericalState(two_j, kmax, _from_half(half))
 
 
 def spherical_to_dicke(s):
@@ -350,25 +344,24 @@ def coherent_state(two_j, theta0, phi0, sigma_n=0.0, kmax=None):
     tau = cg_tau_table(two_j, kmax)
     pole = tau[:, two_j] * _damping(two_j, kmax, sigma_n)
     D = rot_elements_axis(kmax, theta0, phi0)
-    coeffs = D * pole[:, None]
-    return SphericalState(two_j, kmax, coeffs)
+    return SphericalState(two_j, kmax, _from_half(D[:, kmax:] * pole[:, None]))
 
 
 def dicke_basis_state(two_j, two_m, kmax):
     """Pure Dicke state |j, m><j, m| as partial waves (q = 0 only)."""
     check_spin_label(two_j, two_m)
     tau = cg_tau_table(two_j, kmax)
-    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    coeffs[:, kmax] = tau[:, (two_m + two_j) // 2]
-    return SphericalState(two_j, kmax, coeffs)
+    half = np.zeros((kmax + 1, kmax + 1))
+    half[:, 0] = tau[:, (two_m + two_j) // 2]
+    return SphericalState(two_j, kmax, _from_half(half))
 
 
 def maximally_mixed_state(two_j, kmax=0):
     """Isotropic state: rho_00 = (2j+1)^(-1/2), all higher waves zero."""
     check_spin_label(two_j, two_j % 2)
-    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
-    coeffs[0, kmax] = 1.0 / math.sqrt(two_j + 1.0)
-    return SphericalState(two_j, kmax, coeffs)
+    half = np.zeros((kmax + 1, kmax + 1))
+    half[0, 0] = 1.0 / math.sqrt(two_j + 1.0)
+    return SphericalState(two_j, kmax, _from_half(half))
 
 
 def oat_squeezed_state(two_j, chi, kmax):

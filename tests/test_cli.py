@@ -445,6 +445,26 @@ def test_simulate_sphere_layout_and_full_sphere_reconstruction(workdir):
     assert oracles.coeff(state, 0, 0).real == pytest.approx(1.0 / math.sqrt(21.0), rel=1e-9)
 
 
+def test_simulate_axis_layout_flags_exclude_each_other(workdir, capsys):
+    common = ("simulate", "--two-j", "4", "--axes", "5", "--shots", "2", "--seed", "1")
+    with pytest.raises(SystemExit) as exc:
+        run(*common, "--axis-plane", "--axis-sphere", "--out", "both.csv")
+    assert exc.value.code == 2
+    assert "--axis-sphere: not allowed with argument --axis-plane" in capsys.readouterr().err
+    # the flag alone, the default and a config key each pick their layout
+    assert run(*common, "--axis-plane", "--out", "plane.csv") == 0
+    assert run(*common, "--out", "default.csv") == 0
+    with open("sphere.cfg", "w") as fh:
+        fh.write("axis_sphere = true\n")
+    assert run(*common, "--config", "sphere.cfg", "--out", "cfg.csv") == 0
+    assert run(*common, "--axis-sphere", "--out", "sphere.csv") == 0
+    theta = {name: set(stio.parse_measurements(name + ".csv").theta.tolist())
+             for name in ("plane", "default", "cfg", "sphere")}
+    assert theta["plane"] == theta["default"] == {math.pi / 2.0}
+    assert theta["cfg"] == theta["sphere"] and len(theta["cfg"]) == 5
+    assert not os.path.exists("both.csv")
+
+
 @pytest.mark.parametrize("value", ["junk", "model", "model:", "model:abc", "constant:1rad"])
 def test_simulate_bad_phase_noise_exits_2(workdir, capsys, value):
     assert run("simulate", "--phase-noise", value, "--out", "x.csv") == 2

@@ -8,9 +8,23 @@ from hypothesis import strategies as st
 
 from spintomo import io as stio
 from spintomo.analysis import SqueezingReport, power_spectrum, squeezing_scan
-from spintomo.forward import NoiseModel, Records, sample_measurements
-from spintomo.reconstruct import ReconstructionConfig, reconstruct
-from spintomo.states import WignerGrid, coherent_state, maximally_mixed_state, wigner_grid
+from spintomo.forward import NoiseModel, Records, exact_records, sample_measurements
+from spintomo.reconstruct import (
+    ReconstructionConfig,
+    apply_uniform_damping,
+    fold_northern,
+    reconstruct,
+)
+from spintomo.states import (
+    DickeState,
+    WignerGrid,
+    coherent_state,
+    dicke_basis_state,
+    dicke_to_spherical,
+    maximally_mixed_state,
+    oat_squeezed_state,
+    wigner_grid,
+)
 
 import oracles
 
@@ -250,15 +264,60 @@ def test_coefficients_round_trip_keeps_signed_zeros(tmp_path):
     assert path.read_text().count(",-0,") == 26
     for back in (stio.read_coefficients(path), oracles.read_coefficients_by_line(path)):
         assert back.coeffs.view(np.int64).tolist() == polar.coeffs.view(np.int64).tolist()
-    # off the pole every stored entry (q >= 0) and its mirror come back bit for
-    # bit; the -0 zeros outside |q| <= k that the state builder leaves are not stored
+    # off the pole too, the entries outside |q| <= k included: the state and
+    # the reader build them from the same q >= 0 half
     s = coherent_state(40, 1.0, 0.3, 0.0, kmax=26)
     stio.write_coefficients(path, s)
-    back = stio.read_coefficients(path)
-    k, q = np.tril_indices(27)
-    for cols in (26 + q, 26 - q):
-        assert back.coeffs[k, cols].view(np.int64).tolist() == (
-            s.coeffs[k, cols].view(np.int64).tolist())
+    assert stio.read_coefficients(path).coeffs.view(np.int64).tolist() == (
+        s.coeffs.view(np.int64).tolist())
+
+
+def _exact_fbp(draw, two_j, kmax, mode):
+    # the backprojection of the infinite-data records of a random coherent state,
+    # on more axes than kmax: equally spaced on the equator, or Fibonacci-spread
+    truth = coherent_state(two_j, draw(st.floats(0.0, math.pi)), draw(st.floats(-7.0, 7.0)))
+    n = kmax + 1 + draw(st.integers(0, 3))
+    if mode == "in-plane":
+        axes = [(math.pi / 2.0, a * math.pi / n) for a in range(n)]
+    else:
+        n += 8
+        axes = [(math.acos((i + 0.5) / n), 2.4 * i) for i in range(n)]
+    return reconstruct(exact_records(truth, axes), ReconstructionConfig(kmax, mode))
+
+
+# name: state of a drawn spin 2 <= two_j <= 12 and truncation kmax <= two_j
+_STATE_BUILDERS = {
+    "coherent": lambda d, two_j, kmax: coherent_state(
+        two_j, d(st.floats(0.0, math.pi)), d(st.floats(-7.0, 7.0)), d(st.floats(0.0, 2.0)),
+        kmax),
+    "dicke": lambda d, two_j, kmax: dicke_basis_state(
+        two_j, 2 * d(st.integers(0, two_j)) - two_j, kmax),
+    "mixed": lambda d, two_j, kmax: maximally_mixed_state(two_j, kmax),
+    "oat": lambda d, two_j, kmax: oat_squeezed_state(two_j, d(st.floats(-1.0, 1.0)), kmax),
+    "random matrix": lambda d, two_j, kmax: dicke_to_spherical(DickeState(
+        two_j, oracles.random_hermitian(two_j, np.random.default_rng(d(st.integers(0, 99))))),
+        kmax),
+    "in-plane fbp": partial(_exact_fbp, mode="in-plane"),
+    "full-sphere fbp": partial(_exact_fbp, mode="full-sphere"),
+    "fold": lambda d, two_j, kmax: fold_northern(_exact_fbp(d, two_j, kmax, "in-plane")),
+    "uniform damping": lambda d, two_j, kmax: apply_uniform_damping(
+        coherent_state(two_j, d(st.floats(0.0, math.pi)), d(st.floats(-7.0, 7.0)), 0.0, kmax),
+        NoiseModel(sigma_n=d(st.floats(0.0, 2.0)), sigma_omega=d(st.floats(0.0, 0.5)))),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_STATE_BUILDERS))
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_every_built_state_round_trips_its_file_bit_for_bit(tmp_path, builder, data):
+    # the file holds the q >= 0 half; reading it back rebuilds every word of the
+    # state, signed zeros included, through the one builder both sides share
+    two_j = data.draw(st.integers(2, 12))
+    s = _STATE_BUILDERS[builder](data.draw, two_j, data.draw(st.integers(0, two_j)))
+    path = tmp_path / "c.csv"
+    stio.write_coefficients(path, s)
+    assert _same_state(stio.read_coefficients(path), s)
 
 
 def test_coefficients_missing_header(tmp_path):

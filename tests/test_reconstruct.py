@@ -110,6 +110,22 @@ def _mixed_records(rng, mode, n_axes=7, shots=6):
 
 # ---------------------------------------------------------------- weights
 
+def test_inplane_weights_refuse_axes_off_the_equator():
+    # grouped by phi alone, these two axes would be one, each record weighted
+    # 1/2; the weights and the backprojection share one check and its message
+    recs = Records([math.pi / 2.0, math.pi / 2.0 + 0.3], [0.0, 0.0], [math.nan] * 2,
+                   [2, 2], [0, 0])
+    for step in (lambda: compute_weights(recs, "in-plane"),
+                 lambda: fbp_inplane(dataclasses.replace(recs, weight=np.full(2, 0.5)),
+                                     ReconstructionConfig(kmax=0))):
+        with pytest.raises(ValueError, match="^in-plane reconstruction requires all axes on "
+                                             "the equator$"):
+            step()
+    # within the tolerance the axes stay on the equator, and are one axis
+    near = dataclasses.replace(recs, theta=np.array([math.pi / 2.0, math.pi / 2.0 + 1e-7]))
+    assert compute_weights(near, "in-plane").weight.tolist() == [0.5, 0.5]
+
+
 def test_weights_equal_axes_uniform():
     s = maximally_mixed_state(4, kmax=0)
     recs = sample_measurements(s, _plane_axes(8), 10, NoiseModel(), seed=0)
@@ -902,7 +918,6 @@ def test_reconstruct_convenience_round_trip():
     recs = sample_measurements(s, _plane_axes(24), 200, NoiseModel(), seed=12)
     cfg = ReconstructionConfig(kmax=23, mode="in-plane", fold_north=True, two_j_ref=40)
     out = reconstruct(recs, cfg)
-    out.validate()
     assert out.two_j_ref == 40
     assert out.kmax == 23
 

@@ -32,7 +32,6 @@ def test_spherical_state_is_immutable_and_validated():
     s = maximally_mixed_state(4, kmax=2)
     with pytest.raises(ValueError):
         s.coeffs[0, 2] = 1.0  # read-only array
-    s.validate()
     bad = np.zeros((3, 5), dtype=complex)
     bad[1, 3] = 1.0  # rho_11 set without its mirror
     with pytest.raises(ValueError, match="reality invariant"):
@@ -409,7 +408,6 @@ def test_oat_chi_zero_is_coherent():
 def test_oat_preserves_trace_and_squeezes():
     two_j = 40
     s = oat_squeezed_state(two_j, 0.05, two_j)
-    s.validate()
     assert oracles.coeff(s, 0, 0).real == pytest.approx(1.0 / math.sqrt(two_j + 1.0), rel=1e-10)
     # squeezing present below the coherent j/2 reference; variance curve
     # along equatorial axes matches the Dicke-basis oracle pointwise
