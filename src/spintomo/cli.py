@@ -68,9 +68,10 @@ def _config_args(path, command, parsers):
     """The options of a ``key = value`` file as argument tokens for one subcommand.
 
     A key is an option name with underscores for dashes, matched exactly:
-    ``key = value`` becomes ``--key=value``, a true boolean key its bare flag
-    and a false one nothing.  Keys of another subcommand are skipped, so one
-    file can drive every step; a key no subcommand defines is an error.
+    ``key = value`` becomes ``--key=value``, and a true boolean key sets its
+    flag's value as a default, which a typed flag of its group overrides.
+    Keys of another subcommand are skipped, so one file can drive every
+    step; a key no subcommand defines is an error.
     """
     tokens = []
     for key, value in stio.parse_config(path).items():
@@ -84,7 +85,7 @@ def _config_args(path, command, parsers):
             if not on and value.lower() not in ("false", "0", "no", "off"):
                 raise ValueError(f"{path}: {key} expects a boolean, got {value!r}")
             if on:
-                tokens.append(flag)
+                parsers[command].set_defaults(**{action.dest: action.const})
         else:
             tokens.append(f"{flag}={value}")
     return tokens

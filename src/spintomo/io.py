@@ -32,7 +32,7 @@ __all__ = [
 ]
 
 MEASUREMENT_HEADER = "theta,phi,weight,two_j,two_m"
-_MAX_REPORTED_ERRORS = 20
+_HEADER_KEYS = ("two_j_ref", "kmax")
 
 
 def _fmt(x):
@@ -60,6 +60,22 @@ class MeasurementFormatError(ValueError):
     """Raised on malformed measurement files, with per-line diagnostics."""
 
 
+def _read_lines(path):
+    """The stripped lines of a UTF-8 file, a byte-order mark skipped: line n is [n - 1]."""
+    with open(path, encoding="utf-8-sig") as fh:
+        return list(map(str.strip, fh.read().splitlines()))
+
+
+def _columns(rows, n):
+    """The n columns of the rows' comma-separated fields, or ValueError for another count."""
+    # a "\n" field ends each row (splitlines left none inside a field), and a
+    # last "" field follows the last row
+    fields = ",\n,".join(rows + [""]).split(",")
+    if len(fields) != (n + 1) * len(rows) + 1 or fields[n::n + 1].count("\n") != len(rows):
+        raise ValueError("a row has another number of fields")
+    return [fields[i:-1:n + 1] for i in range(n)]
+
+
 def parse_measurements(path):
     """Read measurement records from CSV as a :class:`~spintomo.forward.Records`.
 
@@ -69,70 +85,40 @@ def parse_measurements(path):
     invariants; a malformed file raises with line-numbered diagnostics and
     yields no partial output.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            break
-    else:
+    lines = _read_lines(path)
+    at = next((i for i, line in enumerate(lines) if line and line[0] != "#"), None)
+    if at is None:
         raise MeasurementFormatError(f"{path}: no header line found")
-    if line != MEASUREMENT_HEADER:
+    if lines[at] != MEASUREMENT_HEADER:
         raise MeasurementFormatError(
-            f"{path}:{lineno}: expected header {MEASUREMENT_HEADER!r}, got {line!r}")
-    records = _parse_columns(lines[lineno:])
-    return records if records is not None else _parse_lines(path, lines, lineno)
-
-
-def _parse_columns(lines):
-    """The records of the data lines in one pass over each field, or None.
-
-    float() and int() read the fields, as in the line-by-line rule; any
-    irregularity (a field count, a number, a record invariant) gives None.
-    """
-    rows = [line for line in map(str.strip, lines) if line and line[0] != "#"]
-    # "\n" marks the end of a row: splitlines left none inside a field
-    fields = ",\n,".join(rows).split(",")
-    if len(fields) != 6 * len(rows) - 1 or fields[5::6].count("\n") != len(rows) - 1:
-        return None
+            f"{path}:{at + 1}: expected header {MEASUREMENT_HEADER!r}, got {lines[at]!r}")
+    rows = [line for line in lines[at + 1:] if line and line[0] != "#"]
     try:
-        theta = np.array(list(map(float, fields[0::6])))
-        phi = np.array(list(map(float, fields[1::6])))
-        weight = np.array([float(w) if w.strip() else math.nan for w in fields[2::6]])
-        two_j = np.fromiter(map(int, fields[3::6]), np.int64, len(rows))
-        two_m = np.fromiter(map(int, fields[4::6]), np.int64, len(rows))
-        return Records(theta, phi, weight, two_j, two_m)
+        # float() and int() read the fields, as the line-by-line rule does
+        theta, phi, weight, two_j, two_m = _columns(rows, 5)
+        weight = [float(w) if w.strip() else math.nan for w in weight]
+        n = len(rows)
+        return Records(*(np.fromiter(map(float, c), float, n) for c in (theta, phi, weight)),
+                       *(np.fromiter(map(int, c), np.int64, n) for c in (two_j, two_m)))
     except (ValueError, OverflowError):
-        return None
-
-
-def _parse_lines(path, lines, header_lineno):
-    """The line-by-line rule for the rows after the header line: their
-    records, or a MeasurementFormatError naming the first bad lines (at most 20)."""
-    records = []
+        pass
+    # the line-by-line rule, only to name the first bad lines (at most 20)
     errors = []
-    for lineno, raw in enumerate(lines[header_lineno:], start=header_lineno + 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    for lineno, line in enumerate(lines[at + 1:], start=at + 2):
+        if not line or line[0] == "#":
             continue
         parts = line.split(",")
         try:
             if len(parts) != 5:
                 raise ValueError(f"expected 5 fields, got {len(parts)}")
-            theta, phi = float(parts[0]), float(parts[1])
-            weight = math.nan if parts[2].strip() == "" else float(parts[2])
-            row = (theta, phi, weight, int(parts[3]), int(parts[4]))
-            _check_row(*row)
-            records.append(row)
+            _check_row(float(parts[0]), float(parts[1]),
+                       math.nan if parts[2].strip() == "" else float(parts[2]),
+                       int(parts[3]), int(parts[4]))
         except ValueError as exc:
             errors.append(f"line {lineno}: {exc}")
-            if len(errors) == _MAX_REPORTED_ERRORS:
+            if len(errors) == 20:
                 break
-    if errors:
-        raise MeasurementFormatError(f"{path}: " + "; ".join(errors))
-    if not records:
-        raise MeasurementFormatError(f"{path}: no measurement rows")
-    return Records(*zip(*records))
+    raise MeasurementFormatError(f"{path}: " + ("; ".join(errors) or "no measurement rows"))
 
 
 def write_measurements(path, records):
@@ -171,23 +157,66 @@ def read_coefficients(path):
 
     A malformed file raises ValueError naming ``path:line``.
     """
-    with open(path, encoding="utf-8-sig") as fh:
-        lines = fh.read().splitlines()
-    state = _read_coefficient_columns(lines)
-    if state is not None:
-        return state
-    header = {}
-    rows = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
+    lines = _read_lines(path)
+    heads = [(n, key.strip(), value) for n, line in enumerate(lines, start=1)
+             if line[:1] == "#" for key, eq, value in [line[1:].partition("=")]
+             if eq and key.strip() in _HEADER_KEYS]
+    rows = [line for line in lines if line and line[0] != "#" and line != "k,q,re,im"]
+    try:
+        # int() and float() read the fields, as the line-by-line rule does
+        header = {key: (int(value), n) for n, key, value in heads}
+        k, q, re, im = _columns(rows, 4)
+        try:
+            kq = np.fromiter(map(int, k + q), np.int64, 2 * len(rows))
+        except OverflowError:  # a label beyond int64: compare Python's ints
+            kq = np.array(list(map(int, k + q)), dtype=object)
+        k, q = kq.reshape(2, -1)
+        re, im = parts = np.fromiter(map(float, re + im), float, 2 * len(rows)).reshape(2, -1)
+        if len(header) < len(heads) or not np.isfinite(parts).all():
+            raise ValueError("a repeated header or a non-finite value")
+        if len(header) < 2:
+            raise ValueError(f"{path}: missing two_j_ref / kmax header comments")
+        (two_j_ref, _), (kmax, kmax_line) = header["two_j_ref"], header["kmax"]
+        if not 0 <= kmax <= two_j_ref:
+            raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} outside "
+                             f"0..two_j_ref = {two_j_ref}")
+        half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
+        out = np.flatnonzero((q < 0) | (q > k) | (k > kmax))
+        if out.size:
+            i = out[0]  # lines.index finds a row's line when no two rows are alike
+            raise ValueError(f"{path}:{lines.index(rows[i]) + 1}: "
+                             f"coefficient ({k[i]}, {q[i]}) out of range")
+        at = np.sort(k * (kmax + 1) + q)  # sorted, a repeated (k, q) meets its twin
+        if (at[1:] == at[:-1]).any():
+            raise ValueError("a repeated row")
+    except ValueError as fault:
+        # a line bad on its own, a repeated (k, q) row among them, comes first
+        raise _bad_coefficient_line(path, lines) or fault from None
+    half.real[k, q], half.imag[k, q] = re, im  # keeps signed zeros
+    try:
+        return SphericalState(two_j_ref, kmax, _from_half(half))
+    except ValueError as exc:
+        # the rows are in range and mirrored, so what the state refuses is a complex
+        # rho_k0: name the row with the largest imaginary part, the later on a tie
+        imag, i = max(zip(np.abs(im[q == 0]).tolist(), np.flatnonzero(q == 0).tolist()),
+                      default=(0.0, None))
+        where = f"{path}:{lines.index(rows[i]) + 1}" if imag > 0.0 else path
+        raise ValueError(f"{where}: {exc}") from None
+
+
+def _bad_coefficient_line(path, lines):
+    """The ValueError of the first line bad on its own, worded as line by line, or None."""
+    header, rows = set(), set()
+    for lineno, line in enumerate(lines, start=1):
         try:
             if line.startswith("#"):
                 key, eq, value = line[1:].partition("=")
                 key = key.strip()
-                if eq and key in ("two_j_ref", "kmax"):
+                if eq and key in _HEADER_KEYS:
                     if key in header:
                         raise ValueError(f"repeated {key} header")
-                    header[key] = (int(value), lineno)
+                    int(value)
+                    header.add(key)
             elif line and line != "k,q,re,im":
                 parts = line.split(",")
                 if len(parts) != 4:
@@ -198,55 +227,9 @@ def read_coefficients(path):
                 re, im = float(parts[2]), float(parts[3])
                 if not (math.isfinite(re) and math.isfinite(im)):
                     raise ValueError(f"non-finite coefficient ({k}, {q})")
-                rows[k, q] = (complex(re, im), lineno)
+                rows.add((k, q))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if len(header) < 2:
-        raise ValueError(f"{path}: missing two_j_ref / kmax header comments")
-    (two_j_ref, _), (kmax, kmax_line) = header["two_j_ref"], header["kmax"]
-    if not 0 <= kmax <= two_j_ref:
-        raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} outside 0..two_j_ref = {two_j_ref}")
-    half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
-    for (k, q), (value, lineno) in rows.items():
-        if not (0 <= k <= kmax and 0 <= q <= k):
-            raise ValueError(f"{path}:{lineno}: coefficient ({k}, {q}) out of range")
-        half[k, q] = value
-    try:
-        return SphericalState(two_j_ref, kmax, _from_half(half))
-    except ValueError as exc:
-        # the rows are in range and mirrored, so what the state refuses is a
-        # complex rho_k0: name the row with the largest imaginary part
-        k0 = [(abs(v.imag), lineno) for (_, q), (v, lineno) in rows.items() if q == 0]
-        imag, lineno = max(k0, default=(0.0, None))
-        raise ValueError(f"{path}:{lineno}: {exc}" if imag > 0.0 else f"{path}: {exc}") from None
-
-
-def _read_coefficient_columns(lines):
-    """The state of a well-formed coefficient file, read one field column at a time
-    with int() and float() as line by line, or None on any irregularity."""
-    lines = [line.strip() for line in lines]
-    rows = [line for line in lines if line and line[0] != "#" and line != "k,q,re,im"]
-    # "\n" marks the end of a row: splitlines left none inside a field
-    fields = ",\n,".join(rows).split(",")
-    if len(fields) != 5 * len(rows) - 1 or fields[4::5].count("\n") != len(rows) - 1:
-        return None
-    try:
-        header = [(key.strip(), int(value)) for key, eq, value in
-                  (line[1:].partition("=") for line in lines if line[:1] == "#")
-                  if eq and key.strip() in ("two_j_ref", "kmax")]
-        two_j_ref, kmax = dict(header)["two_j_ref"], dict(header)["kmax"]
-        k, q = np.fromiter(map(int, fields[0::5] + fields[1::5]), np.int64).reshape(2, -1)
-        re, im = parts = np.fromiter(map(float, fields[2::5] + fields[3::5]), float).reshape(2, -1)
-        # each row's flat index in the half: sorted, a repeated (k, q) meets its twin
-        at = np.sort(k * (kmax + 1) + q)
-        if not (len(header) == 2 and 0 <= kmax <= two_j_ref and np.all(at[1:] != at[:-1])
-                and np.all((0 <= q) & (q <= k) & (k <= kmax)) and np.isfinite(parts).all()):
-            return None
-        half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
-        half.real[k, q], half.imag[k, q] = re, im  # keeps signed zeros
-        return SphericalState(two_j_ref, kmax, _from_half(half))
-    except (KeyError, ValueError, OverflowError):
-        return None
+            return ValueError(f"{path}:{lineno}: {exc}")
 
 
 def write_spectrum(path, c_k):
@@ -313,18 +296,17 @@ def parse_config(path):
     raises ValueError naming ``path:line``.
     """
     out = {}
-    with open(path, encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh.read().splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            if key == "config":
-                raise ValueError(f"{path}:{lineno}: a config file cannot name another one")
-            out[key] = value.strip()
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        if key == "config":
+            raise ValueError(f"{path}:{lineno}: a config file cannot name another one")
+        out[key] = value.strip()
     return out

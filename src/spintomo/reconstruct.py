@@ -193,10 +193,10 @@ def compute_weights(records, mode):
         if first.size == 1:
             raise ValueError("all axes coincide; no area partition exists")
         units = _unit_vectors(theta[first], phi[first])
-        svals = np.linalg.svd(units, compute_uv=False)
-        if svals[-1] < 1e-9:
-            # all axes on one great circle: cells are lunes, area follows arc length
-            _, _, vt = np.linalg.svd(units)
+        _, svals, vt = np.linalg.svd(units, full_matrices=False)
+        if svals.size < 3 or svals[-1] < 1e-9:
+            # all axes on one great circle (two axes always are): cells are
+            # lunes, area follows arc length
             e1, e2 = vt[0], vt[1]
             ang = np.mod(np.arctan2(units @ e2, units @ e1), math.pi)
             axis_w = _circle_arc_weights(ang, math.pi)

@@ -47,6 +47,11 @@ _CHUNK_BUDGET = 2.0e6  # array elements per chunk of a batched kernel or draw
 _ROW_BLOCK = 8  # Legendre rows of scattered points contracted at once
 
 
+def _tolerance(x):
+    """1e-10 * max(1, largest |Re| or |Im| of x); |x| can overflow to inf."""
+    return 1e-10 * max(1.0, np.abs(x.real).max(initial=0.0), np.abs(x.imag).max(initial=0.0))
+
+
 @dataclass(frozen=True)
 class SphericalState:
     """Partial-wave coefficients rho_kq of a spin state's Wigner function.
@@ -76,8 +81,8 @@ class SphericalState:
         if not np.all(np.isfinite(coeffs)):
             raise ValueError("coefficient array contains non-finite entries")
         # the q < 0 half mirrors the q > 0 half and every rho_k0 is real, within
-        # 1e-10 * max(1, max |rho_kq|); entries outside |q| <= k are zero
-        tol = 1e-10 * max(1.0, float(np.abs(coeffs).max(initial=0.0)))
+        # the tolerance; entries outside |q| <= k are zero
+        tol = _tolerance(coeffs)
         imag = np.abs(coeffs[:, self.kmax].imag).max()
         if imag > tol:
             raise ValueError(f"rho_k0 is not real: imaginary part {imag:.3g}")
@@ -114,8 +119,7 @@ class DickeState:
             raise ValueError(f"matrix has shape {mat.shape}, expected {(dim, dim)}")
         if not np.all(np.isfinite(mat)):
             raise ValueError("Dicke matrix contains non-finite entries")
-        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-        if np.abs(mat - mat.conj().T).max(initial=0.0) > 1e-10 * scale:
+        if np.abs(mat - mat.conj().T).max(initial=0.0) > _tolerance(mat):
             raise ValueError("Dicke matrix is not Hermitian")
         mat = mat.copy()
         mat.flags.writeable = False

@@ -445,6 +445,14 @@ def test_simulate_sphere_layout_and_full_sphere_reconstruction(workdir):
     assert oracles.coeff(state, 0, 0).real == pytest.approx(1.0 / math.sqrt(21.0), rel=1e-9)
 
 
+def test_two_full_sphere_axes_reconstruct(workdir, capsys):
+    # two axes share a great circle, so their weights come from arcs
+    assert run("simulate", "--two-j", "4", "--axis-sphere", "--axes", "2", "--shots", "20",
+               "--out", "two.csv") == 0
+    assert run("reconstruct", "two.csv", "--mode", "full-sphere", "--out", "two") == 0
+    assert "reconstructed kmax=4 mode=full-sphere" in capsys.readouterr().out
+
+
 def test_simulate_axis_layout_flags_exclude_each_other(workdir, capsys):
     common = ("simulate", "--two-j", "4", "--axes", "5", "--shots", "2", "--seed", "1")
     with pytest.raises(SystemExit) as exc:
@@ -458,9 +466,11 @@ def test_simulate_axis_layout_flags_exclude_each_other(workdir, capsys):
         fh.write("axis_sphere = true\n")
     assert run(*common, "--config", "sphere.cfg", "--out", "cfg.csv") == 0
     assert run(*common, "--axis-sphere", "--out", "sphere.csv") == 0
+    # the command line beats the file's layout, as it beats every other key
+    assert run(*common, "--config", "sphere.cfg", "--axis-plane", "--out", "cfg_plane.csv") == 0
     theta = {name: set(stio.parse_measurements(name + ".csv").theta.tolist())
-             for name in ("plane", "default", "cfg", "sphere")}
-    assert theta["plane"] == theta["default"] == {math.pi / 2.0}
+             for name in ("plane", "default", "cfg", "sphere", "cfg_plane")}
+    assert theta["plane"] == theta["default"] == theta["cfg_plane"] == {math.pi / 2.0}
     assert theta["cfg"] == theta["sphere"] and len(theta["cfg"]) == 5
     assert not os.path.exists("both.csv")
 

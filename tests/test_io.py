@@ -248,8 +248,6 @@ def test_coefficients_round_trip_lossless(tmp_path):
     path = tmp_path / "c.csv"
     stio.write_coefficients(path, s)
     back = stio.read_coefficients(path)
-    # a written file takes the columnar pass
-    assert stio._read_coefficient_columns(path.read_text().splitlines()) is not None
     assert back.two_j_ref == 7
     assert back.kmax == 7
     assert np.array_equal(back.coeffs, s.coeffs)
@@ -361,13 +359,33 @@ _HEAD = "# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n"
     ("# two_j_ref = 2\n# kmax = 3\nk,q,re,im\n0,0,0.5,0.0\n",
      r"c.csv:2: kmax = 3 outside 0\.\.two_j_ref = 2"),
     (_HEAD + "1,1,0.1,0.2\n0,0,0.5,0.7\n", "c.csv:5: rho_k0 is not real: imaginary part 0.7"),
+    # both fields are read before either is checked for a finite value
+    (_HEAD + "0,0,nan,abc\n", "c.csv:4: could not convert string to float: 'abc'"),
+    (_HEAD + f"0,0,0.5,0.0\n{2 ** 64},0,0.1,0.0\n",
+     r"c.csv:5: coefficient \(18446744073709551616, 0\) out of range"),
+    # equal |Im rho_k0|: the later line is named
+    (_HEAD + "0,0,0.5,0.7\n1,0,0.1,-0.7\n", "c.csv:5: rho_k0 is not real: imaginary part 0.7"),
+    # |Re + i Im| of the last row overflows, which must not widen the tolerance
+    ("# two_j_ref = 6\n# kmax = 6\nk,q,re,im\n0,0,0.0,1e300\n6,4,0.0,0.0\n"
+     "6,5,1.7976931348623155e+308,3.280811678258314e+300\n",
+     r"c.csv:4: rho_k0 is not real: imaginary part 1e\+300"),
 ], ids=["row_int", "row_float", "out_of_range", "non_finite", "header_int", "header_kmax",
-        "complex_k0"])
+        "complex_k0", "re_nan_im_text", "k_beyond_int64", "complex_k0_tie", "complex_k0_huge"])
 def test_coefficient_errors_name_file_and_line(tmp_path, text, message):
     path = tmp_path / "c.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=message):
         stio.read_coefficients(path)
+    with pytest.raises(ValueError, match=message):
+        oracles.read_coefficients_by_line(path)
+
+
+def test_header_only_coefficient_file_is_the_zero_state(tmp_path):
+    path = tmp_path / "c.csv"
+    path.write_text("# two_j_ref = 4\n# kmax = 2\nk,q,re,im\n")
+    state = stio.read_coefficients(path)
+    assert (state.two_j_ref, state.kmax) == (4, 2) and not state.coeffs.any()
+    assert _same_state(state, oracles.read_coefficients_by_line(path))
 
 
 @st.composite
@@ -412,9 +430,6 @@ def test_coefficient_reader_reads_what_the_line_by_line_rule_reads(tmp_path, lin
     path = tmp_path / "c.csv"
     path.write_text(_coefficient_text(data.draw, lines), encoding="utf-8")
     want = oracles.read_coefficients_by_line(path)
-    # a well-formed file is read by columns, bit for bit as line by line
-    columns = stio._read_coefficient_columns(path.read_text("utf-8-sig").splitlines())
-    assert columns is not None and _same_state(columns, want)
     assert _same_state(stio.read_coefficients(path), want)
 
 

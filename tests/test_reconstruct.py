@@ -236,6 +236,14 @@ def test_weights_full_sphere_coplanar_falls_back_to_arcs():
     assert np.allclose(out.weight, 1.0 / 6.0, rtol=1e-9)
 
 
+@pytest.mark.parametrize("axes", [[(0.3, 0.2), (1.2, 2.5)], [(0.0, 0.0), (math.pi / 2.0, 1.0)]])
+def test_weights_full_sphere_two_axes_split_evenly(axes):
+    # two axes always share a great circle: each covers half of its lunes
+    recs = Records.of([(th, ph, math.nan, 2, 0) for th, ph in axes for _ in range(3)])
+    out = compute_weights(recs, "full-sphere")
+    assert out.weight.tolist() == pytest.approx([1.0 / 6.0] * 6, rel=1e-12)
+
+
 def test_weights_check_mode_before_scheme():
     # weights are Voronoi only: reconstruct knows "voronoi" and "keep"
     recs = Records.of([(math.pi / 2.0, 0.1 * i, math.nan, 2, 0) for i in range(5)])

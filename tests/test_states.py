@@ -52,6 +52,22 @@ def test_dicke_state_requires_hermitian():
         DickeState(2, mat)
 
 
+def test_states_check_entries_near_the_double_limit():
+    # |big| overflows to inf, so a tolerance scaled by max |entry| let any error through
+    big = 1.7976931348623155e308 + 3.280811678258314e300j
+    mat = np.zeros((2, 2), dtype=complex)
+    mat[0, 1], mat[1, 0] = big, 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        DickeState(1, mat)
+    mat[1, 0] = big.conjugate()
+    assert DickeState(1, mat).matrix[1, 0] == big.conjugate()
+    coeffs = np.zeros((2, 3), dtype=complex)
+    coeffs[0, 1] = 1e300j
+    coeffs[1, 2], coeffs[1, 0] = big, -big.conjugate()
+    with pytest.raises(ValueError, match="rho_k0 is not real: imaginary part 1e\\+300"):
+        SphericalState(2, 1, coeffs)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_states_reject_non_finite_entries(bad):
     # NaN passes every comparison-based check, so it must be rejected explicitly
