@@ -93,7 +93,9 @@ def _gaussian_fits(P, m):
     """Least-squares Gaussian fits to every row of P at once.
 
     Returns (x, ok): x[n] = (A, mu, V) for A exp(-(m - mu)^2 / (2 V)) and
-    ok[n] whether row n converged to a finite fit with V > 1e-300.  One
+    ok[n] whether row n converged to a finite fit with 1e-300 < V <=
+    ptp(m)^2, four times the largest variance of any distribution on m (a
+    flat or two-peaked row runs off to a huge V, which fits nothing).  One
     Levenberg-Marquardt iteration in (A, mu, sigma) runs over all rows,
     which stay in place: a mask marks the rows still iterating, and the
     other rows keep their x.  J^T J, J^T r and |r|^2 come from one batched
@@ -167,7 +169,7 @@ def _gaussian_fits(P, m):
             done |= active & stop
             active &= ~stop
     x[:, 2] = x[:, 2] ** 2
-    ok = done & np.isfinite(x).all(axis=1) & (x[:, 2] > 1e-300)
+    ok = done & np.isfinite(x).all(axis=1) & (x[:, 2] > 1e-300) & (x[:, 2] <= np.ptp(m) ** 2)
     return x, ok
 
 
@@ -200,7 +202,9 @@ class SqueezingReport:
     variance_curve rows are (phi, V_direct, V_fit); V_fit is NaN where
     the Gaussian fit failed.  squeezing_db is the Gaussian-fit headline
     number, None when the noise-subtracted variance is non-positive
-    (flagged instead of taking an invalid log).
+    (flagged instead of taking an invalid log).  When no fit converges
+    (fit_failures equals the number of azimuths), phi_s, v_min_fit and the
+    headline come from the smallest direct variance instead.
     """
 
     phi_s: float
@@ -244,11 +248,9 @@ def squeezing_scan(s, phis, sigma_n, j_mean=None):
     failures = int(np.sum(~ok))
 
     v_coh = j_mean / 2.0
+    # the smallest fitted variance, nearest phi = 0 on a tie; the direct ones if no fit converged
     valid = [(v_fit, abs(phi), phi) for phi, _, v_fit in curve if not math.isnan(v_fit)]
-    if valid:
-        v_min, _, phi_s = min(valid)
-    else:
-        v_min, _, phi_s = min((v_d, abs(phi), phi) for phi, v_d, _ in curve)
+    v_min, _, phi_s = min(valid or [(v_d, abs(phi), phi) for phi, v_d, _ in curve])
     return SqueezingReport(phi_s=float(phi_s), variance_curve=curve, v_coh=float(v_coh),
                            squeezing_db=_squeezing_db(v_min, sigma_n, v_coh),
                            v_min_fit=float(v_min), fit_failures=failures)

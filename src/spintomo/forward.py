@@ -33,8 +33,11 @@ _Row = namedtuple("Row", _FIELDS)
 class NoiseModel:
     """Gaussian uncertainty parameters of the measurement apparatus.
 
-    sigma_n      atom-number standard deviation (atoms); the total spin and
-                 projection each inherit variance sigma_n^2 / 2.
+    sigma_n      atom-number standard deviation (atoms).  The damping law
+                 assumes that the total spin and the projection each inherit
+                 variance sigma_n^2 / 2; the sampler draws m at the state's
+                 own spin and records 2j_n = max(2j + 2 rint(dj), |2m|) with
+                 dj ~ N(0, sigma_n / sqrt 2).
     sigma_omega  quantization-axis pointing uncertainty (radians), defined
                  through the mean squared sine of the pointing error angle.
     phase_mode   azimuthal phase noise: "none", "constant" (fixed
@@ -227,19 +230,15 @@ def _physical(p):
 
 
 def _draw(p, u):
-    """Outcome indices for the uniforms u[i, s] by inverse CDF of row i of p.
-
-    The comparison block runs over chunks of rows, within states._CHUNK_BUDGET
-    elements (at least one row).
-    """
+    """Outcome indices for the uniforms u[i, s] by inverse CDF of row i of p, from one
+    comparison block of u.size * p.shape[1] booleans (the caller sizes it)."""
     p = _physical(p)
     total = p.sum(axis=1, keepdims=True)
     if np.any(total <= 0.0):
         raise ValueError("projection probabilities sum to zero")
     cdf = np.cumsum(p / total, axis=1)
     cdf /= cdf[:, -1:]
-    return np.concatenate([np.sum(cdf[sl, None, :] <= u[sl, :, None], axis=2)
-                           for sl in _chunks(len(u), u.shape[1] * cdf.shape[1])])
+    return np.sum(cdf[:, None, :] <= u[:, :, None], axis=2)
 
 
 def sample_measurements(s, axes, shots_per_axis, noise, seed):
@@ -268,14 +267,13 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
 
     sigma_j = noise.sigma_n / math.sqrt(2.0)
     sigma_t = noise.sigma_omega / math.sqrt(2.0)
-    rngs = [np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,))))
-        for a in range(len(axes))]
     # each axis's stream in turn: its number jitters, its points and its uniforms
     # u[point, shot]; without axis noise its shots share the axis as one point,
     # with axis noise each shot is a jittered point of its own
     djs, ths, phs, us = [], [], [], []
-    for theta_a, phi_a, rng in zip(theta.tolist(), phi.tolist(), rngs):
+    for a, (theta_a, phi_a) in enumerate(zip(theta.tolist(), phi.tolist())):
+        rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,))))
         if not noise.has_axis_noise:
             # in stream order: the number jitters, then the outcome uniforms
             djs.append(rng.normal(0.0, sigma_j, size=shots_per_axis) if sigma_j > 0.0
@@ -303,10 +301,11 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
         ths.append(th)
         phs.append(ph)
         us.append(u)
-    # p_m and the draw over every point, a chunk of points at a time
+    # p_m and the draw over every point, a chunk of points at a time; a point's
+    # comparison block (its uniforms times 2j+1) also bounds its probabilities
     th, ph, u = np.concatenate(ths), np.concatenate(phs), np.concatenate(us)
     idx = np.concatenate([_draw(projection_probabilities(s, th[sl], ph[sl]), u[sl])
-                          for sl in _chunks(len(u), two_j + 1)])
+                          for sl in _chunks(len(u), u.shape[1] * (two_j + 1))])
     two_m = 2 * idx.ravel() - two_j
     two_j_n = np.maximum(two_j + 2 * np.rint(np.concatenate(djs)).astype(int), np.abs(two_m))
     weight = 1.0 / (len(axes) * shots_per_axis)

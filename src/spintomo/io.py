@@ -180,7 +180,6 @@ def read_coefficients(path):
         if not 0 <= kmax <= two_j_ref:
             raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} outside "
                              f"0..two_j_ref = {two_j_ref}")
-        half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
         out = np.flatnonzero((q < 0) | (q > k) | (k > kmax))
         if out.size:
             i = out[0]  # lines.index finds a row's line when no two rows are alike
@@ -189,6 +188,10 @@ def read_coefficients(path):
         at = np.sort(k * (kmax + 1) + q)  # sorted, a repeated (k, q) meets its twin
         if (at[1:] == at[:-1]).any():
             raise ValueError("a repeated row")
+        try:
+            half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
+        except ValueError as exc:  # numpy refuses the size without allocating
+            raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} too large: {exc}") from None
     except ValueError as fault:
         # a line bad on its own, a repeated (k, q) row among them, comes first
         raise _bad_coefficient_line(path, lines) or fault from None

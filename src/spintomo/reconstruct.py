@@ -276,23 +276,24 @@ def _backproject(records, config):
     ph = phi[first]
     E = np.exp(-1j * q * ph)                                  # (q, axes)
     if inplane:
-        # every axis at cos(theta) = 0, one (k, q) table for all; the azimuth
-        # noise damps each order q
-        equator = _polar_table(kmax, 0.0)[..., None]
+        # every axis at cos(theta) = 0 shares one (k, q) table, so one contraction
+        # serves all axes; the azimuth noise damps each order q
         sig = config.noise.azimuth_sigma(ph)
         E = E * np.exp(-0.5 * q * q * sig * sig)
+        half = np.einsum("kq,qa,ka->kq", _polar_table(kmax, 0.0), E, A)
         # pi ((k-q+1)/2)_(1/2) ((k+q+1)/2)_(1/2) for q <= k; k + q odd carries no information
         ph_half = pochhammer_half(np.arange(1, 2 * kmax + 2) / 2.0)
         kk, qq = q, q.T  # k down the rows, q along the columns
         filt = np.where((qq <= kk) & ((kk + qq) % 2 == 0),
                         ph_half[np.abs(kk - qq)] * ph_half[kk + qq] * math.pi, 0.0)
     else:
+        # each axis has its own (k, q) table of (kmax + 1)^2 numbers: chunks of axes
+        # within states._CHUNK_BUDGET, one contraction each
         x = np.cos(theta[first])
+        half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
+        for sl in _chunks(n_axes, (kmax + 1) ** 2):
+            half += np.einsum("kqa,qa,ka->kq", legendre_sph_table(kmax, x[sl]), E[:, sl], A[:, sl])
         filt = (2.0 * k + 1.0)[:, None]
-    half = np.zeros((kmax + 1, kmax + 1), dtype=complex)
-    for sl in _chunks(n_axes, (kmax + 1) * (2 * kmax + 1) + 1):
-        S = equator if inplane else legendre_sph_table(kmax, x[sl])  # (K+1, K+1, c or 1)
-        half += np.einsum("kqa,ka->kq", S * E[None, :, sl], A[:, sl])
 
     scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))          # D^k_{q0} = scale conj(Y_kq)
     half *= filt * scale[:, None]
@@ -382,10 +383,7 @@ def reconstruct(records, config, weight_scheme="voronoi"):
         records = compute_weights(records, config.mode)
     elif weight_scheme != "keep":
         raise ValueError(f"unknown weight scheme {weight_scheme!r}")
-    if config.mode == "in-plane":
-        state = fbp_inplane(records, config)
-    else:
-        state = fbp_full(records, config)
+    state = (fbp_inplane if config.mode == "in-plane" else fbp_full)(records, config)
     if config.fold_north:
         state = fold_northern(state)
     return state

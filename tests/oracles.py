@@ -734,10 +734,14 @@ def read_coefficients_by_line(path):
     (two_j_ref, _), (kmax, kmax_line) = header["two_j_ref"], header["kmax"]
     if not 0 <= kmax <= two_j_ref:
         raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} outside 0..two_j_ref = {two_j_ref}")
-    coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
     for (k, q), (value, lineno) in rows.items():
         if not (0 <= k <= kmax and 0 <= q <= k):
             raise ValueError(f"{path}:{lineno}: coefficient ({k}, {q}) out of range")
+    try:
+        coeffs = np.zeros((kmax + 1, 2 * kmax + 1), dtype=complex)
+    except ValueError as exc:
+        raise ValueError(f"{path}:{kmax_line}: kmax = {kmax} too large: {exc}") from None
+    for (k, q), (value, lineno) in rows.items():
         coeffs[k, kmax + q] = value
     _mirror_negative_q(coeffs, kmax)
     try:

@@ -25,6 +25,7 @@ from spintomo.states import (
     DickeState,
     SphericalState,
     coherent_state,
+    dicke_basis_state,
     dicke_to_spherical,
     maximally_mixed_state,
     oat_squeezed_state,
@@ -255,6 +256,9 @@ def test_gaussian_fit_failure_modes():
     assert gaussian_fit(np.zeros(11), m) is None      # nothing to fit
     assert gaussian_fit(-np.ones(11), m) is None      # no positive part
     assert gaussian_fit(np.exp(-m ** 2 / 1e-4), m) is None  # one spike: a singular step
+    # flat and two-peaked rows run off to a variance far beyond ptp(m)^2 = 100
+    assert gaussian_fit(np.ones(11), m) is None
+    assert gaussian_fit(np.exp(-(m - 4.0) ** 2) + np.exp(-(m + 4.0) ** 2), m) is None
     with pytest.raises(ValueError):
         gaussian_fit(np.ones(3))                      # too short
 
@@ -411,6 +415,28 @@ def test_scan_noise_subtraction_flag():
     s = coherent_state(8, 0.0, 0.0, 0.0, kmax=8)
     rep = squeezing_scan(s, [0.0, 0.5], 10.0, 4.0)  # noise floor above variance
     assert rep.squeezing_db is None
+
+
+@pytest.mark.parametrize("state, variance", [
+    (maximally_mixed_state(40, 2), 20.0 * 21.0 / 3.0),    # j(j+1)/3
+    (dicke_basis_state(40, 0, 40), 20.0 * 21.0 / 2.0),    # (j(j+1) - m^2)/2
+], ids=["mixed", "dicke-m0"])
+def test_scan_without_a_converged_fit_reports_the_direct_variance(state, variance):
+    # flat or two-peaked p_m at every azimuth: every fit fails, and the headline,
+    # v_min_fit and phi_s come from the smallest direct variance
+    phis = np.linspace(0.0, math.pi, 5)
+    rep = squeezing_scan(state, phis, 0.0)
+    assert rep.fit_failures == phis.size
+    assert all(math.isnan(v_fit) for _, _, v_fit in rep.variance_curve)
+    v_direct, phi_s = min((v, phi) for phi, v, _ in rep.variance_curve)
+    assert (rep.v_min_fit, rep.phi_s) == (v_direct, phi_s)
+    assert rep.v_min_fit == pytest.approx(variance)
+    assert rep.squeezing_db == pytest.approx(10.0 * math.log10(variance / 10.0))
+
+
+def test_scan_needs_kmax_two():
+    with pytest.raises(ValueError, match="kmax >= 2"):
+        squeezing_scan(coherent_state(8, math.pi / 2.0, 0.0, 0.0, kmax=1), [0.0], 0.0)
 
 
 def test_scan_requires_an_azimuth():

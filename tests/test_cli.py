@@ -10,9 +10,14 @@ import spintomo
 from spintomo import cli
 from spintomo import io as stio
 from spintomo.cli import main
-from spintomo.forward import NoiseModel, Records
+from spintomo.forward import NoiseModel, Records, sample_measurements
 from spintomo.reconstruct import ReconstructionConfig, reconstruct
-from spintomo.states import coherent_state, wigner_grid
+from spintomo.states import (
+    coherent_state,
+    dicke_basis_state,
+    maximally_mixed_state,
+    wigner_grid,
+)
 
 import oracles
 
@@ -175,6 +180,24 @@ def test_simulate_non_finite_state_exits_2(workdir, capsys, flags):
     assert not os.path.exists("meas.csv")
 
 
+@pytest.mark.parametrize("flags, state", [
+    (("--state", "dicke", "--two-m", "-2"), dicke_basis_state(8, -2, 8)),
+    (("--state", "mixed"), maximally_mixed_state(8, 8)),
+], ids=["dicke", "mixed"])
+def test_simulate_draws_from_the_named_state(workdir, flags, state):
+    assert run("simulate", *flags, "--two-j", 8, "--axes", 5, "--shots", 20, "--seed", 4,
+               "--out", "m.csv") == 0
+    axes = [(math.pi / 2.0, a * math.pi / 5) for a in range(5)]
+    assert stio.parse_measurements("m.csv") == sample_measurements(state, axes, 20,
+                                                                   NoiseModel(), 4)
+
+
+def test_simulate_dicke_needs_two_m(workdir, capsys):
+    assert run("simulate", "--state", "dicke", "--out", "m.csv") == 2
+    assert "--two-m is required for --state dicke" in capsys.readouterr().err
+    assert not os.path.exists("m.csv")
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 def test_empty_output_path_exits_2(tmp_path, monkeypatch, capsys, via):
     # rejected before any write: nothing lands here or in the parent directory
@@ -213,6 +236,29 @@ def test_analyze_of_an_exact_coherent_state_reports_failed_fits(workdir, capsys)
     stio.write_coefficients("c.csv", coherent_state(8, math.pi / 2.0, 0.0, 0.0, kmax=8))
     assert run("analyze", "c.csv") == 0
     assert "warning: Gaussian fit failed for 29 axes" in capsys.readouterr().out
+    assert os.path.exists("c_squeezing.csv")
+
+
+@pytest.mark.parametrize("state", [("--state", "dicke", "--two-m", "0"), ("--state", "mixed")],
+                         ids=["dicke", "mixed"])
+def test_analyze_exits_3_when_every_fit_fails(workdir, capsys, state):
+    # p_m is two-peaked (Dicke m = 0 on the equator) or flat (mixed) along every axis
+    assert run("simulate", *state, "--two-j", 8, "--axes", 12, "--shots", 50,
+               "--out", "m.csv") == 0
+    assert run("reconstruct", "m.csv", "--out", "r") == 0
+    capsys.readouterr()
+    assert run("analyze", "r_coeffs.csv") == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: Gaussian fit failed along every quantization axis\n")
+    assert not os.path.exists("r_squeezing.csv")
+
+
+def test_analyze_noise_floor_above_the_variance_prints_undefined_db(workdir, capsys):
+    stio.write_coefficients("c.csv", coherent_state(8, math.pi / 2.0, 0.0, 0.0, kmax=8))
+    assert run("analyze", "c.csv", "--sigma-n", 10) == 0
+    out = capsys.readouterr().out
+    assert "noise-subtracted minimum variance is non-positive; squeezing in dB undefined" in out
+    assert " dB (V_fit" not in out
     assert os.path.exists("c_squeezing.csv")
 
 
@@ -290,6 +336,13 @@ def test_malformed_coefficient_row_exits_2_with_line(workdir, capsys, command):
         fh.write("# two_j_ref = 2\n# kmax = 1\nk,q,re,im\nx,1,0.1,0.0\n")
     assert run(command, "bad.csv") == 2
     assert "bad.csv:4: invalid literal for int()" in capsys.readouterr().err
+
+
+def test_render_bad_grid_exits_2(workdir, capsys):
+    stio.write_coefficients("c.csv", coherent_state(8, 0.0, 0.0, 0.0, kmax=8))
+    assert run("render", "c.csv", "--grid", "abc") == 2
+    assert "--grid expects NxM, got 'abc'" in capsys.readouterr().err
+    assert sorted(os.listdir()) == ["c.csv"]
 
 
 def test_missing_input_exits_2(workdir, capsys):

@@ -250,6 +250,8 @@ def test_producers_refuse_bad_axes_as_records_do(axes, message):
         exact_records(s, axes)
     with pytest.raises(ValueError, match="weight must be non-negative or NaN, got -0.5"):
         exact_records(s, [(0.3, 0.1), (1.2, 2.0)], [0.5, -0.5])
+    with pytest.raises(ValueError, match="axis_weights must match the number of axes"):
+        exact_records(s, [(0.3, 0.1), (1.2, 2.0)], [1.0])
 
 
 # ---------------------------------------------------------------- probabilities
@@ -479,8 +481,8 @@ def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
 
 
 def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
-    # without axis noise all axes share the kernel calls: two axes per call here,
-    # one point per kernel chunk and one axis per comparison block of the draw
+    # without axis noise an axis's shots are one point, and its 30 x 11 comparison
+    # block exceeds the budget: one axis per call, one point per kernel chunk
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
     monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * 11)
     for case in ("none", "number"):
@@ -491,7 +493,9 @@ def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
 
 @pytest.mark.parametrize("case", ["none", "number", "all"])
 def test_sampler_probability_calls_stay_within_the_budget(case, monkeypatch):
-    # one path for every noise model: p_m of at most _CHUNK_BUDGET // (2j+1) points a call
+    # one path for every noise model: a point costs its uniforms times 2j + 1, so a
+    # call takes _CHUNK_BUDGET // (30 * 11) = 0 -> 1 point without axis noise, where an
+    # axis's 30 shots are one point, and _CHUNK_BUDGET // 11 = 3 points with it
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
     noise = _SAMPLER_NOISE[case]
     want = oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)
@@ -504,7 +508,7 @@ def test_sampler_probability_calls_stay_within_the_budget(case, monkeypatch):
     monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11)
     monkeypatch.setattr(forward, "projection_probabilities", spy)
     assert sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8) == want
-    assert max(seen) <= 3
+    assert max(seen) == (3 if noise.has_axis_noise else 1)
     points = len(_SAMPLER_AXES) * (30 if noise.has_axis_noise else 1)
     assert sum(seen) == points
 

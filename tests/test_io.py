@@ -80,6 +80,10 @@ def test_measurement_requires_header_and_rows(tmp_path):
     empty.write_text("theta,phi,weight,two_j,two_m\n")
     with pytest.raises(stio.MeasurementFormatError, match="no measurement rows"):
         stio.parse_measurements(empty)
+    comments = tmp_path / "c.csv"
+    comments.write_text("# only a comment\n\n")
+    with pytest.raises(stio.MeasurementFormatError, match="c.csv: no header line found"):
+        stio.parse_measurements(comments)
 
 
 def test_measurement_round_trip_byte_stable(tmp_path):
@@ -369,8 +373,12 @@ _HEAD = "# two_j_ref = 2\n# kmax = 1\nk,q,re,im\n"
     ("# two_j_ref = 6\n# kmax = 6\nk,q,re,im\n0,0,0.0,1e300\n6,4,0.0,0.0\n"
      "6,5,1.7976931348623155e+308,3.280811678258314e+300\n",
      r"c.csv:4: rho_k0 is not real: imaginary part 1e\+300"),
+    # numpy refuses an array of this size without allocating it
+    (f"# two_j_ref = {10 ** 12}\n# kmax = {10 ** 12}\nk,q,re,im\n0,0,0.5,0.0\n",
+     f"c.csv:2: kmax = {10 ** 12} too large"),
 ], ids=["row_int", "row_float", "out_of_range", "non_finite", "header_int", "header_kmax",
-        "complex_k0", "re_nan_im_text", "k_beyond_int64", "complex_k0_tie", "complex_k0_huge"])
+        "complex_k0", "re_nan_im_text", "k_beyond_int64", "complex_k0_tie", "complex_k0_huge",
+        "kmax_too_large"])
 def test_coefficient_errors_name_file_and_line(tmp_path, text, message):
     path = tmp_path / "c.csv"
     path.write_text(text)

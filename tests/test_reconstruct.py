@@ -536,6 +536,21 @@ def test_fbp_inplane_rejects_off_plane_axes():
         fbp_inplane(recs, ReconstructionConfig(kmax=0, two_j_ref=2))
 
 
+@pytest.mark.parametrize("fbp, config, message", [
+    (fbp_full, ReconstructionConfig(kmax=2, two_j_ref=4), "config.mode must be 'full-sphere'"),
+    (fbp_inplane, ReconstructionConfig(kmax=2, mode="full-sphere", two_j_ref=4),
+     "config.mode must be 'in-plane'"),
+    (fbp_inplane, ReconstructionConfig(kmax=3, two_j_ref=2), "kmax = 3 exceeds two_j_ref = 2"),
+    (fbp_full, ReconstructionConfig(kmax=3, mode="full-sphere", two_j_ref=2),
+     "kmax = 3 exceeds two_j_ref = 2"),
+], ids=["full_mode", "inplane_mode", "inplane_kmax", "full_kmax"])
+def test_fbp_refuses_a_config_it_cannot_serve(fbp, config, message):
+    recs = compute_weights(exact_records(coherent_state(4, 0.3, 0.0, 0.0, 4), _plane_axes(8)),
+                           "in-plane")
+    with pytest.raises(ValueError, match=message):
+        fbp(recs, config)
+
+
 def test_fbp_inplane_kmax_validity_bound():
     truth, _ = _random_state(4, seed=1)
     recs = exact_records(truth, _plane_axes(4))

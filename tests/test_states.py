@@ -82,6 +82,23 @@ def test_states_reject_non_finite_entries(bad):
         DickeState(2, mat)
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: DickeState(2, np.eye(2)), r"shape \(2, 2\), expected \(3, 3\)"),
+    (lambda: states.WignerGrid([0.1, 0.2], [0.0, 1.0, 2.0], np.zeros((2, 2))),
+     r"values shape \(2, 2\) does not match grid \(2, 3\)"),
+    (lambda: states.WignerGrid([0.1, 0.2], [0.0, 1.0], [[0.0, math.inf], [0.0, 0.0]]),
+     "grid contains non-finite values"),
+    (lambda: dicke_to_spherical(spherical_to_dicke(dicke_basis_state(4, 0, 4)), 5),
+     r"kmax = 5 outside 0\.\.two_j = 4"),
+    (lambda: dicke_to_spherical(spherical_to_dicke(dicke_basis_state(4, 0, 4)), -1),
+     r"kmax = -1 outside 0\.\.two_j = 4"),
+], ids=["dicke_shape", "grid_shape", "grid_non_finite", "dicke_to_spherical_kmax_high",
+        "dicke_to_spherical_kmax_low"])
+def test_containers_and_conversions_refuse_bad_input(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # ---------------------------------------------------------------- conversions
 
 def test_dicke_to_spherical_halfspin_example():
