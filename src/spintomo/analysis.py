@@ -72,16 +72,21 @@ class GaussianFit:
     variance: float
 
 
-def _gaussian_gram(x, m, P):
+def _gaussian_gram(x, m, P, Jr):
     # [J | r]^T [J | r], shape (rows, 4, 4), for the fits A exp(-(m - mu)^2 / (2 sigma^2))
     # to the rows of P at x[n] = (A, mu, sigma): J = d r / d (A, mu, sigma) and the
-    # residual r = A g - P are stacked once, so J^T J, J^T r and |r|^2 come from one product
+    # residual r = A g - P are written into Jr, shape (4, rows, points), one
+    # contiguous block per column, so J^T J, J^T r and |r|^2 come from one product
     a, sigma = x[:, :1], x[:, 2:]
+    g, j_mu, j_sigma, r = Jr
     d = (m - x[:, 1:2]) / sigma
-    g = np.exp(-0.5 * d * d)
-    agd = a * g * d
-    JrT = np.stack([g, agd / sigma, agd * d / sigma, a * g - P], axis=1)
-    return JrT @ np.swapaxes(JrT, 1, 2)
+    np.exp(-0.5 * d * d, out=g)
+    ag = a * g
+    np.multiply(ag, d, out=j_mu)                 # a g d, then / sigma
+    np.multiply(j_mu, d, out=j_sigma)            # a g d^2, then / sigma
+    Jr[1:3] /= sigma
+    np.subtract(ag, P, out=r)
+    return np.matmul(Jr.transpose(1, 0, 2), Jr.transpose(1, 2, 0))
 
 
 _FIT_FTOL = 1e-8    # relative reduction of the squared residual, actual and predicted
@@ -99,9 +104,10 @@ def _gaussian_fits(P, m):
     Levenberg-Marquardt iteration in (A, mu, sigma) runs over all rows,
     which stay in place: a mask marks the rows still iterating, and the
     other rows keep their x.  J^T J, J^T r and |r|^2 come from one batched
-    Gram product of [J | r] (_gaussian_gram); the product at a trial point
-    gives its squared residual and, once the step is taken, the next
-    step's normal equations.  Each row has its own damping lambda (Marquardt's: the
+    Gram product of [J | r] (_gaussian_gram, which writes [J | r] into one
+    buffer per call); the product at a trial point gives its squared
+    residual and, once the step is taken, the next step's normal equations,
+    copied into place.  Each row has its own damping lambda (Marquardt's: the
     normal equations J^T J + lambda D, D the largest squared column norms
     of J seen so far; lambda / 10 after a step that reduces the squared
     residual, x 10 after one that does not) and stops by MINPACK's rules:
@@ -110,39 +116,45 @@ def _gaussian_fits(P, m):
     parameters.  A row whose step matrix is singular leaves as a failed
     fit.  A row's arithmetic does not depend on the other rows.
     """
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    m = np.asarray(m, dtype=float)
-    if P.shape[1] < 5:
-        raise ValueError("need at least 5 points to fit")
-    n = P.shape[0]
-    pos = np.clip(P, 0.0, None)
-    tot = pos.sum(axis=1)
-    active = (tot > 0.0) & np.isfinite(P).all(axis=1)
-    done = np.zeros(n, dtype=bool)
-    lam = np.full(n, 1e-3)
-    scale = np.full((n, 3), np.finfo(float).tiny)
+    P, m = np.atleast_2d(np.asarray(P, dtype=float)), np.asarray(m, dtype=float)
+    if P.ndim != 2 or P.shape[1] < 5:
+        raise ValueError(f"need rows of at least 5 points to fit, got shape {P.shape}")
+    n, points = P.shape
+    if m.shape != (points,):
+        raise ValueError(f"m must be 1-D with one entry per point: ({points},), got {m.shape}")
+    pos = np.maximum(P, 0.0)
+    tot = np.add.reduce(pos, axis=1)
+    active = (tot > 0.0) & np.logical_and.reduce(np.isfinite(P), axis=1)
+    done, lam = np.zeros(n, dtype=bool), np.full(n, 1e-3)
+    D = np.full((n, 3), np.finfo(float).tiny)
+    # the fit, the step matrices and [J | r] (one contiguous block of rows per column)
+    x, M, Jr = np.empty((n, 3)), np.empty((n, 3, 3)), np.empty((4, n, points))
+    eye, xtol2 = np.eye(3), _FIT_XTOL ** 2
 
     with np.errstate(all="ignore"):
-        mu0 = np.sum(pos * m, axis=1) / tot
-        var0 = np.sum(pos * (m - mu0[:, None]) ** 2, axis=1) / tot
-        x = np.stack([np.maximum(P.max(axis=1), 1e-12), mu0, np.sqrt(np.maximum(var0, 0.25))],
-                     axis=1)
+        # the start: the positive part's height, mean and (at least 1/4) variance
+        np.maximum(np.maximum.reduce(P, axis=1), 1e-12, out=x[:, 0])
+        mu0 = np.divide(np.add.reduce(pos * m, axis=1), tot, out=x[:, 1])
+        var0 = np.add.reduce(pos * (m - mu0[:, None]) ** 2, axis=1) / tot
+        np.sqrt(np.maximum(var0, 0.25), out=x[:, 2])
         x[~active] = 0.0
-        G = _gaussian_gram(x, m, P)
+        G = _gaussian_gram(x, m, P, Jr)
+        # views of G, which each taken step updates in place
+        A, grad, f = G[:, :3, :3], G[:, :3, 3:], G[:, 3, 3]
+        A_diag, M_diag = G.reshape(n, 16)[:, :15:5], M.reshape(n, 9)[:, ::4]
         for _ in range(_FIT_STEPS):
             if not active.any():
                 break
-            A, grad, f = G[:, :3, :3], G[:, :3, 3], G[:, 3, 3]
             # rows that are not iterating never read their damping again
-            scale = D = np.maximum(scale, np.diagonal(A, axis1=1, axis2=2))
+            np.maximum(D, A_diag, out=D)
             # a non-finite row leaves the fit; the identity keeps it, and every
             # row that is not iterating, out of the solve
-            active &= np.isfinite(A).all(axis=(1, 2))
-            M = A.copy()
-            M.reshape(n, 9)[:, ::4] += lam[:, None] * D                 # J^T J + lambda D
-            M[~active] = np.eye(3)
+            active &= np.logical_and.reduce(np.isfinite(A), axis=(1, 2))
+            np.copyto(M, A)
+            M_diag += lam[:, None] * D                # J^T J + lambda D
+            M[~active] = eye
             try:
-                h = -np.linalg.solve(M, grad[..., None])[..., 0]
+                h = -np.linalg.solve(M, grad)[..., 0]
             except np.linalg.LinAlgError:
                 # only now look for the rows whose step is singular: each leaves as a failed fit
                 for i in np.flatnonzero(active):
@@ -150,26 +162,28 @@ def _gaussian_fits(P, m):
                         np.linalg.solve(M[i], grad[i])
                     except np.linalg.LinAlgError:
                         active[i] = False
-                M[~active] = np.eye(3)
-                h = -np.linalg.solve(M, grad[..., None])[..., 0]
+                M[~active] = eye
+                h = -np.linalg.solve(M, grad)[..., 0]
             xt = x + h
-            Gt = _gaussian_gram(xt, m, P)
+            Gt = _gaussian_gram(xt, m, P, Jr)
             actual = 1.0 - Gt[:, 3, 3] / f
-            hDh = np.sum(D * h * h, axis=1)
+            hDh = np.add.reduce(D * h * h, axis=1)
             # |J h|^2 + 2 lambda h^T D h, as (J^T J + lambda D) h = -grad
-            pred = (lam * hDh - np.sum(h * grad, axis=1)) / f
+            pred = (lam * hDh - np.add.reduce(h * grad[..., 0], axis=1)) / f
             ratio = actual / pred
             good = ratio > 1e-4
             stop = (((np.abs(actual) <= _FIT_FTOL) & (pred <= _FIT_FTOL) & (ratio <= 2.0))
-                    | (hDh <= _FIT_XTOL ** 2 * np.sum(D * x * x, axis=1)))
+                    | (hDh <= xtol2 * np.add.reduce(D * x * x, axis=1)))
             step = active & good
-            x = np.where(step[:, None], xt, x)
-            G = np.where(step[:, None, None], Gt, G)
-            lam = lam * np.where(good, 0.1, 10.0)
-            done |= active & stop
-            active &= ~stop
-    x[:, 2] = x[:, 2] ** 2
-    ok = done & np.isfinite(x).all(axis=1) & (x[:, 2] > 1e-300) & (x[:, 2] <= np.ptp(m) ** 2)
+            np.copyto(x, xt, where=step[:, None])
+            np.copyto(G, Gt, where=step[:, None, None])
+            lam *= np.where(good, 0.1, 10.0)
+            stop &= active
+            done |= stop
+            active ^= stop
+    x[:, 2] **= 2
+    ok = (done & np.logical_and.reduce(np.isfinite(x), axis=1) & (x[:, 2] > 1e-300)
+          & (x[:, 2] <= (m.max() - m.min()) ** 2))
     return x, ok
 
 
@@ -235,8 +249,7 @@ def squeezing_scan(s, phis, sigma_n, j_mean=None):
     j_mean = s.two_j_ref / 2.0 if j_mean is None else j_mean
     if not (math.isfinite(j_mean) and j_mean > 0.0):
         raise ValueError(f"j_mean must be finite and positive, got {j_mean}")
-    two_j = s.two_j_ref
-    m = (2.0 * np.arange(two_j + 1) - two_j) / 2.0
+    m = np.arange(s.two_j_ref + 1) - s.two_j_ref / 2.0
     phis = np.asarray(phis, dtype=float).ravel()
     if phis.size == 0:
         raise ValueError("squeezing scan needs at least one azimuth")
@@ -245,7 +258,7 @@ def squeezing_scan(s, phis, sigma_n, j_mean=None):
     fits, ok = _gaussian_fits(P, m)
     v_fits = np.where(ok, fits[:, 2], math.nan)
     curve = list(zip(phis.tolist(), (mean2s - means ** 2).tolist(), v_fits.tolist()))
-    failures = int(np.sum(~ok))
+    failures = ok.size - int(np.count_nonzero(ok))
 
     v_coh = j_mean / 2.0
     # the smallest fitted variance, nearest phi = 0 on a tie; the direct ones if no fit converged

@@ -6,7 +6,9 @@ the Racah sum in exact rational arithmetic (``cg_general``, ``cg_t``) or
 sympy.  None of it shares code with the paths it checks, except two
 helpers that tests read the package through: ``coeff`` (one entry of a
 state) and ``coupling_table_signed`` (the package's coupling table for
-negative orders too, by the mirror identity).
+negative orders too, by the mirror identity).  ``gaussian_fits_reference``
+is no brute force either: it is an earlier version of the package's
+Gaussian fit, kept verbatim, whose bits the fit must reproduce.
 """
 
 import math
@@ -536,6 +538,93 @@ def gaussian_fit_tight(p, m):
     if info not in (1, 2, 3, 4) or x[2] ** 2 <= 1e-300:
         return None
     return np.array([x[0], x[1], x[2] ** 2])
+
+
+def _gaussian_gram_reference(x, m, P):
+    # [J | r]^T [J | r], shape (rows, 4, 4), for the fits A exp(-(m - mu)^2 / (2 sigma^2))
+    # to the rows of P at x[n] = (A, mu, sigma): J = d r / d (A, mu, sigma) and the
+    # residual r = A g - P are stacked once, so J^T J, J^T r and |r|^2 come from one product
+    a, sigma = x[:, :1], x[:, 2:]
+    d = (m - x[:, 1:2]) / sigma
+    g = np.exp(-0.5 * d * d)
+    agd = a * g * d
+    JrT = np.stack([g, agd / sigma, agd * d / sigma, a * g - P], axis=1)
+    return JrT @ np.swapaxes(JrT, 1, 2)
+
+
+_REF_FTOL = 1e-8    # relative reduction of the squared residual, actual and predicted
+_REF_XTOL = 1e-9    # relative size of the scaled step
+_REF_STEPS = 200    # Levenberg-Marquardt steps before a fit gives up
+
+
+def gaussian_fits_reference(P, m):
+    """analysis._gaussian_fits before its steps were made in place, kept verbatim: (x, ok).
+
+    It stacks a new [J | r] in every Gram product and keeps the accepted
+    rows with np.where.  The package's fit makes fewer array calls around
+    the same arithmetic, so it must return these bits exactly.
+    """
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    m = np.asarray(m, dtype=float)
+    if P.shape[1] < 5:
+        raise ValueError("need at least 5 points to fit")
+    n = P.shape[0]
+    pos = np.clip(P, 0.0, None)
+    tot = pos.sum(axis=1)
+    active = (tot > 0.0) & np.isfinite(P).all(axis=1)
+    done = np.zeros(n, dtype=bool)
+    lam = np.full(n, 1e-3)
+    scale = np.full((n, 3), np.finfo(float).tiny)
+
+    with np.errstate(all="ignore"):
+        mu0 = np.sum(pos * m, axis=1) / tot
+        var0 = np.sum(pos * (m - mu0[:, None]) ** 2, axis=1) / tot
+        x = np.stack([np.maximum(P.max(axis=1), 1e-12), mu0, np.sqrt(np.maximum(var0, 0.25))],
+                     axis=1)
+        x[~active] = 0.0
+        G = _gaussian_gram_reference(x, m, P)
+        for _ in range(_REF_STEPS):
+            if not active.any():
+                break
+            A, grad, f = G[:, :3, :3], G[:, :3, 3], G[:, 3, 3]
+            # rows that are not iterating never read their damping again
+            scale = D = np.maximum(scale, np.diagonal(A, axis1=1, axis2=2))
+            # a non-finite row leaves the fit; the identity keeps it, and every
+            # row that is not iterating, out of the solve
+            active &= np.isfinite(A).all(axis=(1, 2))
+            M = A.copy()
+            M.reshape(n, 9)[:, ::4] += lam[:, None] * D                 # J^T J + lambda D
+            M[~active] = np.eye(3)
+            try:
+                h = -np.linalg.solve(M, grad[..., None])[..., 0]
+            except np.linalg.LinAlgError:
+                # only now look for the rows whose step is singular: each leaves as a failed fit
+                for i in np.flatnonzero(active):
+                    try:
+                        np.linalg.solve(M[i], grad[i])
+                    except np.linalg.LinAlgError:
+                        active[i] = False
+                M[~active] = np.eye(3)
+                h = -np.linalg.solve(M, grad[..., None])[..., 0]
+            xt = x + h
+            Gt = _gaussian_gram_reference(xt, m, P)
+            actual = 1.0 - Gt[:, 3, 3] / f
+            hDh = np.sum(D * h * h, axis=1)
+            # |J h|^2 + 2 lambda h^T D h, as (J^T J + lambda D) h = -grad
+            pred = (lam * hDh - np.sum(h * grad, axis=1)) / f
+            ratio = actual / pred
+            good = ratio > 1e-4
+            stop = (((np.abs(actual) <= _REF_FTOL) & (pred <= _REF_FTOL) & (ratio <= 2.0))
+                    | (hDh <= _REF_XTOL ** 2 * np.sum(D * x * x, axis=1)))
+            step = active & good
+            x = np.where(step[:, None], xt, x)
+            G = np.where(step[:, None, None], Gt, G)
+            lam = lam * np.where(good, 0.1, 10.0)
+            done |= active & stop
+            active &= ~stop
+    x[:, 2] = x[:, 2] ** 2
+    ok = done & np.isfinite(x).all(axis=1) & (x[:, 2] > 1e-300) & (x[:, 2] <= np.ptp(m) ** 2)
+    return x, ok
 
 
 def axis_groups(theta, phi, tol):

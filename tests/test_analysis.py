@@ -1,9 +1,12 @@
 import math
+import re
 import warnings
 from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintomo.analysis import (
     _gaussian_fits,
@@ -232,7 +235,7 @@ def test_gaussian_gram_matches_central_differences():
     h = 1e-6
     x = np.array([[0.3, 1.2, 2.5], [1.7, -3.0, 0.8], [0.05, 0.4, 6.0]])
     model = oracles.gaussian_model
-    for xi, got in zip(x, _gaussian_gram(x, m, p)):
+    for xi, got in zip(x, _gaussian_gram(x, m, p, np.empty((4, 3, m.size)))):
         # the residual is the model minus p, so p drops out of its differences
         J = np.stack([(model(xi + h * e, m) - model(xi - h * e, m)) / (2.0 * h)
                       for e in np.eye(3)], axis=1)
@@ -251,16 +254,34 @@ def test_gaussian_fit_analytic_jacobian_matches_finite_differences(name):
     assert np.all(np.abs(got - want) <= 1e-7 * np.abs(want) + np.array([0.0, 1e-7 * want[2], 0.0]))
 
 
-def test_gaussian_fit_failure_modes():
-    m = np.arange(-5, 6, dtype=float)
-    assert gaussian_fit(np.zeros(11), m) is None      # nothing to fit
-    assert gaussian_fit(-np.ones(11), m) is None      # no positive part
-    assert gaussian_fit(np.exp(-m ** 2 / 1e-4), m) is None  # one spike: a singular step
+_FAILURE_M = np.arange(-5, 6, dtype=float)
+_FAILURE_ROWS = [
+    np.zeros(11),                                     # nothing to fit
+    -np.ones(11),                                     # no positive part
+    np.exp(-_FAILURE_M ** 2 / 1e-4),                  # one spike: a singular step
     # flat and two-peaked rows run off to a variance far beyond ptp(m)^2 = 100
-    assert gaussian_fit(np.ones(11), m) is None
-    assert gaussian_fit(np.exp(-(m - 4.0) ** 2) + np.exp(-(m + 4.0) ** 2), m) is None
-    with pytest.raises(ValueError):
-        gaussian_fit(np.ones(3))                      # too short
+    np.ones(11),
+    np.exp(-(_FAILURE_M - 4.0) ** 2) + np.exp(-(_FAILURE_M + 4.0) ** 2),
+]
+
+
+def test_gaussian_fit_failure_modes():
+    for row in _FAILURE_ROWS:
+        assert gaussian_fit(row, _FAILURE_M) is None
+    for p in (np.ones(3), np.ones((2, 11))):          # too short, not one row
+        with pytest.raises(ValueError, match="need rows of at least 5 points"):
+            gaussian_fit(p)
+
+
+@pytest.mark.parametrize("m", [np.arange(-4, 5.0), np.arange(-6, 7.0), np.zeros((11, 1)),
+                               np.zeros((1, 11)), np.array(0.0)])
+def test_gaussian_fit_refuses_points_that_do_not_match_the_rows(m):
+    p = np.exp(-_FAILURE_M ** 2 / 4.0)
+    message = re.escape(f"one entry per point: (11,), got {np.shape(m)}")
+    with pytest.raises(ValueError, match=message):
+        gaussian_fit(p, m)
+    with pytest.raises(ValueError, match=message):
+        _gaussian_fits(np.vstack([p, p]), m)
 
 
 _SCAN_PHIS = np.linspace(-math.pi / 2.0, math.pi / 2.0, 181)
@@ -290,6 +311,12 @@ def _workload_scan(shape):
     return P, np.arange(41) - 20.0
 
 
+def _with_refused_rows(P, m):
+    # rows the fit must refuse (3, 4 and 7: zero, negative, one NaN), between fittable ones
+    return np.vstack([P[:3], np.zeros(m.size), -np.abs(P[3]), P[4:6],
+                      np.where(m == 0.0, np.nan, P[6]), P[7:]])
+
+
 @pytest.mark.parametrize("shape", ["paper", "cli"])
 def test_batched_fits_reach_the_least_squares_minimum(shape):
     P, m = _workload_scan(shape)
@@ -307,9 +334,7 @@ def test_batched_fits_reach_the_least_squares_minimum(shape):
 @pytest.mark.parametrize("shape", ["paper", "cli"])
 def test_batched_fits_equal_fits_row_by_row(shape):
     P, m = _workload_scan(shape)
-    # rows the fit must refuse, between fittable ones
-    P = np.vstack([P[:3], np.zeros(41), -np.abs(P[3]), P[4:6],
-                   np.where(m == 0.0, np.nan, P[6]), P[7:]])
+    P = _with_refused_rows(P, m)
     x, ok = _gaussian_fits(P, m)
     assert list(np.flatnonzero(~ok)) == [3, 4, 7]
     for i, row in enumerate(P):
@@ -331,6 +356,45 @@ def test_a_singular_row_leaves_the_other_fits_bitwise(shape):
     assert not oks[90]
     assert np.array_equal(np.delete(oks, 90), ok)
     assert np.array_equal(np.delete(xs, 90, axis=0), x, equal_nan=True)
+
+
+def _assert_fits_equal_the_reference(P, m):
+    x, ok = _gaussian_fits(P, m)
+    want_x, want_ok = oracles.gaussian_fits_reference(P, m)
+    assert x.tobytes() == want_x.tobytes()
+    assert ok.tobytes() == want_ok.tobytes()
+
+
+@pytest.mark.parametrize("shape", ["paper", "cli"])
+def test_fits_equal_the_reference_bitwise(shape):
+    # the 181 rows in one call and in calls of 8, as either workload scans them,
+    # and with the refused rows between them
+    P, m = _workload_scan(shape)
+    for rows in (P, _with_refused_rows(P, m), *(P[i:i + 8] for i in range(0, P.shape[0], 8))):
+        _assert_fits_equal_the_reference(rows, m)
+
+
+def test_failed_fits_equal_the_reference_bitwise():
+    _assert_fits_equal_the_reference(np.vstack(_FAILURE_ROWS), _FAILURE_M)
+    for row in _FAILURE_ROWS:
+        _assert_fits_equal_the_reference(row[None, :], _FAILURE_M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.integers(5, 61), rows=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_fits_equal_the_reference_on_rows_with_negative_lobes(points, rows, seed):
+    # near-Gaussian rows as a noisy reconstruction gives them: negative lobes on
+    # either side of the peak, and noise of either sign
+    gen = np.random.default_rng(seed)
+    m = np.arange(points) - (points - 1) / 2.0
+    amp = gen.uniform(0.05, 1.0, (rows, 1))
+    mu = gen.uniform(-0.3, 0.3, (rows, 1)) * points
+    sigma = gen.uniform(0.4, 0.3 * points, (rows, 1))
+    depth, at = gen.uniform(0.0, 0.15, (rows, 1)), gen.uniform(1.5, 3.0, (rows, 1))
+    d = (m - mu) / sigma
+    P = amp * (np.exp(-0.5 * d * d) - depth * np.exp(-2.0 * (np.abs(d) - at) ** 2))
+    P += gen.normal(0.0, 0.02, P.shape) * amp
+    _assert_fits_equal_the_reference(P, m)
 
 
 # ---------------------------------------------------------------- squeezing scan
