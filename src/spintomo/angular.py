@@ -174,7 +174,7 @@ def _sectoral_seeds(kmax, x):
     One running product S_q^q = S_{q-1}^{q-1} (-sqrt((2q+1)/(2q)) s),
     s = sqrt(1 - x^2).
     """
-    s = np.sqrt(np.clip(1.0 - x * x, 0.0, None))
+    s = np.sqrt(np.maximum(1.0 - x * x, 0.0))  # np.clip(1 - x^2, 0, None)'s ufunc
     qs = np.arange(1, kmax + 1, dtype=float).reshape((kmax,) + (1,) * x.ndim)
     factors = np.empty((kmax + 1,) + x.shape)
     factors[0] = 1.0 / SQRT_4PI
@@ -183,37 +183,47 @@ def _sectoral_seeds(kmax, x):
 
 
 def _sph_rows(x, seeds, out):
-    """The rows S_k^q(x), q = 0..k, of the normalized recurrence, k = 0..kmax.
+    """The rows S_k^q(x), q = 0..k, of the normalized recurrence, k = 0..kmax,
+    handed over a block of len(out) rows at a time.
 
     seeds are the sectoral seeds S_q^q(x).  Row k holds the seed S_k^k,
     the step up S_k^(k-1) = sqrt(2k+1) x S_(k-1)^(k-1) and, for the orders
     q <= k-2, the three-term ladder a_kq (x S_(k-1)^q - b_kq S_(k-2)^q).
-    It is written to out[k % len(out), :k+1] and yielded as that view: out
-    with kmax+1 slots keeps every row (a full table), fewer slots (at least
-    three) keep the latest rows.  x broadcasts against seeds[q].
+    It is written to out[k % len(out), :k+1].  Each time out's slots are
+    full, and after row kmax, the generator yields the block's degrees
+    (k0, k1): rows k0..k1-1 sit in slots 0..k1-k0-1 until the next block
+    overwrites them.  out with kmax+1 slots makes one block, a full table;
+    fewer slots (at least three) make blocks of that many rows.  out is
+    C-contiguous, and x broadcasts against seeds[q].
     """
-    kmax = len(seeds) - 1
+    kmax, nslot = len(seeds) - 1, len(out)
     column = (1,) * (out.ndim - 2)  # trailing axes that broadcast a per-order factor
-    out[0, 0] = seeds[0]
-    yield out[0, :1]
-    if kmax == 0:
-        return
     qs = np.arange(1, kmax + 1, dtype=float).reshape((kmax,) + column)
-    edges = np.stack([np.sqrt(2.0 * qs + 1.0) * x * seeds[:-1], seeds[1:]], axis=1)
+    ups = np.sqrt(2.0 * qs + 1.0) * x * seeds[:-1]  # the steps up S_k^(k-1), k = 1..kmax
     a, b = _sph_recurrence_coeffs(kmax)
     a, b = a.reshape(a.shape + column), b.reshape(b.shape + column)
-    xs = np.empty(out.shape[1:])
-    prev2, prev = out[-1], out[0]
-    for k in range(1, kmax + 1):
-        row = out[k % len(out)]
-        nq = k - 1  # orders 0..k-2, formed in place
-        ladder, xp = row[:nq], np.multiply(x, prev[:nq], out=xs[:nq])
-        np.multiply(b[k, :nq], prev2[:nq], out=ladder)
-        np.subtract(xp, ladder, out=ladder)
-        np.multiply(a[k, :nq], ladder, out=ladder)
-        row[nq:k + 1] = edges[nq]
-        yield row[:k + 1]
-        prev2, prev = prev, row
+    xq = np.empty(out.shape[1:])  # x over the orders, so the ladder's x product broadcasts nothing
+    xq[...] = x
+    xp = np.empty(out.shape[1:])
+    # slot i, order q is entry i (kmax+1) + q of the flattened slots, so the block's
+    # edge entries (slot k - k0, order k or k-1) lie kmax+2 apart
+    flat, step = out.reshape((-1,) + out.shape[2:]), kmax + 2
+    for k0 in range(0, kmax + 1, nslot):
+        k1 = min(k0 + nslot, kmax + 1)
+        flat[k0:k0 + (k1 - k0) * step:step] = seeds[k0:k1]
+        lo = max(k0, 1)
+        first = (lo - k0) * step + k0 - 1
+        flat[first:first + (k1 - lo) * step:step] = ups[lo - 1:k1 - 1]
+        for k in range(max(k0, 2), k1):
+            nq = k - 1  # orders 0..k-2, formed in place
+            # slots -1 and -2 hold the rows k0-1 and k0-2 of the block before
+            row, prev, prev2 = out[k - k0], out[k - k0 - 1], out[k - k0 - 2]
+            ladder, xpk = row[:nq], xp[:nq]
+            np.multiply(xq[:nq], prev[:nq], out=xpk)
+            np.multiply(b[k, :nq], prev2[:nq], out=ladder)
+            np.subtract(xpk, ladder, out=ladder)
+            np.multiply(a[k, :nq], ladder, out=ladder)
+        yield k0, k1
 
 
 def legendre_sph_table(kmax, x):
@@ -229,7 +239,7 @@ def legendre_sph_table(kmax, x):
     _check_cos(x)
     out = np.zeros((kmax + 1, kmax + 1) + x.shape)
     for _ in _sph_rows(x, _sectoral_seeds(kmax, x), out):
-        pass  # each row lands in its own slot of out
+        pass  # one block: every row in its own slot of out
     return out
 
 

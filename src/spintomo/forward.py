@@ -153,7 +153,15 @@ class Records:
         (theta, phi, weight, two_j, two_m) rows, checked as the constructor checks."""
         if isinstance(records, cls):
             return records
-        return cls(*([row[i] for row in records] for i in range(len(_FIELDS))))
+        try:
+            columns = list(zip(*records, strict=True)) or [()] * len(_FIELDS)
+        except ValueError:  # rows of different lengths
+            columns = ()
+        if len(columns) != len(_FIELDS):
+            i = next(i for i, row in enumerate(records) if len(row) != len(_FIELDS))
+            raise ValueError(f"record row {i} has {len(records[i])} fields, "
+                             f"not the five of {_FIELDS}")
+        return cls(*columns)
 
     @property
     def columns(self):
@@ -206,39 +214,41 @@ def projection_probabilities(s, theta, phi):
     ascending.  Entries may be negative when s comes from a noisy
     reconstruction; the sum always equals sqrt(2j+1) rho_00 (the trace).
     """
-    shape = np.broadcast_shapes(np.shape(theta), np.shape(phi))
+    shape = np.broadcast(theta, phi).shape
     p = _wave_sums(s, theta, phi, s.kmax) @ cg_tau_table(s.two_j_ref, s.kmax)
     return p.reshape(shape + p.shape[1:])
 
 
 def _tilted_axes(theta, phi, t1, t2):
-    # axis n + t1 e1 + t2 e2, renormalized; e1, e2 the polar and azimuthal unit vectors
+    # axis v = (n + t1 e1) + t2 e2, renormalized by sqrt((vx^2 + vy^2) + vz^2); e1, e2
+    # the polar and azimuthal unit vectors (e2 has no z part, which could only flip
+    # the sign of a zero vz)
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    n = np.stack([st * cp, st * sp, ct])
-    e1 = np.stack([ct * cp, ct * sp, -st])
-    e2 = np.stack([-sp, cp, np.zeros_like(sp)])
-    v = n + t1 * e1 + t2 * e2
-    v /= np.linalg.norm(v, axis=0)
-    return np.arccos(np.clip(v[2], -1.0, 1.0)), np.arctan2(v[1], v[0])
+    vx = st * cp + t1 * (ct * cp) - t2 * sp
+    vy = st * sp + t1 * (ct * sp) + t2 * cp
+    vz = ct - t1 * st
+    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
+    return np.arccos(np.clip(vz / norm, -1.0, 1.0)), np.arctan2(vy / norm, vx / norm)
 
 
 def _physical(p):
     """Probabilities with round-off negatives clipped to zero; raises below -1e-8."""
-    if p.min(initial=0.0) < -1e-8:
+    if np.minimum.reduce(p, axis=None, initial=0.0) < -1e-8:
         raise ValueError(f"state is unphysical: min p_m = {p.min():.3g}")
-    return np.clip(p, 0.0, None)
+    return np.maximum(p, 0.0)  # np.clip(p, 0, None)'s ufunc
 
 
 def _draw(p, u):
     """Outcome indices for the uniforms u[i, s] by inverse CDF of row i of p, from one
     comparison block of u.size * p.shape[1] booleans (the caller sizes it)."""
     p = _physical(p)
-    total = p.sum(axis=1, keepdims=True)
-    if np.any(total <= 0.0):
+    # the ufuncs behind np.sum and np.cumsum, without their wrappers
+    total = np.add.reduce(p, axis=1, keepdims=True)
+    if (total <= 0.0).any():
         raise ValueError("projection probabilities sum to zero")
-    cdf = np.cumsum(p / total, axis=1)
+    cdf = np.add.accumulate(p / total, axis=1)
     cdf /= cdf[:, -1:]
-    return np.sum(cdf[:, None, :] <= u[:, :, None], axis=2)
+    return np.add.reduce(cdf[:, None, :] <= u[:, :, None], axis=2)
 
 
 def sample_measurements(s, axes, shots_per_axis, noise, seed):
@@ -251,9 +261,13 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
     and the outcome is drawn from the probabilities recomputed for the
     jittered axis.  Weights are set to 1/M (replaced later by the
     weighting step).  Deterministic for fixed inputs and seed: each axis
-    owns an independent counter-based substream.  Returns a Records,
-    axis by axis in the order of axes.
+    owns an independent counter-based substream.  shots_per_axis and seed
+    are integers (Python or NumPy); anything else raises ValueError.
+    Returns a Records, axis by axis in the order of axes.
     """
+    for name, value in (("shots_per_axis", shots_per_axis), ("seed", seed)):
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if shots_per_axis < 1:
         raise ValueError("shots_per_axis must be at least 1")
     theta, phi = _axis_columns(axes)
@@ -288,9 +302,9 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
         n_z = (sigma_j > 0.0) + (sigma_phi_a > 0.0) + 2 * (noise.sigma_omega > 0.0)
         z = np.empty((shots_per_axis, n_z))
         u = np.empty((shots_per_axis, 1))
-        for i in range(shots_per_axis):
-            z[i] = rng.standard_normal(n_z)
-            u[i] = rng.random()
+        for z_i, u_i in zip(z, u):
+            rng.standard_normal(out=z_i)
+            rng.random(out=u_i)
         cols = iter(z.T)
         djs.append(sigma_j * next(cols) if sigma_j > 0.0 else np.zeros(shots_per_axis))
         th = np.full(shots_per_axis, theta_a)

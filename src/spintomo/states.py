@@ -232,8 +232,9 @@ def _wave_sums(s, theta, phi, kuse):
     _CHUNK_BUDGET numbers.  Each point's sums run in the same order
     whatever the chunking, so the result does not depend on _CHUNK_BUDGET.
     """
-    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
-    theta, phi = theta.ravel(), phi.ravel()
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    if theta.ndim != 1 or theta.shape != phi.shape:  # 1-D angles of one shape pass as they are
+        theta, phi = (a.ravel() for a in np.broadcast_arrays(theta, phi))
     _check_angles(theta, phi)
     q = np.arange(kuse + 1)
     norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]     # over k
@@ -249,23 +250,22 @@ def _wave_sums(s, theta, phi, kuse):
             # one vector product per point, so the chunking changes no bit
             out[sl] = (phases[:, None, :] @ w)[:, 0]
         return out
-    c = np.stack([c.real, -c.imag], axis=-1)                       # (k, q, re/im)
+    c = np.conj(c).view(float).reshape(c.shape + (2,))               # (k, q, re/im)
     for sl in chunks:
         x = np.cos(theta[sl])
-        phases = np.empty((kuse + 1, x.size), dtype=complex)        # e^(i q phi), a running product
-        phases[0], phases[1:] = 1.0, np.exp(1j * phi[sl])
-        phases = np.multiply.accumulate(phases, axis=0)
-        phases = np.stack([phases.real, phases.imag], axis=1)      # (q, re/im, points)
+        cis = np.empty((kuse + 1, x.size), dtype=complex)           # e^(i q phi), a running product
+        cis[0], cis[1:] = 1.0, np.exp(1j * phi[sl])
+        cis = np.multiply.accumulate(cis, axis=0)
+        phases = np.empty((kuse + 1, 2, x.size))                   # (q, re/im, points)
+        phases[:, 0], phases[:, 1] = cis.real, cis.imag
         rows = np.zeros((_ROW_BLOCK, kuse + 1, x.size))
         z = np.empty((kuse + 1, 2, x.size))
-        for k, _ in enumerate(_sph_rows(x, _sectoral_seeds(kuse, x), rows)):
-            if k % _ROW_BLOCK == _ROW_BLOCK - 1 or k == kuse:
-                # rows k0..k, zero past each row's end as c is; numpy's own loop
-                # (no BLAS) keeps the sum over q outside, so each point's sums
-                # run in q order whatever the chunk
-                k0 = k - k % _ROW_BLOCK
-                np.einsum("kqn,qrn,kqr->krn", rows[:k - k0 + 1, :k + 1], phases[:k + 1],
-                          c[k0:k + 1, :k + 1], out=z[k0:k + 1])
+        # rows k0..k1-1, zero past each row's end as c is; numpy's own loop (no
+        # BLAS) keeps the sum over q outside, so each point's sums run in q order
+        # whatever the chunk
+        for k0, k1 in _sph_rows(x, _sectoral_seeds(kuse, x), rows):
+            np.einsum("kqn,qrn,kqr->krn", rows[:k1 - k0, :k1], phases[:k1],
+                      c[k0:k1, :k1], out=z[k0:k1])
         out[sl] = (z[:, 0] + z[:, 1]).T
     return out
 

@@ -6,9 +6,12 @@ the Racah sum in exact rational arithmetic (``cg_general``, ``cg_t``) or
 sympy.  None of it shares code with the paths it checks, except two
 helpers that tests read the package through: ``coeff`` (one entry of a
 state) and ``coupling_table_signed`` (the package's coupling table for
-negative orders too, by the mirror identity).  ``gaussian_fits_reference``
-is no brute force either: it is an earlier version of the package's
-Gaussian fit, kept verbatim, whose bits the fit must reproduce.
+negative orders too, by the mirror identity).  ``gaussian_fits_reference``,
+``wave_sums_ladder_reference`` and ``tilted_axes_reference`` are no brute
+force either: each is an earlier version of a package kernel (the Gaussian
+fit, the scattered route of the partial-wave sums, the pointing tilt),
+kept verbatim, whose bits the kernel must reproduce; the ladder's reference
+takes the package's sectoral seeds, recurrence coefficients and chunks.
 """
 
 import math
@@ -142,6 +145,72 @@ def wave_sums_table(s, theta, phi, kuse):
     S = legendre_sph_loop(kuse, np.cos(theta))                  # (k, q, points)
     qphi = q[:, None] * phi
     return (a @ (S * np.cos(qphi)) + b @ (S * np.sin(qphi)))[:, 0].T
+
+
+def _sph_rows_by_degree(x, seeds, out):
+    # the Legendre ladder as it handed its caller one row per degree, kept verbatim:
+    # row k in out[k % len(out), :k+1], yielded as that view
+    from spintomo.angular import _sph_recurrence_coeffs
+
+    kmax = len(seeds) - 1
+    column = (1,) * (out.ndim - 2)
+    out[0, 0] = seeds[0]
+    yield out[0, :1]
+    if kmax == 0:
+        return
+    qs = np.arange(1, kmax + 1, dtype=float).reshape((kmax,) + column)
+    edges = np.stack([np.sqrt(2.0 * qs + 1.0) * x * seeds[:-1], seeds[1:]], axis=1)
+    a, b = _sph_recurrence_coeffs(kmax)
+    a, b = a.reshape(a.shape + column), b.reshape(b.shape + column)
+    xs = np.empty(out.shape[1:])
+    prev2, prev = out[-1], out[0]
+    for k in range(1, kmax + 1):
+        row = out[k % len(out)]
+        nq = k - 1
+        ladder, xp = row[:nq], np.multiply(x, prev[:nq], out=xs[:nq])
+        np.multiply(b[k, :nq], prev2[:nq], out=ladder)
+        np.subtract(xp, ladder, out=ladder)
+        np.multiply(a[k, :nq], ladder, out=ladder)
+        row[nq:k + 1] = edges[nq]
+        yield row[:k + 1]
+        prev2, prev = prev, row
+
+
+def wave_sums_ladder_reference(s, theta, phi, kuse):
+    """The scattered-points route of states._wave_sums as it was, kept verbatim.
+
+    The Legendre ladder handed over one row per degree, and every 8 rows
+    were contracted with their coefficients and the points' phases, a chunk
+    of states._chunks at a time (so states._CHUNK_BUDGET applies).  The
+    package hands the rows over a block at a time around the same
+    arithmetic, so it must return these bits exactly, whatever the layout
+    of the points.
+    """
+    from spintomo.angular import _sectoral_seeds
+    from spintomo.states import _chunks
+
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    theta, phi = theta.ravel(), phi.ravel()
+    q = np.arange(kuse + 1)
+    norm = np.sqrt(4.0 * math.pi / (2.0 * q + 1.0))[:, None]     # over k
+    c = norm * np.where(q > 0, 2.0, 1.0) * s.coeffs[: kuse + 1, s.kmax: s.kmax + kuse + 1]
+    out = np.empty((theta.size, kuse + 1))
+    c = np.stack([c.real, -c.imag], axis=-1)                       # (k, q, re/im)
+    for sl in _chunks(theta.size, 16 * (kuse + 1)):
+        x = np.cos(theta[sl])
+        phases = np.empty((kuse + 1, x.size), dtype=complex)        # e^(i q phi), a running product
+        phases[0], phases[1:] = 1.0, np.exp(1j * phi[sl])
+        phases = np.multiply.accumulate(phases, axis=0)
+        phases = np.stack([phases.real, phases.imag], axis=1)      # (q, re/im, points)
+        rows = np.zeros((8, kuse + 1, x.size))
+        z = np.empty((kuse + 1, 2, x.size))
+        for k, _ in enumerate(_sph_rows_by_degree(x, _sectoral_seeds(kuse, x), rows)):
+            if k % 8 == 7 or k == kuse:
+                k0 = k - k % 8
+                np.einsum("kqn,qrn,kqr->krn", rows[:k - k0 + 1, :k + 1], phases[:k + 1],
+                          c[k0:k + 1, :k + 1], out=z[k0:k + 1])
+        out[sl] = (z[:, 0] + z[:, 1]).T
+    return out
 
 
 def hemi_overlap_quadrature(k, kp, q, n=120):
@@ -447,6 +516,22 @@ def _axis_frame(theta, phi):
                    -math.sin(theta)])
     e2 = np.array([-math.sin(phi), math.cos(phi), 0.0])
     return n, e1, e2
+
+
+def tilted_axes_reference(theta, phi, t1, t2):
+    """forward._tilted_axes as it stacked its frame, kept verbatim: (theta, phi).
+
+    The axis n + t1 e1 + t2 e2, renormalized, from three stacked (3, points)
+    vectors and np.linalg.norm; the package forms the same components one by
+    one, so it must return these bits exactly.
+    """
+    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+    n = np.stack([st * cp, st * sp, ct])
+    e1 = np.stack([ct * cp, ct * sp, -st])
+    e2 = np.stack([-sp, cp, np.zeros_like(sp)])
+    v = n + t1 * e1 + t2 * e2
+    v /= np.linalg.norm(v, axis=0)
+    return np.arccos(np.clip(v[2], -1.0, 1.0)), np.arctan2(v[1], v[0])
 
 
 def _sanitized_probabilities(p):

@@ -24,6 +24,7 @@ from spintomo.states import (
     coherent_state,
     dicke_to_spherical,
     maximally_mixed_state,
+    oat_squeezed_state,
 )
 
 import oracles
@@ -192,6 +193,18 @@ def test_records_iterate_as_named_rows_that_records_of_takes_back():
     assert rows[1] == (0.7, 0.1, 0.5, 4, -2) and math.isnan(rows[0].weight)
     assert type(rows[1].two_j) is int and type(rows[1].theta) is float
     assert Records.of(rows) == recs
+
+
+@pytest.mark.parametrize("row", [(math.pi / 2.0, 0.1, 0.5, 4, 2, "extra"),
+                                 (math.pi / 2.0, 0.1, 0.5, 4)], ids=["six fields", "four fields"])
+def test_records_of_refuses_a_row_that_is_not_five_fields(row):
+    good = (0.5, 0.0, 1.0, 2, 0)
+    with pytest.raises(ValueError, match="record row 1 has"):
+        Records.of([good, row, good])
+    with pytest.raises(ValueError, match="record row 0 has"):
+        Records.of([row])
+    with pytest.raises(ValueError, match="no measurement records"):
+        Records.of([])
 
 
 def test_records_are_read_only_and_never_empty():
@@ -453,14 +466,21 @@ _SAMPLER_STATES = {7: ((0.9, 0.4, 7), 30), 10: ((0.9, 0.4, 10), 30),
                    1260: ((0.0, 0.0, 220), 20)}
 
 
-@pytest.mark.parametrize("two_j", sorted(_SAMPLER_STATES))
-@pytest.mark.parametrize("case", sorted(_SAMPLER_NOISE))
+@pytest.mark.parametrize("case,two_j", [(case, two_j) for case in sorted(_SAMPLER_NOISE)
+                                        for two_j in sorted(_SAMPLER_STATES)] + [("paper", 40)])
 def test_sampler_matches_per_shot_oracle(case, two_j):
-    (theta0, phi0, kmax), shots = _SAMPLER_STATES[two_j]
-    s = coherent_state(two_j, theta0, phi0, 0.0, kmax=kmax)
-    noise = _SAMPLER_NOISE[case]
-    got = sample_measurements(s, _SAMPLER_AXES, shots, noise, seed=31)
-    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, shots, noise, seed=31)
+    if case == "paper":
+        # the benchmark's paper setting: a squeezed state on equatorial axes, all three noises
+        s = oat_squeezed_state(40, 0.05, 40)
+        axes = [(math.pi / 2.0, a * math.pi / 24) for a in range(24)]
+        shots = 50
+        noise = NoiseModel(sigma_n=2.0, sigma_omega=0.05, phase_mode="model", sigma_ph=0.2)
+    else:
+        (theta0, phi0, kmax), shots = _SAMPLER_STATES[two_j]
+        s = coherent_state(two_j, theta0, phi0, 0.0, kmax=kmax)
+        axes, noise = _SAMPLER_AXES, _SAMPLER_NOISE[case]
+    got = sample_measurements(s, axes, shots, noise, seed=31)
+    assert got == oracles.sample_per_shot(s, axes, shots, noise, seed=31)
 
 
 @pytest.mark.parametrize("two_j", [7, 10])
@@ -519,6 +539,28 @@ def test_sampler_argument_validation():
         sample_measurements(s, [], 10, NoiseModel(), seed=1)
     with pytest.raises(ValueError):
         sample_measurements(s, [(0.0, 0.0)], 0, NoiseModel(), seed=1)
+    # a float seed or shot count is refused, not truncated, with and without axis noise;
+    # NumPy integers are integers
+    for noise in (NoiseModel(), NoiseModel(sigma_omega=0.1)):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            sample_measurements(s, [(0.0, 0.0)], 10, noise, seed=1.5)
+        with pytest.raises(ValueError, match="shots_per_axis must be an integer"):
+            sample_measurements(s, [(0.0, 0.0)], 2.5, noise, seed=1)
+        assert (sample_measurements(s, [(0.0, 0.0)], np.int64(10), noise, seed=np.uint32(1))
+                == sample_measurements(s, [(0.0, 0.0)], 10, noise, seed=1))
+
+
+def test_tilted_axes_equal_the_stacked_frame_bitwise():
+    # the tilt's components one by one, against the stacked frame and np.linalg.norm;
+    # both poles, the equator, and tilts from tiny to large
+    r = np.random.default_rng(3)
+    theta = np.concatenate([[0.0, math.pi, math.pi / 2.0], r.uniform(0.0, math.pi, 197)])
+    phi = np.concatenate([[0.3, -2.0, 1.0], r.uniform(-2.0 * math.pi, 4.0 * math.pi, 197)])
+    for sigma in (1e-12, 0.05, 1.5):
+        t1, t2 = r.normal(0.0, sigma, (2, theta.size))
+        got = forward._tilted_axes(theta, phi, t1, t2)
+        want = oracles.tilted_axes_reference(theta, phi, t1, t2)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), sigma
 
 
 def test_axis_jitter_broadens_outcomes():

@@ -298,6 +298,22 @@ def test_wave_sums_do_not_depend_on_the_chunking(layout, monkeypatch):
     assert np.array_equal(states._wave_sums(s, theta, phi, 16), whole)
 
 
+@pytest.mark.parametrize("budget", ["default", 1])
+@pytest.mark.parametrize("kuse", [0, 1, 7, 8, 9, 23, 40])
+def test_scattered_wave_sums_equal_the_row_by_row_ladder_bitwise(kuse, budget, monkeypatch):
+    # the ladder hands its rows over a block at a time around the arithmetic of the
+    # row-by-row route it replaced; block ends at kuse 7, 8 and 9, both poles among the points
+    r = np.random.default_rng(kuse)
+    s = oat_squeezed_state(40, 0.05, 40) if kuse > 9 else dicke_to_spherical(
+        DickeState(kuse, oracles.random_hermitian(kuse, r)), kuse)
+    theta = r.permutation(np.concatenate([[0.0, math.pi], r.uniform(0.0, math.pi, 48)]))
+    phi = r.uniform(-2.0 * math.pi, 4.0 * math.pi, 50)
+    if budget == 1:
+        monkeypatch.setattr(states, "_CHUNK_BUDGET", 1)  # one point per chunk
+    got = states._wave_sums(s, theta, phi, kuse)
+    assert np.array_equal(got, oracles.wave_sums_ladder_reference(s, theta, phi, kuse))
+
+
 def test_polar_table_cache_keeps_each_angle_apart():
     # theta1, theta2, theta1 again: the third call reads the first call's table
     s = dicke_to_spherical(DickeState(10, oracles.random_hermitian(10, rng)), 10)
