@@ -84,39 +84,17 @@ def _check_row(theta, phi, weight, two_j, two_m):
         raise ValueError(f"weight must be non-negative or NaN, got {weight}")
 
 
-def _check_rows(theta, phi, weight, two_j, two_m):
-    """Refuse the rows that _check_row refuses, all at once.
-
-    The columns broadcast against each other; the spin columns may hold
-    integers or floats.  The first bad row goes through _check_row, so the
-    error is the one that a single row raises.
-    """
-    rows = np.broadcast_arrays(theta, phi, weight, two_j, two_m)
-    if any(c.dtype.kind in "uO" for c in rows[3:]):
-        # integers beyond int64, where the vector arithmetic would fail or wrap
-        for row in zip(*(c.tolist() for c in rows)):
-            _check_row(*row)
-    with np.errstate(invalid="ignore"):
-        ok = (_angles_ok(theta, phi) & ~(weight < 0.0) & (weight != math.inf)
-              & (two_j == np.round(two_j)) & (two_j < LABEL_BOUND)
-              & (-LABEL_BOUND < two_m) & (two_m < LABEL_BOUND) & (np.abs(two_m) <= two_j)
-              & ((two_j - two_m) % 2 == 0))
-    if not np.all(ok):
-        i = int(np.argmin(np.broadcast_to(ok, rows[0].shape)))
-        _check_row(*(c[i].item() for c in rows))
-
-
 @dataclass(frozen=True, eq=False)
 class Records:
     """Stern-Gerlach outcomes as five read-only columns, checked when built.
 
     theta, phi and weight are float arrays and two_j, two_m int64 arrays,
-    all of one length n >= 1.  Building a Records, by any producer or by
-    ``dataclasses.replace``, checks every row in one vector pass and raises
-    _check_row's error for the first bad row.  A slice is a Records, ``+``
-    concatenates two, and ``==`` holds between Records of equal columns, a
-    pending (NaN) weight equal to a pending one.  Iteration yields the rows
-    as named tuples of the five fields; Records.of takes a list of rows back.
+    all of one length n >= 1.  Building one, by any producer or by
+    ``dataclasses.replace``, raises _check_row's error for the first bad
+    row (int64 labels in one vector pass, others row by row).  A slice is a
+    Records, ``+`` concatenates two, and ``==`` holds between Records of
+    equal columns, a pending (NaN) weight equal to a pending one.  Iteration
+    yields the rows as named tuples; Records.of takes a list of rows back.
     """
 
     theta: np.ndarray
@@ -128,20 +106,23 @@ class Records:
     def __post_init__(self):
         columns = [np.array(getattr(self, f), dtype=float) for f in _FIELDS[:3]]
         columns += [np.array(getattr(self, f)) for f in _FIELDS[3:]]
-        n = columns[0].shape
-        if any(c.ndim != 1 or c.shape != n for c in columns):
+        if any(c.ndim != 1 or c.shape != columns[0].shape for c in columns):
             raise ValueError("record columns must be one-dimensional and of one length")
-        if n[0] == 0:
+        if columns[0].size == 0:
             raise ValueError("no measurement records")
-        try:
-            _check_rows(*columns)
-        except ValueError:
-            # numpy makes floats of a spin column that mixes small integers with
-            # ones beyond int64: word the first bad row's error from the given labels
+        theta, phi, weight, two_j, two_m = columns
+        if two_j.dtype == two_m.dtype == np.int64:
+            # integers within int64 by type: one vector pass finds the first bad row
+            ok = (_angles_ok(theta, phi) & ~(weight < 0.0) & (weight != math.inf)
+                  & (two_m > -LABEL_BOUND) & (np.abs(two_m) <= two_j) & ((two_j - two_m) % 2 == 0))
+            rows = [] if ok.all() else zip(*(c[~ok][:1].tolist() for c in columns))
+        else:
+            # floats, or the uint64, float or object columns numpy makes of labels
+            # beyond int64: every row, on the labels as given
             given = (np.array(getattr(self, f), dtype=object).tolist() for f in _FIELDS[3:])
-            for row in zip(*(c.tolist() for c in columns[:3]), *given):
-                _check_row(*row)
-            raise
+            rows = zip(theta.tolist(), phi.tolist(), weight.tolist(), *given)
+        for row in rows:
+            _check_row(*row)
         for name, c, dtype in zip(_FIELDS, columns, (float, float, float, np.int64, np.int64)):
             c = c.astype(dtype, copy=False)
             c.flags.writeable = False
@@ -149,10 +130,11 @@ class Records:
 
     @classmethod
     def of(cls, records):
-        """records as a Records: itself if it is one, else the columns of a list of
-        (theta, phi, weight, two_j, two_m) rows, checked as the constructor checks."""
+        """records as a Records: itself if it is one, else the columns of a list (or an
+        iterable) of (theta, phi, weight, two_j, two_m) rows, checked as the constructor checks."""
         if isinstance(records, cls):
             return records
+        records = list(records)  # an iterator's rows, taken once
         try:
             columns = list(zip(*records, strict=True)) or [()] * len(_FIELDS)
         except ValueError:  # rows of different lengths
@@ -327,23 +309,17 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
                    np.full(two_m.size, weight), two_j_n, two_m)
 
 
-def exact_records(s, axes, axis_weights=None):
-    """Infinite-data records: one entry per (axis, outcome) weighted by c_a p_m.
+def exact_records(s, axes):
+    """Infinite-data records: one entry per (axis, outcome) weighted by p_m / A.
 
-    Replaces the sample sum by its expectation; feeding these to the
-    backprojection realizes the infinite-data limit on the given axes.
+    Replaces the sample sum by its expectation over the A axes; feeding these
+    to the backprojection realizes the infinite-data limit on the given axes.
     Returns a Records, axis by axis, outcomes with p_m = 0 left out.
     """
     theta, phi = _axis_columns(axes)
-    if axis_weights is None:
-        axis_weights = np.full(theta.size, 1.0 / theta.size)
-    axis_weights = np.asarray(axis_weights, dtype=float)
-    if axis_weights.shape != theta.shape:
-        raise ValueError("axis_weights must match the number of axes")
-    _check_rows(theta, phi, axis_weights, 0, 0)
     two_j = s.two_j_ref
     p = _physical(projection_probabilities(s, theta, phi))
     # one record per (axis, outcome) with p_m > 0, axis by axis
     a, i = np.nonzero(p > 0.0)
-    return Records(theta[a], phi[a], axis_weights[a] * p[a, i], np.full(a.size, two_j),
+    return Records(theta[a], phi[a], (1.0 / theta.size) * p[a, i], np.full(a.size, two_j),
                    2 * i - two_j)

@@ -45,7 +45,12 @@ def _atomic_write(path, text):
         # in its parent and the rename fail with a misleading message
         raise ValueError("the output path is empty")
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    except OSError as exc:
+        # the temporary file's name would mislead, and a plain OSError keeps the
+        # CLI's hint for a missing input file away
+        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

@@ -176,7 +176,7 @@ def compute_weights(records, mode):
     length on the half-circle in in-plane mode, antipodally-folded
     spherical cell area otherwise), which depends only on the axis
     layout, never on the outcomes.  Each axis's share is split among its
-    records in proportion to their incoming weights, so the c_a p_m of
+    records in proportion to their incoming weights, so the p_m / A of
     :func:`exact_records` keep their p_m; when any weight is pending (NaN)
     it is split equally.  Returns the records as a Records with the new
     weight column.
@@ -280,7 +280,8 @@ def _backproject(records, config):
         # serves all axes; the azimuth noise damps each order q
         sig = config.noise.azimuth_sigma(ph)
         E = E * np.exp(-0.5 * q * q * sig * sig)
-        half = np.einsum("kq,qa,ka->kq", _polar_table(kmax, 0.0), E, A)
+        # keyed by cos(pi / 2), as the squeezing scan keys it, so both share one table
+        half = np.einsum("kq,qa,ka->kq", _polar_table(kmax, math.cos(math.pi / 2.0)), E, A)
         # pi ((k-q+1)/2)_(1/2) ((k+q+1)/2)_(1/2) for q <= k; k + q odd carries no information
         ph_half = pochhammer_half(np.arange(1, 2 * kmax + 2) / 2.0)
         kk, qq = q, q.T  # k down the rows, q along the columns
@@ -296,7 +297,8 @@ def _backproject(records, config):
         filt = (2.0 * k + 1.0)[:, None]
 
     scale = np.sqrt(4.0 * math.pi / (2.0 * k + 1.0))          # D^k_{q0} = scale conj(Y_kq)
-    half *= filt * scale[:, None]
+    # + 0.0: the filter's zeros are +0, whatever the sign of the table entry
+    half = half * (filt * scale[:, None]) + 0.0
     half[0, 0] = half[0, 0].real
     return SphericalState(two_j_ref, kmax, _from_half(half))
 

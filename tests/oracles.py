@@ -3,10 +3,11 @@
 Everything here is deliberately brute force: explicit operator algebra in
 the Dicke basis, quadrature for integrals, and for coupling coefficients
 the Racah sum in exact rational arithmetic (``cg_general``, ``cg_t``) or
-sympy.  None of it shares code with the paths it checks, except two
+sympy.  None of it shares code with the paths it checks, except three
 helpers that tests read the package through: ``coeff`` (one entry of a
-state) and ``coupling_table_signed`` (the package's coupling table for
-negative orders too, by the mirror identity).  ``gaussian_fits_reference``,
+state), ``coupling_table_signed`` (the package's coupling table for
+negative orders too, by the mirror identity) and ``axis_weighted_records``
+(``exact_records`` with other weights per axis).  ``gaussian_fits_reference``,
 ``wave_sums_ladder_reference`` and ``tilted_axes_reference`` are no brute
 force either: each is an earlier version of a package kernel (the Gaussian
 fit, the scattered route of the partial-wave sums, the pointing tilt),
@@ -14,6 +15,7 @@ kept verbatim, whose bits the kernel must reproduce; the ladder's reference
 takes the package's sectoral seeds, recurrence coefficients and chunks.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -587,6 +589,17 @@ def sample_per_shot(s, axes, shots_per_axis, noise, seed):
             two_j_n = max(two_j + 2 * dj, abs(two_m))
             records.append((theta_a, phi_a, weight, two_j_n, two_m))
     return Records(*zip(*records))
+
+
+def axis_weighted_records(s, axes, axis_weights):
+    """exact_records(s, axes) with the weight c_a p_m on axis a in place of p_m / A."""
+    from spintomo.forward import exact_records, projection_probabilities
+
+    theta, phi = np.array(axes, dtype=float).T
+    p = np.clip(projection_probabilities(s, theta, phi), 0.0, None)
+    a, i = np.nonzero(p > 0.0)
+    return dataclasses.replace(exact_records(s, axes),
+                               weight=np.asarray(axis_weights, dtype=float)[a] * p[a, i])
 
 
 def gaussian_model(x, m):

@@ -350,6 +350,13 @@ def test_missing_input_exits_2(workdir, capsys):
     capsys.readouterr()
 
 
+def test_output_in_a_missing_directory_exits_2_naming_it(workdir, capsys):
+    assert run("simulate", "--axes", "3", "--shots", "2", "--out", "missing/dir/m.csv") == 2
+    err = capsys.readouterr().err
+    assert err == "error: cannot write missing/dir/m.csv: No such file or directory\n"
+    assert os.listdir() == []
+
+
 def test_unknown_flag_rejected(workdir):
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--frobnicate")

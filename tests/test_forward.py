@@ -162,6 +162,7 @@ def test_records_refuse_what_the_record_refuses(rows):
         assert str(got.value) == errors[0]
     else:
         recs = Records(*zip(*rows))
+        assert recs.two_j.dtype == recs.two_m.dtype == np.int64  # whatever labels were given
         assert all(np.array_equal(column, np.array(values, dtype=column.dtype), equal_nan=True)
                    for column, values in zip(recs.columns, zip(*rows)))
 
@@ -205,6 +206,15 @@ def test_records_of_refuses_a_row_that_is_not_five_fields(row):
         Records.of([row])
     with pytest.raises(ValueError, match="no measurement records"):
         Records.of([])
+
+
+def test_records_of_takes_an_iterators_rows_once():
+    good, short = (0.5, 0.0, 1.0, 2, 0), (0.5, 0.0, 1.0, 2)
+    assert Records.of(iter([good, good])) == Records.of([good, good])
+    with pytest.raises(ValueError, match="record row 1 has 4 fields"):
+        Records.of(iter([good, short]))
+    with pytest.raises(ValueError, match="record row 1 has 4 fields"):
+        list(map(Records.of, [iter([good, short])]))
 
 
 def test_records_are_read_only_and_never_empty():
@@ -261,10 +271,6 @@ def test_producers_refuse_bad_axes_as_records_do(axes, message):
         sample_measurements(s, axes, 3, NoiseModel(sigma_omega=0.1), seed=1)
     with pytest.raises(ValueError, match=message):
         exact_records(s, axes)
-    with pytest.raises(ValueError, match="weight must be non-negative or NaN, got -0.5"):
-        exact_records(s, [(0.3, 0.1), (1.2, 2.0)], [0.5, -0.5])
-    with pytest.raises(ValueError, match="axis_weights must match the number of axes"):
-        exact_records(s, [(0.3, 0.1), (1.2, 2.0)], [1.0])
 
 
 # ---------------------------------------------------------------- probabilities
@@ -594,12 +600,12 @@ def test_exact_records_match_per_axis_build():
     axes = [(0.0, 0.0), (math.pi, 1.0)] + [
         (float(t), float(f)) for t, f in zip(r.uniform(0.0, math.pi, 10),
                                              r.uniform(-math.pi, math.pi, 10))]
-    c = r.uniform(0.5, 1.5, len(axes))
-    recs = exact_records(s, axes, c)
+    recs = exact_records(s, axes)
     want = []
-    for (th, ph), ca in zip(axes, c):
+    for th, ph in axes:
         p = np.clip(projection_probabilities(s, th, ph), 0.0, None)
-        want += [(th, ph, ca * pm, two_j, 2 * i - two_j) for i, pm in enumerate(p) if pm > 0.0]
+        want += [(th, ph, (1.0 / len(axes)) * pm, two_j, 2 * i - two_j)
+                 for i, pm in enumerate(p) if pm > 0.0]
     want = Records.of(want)
     assert all(np.array_equal(getattr(recs, f), getattr(want, f))
                for f in ("theta", "phi", "two_j", "two_m"))

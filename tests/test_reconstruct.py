@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import spintomo.states as states
+from spintomo.analysis import squeezing_scan
 from spintomo.angular import cg_tau_table
 from spintomo.forward import (
     NoiseModel,
@@ -176,7 +177,7 @@ def test_weights_of_listed_rows_equal_those_of_their_records():
 
 
 def test_weights_keep_the_probabilities_of_exact_records():
-    # the Voronoi share of each axis is split in proportion to c_a p_m, so the
+    # the Voronoi share of each axis is split in proportion to p_m / A, so the
     # default scheme reproduces the weights exact_records set
     s = coherent_state(10, 0.0, 0.0, 0.0, kmax=10)
     recs = exact_records(s, _plane_axes(24))
@@ -618,12 +619,13 @@ def test_fbp_linearity_of_blends():
     s1, _ = _random_state(4, seed=31)
     s2, _ = _random_state(4, seed=32)
     alpha = 0.3
-    r1 = exact_records(s1, _plane_axes(16), np.full(16, alpha / 16.0))
-    r2 = exact_records(s2, _plane_axes(16), np.full(16, (1.0 - alpha) / 16.0))
+    e1, e2 = exact_records(s1, _plane_axes(16)), exact_records(s2, _plane_axes(16))
+    r1 = dataclasses.replace(e1, weight=alpha * e1.weight)
+    r2 = dataclasses.replace(e2, weight=(1.0 - alpha) * e2.weight)
     cfg = ReconstructionConfig(kmax=4, two_j_ref=4)
     blended = fbp_inplane(r1 + r2, cfg)
-    a = fbp_inplane(exact_records(s1, _plane_axes(16)), cfg)
-    b = fbp_inplane(exact_records(s2, _plane_axes(16)), cfg)
+    a = fbp_inplane(e1, cfg)
+    b = fbp_inplane(e2, cfg)
     want = alpha * a.coeffs + (1.0 - alpha) * b.coeffs
     assert np.abs(blended.coeffs - want).max() < 1e-12
 
@@ -676,7 +678,8 @@ def test_fbp_inplane_odd_waves_are_exact_zeros(seed):
     out = fbp_inplane(recs, ReconstructionConfig(kmax=6, noise=_CORE_NOISE, two_j_ref=8))
     k = np.arange(7)[:, None]
     q = np.arange(-6, 7)[None, :]
-    assert np.all(out.coeffs[(k + q) % 2 == 1] == 0.0)
+    odd = out.coeffs[(k + q) % 2 == 1]
+    assert np.all(odd == 0.0) and not np.signbit(odd.view(float)).any()  # +0, re and im
 
 
 @settings(max_examples=30, deadline=None)
@@ -697,7 +700,7 @@ def test_fbp_recovers_exact_records_to_machine_precision(seed, two_j, extra):
     assert np.all(inplane.coeffs[~even] == 0.0)
     theta, phi, w = oracles.hemisphere_quadrature(two_j + 1 + extra, 2 * two_j + 1 + extra)
     axes = [(t, p) for t in theta for p in phi]
-    full = fbp_full(exact_records(truth, axes, w.ravel() / (2.0 * math.pi)),
+    full = fbp_full(oracles.axis_weighted_records(truth, axes, w.ravel() / (2.0 * math.pi)),
                     ReconstructionConfig(kmax=two_j, mode="full-sphere", two_j_ref=two_j))
     assert np.abs(full.coeffs - truth.coeffs).max() <= 1e-14
 
@@ -851,6 +854,19 @@ def test_fold_preserves_northern_integral():
     total_fold = float(w @ g_fold.values.sum(axis=1))
     north_even = float(w[north] @ g_even.values[north].sum(axis=1))
     assert total_fold == pytest.approx(2.0 * north_even, abs=1e-8)
+
+
+def test_backprojection_and_scan_share_one_equator_table():
+    # the in-plane backprojection keys S_k^q(x) at x = cos(pi / 2), as the squeezing
+    # scan does, so a reconstruct followed by a scan builds the table once
+    truth = oat_squeezed_state(8, 0.1, 8)
+    states._polar_table.cache_clear()
+    even = fbp_inplane(exact_records(truth, _plane_axes(12)),
+                       ReconstructionConfig(kmax=8, two_j_ref=8))
+    before = states._polar_table.cache_info()
+    squeezing_scan(fold_northern(even), np.linspace(0.0, math.pi, 7), 0.0)
+    after = states._polar_table.cache_info()
+    assert before.misses == after.misses == 1 and after.hits > before.hits
 
 
 def test_fold_localizes_coherent_state():
