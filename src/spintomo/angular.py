@@ -68,7 +68,8 @@ def check_spin_label(two_j, two_m):
     """Validate a doubled (j, m) pair: integers within int64, |m| <= j, same parity."""
     if max(abs(two_j), abs(two_m)) >= LABEL_BOUND:
         raise ValueError(f"spin labels must lie within the int64 range, got ({two_j}, {two_m})")
-    if two_j != int(two_j) or two_m != int(two_m):
+    # NaN passes the range check; int() would raise its own message for it
+    if math.isnan(two_j) or math.isnan(two_m) or two_j != int(two_j) or two_m != int(two_m):
         raise ValueError(f"spin labels must be doubled integers, got ({two_j}, {two_m})")
     if two_j < 0:
         raise ValueError(f"two_j must be non-negative, got {two_j}")

@@ -10,11 +10,12 @@ of execution order).
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .angular import LABEL_BOUND, _angles_ok, _check_angles, cg_tau_table, check_spin_label
-from .states import _check_noise, _chunks, _wave_sums
+from .states import SphericalState, _check_noise, _chunks, _wave_sums
 
 __all__ = [
     "NoiseModel",
@@ -38,8 +39,8 @@ class NoiseModel:
                  variance sigma_n^2 / 2; the sampler draws m at the state's
                  own spin and records 2j_n = max(2j + 2 rint(dj), |2m|) with
                  dj ~ N(0, sigma_n / sqrt 2).
-    sigma_omega  quantization-axis pointing uncertainty (radians), defined
-                 through the mean squared sine of the pointing error angle.
+    sigma_omega  quantization-axis pointing uncertainty (radians): the axis tilts
+                 in a uniform direction, tan^2 of the tilt exponential with mean sigma_omega^2.
     phase_mode   azimuthal phase noise: "none", "constant" (fixed
                  sigma_phi), or "model" (amplitude sigma_ph, in radians,
                  mapped to sigma_ph^2 |sin phi| / sqrt(2)).
@@ -70,10 +71,6 @@ class NoiseModel:
         # |sin phi| is sin|phi| on [-pi, pi], continued with period 2 pi
         return self.sigma_phi + self.sigma_ph ** 2 * np.abs(
             np.sin(np.asarray(phi, dtype=float))) / math.sqrt(2.0)
-
-    @property
-    def has_axis_noise(self):
-        return self.sigma_omega > 0.0 or self.sigma_phi > 0.0 or self.sigma_ph > 0.0
 
 
 def _check_row(theta, phi, weight, two_j, two_m):
@@ -201,16 +198,43 @@ def projection_probabilities(s, theta, phi):
     return p.reshape(shape + p.shape[1:])
 
 
-def _tilted_axes(theta, phi, t1, t2):
-    # axis v = (n + t1 e1) + t2 e2, renormalized by sqrt((vx^2 + vy^2) + vz^2); e1, e2
-    # the polar and azimuthal unit vectors (e2 has no z part, which could only flip
-    # the sign of a zero vz)
-    st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
-    vx = st * cp + t1 * (ct * cp) - t2 * sp
-    vy = st * sp + t1 * (ct * sp) + t2 * cp
-    vz = ct - t1 * st
-    norm = np.sqrt(vx * vx + vy * vy + vz * vz)
-    return np.arccos(np.clip(vz / norm, -1.0, 1.0)), np.arctan2(vy / norm, vx / norm)
+@lru_cache(maxsize=16)
+def _tilt_average(kmax, sigma_omega):
+    """g_k = E[P_k(cos eta)], k <= kmax, tan^2 eta exponential of mean sigma_omega^2 (read-only)."""
+    # with tan eta = sigma_omega v, a 20-node Gauss-Legendre rule over v in [0, 9] (v^2
+    # passes 81 with probability e^-81), on the panels of a uniform mesh in v, which
+    # follows the density, and of one in eta, two panels an oscillation of P_kmax
+    top = math.atan(9.0 * sigma_omega)
+    edges = np.sort(np.r_[np.linspace(0.0, 9.0, 9), np.tan(
+        np.linspace(0.0, top, 5 + int(kmax * top / math.pi))[1:-1]) / sigma_omega])
+    b = np.arange(1.0, 20.0) / np.sqrt(4.0 * np.arange(1.0, 20.0) ** 2 - 1.0)
+    x, vec = np.linalg.eigh(np.diag(b, 1) + np.diag(b, -1))  # the nodes, by Golub-Welsch
+    half = 0.5 * np.diff(edges)[:, None]
+    v = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    dens = (half * vec[0] ** 2).ravel() * v * np.exp(-v * v)  # weights times density, unscaled
+    # 1 - cos eta taken whole: from a rounded cosine it would cost P_k up to k(k+1)/2
+    # of its rounding (1e-10 at k = 1260)
+    u = 2.0 * np.sin(0.5 * np.arctan(sigma_omega * v)) ** 2
+    g, p, d = np.empty(kmax + 1), np.ones_like(u), 0.0
+    for k in range(kmax + 1):  # P_k(1 - u) by the recurrence in d_k = P_k - P_(k-1)
+        g[k] = p @ dens
+        d = (k * d - (2 * k + 1) * u * p) / (k + 1)
+        p = p + d
+    g /= g[0]
+    g.flags.writeable = False
+    return g
+
+
+def _damped(s, sigma_omega, sigma_a):
+    """s with rho_kq times g_k exp(-q^2 sigma_a^2 / 2) (g_k of _tilt_average); s if both are 0.
+
+    By Funk-Hecke, these are the mean of the rho_kq Y_kq that a shot sees along its
+    axis, azimuth jittered by N(0, sigma_a^2), then tilted by pointing noise sigma_omega."""
+    if sigma_omega == 0.0 and sigma_a == 0.0:
+        return s
+    q = np.arange(-s.kmax, s.kmax + 1)
+    g = _tilt_average(s.kmax, sigma_omega)[:, None] if sigma_omega > 0.0 else 1.0
+    return SphericalState(s.two_j_ref, s.kmax, s.coeffs * g * np.exp(-0.5 * sigma_a ** 2 * q * q))
 
 
 def _physical(p):
@@ -237,15 +261,15 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
     """Draw synthetic measurement records from a state.
 
     axes is a sequence of (theta, phi) quantization-axis orientations;
-    shots_per_axis single measurements are drawn for each.  Per shot the
-    total spin is jittered by the number noise (rounded to the nearest
-    parity-consistent value), the axis is jittered per the noise model,
-    and the outcome is drawn from the probabilities recomputed for the
-    jittered axis.  Weights are set to 1/M (replaced later by the
-    weighting step).  Deterministic for fixed inputs and seed: each axis
-    owns an independent counter-based substream.  shots_per_axis and seed
-    are integers (Python or NumPy); anything else raises ValueError.
-    Returns a Records, axis by axis in the order of axes.
+    shots_per_axis single measurements are drawn for each.  Per shot the total spin
+    is jittered by the number noise (rounded to the nearest parity-consistent value),
+    and the outcome is drawn from the p_m of the state damped by the axis noise
+    (_damped) at the nominal axis: in distribution, those of the shot's unrecorded
+    jittered axis.  Weights are 1/M (replaced later by the weighting step).
+    Deterministic for fixed inputs and seed: each axis owns an independent
+    counter-based substream, of its number jitters, then its outcome uniforms.
+    shots_per_axis and seed are integers (Python or NumPy); anything else raises
+    ValueError.  Returns a Records, axis by axis in the order of axes.
     """
     for name, value in (("shots_per_axis", shots_per_axis), ("seed", seed)):
         if not isinstance(value, (int, np.integer)):
@@ -262,51 +286,28 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
         raise ValueError(f"sigma_n = {noise.sigma_n} exceeds the atom number two_j = {two_j}")
 
     sigma_j = noise.sigma_n / math.sqrt(2.0)
-    sigma_t = noise.sigma_omega / math.sqrt(2.0)
-    # each axis's stream in turn: its number jitters, its points and its uniforms
-    # u[point, shot]; without axis noise its shots share the axis as one point,
-    # with axis noise each shot is a jittered point of its own
-    djs, ths, phs, us = [], [], [], []
-    for a, (theta_a, phi_a) in enumerate(zip(theta.tolist(), phi.tolist())):
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,))))
-        if not noise.has_axis_noise:
-            # in stream order: the number jitters, then the outcome uniforms
-            djs.append(rng.normal(0.0, sigma_j, size=shots_per_axis) if sigma_j > 0.0
-                       else np.zeros(shots_per_axis))
-            us.append(rng.random((1, shots_per_axis)))
-            ths.append([theta_a])
-            phs.append([phi_a])
-            continue
-        # per shot, in stream order: dj, the phase jitter, (t1, t2), the outcome
-        # uniform; normal(0, sigma) draws are sigma * standard_normal() bitwise
-        sigma_phi_a = float(noise.azimuth_sigma(phi_a))
-        n_z = (sigma_j > 0.0) + (sigma_phi_a > 0.0) + 2 * (noise.sigma_omega > 0.0)
-        z = np.empty((shots_per_axis, n_z))
-        u = np.empty((shots_per_axis, 1))
-        for z_i, u_i in zip(z, u):
-            rng.standard_normal(out=z_i)
-            rng.random(out=u_i)
-        cols = iter(z.T)
-        djs.append(sigma_j * next(cols) if sigma_j > 0.0 else np.zeros(shots_per_axis))
-        th = np.full(shots_per_axis, theta_a)
-        ph = (phi_a + sigma_phi_a * next(cols) if sigma_phi_a > 0.0
-              else np.full(shots_per_axis, phi_a))
-        if noise.sigma_omega > 0.0:
-            th, ph = _tilted_axes(th, ph, sigma_t * next(cols), sigma_t * next(cols))
-        ths.append(th)
-        phs.append(ph)
-        us.append(u)
-    # p_m and the draw over every point, a chunk of points at a time; a point's
-    # comparison block (its uniforms times 2j+1) also bounds its probabilities
-    th, ph, u = np.concatenate(ths), np.concatenate(phs), np.concatenate(us)
-    idx = np.concatenate([_draw(projection_probabilities(s, th[sl], ph[sl]), u[sl])
-                          for sl in _chunks(len(u), u.shape[1] * (two_j + 1))])
+    # each axis's stream in turn: its number jitters (sigma_j times standard normals
+    # is normal(0, sigma_j) bitwise), then its uniforms u[axis, shot]
+    dj, u = np.zeros((2, theta.size, shots_per_axis))
+    for a, stream in enumerate(np.random.SeedSequence(int(seed)).spawn(theta.size)):
+        rng = np.random.Generator(np.random.Philox(stream))  # spawn_key (a,)
+        if sigma_j > 0.0:
+            rng.standard_normal(out=dj[a])
+        rng.random(out=u[a])
+    # an axis's shots share it as one point, of the state damped by the axis noise;
+    # the axes of one azimuth sigma (all, but under model phase noise) share that
+    # state, and its p_m and draw run a chunk of axes at a time, an axis's comparison
+    # block (its uniforms times 2j+1) also bounding its p_m
+    sigma_a = noise.azimuth_sigma(phi)
+    idx = np.empty(u.shape, dtype=int)
+    for sigma in dict.fromkeys(sigma_a.tolist()):  # the distinct ones, without np.unique
+        group, d = np.flatnonzero(sigma_a == sigma), _damped(s, noise.sigma_omega, sigma)
+        for a in (group[sl] for sl in _chunks(group.size, shots_per_axis * (two_j + 1))):
+            idx[a] = _draw(projection_probabilities(d, theta[a], phi[a]), u[a])
     two_m = 2 * idx.ravel() - two_j
-    two_j_n = np.maximum(two_j + 2 * np.rint(np.concatenate(djs)).astype(int), np.abs(two_m))
-    weight = 1.0 / (len(axes) * shots_per_axis)
+    two_j_n = np.maximum(two_j + 2 * np.rint(sigma_j * dj.ravel()).astype(int), np.abs(two_m))
     return Records(np.repeat(theta, shots_per_axis), np.repeat(phi, shots_per_axis),
-                   np.full(two_m.size, weight), two_j_n, two_m)
+                   np.full(two_m.size, 1.0 / two_m.size), two_j_n, two_m)
 
 
 def exact_records(s, axes):

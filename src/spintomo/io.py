@@ -45,19 +45,19 @@ def _atomic_write(path, text):
         # in its parent and the rename fail with a misleading message
         raise ValueError("the output path is empty")
     directory = os.path.dirname(os.path.abspath(path)) or "."
+    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
-    except OSError as exc:
-        # the temporary file's name would mislead, and a plain OSError keeps the
-        # CLI's hint for a missing input file away
-        raise OSError(f"cannot write {path}: {exc.strerror}") from exc
-    try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, path)  # fails when path is a directory, say
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            # the temporary file's name would mislead, and a plain OSError keeps the
+            # CLI's hint for a missing input file away
+            raise OSError(f"cannot write {path}: {exc.strerror}") from exc
         raise
 
 

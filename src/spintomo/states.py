@@ -221,13 +221,13 @@ def _wave_sums(s, theta, phi, kuse):
     c_kq = sqrt(4 pi / (2k+1)) w_q rho_kq, w_0 = 1 and w_q = 2 for q > 0.
 
     The points' layout picks the route.  When all points share one polar
-    angle (the squeezing scan, equatorial axes without axis noise, a scalar
-    theta), the (k, q) table of that angle comes from a small cache keyed
-    by (kuse, cos theta), and each point costs one product of its phases
-    with the (k, q) block c S.  Scattered points run one Legendre ladder
-    per chunk, and every _ROW_BLOCK rows, as they are made, are contracted
-    with their c_k and the points' phases e^(i q phi) (a running product),
-    so no (k, q, points) table exists.  A chunk holds at most
+    angle (the squeezing scan, equatorial axes, a scalar theta), the (k, q)
+    table of that angle comes from a small cache keyed by (kuse, cos
+    theta), and each point costs one product of its phases with the (k, q)
+    block c S.  Scattered points (wigner_eval, axes over the sphere) run
+    one Legendre ladder per chunk, and every _ROW_BLOCK rows, as they are
+    made, are contracted with their c_k and the points' phases e^(i q phi)
+    (a running product), so no (k, q, points) table exists.  A chunk holds at most
     _CHUNK_BUDGET // (16 (kuse+1)) points, which keeps its arrays near
     _CHUNK_BUDGET numbers.  Each point's sums run in the same order
     whatever the chunking, so the result does not depend on _CHUNK_BUDGET.

@@ -7,12 +7,16 @@ sympy.  None of it shares code with the paths it checks, except three
 helpers that tests read the package through: ``coeff`` (one entry of a
 state), ``coupling_table_signed`` (the package's coupling table for
 negative orders too, by the mirror identity) and ``axis_weighted_records``
-(``exact_records`` with other weights per axis).  ``gaussian_fits_reference``,
-``wave_sums_ladder_reference`` and ``tilted_axes_reference`` are no brute
-force either: each is an earlier version of a package kernel (the Gaussian
-fit, the scattered route of the partial-wave sums, the pointing tilt),
-kept verbatim, whose bits the kernel must reproduce; the ladder's reference
-takes the package's sectoral seeds, recurrence coefficients and chunks.
+(``exact_records`` with other weights per axis).  ``gaussian_fits_reference``
+and ``wave_sums_ladder_reference`` are no brute force either: each is an
+earlier version of a package kernel (the Gaussian fit, the scattered route
+of the partial-wave sums), kept verbatim, whose bits the kernel must
+reproduce; the ladder's reference takes the package's sectoral seeds,
+recurrence coefficients and chunks.  ``sample_per_shot`` is the sampler
+as it was when every shot under axis noise drew its own jittered axis
+(``tilted_axes_reference``), and ``jittered_axis_probabilities`` averages
+p_m over those axes by nodes: the references of the damped state that
+the sampler reads at the nominal axis now.
 """
 
 import dataclasses
@@ -21,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import expm
 from scipy.special import gammaln
@@ -521,11 +526,10 @@ def _axis_frame(theta, phi):
 
 
 def tilted_axes_reference(theta, phi, t1, t2):
-    """forward._tilted_axes as it stacked its frame, kept verbatim: (theta, phi).
+    """The sampler's pointing tilt when it drew one axis per shot: (theta, phi).
 
     The axis n + t1 e1 + t2 e2, renormalized, from three stacked (3, points)
-    vectors and np.linalg.norm; the package forms the same components one by
-    one, so it must return these bits exactly.
+    vectors and np.linalg.norm, with (t1, t2) ~ N(0, sigma_omega^2 / 2) each.
     """
     st, ct, sp, cp = np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
     n = np.stack([st * cp, st * sp, ct])
@@ -534,6 +538,57 @@ def tilted_axes_reference(theta, phi, t1, t2):
     v = n + t1 * e1 + t2 * e2
     v /= np.linalg.norm(v, axis=0)
     return np.arccos(np.clip(v[2], -1.0, 1.0)), np.arctan2(v[1], v[0])
+
+
+def tilt_average_reference(kmax, sigma_omega):
+    """g_k = E[P_k(cos eta)], tan^2 eta exponential with mean sigma_omega^2, densely.
+
+    Composite 16-node Gauss-Legendre in the tilt angle eta itself, with the density
+    d/d eta (1 - exp(-tan^2 eta / sigma_omega^2)) over [0, atan(10 sigma_omega)], on
+    400 + 4 kmax atan(10 sigma_omega) / pi uniform panels joined by the eta
+    of 200 uniform steps in tan eta / sigma_omega (the density's own scale); P_k by
+    its recurrence in the differences of 1 - cos eta = 2 sin^2(eta / 2).
+    """
+    top = math.atan(10.0 * sigma_omega)
+    edges = np.sort(np.concatenate([
+        np.linspace(0.0, top, 400 + int(4 * kmax * top / math.pi)),
+        np.arctan(sigma_omega * np.linspace(0.0, 10.0, 201))]))
+    x, w = leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    eta = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    tan = np.tan(eta)
+    dens = ((half * w).ravel() * 2.0 * tan * (1.0 + tan * tan) / sigma_omega ** 2
+            * np.exp(-(tan / sigma_omega) ** 2))
+    u = 2.0 * np.sin(0.5 * eta) ** 2
+    g = np.empty(kmax + 1)
+    p, d = np.ones_like(u), np.zeros_like(u)
+    for k in range(kmax + 1):
+        g[k] = p @ dens
+        d = (k * d - (2 * k + 1) * u * p) / (k + 1)
+        p = p + d
+    return g
+
+
+def jittered_axis_probabilities(s, theta, phi, noise):
+    """p_m averaged over the jittered axes of one nominal axis, by nodes.
+
+    The azimuth jitter delta ~ N(0, azimuth_sigma(phi)^2) on 12 Gauss-Hermite nodes,
+    then the pointing tilt (t1, t2) on 20 x 20 through tilted_axes_reference, as the
+    per-shot sampler applied them; a noise that is off takes one node.  Good to 1e-14
+    at 2j <= 100 with sigma_omega <= 0.1 and azimuth sigmas up to 0.05.
+    """
+    from spintomo.forward import projection_probabilities
+
+    sigma_a = float(noise.azimuth_sigma(phi))
+    x, wx = hermegauss(12 if sigma_a > 0.0 else 1)
+    y, wy = hermegauss(20 if noise.sigma_omega > 0.0 else 1)
+    wx, wy = wx / wx.sum(), wy / wy.sum()
+    sigma_t = noise.sigma_omega / math.sqrt(2.0)
+    ph, t1, t2 = np.meshgrid(phi + sigma_a * x, sigma_t * y, sigma_t * y, indexing="ij")
+    w = wx[:, None, None] * wy[None, :, None] * wy[None, None, :]
+    th, ph = tilted_axes_reference(np.full(ph.size, float(theta)), ph.ravel(), t1.ravel(),
+                                   t2.ravel())
+    return w.ravel() @ projection_probabilities(s, th, ph)
 
 
 def _sanitized_probabilities(p):
@@ -561,7 +616,7 @@ def sample_per_shot(s, axes, shots_per_axis, noise, seed):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=int(seed), spawn_key=(a,))))
         sigma_phi_a = float(noise.azimuth_sigma(phi_a))
-        if not noise.has_axis_noise:
+        if not (noise.sigma_omega > 0.0 or noise.sigma_phi > 0.0 or noise.sigma_ph > 0.0):
             p = _sanitized_probabilities(projection_probabilities(s, theta_a, phi_a))
             djs = (np.rint(rng.normal(0.0, sigma_j, size=shots_per_axis)).astype(int)
                    if sigma_j > 0.0 else np.zeros(shots_per_axis, dtype=int))

@@ -357,6 +357,15 @@ def test_output_in_a_missing_directory_exits_2_naming_it(workdir, capsys):
     assert os.listdir() == []
 
 
+def test_output_onto_a_directory_exits_2_naming_it(workdir, capsys):
+    # the rename onto the directory fails; the message names the output path, not
+    # the temporary file, and the temporary file is gone
+    os.mkdir("adir")
+    assert run("simulate", "--axes", "3", "--shots", "2", "--out", "adir") == 2
+    assert capsys.readouterr().err == "error: cannot write adir: Is a directory\n"
+    assert os.listdir() == ["adir"] and os.listdir("adir") == []
+
+
 def test_unknown_flag_rejected(workdir):
     with pytest.raises(SystemExit) as exc:
         run("simulate", "--frobnicate")

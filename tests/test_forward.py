@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.stats import chisquare
+from scipy.stats import chi2, chisquare
 
 import spintomo.forward as forward
 import spintomo.states as states
@@ -97,6 +97,7 @@ def test_record_invariants():
     for row, message in [
             ((0.1, 0.0, 1.0, 4, 3), "two_m = 3 and two_j = 4 have different parity"),
             ((0.1, 0.0, 1.0, 4, 6), "|two_m| = 6 exceeds two_j = 4"),
+            ((0.1, 0.0, 1.0, math.nan, 0), "spin labels must be doubled integers, got (nan, 0)"),
             ((0.1, 0.0, -0.5, 4, 2), "weight must be non-negative or NaN, got -0.5"),
             ((4.0, 0.0, 1.0, 4, 2), "theta = 4.0 outside [0, pi]")]:
         for check in (lambda: Records(*zip(row)), lambda: forward._check_row(*row)):
@@ -116,7 +117,7 @@ _VALID_SPINS = st.integers(0, 6).flatmap(
 _INT_SPINS = _VALID_SPINS | st.tuples(st.integers(-2, 6), st.integers(-8, 8))
 # a spin column holds one type, so its rows print as the record's fields do
 _FLOAT_SPINS = _INT_SPINS.map(lambda s: (float(s[0]), float(s[1]))) | st.sampled_from(
-    [(4.5, 0.5), (4.0, 2.5), (4.0, 2.0)])
+    [(4.5, 0.5), (4.0, 2.5), (4.0, 2.0), (math.nan, 0.0), (2.0, math.nan)])
 
 
 def _rows(spins):
@@ -147,6 +148,9 @@ def _record_error(row):
 @example(rows=[(0.5, 0.0, 1.0, 2 ** 63, 0)])
 @example(rows=[(0.5, 0.0, 1.0, 0, -2 ** 63)])
 @example(rows=[(0.5, 0.0, 1.0, 1e20, 0.0)])
+# NaN labels get the doubled-integer message, not int()'s own
+@example(rows=[(0.5, 0.0, 1.0, math.nan, 0)])
+@example(rows=[(0.5, 0.0, 1.0, 2.0, math.nan)])
 @example(rows=[(0.5, 0.0, 1.0, 2 ** 63 - 1, 1 - 2 ** 63)])
 # numpy makes a float column of small labels and ones beyond int64; the error
 # quotes the labels as given
@@ -160,6 +164,7 @@ def test_records_refuse_what_the_record_refuses(rows):
         with pytest.raises(ValueError) as got:
             Records(*zip(*rows))
         assert str(got.value) == errors[0]
+        assert not errors[0].startswith("cannot convert")  # int()'s message for NaN
     else:
         recs = Records(*zip(*rows))
         assert recs.two_j.dtype == recs.two_m.dtype == np.int64  # whatever labels were given
@@ -472,6 +477,23 @@ _SAMPLER_STATES = {7: ((0.9, 0.4, 7), 30), 10: ((0.9, 0.4, 10), 30),
                    1260: ((0.0, 0.0, 220), 20)}
 
 
+def _axis_noise(noise):
+    return noise.sigma_omega > 0.0 or noise.sigma_phi > 0.0 or noise.sigma_ph > 0.0
+
+
+def _per_shot_oracle(s, axes, shots, noise, seed):
+    """The sampler's records by oracles.sample_per_shot, bit for bit: without axis noise
+    the oracle's own; with it, axis a's block of the oracle run without axis noise on the
+    state damped for axis a (each axis keeps its stream whatever the state)."""
+    if not _axis_noise(noise):
+        return oracles.sample_per_shot(s, axes, shots, noise, seed)
+    plain = NoiseModel(sigma_n=noise.sigma_n)
+    blocks = [oracles.sample_per_shot(
+        forward._damped(s, noise.sigma_omega, float(noise.azimuth_sigma(phi))),
+        axes, shots, plain, seed)[a * shots:(a + 1) * shots] for a, (_, phi) in enumerate(axes)]
+    return sum(blocks[1:], blocks[0])
+
+
 @pytest.mark.parametrize("case,two_j", [(case, two_j) for case in sorted(_SAMPLER_NOISE)
                                         for two_j in sorted(_SAMPLER_STATES)] + [("paper", 40)])
 def test_sampler_matches_per_shot_oracle(case, two_j):
@@ -486,7 +508,7 @@ def test_sampler_matches_per_shot_oracle(case, two_j):
         s = coherent_state(two_j, theta0, phi0, 0.0, kmax=kmax)
         axes, noise = _SAMPLER_AXES, _SAMPLER_NOISE[case]
     got = sample_measurements(s, axes, shots, noise, seed=31)
-    assert got == oracles.sample_per_shot(s, axes, shots, noise, seed=31)
+    assert got == _per_shot_oracle(s, axes, shots, noise, seed=31)
 
 
 @pytest.mark.parametrize("two_j", [7, 10])
@@ -495,20 +517,31 @@ def test_sampler_matches_per_shot_oracle_truncated_state(two_j):
     s = dicke_to_spherical(DickeState(two_j, rho), 4)  # kmax < two_j
     noise = _SAMPLER_NOISE["all"]
     got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=5)
-    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=5)
+    assert got == _per_shot_oracle(s, _SAMPLER_AXES, 30, noise, seed=5)
 
 
 def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
+    # constant phase noise: the five axes share one damped state, 363 // (10 * 11) = 3
+    # axes per probability call, and their scattered polar angles take the ladder,
+    # 363 // (16 * 11) = 2 points per kernel chunk
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11 ** 2)  # 2 points per kernel chunk
-    noise = _SAMPLER_NOISE["all"]
-    got = sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8)
-    assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)
+    noise = NoiseModel(sigma_n=1.5, sigma_omega=0.08, phase_mode="constant", sigma_phi=0.07)
+    want = _per_shot_oracle(s, _SAMPLER_AXES, 10, noise, seed=8)
+    seen = []
+
+    def spy(s, theta, phi):
+        seen.append(np.size(theta))
+        return projection_probabilities(s, theta, phi)
+
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11 ** 2)
+    monkeypatch.setattr(forward, "projection_probabilities", spy)
+    assert sample_measurements(s, _SAMPLER_AXES, 10, noise, seed=8) == want
+    assert seen == [3, 2]
 
 
 def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
-    # without axis noise an axis's shots are one point, and its 30 x 11 comparison
-    # block exceeds the budget: one axis per call, one point per kernel chunk
+    # an axis's shots are one point, and its 30 x 11 comparison block exceeds the
+    # budget: one axis per call, one point per kernel chunk
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
     monkeypatch.setattr(states, "_CHUNK_BUDGET", 2 * 11)
     for case in ("none", "number"):
@@ -519,12 +552,11 @@ def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
 
 @pytest.mark.parametrize("case", ["none", "number", "all"])
 def test_sampler_probability_calls_stay_within_the_budget(case, monkeypatch):
-    # one path for every noise model: a point costs its uniforms times 2j + 1, so a
-    # call takes _CHUNK_BUDGET // (30 * 11) = 0 -> 1 point without axis noise, where an
-    # axis's 30 shots are one point, and _CHUNK_BUDGET // 11 = 3 points with it
+    # one path for every noise model: an axis's shots are one point, which costs its
+    # uniforms times 2j + 1, so a call takes _CHUNK_BUDGET // (30 * 11) = 0 -> 1 axis
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
     noise = _SAMPLER_NOISE[case]
-    want = oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8)
+    want = _per_shot_oracle(s, _SAMPLER_AXES, 30, noise, seed=8)
     seen = []
 
     def spy(s, theta, phi):
@@ -534,9 +566,7 @@ def test_sampler_probability_calls_stay_within_the_budget(case, monkeypatch):
     monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11)
     monkeypatch.setattr(forward, "projection_probabilities", spy)
     assert sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8) == want
-    assert max(seen) == (3 if noise.has_axis_noise else 1)
-    points = len(_SAMPLER_AXES) * (30 if noise.has_axis_noise else 1)
-    assert sum(seen) == points
+    assert seen == [1] * len(_SAMPLER_AXES)
 
 
 def test_sampler_argument_validation():
@@ -556,17 +586,145 @@ def test_sampler_argument_validation():
                 == sample_measurements(s, [(0.0, 0.0)], 10, noise, seed=1))
 
 
-def test_tilted_axes_equal_the_stacked_frame_bitwise():
-    # the tilt's components one by one, against the stacked frame and np.linalg.norm;
-    # both poles, the equator, and tilts from tiny to large
-    r = np.random.default_rng(3)
-    theta = np.concatenate([[0.0, math.pi, math.pi / 2.0], r.uniform(0.0, math.pi, 197)])
-    phi = np.concatenate([[0.3, -2.0, 1.0], r.uniform(-2.0 * math.pi, 4.0 * math.pi, 197)])
-    for sigma in (1e-12, 0.05, 1.5):
-        t1, t2 = r.normal(0.0, sigma, (2, theta.size))
-        got = forward._tilted_axes(theta, phi, t1, t2)
-        want = oracles.tilted_axes_reference(theta, phi, t1, t2)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want)), sigma
+def test_sampler_reads_the_damped_state_bitwise():
+    # under constant phase noise every axis reads one damped state, and the records are
+    # those of that state without axis noise, stream for stream
+    s = oat_squeezed_state(40, 0.05, 40)
+    axes = [(math.pi / 2.0, a * math.pi / 12) for a in range(12)] + _SAMPLER_AXES
+    noise = NoiseModel(sigma_n=2.0, sigma_omega=0.05, phase_mode="constant", sigma_phi=0.1)
+    want = sample_measurements(forward._damped(s, 0.05, 0.1), axes, 40,
+                               NoiseModel(sigma_n=2.0), seed=17)
+    assert sample_measurements(s, axes, 40, noise, seed=17) == want
+
+
+def test_damped_state_without_axis_noise_is_the_state():
+    s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
+    assert forward._damped(s, 0.0, 0.0) is s
+    # azimuth noise alone: exp(-q^2 sigma^2 / 2), no wave damped as a whole
+    q = np.arange(-10, 11)
+    d = forward._damped(s, 0.0, 0.3)
+    assert np.array_equal(d.coeffs, s.coeffs * np.exp(-0.5 * 0.3 ** 2 * q * q))
+
+
+_JITTER_NOISE = {
+    "none": NoiseModel(sigma_omega=0.1),
+    "constant": NoiseModel(sigma_omega=0.06, phase_mode="constant", sigma_phi=0.05),
+    "model": NoiseModel(sigma_omega=0.05, phase_mode="model", sigma_ph=0.3),
+}
+
+
+@pytest.mark.parametrize("two_j", [40, 100])
+@pytest.mark.parametrize("mode", sorted(_JITTER_NOISE))
+def test_damped_probabilities_are_the_jittered_axis_average(two_j, mode):
+    # Funk-Hecke: p_m of the damped state at the nominal axis are p_m averaged over the
+    # jittered axes; both poles, the equator and a generic axis
+    s = (oat_squeezed_state(40, 0.05, 40) if two_j == 40
+         else coherent_state(100, 0.9, 0.4, 0.0, kmax=100))
+    noise = _JITTER_NOISE[mode]
+    undamped = 0.0
+    for theta, phi in [(0.0, 0.3), (math.pi, -2.0), (math.pi / 2.0, 1.0), (1.1, 2.5)]:
+        want = oracles.jittered_axis_probabilities(s, theta, phi, noise)
+        d = forward._damped(s, noise.sigma_omega, float(noise.azimuth_sigma(phi)))
+        assert np.abs(projection_probabilities(d, theta, phi) - want).max() <= 1e-12
+        undamped = max(undamped, np.abs(projection_probabilities(s, theta, phi) - want).max())
+    assert undamped > 5e-3  # the undamped state is far off: the comparison can tell
+
+
+@pytest.mark.parametrize("sigma_omega", [1e-4, 0.01, 0.2, 1.0, 3.0])
+def test_tilt_average_matches_the_dense_reference(sigma_omega):
+    # the panels follow kmax, so small kmax are checked as well as the largest
+    for kmax in (1, 5, 40, 1260):
+        g = forward._tilt_average(kmax, sigma_omega)
+        assert g[0] == 1.0 and not g.flags.writeable
+        want = oracles.tilt_average_reference(kmax, sigma_omega)
+        assert np.abs(g - want).max() <= 1e-11, kmax
+    assert forward._tilt_average(1260, sigma_omega) is g  # cached
+
+
+# The statistical tests below fail a correct sampler with probability ALPHA over
+# seeds (the chi-square law of the statistic, on bins of ten or more counts); their
+# seeds are fixed, so each passes or fails the same way on every run.
+ALPHA = 1e-3
+
+
+def _merged(rows, by, floor=10.0):
+    """Columns of rows summed over runs of adjacent bins until by sums to floor or more
+    in each; a remainder below the floor joins the last run."""
+    starts, total = [0], 0.0
+    for i, b in enumerate(by[:-1]):
+        total += b
+        if total >= floor:
+            starts.append(i + 1)
+            total = 0.0
+    if len(starts) > 1 and total + by[-1] < floor:
+        starts.pop()
+    return np.add.reduceat(np.asarray(rows, dtype=float), starts, axis=1)
+
+
+def _fit_p_value(recs, shots, p):
+    """Chi-square p-value that axis a's two_m follow p[a] (p_m, m ascending), all axes."""
+    stat = dof = 0.0
+    two_j = p.shape[1] - 1
+    for a, p_a in enumerate(p):
+        observed = np.bincount((recs.two_m[a * shots:(a + 1) * shots] + two_j) // 2,
+                               minlength=two_j + 1)
+        o, e = _merged([observed, shots * p_a], shots * p_a)
+        stat, dof = stat + ((o - e) ** 2 / e).sum(), dof + o.size - 1
+    return chi2.sf(stat, dof)
+
+
+def _two_sample_p_value(got, want, shots):
+    """Chi-square p-value that two Records of the same axes and shot counts draw each
+    axis's (two_j, two_m) from one distribution."""
+    stat = dof = 0.0
+    for lo in range(0, len(got), shots):
+        keys = [r.two_j[lo:lo + shots] * (1 << 32) + r.two_m[lo:lo + shots] for r in (got, want)]
+        values, inverse = np.unique(np.concatenate(keys), return_inverse=True)
+        counts = np.stack([np.bincount(i, minlength=values.size)
+                           for i in np.split(inverse, 2)])
+        c1, c2 = _merged(counts, counts.sum(axis=0))
+        stat, dof = stat + ((c1 - c2) ** 2 / (c1 + c2)).sum(), dof + c1.size - 1
+    return chi2.sf(stat, dof) if dof else 1.0
+
+
+_FIT_STATE = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
+_FIT_NOISE = NoiseModel(sigma_n=1.5, sigma_omega=0.3, phase_mode="model", sigma_ph=0.8)
+_FIT_SHOTS = 2000
+
+
+@pytest.fixture(scope="module")
+def per_shot_records():
+    # the per-shot oracle at 5 axes x 2000 shots: about 1.5 s
+    return oracles.sample_per_shot(_FIT_STATE, _SAMPLER_AXES, _FIT_SHOTS, _FIT_NOISE, seed=41)
+
+
+def _jittered_p():
+    return np.array([oracles.jittered_axis_probabilities(_FIT_STATE, theta, phi, _FIT_NOISE)
+                     for theta, phi in _SAMPLER_AXES])
+
+
+def test_sampler_fits_the_jittered_axis_average():
+    got = sample_measurements(_FIT_STATE, _SAMPLER_AXES, _FIT_SHOTS, _FIT_NOISE, seed=41)
+    p = _jittered_p()
+    assert _fit_p_value(got, _FIT_SHOTS, p) > ALPHA
+    # the test can tell: without the damping the records are far off
+    plain = sample_measurements(_FIT_STATE, _SAMPLER_AXES, _FIT_SHOTS, NoiseModel(), seed=41)
+    assert _fit_p_value(plain, _FIT_SHOTS, p) < 1e-12
+
+
+def test_per_shot_oracle_fits_the_jittered_axis_average(per_shot_records):
+    assert _fit_p_value(per_shot_records, _FIT_SHOTS, _jittered_p()) > ALPHA
+
+
+def test_sampler_and_per_shot_oracle_draw_from_one_distribution(per_shot_records):
+    got = sample_measurements(_FIT_STATE, _SAMPLER_AXES, _FIT_SHOTS, _FIT_NOISE, seed=41)
+    # the same axes and weights, the outcomes of another stream
+    assert all(np.array_equal(a, b) for a, b in zip(got.columns[:3], per_shot_records.columns[:3]))
+    assert got != per_shot_records
+    assert _two_sample_p_value(got, per_shot_records, _FIT_SHOTS) > ALPHA
+    plain = sample_measurements(_FIT_STATE, _SAMPLER_AXES, _FIT_SHOTS,
+                                NoiseModel(sigma_n=1.5), seed=41)
+    assert _two_sample_p_value(plain, per_shot_records, _FIT_SHOTS) < 1e-12
 
 
 def test_axis_jitter_broadens_outcomes():
