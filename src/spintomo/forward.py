@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .angular import LABEL_BOUND, _angles_ok, _check_angles, cg_tau_table, check_spin_label
-from .states import SphericalState, _check_noise, _chunks, _wave_sums
+from .states import _check_noise, _chunks, _wave_sums
 
 __all__ = [
     "NoiseModel",
@@ -46,7 +46,8 @@ class NoiseModel:
                  mapped to sigma_ph^2 |sin phi| / sqrt(2)).
 
     A phase amount needs its mode: sigma_phi > 0 only with "constant" and
-    sigma_ph > 0 only with "model", so at most one of them is non-zero.
+    sigma_ph > 0 only with "model", so at most one of them is non-zero.  The azimuth
+    noise damps every axis's orders q, in the sampler and the backprojection alike.
     """
 
     sigma_n: float = 0.0
@@ -225,16 +226,10 @@ def _tilt_average(kmax, sigma_omega):
     return g
 
 
-def _damped(s, sigma_omega, sigma_a):
-    """s with rho_kq times g_k exp(-q^2 sigma_a^2 / 2) (g_k of _tilt_average); s if both are 0.
-
-    By Funk-Hecke, these are the mean of the rho_kq Y_kq that a shot sees along its
-    axis, azimuth jittered by N(0, sigma_a^2), then tilted by pointing noise sigma_omega."""
-    if sigma_omega == 0.0 and sigma_a == 0.0:
-        return s
-    q = np.arange(-s.kmax, s.kmax + 1)
-    g = _tilt_average(s.kmax, sigma_omega)[:, None] if sigma_omega > 0.0 else 1.0
-    return SphericalState(s.two_j_ref, s.kmax, s.coeffs * g * np.exp(-0.5 * sigma_a ** 2 * q * q))
+def _order_damping(noise, phi, kmax):
+    """The azimuth noise's damping exp(-q^2 sigma_a(phi_n)^2 / 2)[q, n] of the orders q <= kmax."""
+    q, sig = np.arange(kmax + 1)[:, None], noise.azimuth_sigma(phi)
+    return np.exp(-0.5 * q * q * sig * sig)
 
 
 def _physical(p):
@@ -263,9 +258,9 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
     axes is a sequence of (theta, phi) quantization-axis orientations;
     shots_per_axis single measurements are drawn for each.  Per shot the total spin
     is jittered by the number noise (rounded to the nearest parity-consistent value),
-    and the outcome is drawn from the p_m of the state damped by the axis noise
-    (_damped) at the nominal axis: in distribution, those of the shot's unrecorded
-    jittered axis.  Weights are 1/M (replaced later by the weighting step).
+    and the outcome is drawn from the p_m at the nominal axis of the state damped by the
+    axis noise, rho_kq g_k exp(-q^2 sigma_a^2 / 2): by Funk-Hecke, in distribution those
+    of the shot's unrecorded jittered axis.  Weights are 1/M (replaced by the weighting).
     Deterministic for fixed inputs and seed: each axis owns an independent
     counter-based substream, of its number jitters, then its outcome uniforms.
     shots_per_axis and seed are integers (Python or NumPy); anything else raises
@@ -294,16 +289,17 @@ def sample_measurements(s, axes, shots_per_axis, noise, seed):
         if sigma_j > 0.0:
             rng.standard_normal(out=dj[a])
         rng.random(out=u[a])
-    # an axis's shots share it as one point, of the state damped by the axis noise;
-    # the axes of one azimuth sigma (all, but under model phase noise) share that
-    # state, and its p_m and draw run a chunk of axes at a time, an axis's comparison
-    # block (its uniforms times 2j+1) also bounding its p_m
-    sigma_a = noise.azimuth_sigma(phi)
+    # an axis's shots share it as one point.  The axis noise damps the waves where the
+    # backprojection damps them: the tilt's g_k scales the tau rows, the azimuth noise
+    # each axis's orders.  One kernel call and one draw per chunk of axes; an axis's
+    # comparison block (its uniforms times 2j+1) also bounds its p_m
+    tau = cg_tau_table(two_j, s.kmax)
+    if noise.sigma_omega > 0.0:
+        tau = _tilt_average(s.kmax, noise.sigma_omega)[:, None] * tau
+    damp = _order_damping(noise, phi, s.kmax).T
     idx = np.empty(u.shape, dtype=int)
-    for sigma in dict.fromkeys(sigma_a.tolist()):  # the distinct ones, without np.unique
-        group, d = np.flatnonzero(sigma_a == sigma), _damped(s, noise.sigma_omega, sigma)
-        for a in (group[sl] for sl in _chunks(group.size, shots_per_axis * (two_j + 1))):
-            idx[a] = _draw(projection_probabilities(d, theta[a], phi[a]), u[a])
+    for a in _chunks(theta.size, shots_per_axis * (two_j + 1)):
+        idx[a] = _draw(_wave_sums(s, theta[a], phi[a], s.kmax, damp[a]) @ tau, u[a])
     two_m = 2 * idx.ravel() - two_j
     two_j_n = np.maximum(two_j + 2 * np.rint(sigma_j * dj.ravel()).astype(int), np.abs(two_m))
     return Records(np.repeat(theta, shots_per_axis), np.repeat(phi, shots_per_axis),

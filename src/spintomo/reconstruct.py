@@ -33,7 +33,7 @@ from .angular import (
     legendre_sph_table,
     pochhammer_half,
 )
-from .forward import NoiseModel, Records
+from .forward import NoiseModel, Records, _order_damping
 from .states import SphericalState, _chunks, _damping, _damping_alpha, _polar_table
 
 __all__ = [
@@ -74,8 +74,8 @@ class ReconstructionConfig:
     two_j_ref: int | None = None
 
     def __post_init__(self):
-        if self.kmax is not None and self.kmax < 0:
-            raise ValueError("kmax must be non-negative")
+        if not (self.kmax is None or isinstance(self.kmax, (int, np.integer)) and self.kmax >= 0):
+            raise ValueError(f"kmax must be a non-negative integer, got {self.kmax!r}")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}")
 
@@ -245,8 +245,8 @@ def _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise):
 
 
 def _backproject(records, config):
-    # rho_kq = f_kq sum_a A[k, a] D^k_{q0}(phi_a, theta_a, 0) [x phase damping on the
-    # equator]; only f and the kernel depend on the mode
+    # rho_kq = f_kq sum_a A[k, a] D^k_{q0}(phi_a, theta_a, 0) exp(-q^2 sigma_a^2 / 2);
+    # only f and the kernel depend on the mode
     theta, phi, weight, two_j, two_m = Records.of(records).columns
     if np.any(np.isnan(weight)):
         raise ValueError("records carry pending weights; run compute_weights first")
@@ -274,13 +274,11 @@ def _backproject(records, config):
     k = np.arange(kmax + 1, dtype=float)
     q = np.arange(kmax + 1)[:, None]
     ph = phi[first]
-    E = np.exp(-1j * q * ph)                                  # (q, axes)
+    # the azimuth noise damps each axis's orders q, as the sampler damps them
+    E = np.exp(-1j * q * ph) * _order_damping(config.noise, ph, kmax)    # (q, axes)
     if inplane:
-        # every axis at cos(theta) = 0 shares one (k, q) table, so one contraction
-        # serves all axes; the azimuth noise damps each order q
-        sig = config.noise.azimuth_sigma(ph)
-        E = E * np.exp(-0.5 * q * q * sig * sig)
-        # keyed by cos(pi / 2), as the squeezing scan keys it, so both share one table
+        # every axis at cos(theta) = 0 shares one (k, q) table, so one contraction serves
+        # all axes; keyed by cos(pi / 2), as the squeezing scan keys it, so both share it
         half = np.einsum("kq,qa,ka->kq", _polar_table(kmax, math.cos(math.pi / 2.0)), E, A)
         # pi ((k-q+1)/2)_(1/2) ((k+q+1)/2)_(1/2) for q <= k; k + q odd carries no information
         ph_half = pochhammer_half(np.arange(1, 2 * kmax + 2) / 2.0)

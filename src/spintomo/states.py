@@ -208,16 +208,16 @@ def _polar_table(kuse, x):
     return S
 
 
-def _wave_sums(s, theta, phi, kuse):
-    """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq for k <= kuse.
+def _wave_sums(s, theta, phi, kuse, damp=None):
+    """z[n, k] = sum_q conj(D^k_q0(phi_n, theta_n, 0)) rho_kq d_nq for k <= kuse.
 
-    theta and phi broadcast to n points, flattened, in the angle domain
-    (theta in [0, pi], phi finite); returns a real (n, kuse+1) array.
-    Since D^k_q0 = sqrt(4 pi / (2k+1)) conj(Y_kq), this is the
-    partial-wave sum behind the Wigner function and the projection
-    probabilities.  The state is Hermitian, so the q < 0 terms are the
-    conjugates of the q > 0 ones and only the q >= 0 half is read:
-        z_k = sum_q S_k^q(cos theta) (Re c_kq cos q phi - Im c_kq sin q phi),
+    theta and phi broadcast to n points, flattened, in the angle domain (theta in [0, pi],
+    phi finite); returns a real (n, kuse+1) array.  d_nq is damp, an optional (n, kuse+1)
+    array (the azimuth noise), or 1 without it.  Since D^k_q0 = sqrt(4 pi / (2k+1))
+    conj(Y_kq), this is the partial-wave sum behind the Wigner function and the projection
+    probabilities.  The state is Hermitian, so the q < 0 terms are the conjugates of the
+    q > 0 ones and only the q >= 0 half is read:
+        z_k = sum_q S_k^q(cos theta) d_q (Re c_kq cos q phi - Im c_kq sin q phi),
     c_kq = sqrt(4 pi / (2k+1)) w_q rho_kq, w_0 = 1 and w_q = 2 for q > 0.
 
     The points' layout picks the route.  When all points share one polar
@@ -247,6 +247,8 @@ def _wave_sums(s, theta, phi, kuse):
         for sl in chunks:
             qphi = phi[sl, None] * q
             phases = np.concatenate([np.cos(qphi), np.sin(qphi)], axis=1)
+            if damp is not None:  # the same factor on the cos and the sin of order q
+                phases *= np.concatenate([damp[sl], damp[sl]], axis=1)
             # one vector product per point, so the chunking changes no bit
             out[sl] = (phases[:, None, :] @ w)[:, 0]
         return out
@@ -258,6 +260,8 @@ def _wave_sums(s, theta, phi, kuse):
         cis = np.multiply.accumulate(cis, axis=0)
         phases = np.empty((kuse + 1, 2, x.size))                   # (q, re/im, points)
         phases[:, 0], phases[:, 1] = cis.real, cis.imag
+        if damp is not None:
+            phases *= damp[sl].T[:, None]
         rows = np.zeros((_ROW_BLOCK, kuse + 1, x.size))
         z = np.empty((kuse + 1, 2, x.size))
         # rows k0..k1-1, zero past each row's end as c is; numpy's own loop (no
@@ -287,10 +291,10 @@ def wigner_grid(s, n_theta, n_phi):
     """Sample W on an n_theta x n_phi cell-center grid.
 
     Associated-Legendre tables are shared across each latitude row, so the
-    cost is O(n_theta * (kmax^2 + kmax * n_phi)).
+    cost is O(n_theta * (kmax^2 + kmax * n_phi)).  Sizes are integers >= 2 (else ValueError).
     """
-    if n_theta < 2 or n_phi < 2:
-        raise ValueError("grid dimensions must be at least 2")
+    if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in (n_theta, n_phi)):
+        raise ValueError(f"grid dimensions must be integers >= 2, got {n_theta!r}, {n_phi!r}")
     kmax = s.kmax
     theta = (np.arange(n_theta) + 0.5) * math.pi / n_theta
     phi = (np.arange(n_phi) + 0.5) * 2.0 * math.pi / n_phi

@@ -7,7 +7,9 @@ sympy.  None of it shares code with the paths it checks, except three
 helpers that tests read the package through: ``coeff`` (one entry of a
 state), ``coupling_table_signed`` (the package's coupling table for
 negative orders too, by the mirror identity) and ``axis_weighted_records``
-(``exact_records`` with other weights per axis).  ``gaussian_fits_reference``
+(``exact_records`` with other weights per axis), and ``damped_state`` takes
+the package's pointing average g_k (``forward._tilt_average``, itself
+checked against ``tilt_average_reference``).  ``gaussian_fits_reference``
 and ``wave_sums_ladder_reference`` are no brute force either: each is an
 earlier version of a package kernel (the Gaussian fit, the scattered route
 of the partial-wave sums), kept verbatim, whose bits the kernel must
@@ -15,8 +17,8 @@ reproduce; the ladder's reference takes the package's sectoral seeds,
 recurrence coefficients and chunks.  ``sample_per_shot`` is the sampler
 as it was when every shot under axis noise drew its own jittered axis
 (``tilted_axes_reference``), and ``jittered_axis_probabilities`` averages
-p_m over those axes by nodes: the references of the damped state that
-the sampler reads at the nominal axis now.
+p_m over those axes by nodes: the references of ``damped_state``, the
+state whose p_m at the nominal axis the sampler draws from now.
 """
 
 import dataclasses
@@ -369,7 +371,7 @@ def fbp_direct(records, kmax, mode, noise):
     pi (a)_(1/2) (b)_(1/2), a = (k-q+1)/2, b = (k+q+1)/2, on the equator
     (zero for k+q odd).  d multiplies the number damping
     exp(-sigma_N^2 k(k+1) / (2j(2j-1))), the pointing damping
-    exp(-sigma_Omega^2 k(k+1) / 4) and, on the equator, the azimuth damping
+    exp(-sigma_Omega^2 k(k+1) / 4) and, in both geometries, the azimuth damping
     exp(-q^2 sigma_phi(phi_n)^2 / 2).  A record adds nothing at k > 2j_n.
     """
     k = np.arange(kmax + 1)[:, None]
@@ -392,8 +394,7 @@ def fbp_direct(records, kmax, mode, noise):
         damp = np.exp(-0.25 * noise.sigma_omega ** 2 * kk1)
         if noise.sigma_n > 0.0:
             damp = damp * np.exp(-noise.sigma_n ** 2 * kk1 / (r.two_j * (r.two_j - 1.0)))
-        if mode == "in-plane":
-            damp = damp * np.exp(-0.5 * q ** 2 * float(noise.azimuth_sigma(r.phi)) ** 2)
+        damp = damp * np.exp(-0.5 * q ** 2 * float(noise.azimuth_sigma(r.phi)) ** 2)
         out += filt * r.weight * d * tau * damp
     return out
 
@@ -589,6 +590,23 @@ def jittered_axis_probabilities(s, theta, phi, noise):
     th, ph = tilted_axes_reference(np.full(ph.size, float(theta)), ph.ravel(), t1.ravel(),
                                    t2.ravel())
     return w.ravel() @ projection_probabilities(s, th, ph)
+
+
+def damped_state(s, sigma_omega, sigma_a):
+    """s with rho_kq times g_k exp(-q^2 sigma_a^2 / 2) (g_k of forward._tilt_average); s if
+    both are 0.
+
+    By Funk-Hecke, these are the mean of the rho_kq Y_kq that a shot sees along its axis,
+    azimuth jittered by N(0, sigma_a^2), then tilted by pointing noise sigma_omega.
+    """
+    from spintomo.forward import _tilt_average
+    from spintomo.states import SphericalState
+
+    if sigma_omega == 0.0 and sigma_a == 0.0:
+        return s
+    q = np.arange(-s.kmax, s.kmax + 1)
+    g = _tilt_average(s.kmax, sigma_omega)[:, None] if sigma_omega > 0.0 else 1.0
+    return SphericalState(s.two_j_ref, s.kmax, s.coeffs * g * np.exp(-0.5 * sigma_a ** 2 * q * q))
 
 
 def _sanitized_probabilities(p):

@@ -489,7 +489,7 @@ def _per_shot_oracle(s, axes, shots, noise, seed):
         return oracles.sample_per_shot(s, axes, shots, noise, seed)
     plain = NoiseModel(sigma_n=noise.sigma_n)
     blocks = [oracles.sample_per_shot(
-        forward._damped(s, noise.sigma_omega, float(noise.azimuth_sigma(phi))),
+        oracles.damped_state(s, noise.sigma_omega, float(noise.azimuth_sigma(phi))),
         axes, shots, plain, seed)[a * shots:(a + 1) * shots] for a, (_, phi) in enumerate(axes)]
     return sum(blocks[1:], blocks[0])
 
@@ -520,21 +520,23 @@ def test_sampler_matches_per_shot_oracle_truncated_state(two_j):
     assert got == _per_shot_oracle(s, _SAMPLER_AXES, 30, noise, seed=5)
 
 
+def _spied_wave_sums(seen):
+    """states._wave_sums, appending the number of points of each call to seen."""
+    def spy(s, theta, phi, *rest):
+        seen.append(np.size(theta))
+        return states._wave_sums(s, theta, phi, *rest)
+    return spy
+
+
 def test_sampler_matches_per_shot_oracle_across_kernel_chunks(monkeypatch):
-    # constant phase noise: the five axes share one damped state, 363 // (10 * 11) = 3
-    # axes per probability call, and their scattered polar angles take the ladder,
-    # 363 // (16 * 11) = 2 points per kernel chunk
+    # constant phase noise: 363 // (10 * 11) = 3 axes per kernel call, and their
+    # scattered polar angles take the ladder, 363 // (16 * 11) = 2 points per ladder chunk
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
     noise = NoiseModel(sigma_n=1.5, sigma_omega=0.08, phase_mode="constant", sigma_phi=0.07)
     want = _per_shot_oracle(s, _SAMPLER_AXES, 10, noise, seed=8)
     seen = []
-
-    def spy(s, theta, phi):
-        seen.append(np.size(theta))
-        return projection_probabilities(s, theta, phi)
-
     monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11 ** 2)
-    monkeypatch.setattr(forward, "projection_probabilities", spy)
+    monkeypatch.setattr(forward, "_wave_sums", _spied_wave_sums(seen))
     assert sample_measurements(s, _SAMPLER_AXES, 10, noise, seed=8) == want
     assert seen == [3, 2]
 
@@ -550,23 +552,21 @@ def test_sampler_matches_per_shot_oracle_across_probability_chunks(monkeypatch):
         assert got == oracles.sample_per_shot(s, _SAMPLER_AXES, 30, noise, seed=8), case
 
 
-@pytest.mark.parametrize("case", ["none", "number", "all"])
+@pytest.mark.parametrize("case", ["none", "number", "all", "phase-model"])
 def test_sampler_probability_calls_stay_within_the_budget(case, monkeypatch):
-    # one path for every noise model: an axis's shots are one point, which costs its
-    # uniforms times 2j + 1, so a call takes _CHUNK_BUDGET // (30 * 11) = 0 -> 1 axis
+    # one kernel call and one draw per chunk of axes for every noise model: an axis's
+    # shots are one point, which costs its uniforms times 2j + 1, so a call takes
+    # _CHUNK_BUDGET // (30 * 11) axes, 0 -> 1 or 3; under model phase noise each of the
+    # five axes has its own azimuth sigma, and they still share their calls
     s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
     noise = _SAMPLER_NOISE[case]
     want = _per_shot_oracle(s, _SAMPLER_AXES, 30, noise, seed=8)
-    seen = []
-
-    def spy(s, theta, phi):
-        seen.append(np.size(theta))
-        return projection_probabilities(s, theta, phi)
-
-    monkeypatch.setattr(states, "_CHUNK_BUDGET", 3 * 11)
-    monkeypatch.setattr(forward, "projection_probabilities", spy)
-    assert sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8) == want
-    assert seen == [1] * len(_SAMPLER_AXES)
+    for budget, calls in ((3 * 11, [1] * 5), (3 * 30 * 11, [3, 2])):
+        seen = []
+        monkeypatch.setattr(states, "_CHUNK_BUDGET", budget)
+        monkeypatch.setattr(forward, "_wave_sums", _spied_wave_sums(seen))
+        assert sample_measurements(s, _SAMPLER_AXES, 30, noise, seed=8) == want
+        assert seen == calls, budget
 
 
 def test_sampler_argument_validation():
@@ -592,18 +592,9 @@ def test_sampler_reads_the_damped_state_bitwise():
     s = oat_squeezed_state(40, 0.05, 40)
     axes = [(math.pi / 2.0, a * math.pi / 12) for a in range(12)] + _SAMPLER_AXES
     noise = NoiseModel(sigma_n=2.0, sigma_omega=0.05, phase_mode="constant", sigma_phi=0.1)
-    want = sample_measurements(forward._damped(s, 0.05, 0.1), axes, 40,
+    want = sample_measurements(oracles.damped_state(s, 0.05, 0.1), axes, 40,
                                NoiseModel(sigma_n=2.0), seed=17)
     assert sample_measurements(s, axes, 40, noise, seed=17) == want
-
-
-def test_damped_state_without_axis_noise_is_the_state():
-    s = coherent_state(10, 0.9, 0.4, 0.0, kmax=10)
-    assert forward._damped(s, 0.0, 0.0) is s
-    # azimuth noise alone: exp(-q^2 sigma^2 / 2), no wave damped as a whole
-    q = np.arange(-10, 11)
-    d = forward._damped(s, 0.0, 0.3)
-    assert np.array_equal(d.coeffs, s.coeffs * np.exp(-0.5 * 0.3 ** 2 * q * q))
 
 
 _JITTER_NOISE = {
@@ -615,17 +606,27 @@ _JITTER_NOISE = {
 
 @pytest.mark.parametrize("two_j", [40, 100])
 @pytest.mark.parametrize("mode", sorted(_JITTER_NOISE))
-def test_damped_probabilities_are_the_jittered_axis_average(two_j, mode):
-    # Funk-Hecke: p_m of the damped state at the nominal axis are p_m averaged over the
-    # jittered axes; both poles, the equator and a generic axis
+def test_damped_probabilities_are_the_jittered_axis_average(two_j, mode, monkeypatch):
+    # Funk-Hecke: p_m of the damped state at the nominal axis, and the p_m the sampler
+    # draws from there, are p_m averaged over the jittered axes; both poles, the equator
+    # and a generic axis
     s = (oat_squeezed_state(40, 0.05, 40) if two_j == 40
          else coherent_state(100, 0.9, 0.4, 0.0, kmax=100))
     noise = _JITTER_NOISE[mode]
+    drawn, draw = [], forward._draw
+
+    def spy(p, u):
+        drawn.append(p)
+        return draw(p, u)
+
+    monkeypatch.setattr(forward, "_draw", spy)
     undamped = 0.0
     for theta, phi in [(0.0, 0.3), (math.pi, -2.0), (math.pi / 2.0, 1.0), (1.1, 2.5)]:
         want = oracles.jittered_axis_probabilities(s, theta, phi, noise)
-        d = forward._damped(s, noise.sigma_omega, float(noise.azimuth_sigma(phi)))
+        d = oracles.damped_state(s, noise.sigma_omega, float(noise.azimuth_sigma(phi)))
         assert np.abs(projection_probabilities(d, theta, phi) - want).max() <= 1e-12
+        sample_measurements(s, [(theta, phi)], 1, noise, seed=0)
+        assert np.abs(drawn.pop()[0] - want).max() <= 1e-12
         undamped = max(undamped, np.abs(projection_probabilities(s, theta, phi) - want).max())
     assert undamped > 5e-3  # the undamped state is far off: the comparison can tell
 

@@ -399,8 +399,9 @@ def test_damping_monotone_in_k():
     assert all(0.0 < v <= 1.0 for v in vals)
 
 
-def test_damping_phase_noise_only_in_plane():
-    # the azimuth noise damps rho_kq by exp(-q^2 sigma_phi^2 / 2) in-plane only
+def test_phase_noise_damps_both_geometries():
+    # the azimuth noise damps rho_kq by exp(-q^2 sigma_phi^2 / 2) on the sphere as on the
+    # equator, as the sampler damps every axis's orders; no wave is damped as a whole
     noise = NoiseModel(phase_mode="constant", sigma_phi=0.2)
     assert _record_damping(noise, 40, 6)[6] == 1.0
     assert float(noise.azimuth_sigma(1.0)) == 0.2
@@ -411,10 +412,8 @@ def test_damping_phase_noise_only_in_plane():
         damped = fbp(recs, ReconstructionConfig(kmax=6, mode=mode, noise=noise, two_j_ref=40))
         return oracles.coeff(damped, 6, 4) / oracles.coeff(plain, 6, 4)
 
-    full = ratio(fbp_full, "full-sphere")
-    plane = ratio(fbp_inplane, "in-plane")
-    assert full == 1.0
-    assert plane == pytest.approx(math.exp(-0.5 * 16 * 0.04), rel=1e-12)
+    for fbp, mode in ((fbp_full, "full-sphere"), (fbp_inplane, "in-plane")):
+        assert ratio(fbp, mode) == pytest.approx(math.exp(-0.5 * 16 * 0.04), rel=1e-12), mode
 
 
 @settings(max_examples=300, deadline=None)
@@ -964,5 +963,9 @@ def test_reconstruct_convenience_round_trip():
 def test_config_validation():
     with pytest.raises(ValueError):
         ReconstructionConfig(kmax=-1)
+    for kmax in (2.5, 3.0, "3"):  # refused here, not as a TypeError inside reconstruct
+        with pytest.raises(ValueError, match="kmax must be a non-negative integer"):
+            ReconstructionConfig(kmax=kmax)
+    assert ReconstructionConfig(kmax=np.int64(3)).kmax == 3
     with pytest.raises(ValueError):
         ReconstructionConfig(kmax=2, mode="diagonal")

@@ -298,6 +298,27 @@ def test_wave_sums_do_not_depend_on_the_chunking(layout, monkeypatch):
     assert np.array_equal(states._wave_sums(s, theta, phi, 16), whole)
 
 
+@pytest.mark.parametrize("layout", ["one polar angle", "scattered"])
+def test_wave_sums_order_factor_reads_each_point_of_its_damped_state(layout, monkeypatch):
+    # damp[n, q] scales point n's order q: each point's sums are those of the state with
+    # rho_kq exp(-q^2 sigma_n^2 / 2) (oracles.damped_state); a factor of ones changes
+    # no bit, and neither does the chunking
+    s = dicke_to_spherical(DickeState(16, oracles.random_hermitian(16, rng)), 16)
+    theta = (math.pi / 2.0 if layout == "one polar angle"
+             else np.concatenate([[0.0, math.pi], rng.uniform(0.0, math.pi, 23)]))
+    phi, sigma = rng.uniform(0.0, 2.0 * math.pi, 25), rng.uniform(0.0, 0.5, 25)
+    damp = np.exp(-0.5 * np.outer(sigma ** 2, np.arange(17) ** 2))
+    got = states._wave_sums(s, theta, phi, 16, damp)
+    want = np.concatenate([states._wave_sums(oracles.damped_state(s, 0.0, sigma[n]), t, phi[n], 16)
+                           for n, t in enumerate(np.broadcast_to(theta, phi.shape))])
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.abs(got - states._wave_sums(s, theta, phi, 16)).max() > 1e-3 * np.abs(want).max()
+    assert np.array_equal(states._wave_sums(s, theta, phi, 16, np.ones((25, 17))),
+                          states._wave_sums(s, theta, phi, 16))
+    monkeypatch.setattr(states, "_CHUNK_BUDGET", 1)  # one point per chunk
+    assert np.array_equal(states._wave_sums(s, theta, phi, 16, damp), got)
+
+
 @pytest.mark.parametrize("budget", ["default", 1])
 @pytest.mark.parametrize("kuse", [0, 1, 7, 8, 9, 23, 40])
 def test_scattered_wave_sums_equal_the_row_by_row_ladder_bitwise(kuse, budget, monkeypatch):
@@ -350,6 +371,13 @@ def test_grid_requires_min_size():
     s = maximally_mixed_state(2)
     with pytest.raises(ValueError):
         wigner_grid(s, 1, 8)
+    # a non-integer size is refused, not rounded into a node on the pole or at 2 pi;
+    # NumPy integers are integers
+    for n_theta, n_phi in ((2.5, 4), (3, 4.5), (3.0, 4)):
+        with pytest.raises(ValueError, match="must be integers"):
+            wigner_grid(s, n_theta, n_phi)
+    assert np.array_equal(wigner_grid(s, np.int64(3), np.int32(4)).values,
+                          wigner_grid(s, 3, 4).values)
 
 
 # ---------------------------------------------------------------- grid quadrature
