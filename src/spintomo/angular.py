@@ -79,16 +79,98 @@ def check_spin_label(two_j, two_m):
         raise ValueError(f"two_m = {two_m} and two_j = {two_j} have different parity")
 
 
+@lru_cache(maxsize=8)
+def _lgamma_ints(n):
+    """ln Gamma(1), ..., ln Gamma(n), one math.lgamma each (cached, read-only)."""
+    table = np.array([math.lgamma(v) for v in range(1, n + 1)])
+    table.flags.writeable = False
+    return table
+
+
+def _coupling_rows(two_j, q, kmax, depth):
+    """The coupling recursion of one order q >= 0, run for a batch of spins side by side.
+
+    Rows are counted from the stretched edge: row d is m1 = j - d.  two_j
+    holds the spins (doubled) and depth the deepest row that each needs.
+    Returns (c, scale): c[d + 1, s, i] is the raised coupling of spin s at
+    row d and degree k = q + i for d <= depth[s] and k <= two_j[s], and
+    zero beyond either; c[0] = 0 is the row m1 = j + 1; scale[s, i] lowers
+    a raised value again.  _coupling_table states the recursion.  Each
+    spin's arithmetic is the same whatever the batch, so a batch of one
+    gives the table's bits.
+    """
+    k = np.arange(q, kmax + 1, dtype=float)
+    n = int(depth.max(initial=0))
+    # allocated before any arithmetic on the labels: the step factors (ratio, diag) of
+    # the rows 0..n-1, then the rows -1..n
+    steps = np.empty((n, 2, two_j.size, k.size))
+    c = np.empty((n + 2, two_j.size, k.size))
+    # the seeds' ln Gamma arguments are the integers 1..2j+kmax+2, so one table serves
+    # every spin (2j - k + 1, at degrees k > 2j that no spin reads, takes 1)
+    lg = _lgamma_ints(int(two_j.max(initial=0)) + kmax + 2)
+    i, tj, j = k.astype(int), two_j[:, None], two_j / 2.0
+    ln_seed = 0.5 * (np.log(2.0 * k + 1.0) + lg[tj] + lg[tj - q] + lg[i + q] - lg[tj + i + 1]
+                     - lg[np.maximum(tj - i, 0)] - lg[q] - lg[i - q])
+    # a seed below e^-700 (k near 2j once 2j > 1000) is raised to it and the
+    # row scaled back at the end; |C| <= 1 keeps the raised row finite up to 2j ~ 2000
+    shift = np.maximum(0.0, -700.0 - ln_seed)
+    c[0] = 0.0
+    c[1] = (-1.0) ** q * np.exp(ln_seed + shift) * (k <= tj)
+    m1 = j - np.arange(-1.0, n)[:, None]  # the rows -1..n-1, m1 = j - d exactly
+    m2 = q - m1
+    e = 2.0 * j * (j + 1.0) + 2.0 * m1 * m2
+    # a(m1) > 0 on the rows that a spin steps through; past its depth a spin divides
+    # by inf, so its steps and rows are zero
+    a = np.sqrt(np.maximum((j + m1) * (j - m1 + 1.0) * (j - m2) * (j + m2 + 1.0), 0.0))
+    a_live = np.where(np.arange(n)[:, None] < depth, a[1:], np.inf)
+    # t(m1-1) = diag t(m1) - ratio t(m1+1), diag = (e - k(k+1)) / a(m1), ratio = a(m1+1) / a(m1)
+    steps[:, 0] = (a[:-1] / a_live)[:, :, None]
+    np.subtract(e[1:, :, None], k * (k + 1.0), out=steps[:, 1])
+    np.divide(steps[:, 1], a_live[:, :, None], out=steps[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for d in range(n):  # in place: (ratio, diag) * (t(m1+1), t(m1)), then diag - ratio
+            step = steps[d]
+            np.multiply(step, c[d:d + 2], out=step)
+            np.subtract(step[1], step[0], out=c[d + 2])
+    return c, np.exp(-shift)
+
+
+def _tau_at(two_j, two_m, kmax):
+    """tau_k^{j_p,m_p}, k = 0..kmax, at the pairs (two_j[p], two_m[p]): T[k, p].
+
+    One run of the coupling recursion serves every spin of the pairs, each
+    as deep as its deepest pair (the row of |m|).  Each entry equals
+    cg_tau_table's bit for bit: the row of |m| scaled back, times (-1)^k
+    for m < 0, +0 at odd k for m = 0, and +0 for k > 2j_p.
+    """
+    spins, spin = np.unique(two_j, return_inverse=True)
+    row = (two_j - np.abs(two_m)) // 2
+    depth = np.zeros(spins.size, dtype=row.dtype)
+    np.maximum.at(depth, spin, row)
+    c, scale = _coupling_rows(spins, 0, kmax, depth)
+    t = c[row + 1, spin]                             # (pairs, k)
+    if not np.isfinite(t).all():
+        bad = two_j[~np.isfinite(t).all(axis=1)][0]
+        raise ValueError(f"coupling recursion at two_j = {bad}, q = 0 leaves the double range")
+    k = np.arange(kmax + 1)
+    # the scale times 1, 1 and (-1)^k for m = 0, m > 0 and m < 0 (np.sign's -1 reads the last)
+    t *= (scale[:, None] * [[1.0], [1.0], [-1.0]] ** k)[spin, np.sign(two_m)]
+    t[two_m == 0, 1::2] = 0.0
+    t[k > two_j[:, None]] = 0.0
+    return t.T
+
+
 def _coupling_table(two_j, q, kmax):
     """Couplings t_kq^{j,m,m-q} of one order q >= 0, for k = 0..kmax and every m.
 
     Returns (two_m, T): two_m runs over the projections for which both
     (j, m) and (j, m-q) are valid labels, and T[k, i] is the coupling at
-    two_m[i] (rows k < q are zero).  With m2 = q - m1, the coefficients
-    C(m1) = <j,m1; j,m2|k,q> obey the J^2 three-term relation
+    two_m[i] (rows k < q are zero); kmax <= two_j.  With m2 = q - m1, the
+    coefficients C(m1) = <j,m1; j,m2|k,q> obey the J^2 three-term relation
         [k(k+1) - 2j(j+1) - 2 m1 m2] C(m1) = a(m1) C(m1-1) + a(m1+1) C(m1+1),
         a(m1)^2 = (j+m1)(j-m1+1)(j-m2)(j+m2+1),
-    run here for all k at once.  It is seeded at the stretched edge m1 = j,
+    run for all k at once by _coupling_rows, whose batch of one spin, run
+    down to the centre, this table is.  It is seeded at the stretched edge m1 = j,
     where the Racah sum has the single term
         sqrt((2k+1) (2j)! (2j-q)! (k+q)! / ((2j+k+1)! (2j-k)! q! (k-q)!))
     (in log-Gamma form: it overflows doubles as factorials), and runs
@@ -101,33 +183,14 @@ def _coupling_table(two_j, q, kmax):
     t(q-m1) = (-1)^(k+q) t(m1), which also gives the exact zeros at the
     centre.
     """
-    j = two_j / 2.0
     two_m = np.arange(2 * q - two_j, two_j + 1, 2)
     n, mid = two_m.size, two_m.size // 2
-    k = np.arange(q, kmax + 1, dtype=float)
-    m1 = np.append(two_m[mid:], two_j + 2) / 2.0  # centre to edge, then m1 = j + 1 where C = 0
-    m2 = q - m1
-    e = 2.0 * j * (j + 1.0) + 2.0 * m1 * m2
-    a = np.sqrt((j + m1) * (j - m1 + 1.0) * (j - m2) * (j + m2 + 1.0))
-    ln_seed = 0.5 * (
-        np.log(2.0 * k + 1.0) + math.lgamma(two_j + 1.0) + math.lgamma(two_j - q + 1.0)
-        + _lgamma(k + q + 1.0) - _lgamma(two_j + k + 2.0) - _lgamma(two_j - k + 1.0)
-        - math.lgamma(q + 1.0) - _lgamma(k - q + 1.0))
-    # a seed below e^-700 (k near 2j once 2j > 1000) is raised to it and the
-    # row scaled back at the end; |C| <= 1 keeps the raised row finite up to 2j ~ 2000
-    shift = np.maximum(0.0, -700.0 - ln_seed)
-    c = np.zeros((m1.size, k.size))
-    c[-2] = (-1.0) ** q * np.exp(ln_seed + shift)
-    # t(m1-1) = diag t(m1) - ratio t(m1+1) at the rows 1..size-2, where a(m1) > 0
-    diag = (e[1:-1, None] - k * (k + 1.0)) / a[1:-1, None]
-    ratio = (a[2:] / a[1:-1]).tolist()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(m1.size - 2, 0, -1):
-            c[i - 1] = diag[i - 1] * c[i] - ratio[i - 1] * c[i + 1]
+    rows, scale = _coupling_rows(np.array([two_j]), q, kmax, np.array([two_j - q - mid]))
+    c = rows[:, 0]  # the stretched edge's zero neighbour, then the edge to the centre
     if not np.isfinite(c).all():
         raise ValueError(f"coupling recursion at two_j = {two_j}, q = {q} leaves the double range")
     t = np.zeros((kmax + 1, n))
-    t[q:, mid:] = c[:-1].T * np.exp(-shift)[:, None]
+    t[q:, mid:] = c[:0:-1].T * scale[0][:, None]
     sign = np.where((np.arange(kmax + 1) + q) % 2 == 0, 1.0, -1.0)[:, None]  # (-1)^(k+q)
     t[:, :mid] = sign * t[:, n - mid:][:, ::-1]
     if n % 2:
@@ -145,6 +208,10 @@ def cg_tau_table(two_j, kmax):
 
     Returns an array of shape (kmax+1, two_j+1); column i holds the values
     for two_m = 2*i - two_j.  The returned array is read-only (cached).
+    The cache serves the users of one spin at a time (the sampler, the
+    squeezing scan, moments, coherent_state); the backprojection reads tau
+    only at its records' (j, m) pairs (_tau_at), one recursion for all
+    their spins, and builds no table.
     """
     check_spin_label(two_j, two_j)
     if not 0 <= kmax <= two_j:

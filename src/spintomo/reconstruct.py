@@ -3,8 +3,9 @@
 The full-sphere and in-plane (single great circle of quantization axes)
 reconstructions run one backprojection core.  It groups the records by
 quantization axis, sums each axis's weighted, noise-damped coupling
-coefficients into A[k, axis] (one histogram and one matrix product per
-distinct spin), contracts A once with the angular kernel of the
+coefficients into A[k, axis] (one histogram over the records' distinct
+(j, m) pairs, and tau at those pairs from one coupling recursion over all
+their spins), contracts A once with the angular kernel of the
 geometry, and applies the geometry's filter: (2k+1) on the sphere, the
 Pochhammer product on the equator.  Axes are unoriented: a record taken
 along the antipode of an axis is the same measurement with m -> -m, and
@@ -28,7 +29,7 @@ from .angular import (
     _check_cos,
     _from_half,
     _hemi_overlap_orders,
-    cg_tau_table,
+    _tau_at,
     check_spin_label,
     legendre_sph_table,
     pochhammer_half,
@@ -228,19 +229,30 @@ def _axis_sums(axis, flip, weight, two_j, two_m, kmax, noise):
     record of spin j (states._damping).  Records pointing opposite to their
     axis enter with m -> -m, which is exact: tau_k^{j,-m} = (-1)^k tau_k^{j,m}
     and Y_kq at the antipode is (-1)^k Y_kq.  Waves k > 2j_n get nothing
-    from record n.  One histogram H[a, m] and one matrix product per spin.
+    from record n.  tau is read only at the distinct (j, m) pairs of the
+    records (angular._tau_at), from one run of the coupling recursion for
+    all the spins of a chunk; the chunks keep that run's rows times kmax + 1
+    within states._CHUNK_BUDGET.  One histogram H[pair, a] over all records,
+    and one matrix product per chunk.
     """
     n_axes = int(axis.max()) + 1
     two_m = np.where(flip, -two_m, two_m)
+    spins, spin = np.unique(two_j, return_inverse=True)
+    row = (two_j - np.abs(two_m)) // 2            # the recursion's row of |m|
+    width = 2 * int(row.max()) + 2                # keys (row, m < 0) within one spin
+    keys, pair = np.unique(spin * width + 2 * row + (two_m < 0), return_inverse=True)
+    hist = np.bincount(pair * n_axes + axis, weights=weight,
+                       minlength=keys.size * n_axes).reshape(keys.size, n_axes)
+    pair_spin, rest = np.divmod(keys, width)
+    pair_j = spins[pair_spin]
+    pair_m = np.where(rest % 2, rest - rest % 2 - pair_j, pair_j - rest)
+    damp = _damping(spins, kmax, noise.sigma_n, noise.sigma_omega).T     # (k, spins)
     A = np.zeros((kmax + 1, n_axes))
-    order = np.argsort(two_j, kind="stable")
-    spins, starts = np.unique(two_j[order], return_index=True)
-    for tj, sel in zip(spins.tolist(), np.split(order, starts[1:])):
-        kj = min(kmax, tj)
-        hist = np.bincount(axis[sel] * (tj + 1) + (two_m[sel] + tj) // 2,
-                           weights=weight[sel], minlength=n_axes * (tj + 1))
-        tau = cg_tau_table(tj, kj) * _damping(tj, kj, noise.sigma_n, noise.sigma_omega)[:, None]
-        A[: kj + 1] += tau @ hist.reshape(n_axes, tj + 1).T
+    # a spin's recursion runs through at most (deepest row + 2) rows of kmax + 1 numbers
+    for sl in _chunks(spins.size, (width // 2 + 1) * (kmax + 1)):
+        lo, hi = np.searchsorted(pair_spin, [sl.start, sl.stop])
+        tau = _tau_at(pair_j[lo:hi], pair_m[lo:hi], kmax) * damp[:, pair_spin[lo:hi]]
+        A += tau @ hist[lo:hi]
     return A
 
 
@@ -357,7 +369,9 @@ def xi_contribution(two_j, two_m, x, kmax):
     check_spin_label(two_j, two_m)
     x = np.asarray(x, dtype=float)
     _check_cos(x)
-    tau = cg_tau_table(two_j, kmax)[:, (two_m + two_j) // 2]
+    if not 0 <= kmax <= two_j:
+        raise ValueError(f"kmax = {kmax} outside 0..two_j = {two_j}")
+    tau = _tau_at(np.array([two_j]), np.array([two_m]), kmax)[:, 0]
     coef = (2.0 * np.arange(kmax + 1) + 1.0) ** 1.5 * tau / SQRT_4PI
     # parts of at most 8192 points keep legval's temporaries at 64 KB, below the
     # size from which malloc maps (and page-faults) each new array afresh

@@ -318,24 +318,30 @@ def _damping_alpha(two_j, sigma_n, sigma_omega):
     """alpha = sigma_omega^2 / 4 + sigma_n^2 / (2j (2j - 1)) of the noise damping.
 
     Atom-number noise sigma_n and axis pointing noise sigma_omega damp the
-    partial wave k of a spin-j record by exp(-alpha k(k+1)).
+    partial wave k of a spin-j record by exp(-alpha k(k+1)).  two_j may be
+    an array of spins, and alpha then has its shape.
     """
     _check_noise("sigma_n", sigma_n)
     _check_noise("sigma_omega", sigma_omega)
     alpha = 0.25 * sigma_omega ** 2
     if sigma_n > 0.0:
-        if two_j < 2:
+        if np.any(two_j < 2):
             raise ValueError("number-noise damping undefined for two_j < 2")
-        alpha += sigma_n ** 2 / (two_j * (two_j - 1.0))
+        alpha = alpha + sigma_n ** 2 / (two_j * (two_j - 1.0))
     return alpha
 
 
 def _damping(two_j, kmax, sigma_n, sigma_omega=0.0):
-    """Noise damping exp(-alpha k(k+1)) for k = 0..kmax (alpha from _damping_alpha)."""
+    """Noise damping exp(-alpha k(k+1)) for k = 0..kmax (alpha from _damping_alpha).
+
+    For an array of spins, row s holds the damping of spin two_j[s].
+    """
     k = np.arange(kmax + 1, dtype=float)
+    two_j = np.asarray(two_j)
     # k = 0 is never damped, so a record of any spin that reaches k = 0 alone has factor 1
-    alpha = _damping_alpha(two_j if kmax else 2, sigma_n, sigma_omega)
-    return np.exp(-alpha * k * (k + 1.0))
+    alpha = _damping_alpha(np.where(np.minimum(two_j, kmax) > 0, two_j, 2), sigma_n, sigma_omega)
+    # 0 - alpha is -alpha in the spins' shape (alpha is one number without number noise)
+    return np.exp(np.multiply.outer(np.zeros(two_j.shape) - alpha, k) * (k + 1.0))
 
 
 def coherent_state(two_j, theta0, phi0, sigma_n=0.0, kmax=None):

@@ -19,6 +19,9 @@ as it was when every shot under axis noise drew its own jittered axis
 (``tilted_axes_reference``), and ``jittered_axis_probabilities`` averages
 p_m over those axes by nodes: the references of ``damped_state``, the
 state whose p_m at the nominal axis the sampler draws from now.
+``axis_sums_by_spin`` is the backprojection's per-axis sum as it was when
+every record spin took its own coupling table (the package's
+``cg_tau_table``) and matrix product.
 """
 
 import dataclasses
@@ -329,6 +332,32 @@ def coupling_table_signed(two_j, q, kmax):
         return two_m, t
     sign_k = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, -1.0)[:, None]
     return -two_m[::-1], sign_k * t[:, ::-1]
+
+
+def axis_sums_by_spin(axis, flip, weight, two_j, two_m, kmax, noise):
+    """``reconstruct._axis_sums`` with one coupling table and one matrix product per spin.
+
+    A[k, a] = sum of c_n tau_k^{j_n,m_n} N_k(j_n) over the records n on axis a,
+    records opposite to their axis taken with m -> -m and waves k > 2j_n left
+    out.  The tables come from ``cg_tau_table`` without its cache, so a set of
+    many large spins leaves the cache as it was.
+    """
+    from spintomo.angular import cg_tau_table
+    from spintomo.states import _damping
+
+    n_axes = int(axis.max()) + 1
+    two_m = np.where(flip, -two_m, two_m)
+    A = np.zeros((kmax + 1, n_axes))
+    order = np.argsort(two_j, kind="stable")
+    spins, starts = np.unique(two_j[order], return_index=True)
+    for tj, sel in zip(spins.tolist(), np.split(order, starts[1:])):
+        kj = min(kmax, tj)
+        hist = np.bincount(axis[sel] * (tj + 1) + (two_m[sel] + tj) // 2,
+                           weights=weight[sel], minlength=n_axes * (tj + 1))
+        tau = cg_tau_table.__wrapped__(tj, kj) * _damping(tj, kj, noise.sigma_n,
+                                                          noise.sigma_omega)[:, None]
+        A[: kj + 1] += tau @ hist.reshape(n_axes, tj + 1).T
+    return A
 
 
 def cg_t(two_j, two_m, two_mp, k, q):

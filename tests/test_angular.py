@@ -3,10 +3,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintomo.angular import (
     _coupling_table,
     _hemi_overlap_orders,
+    _tau_at,
     cg_tau_table,
     hemi_overlap,
     legendre_sph_table,
@@ -199,6 +202,50 @@ def test_coupling_recursion_raises_beyond_double_range():
     assert np.isfinite(table).all()
 
 
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), spins=st.lists(st.integers(0, 300), min_size=1, max_size=4))
+def test_tau_at_pairs_equals_the_tables_bit_for_bit(data, spins):
+    # mixed spins, both signs of m and m = 0 (even 2j), kmax up to the largest spin;
+    # a pair of spin 2j < kmax reads +0 at k > 2j
+    kmax = data.draw(st.integers(0, max(spins)), label="kmax")
+    two_j, two_m = [], []
+    for tj in spins:
+        for i in data.draw(st.lists(st.integers(0, tj), min_size=1, max_size=5), label="m"):
+            two_j.append(tj)
+            two_m.append(2 * i - tj)
+        if tj % 2 == 0:
+            two_j.append(tj)
+            two_m.append(0)
+    two_j, two_m = np.array(two_j), np.array(two_m)
+    got = _tau_at(two_j, two_m, kmax)
+    assert got.shape == (kmax + 1, two_j.size)
+    for p, (tj, tm) in enumerate(zip(two_j.tolist(), two_m.tolist())):
+        want = np.zeros(kmax + 1)
+        kj = min(kmax, tj)
+        want[: kj + 1] = cg_tau_table.__wrapped__(tj, kj)[:, (tm + tj) // 2]
+        assert np.array_equal(_bits(got[:, p]), _bits(want))
+
+
+def test_tau_at_pairs_at_paper_scale_equal_the_tables_bit_for_bit():
+    for two_j in (1259, 1260, 1261):
+        table = cg_tau_table.__wrapped__(two_j, 159)
+        two_m = 2 * np.array([0, 600, 629, 630, 640, two_j]) - two_j
+        got = _tau_at(np.full(two_m.size, two_j), two_m, 159)
+        assert np.array_equal(_bits(got), _bits(table[:, (two_m + two_j) // 2]))
+
+
+def test_tau_at_raises_beyond_double_range():
+    # the centre of 2j = 2040 at k = 2040, as cg_tau_table(2040, 2040) would read it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="two_j = 2040, q = 0 leaves the double range"):
+            _tau_at(np.array([4, 2040]), np.array([0, 0]), 2040)
+
+
 # ---------------------------------------------------------------- Legendre
 
 # Xi_{jm}(x) = (4 pi)^(-1/2) sum_k (2k+1)^(3/2) tau_k^{j,m} P_k(x), xi_contribution's series
@@ -223,6 +270,16 @@ def test_legendre_examples():
     x = np.linspace(-1.0, 1.0, 2001)
     want = c @ oracles.legendre_table(40, x)
     assert np.abs(xi_contribution(40, 32, x, 40) - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_xi_contribution_is_the_series_of_the_table_column():
+    # xi_contribution reads its coefficients from one pair; they are the table's bits
+    x = np.linspace(-1.0, 1.0, 101)
+    for two_j, two_m, kmax in ((1, -1, 1), (40, 0, 40), (40, -32, 23), (41, 7, 30)):
+        want = np.polynomial.legendre.legval(x, _xi_coefficients(two_j, two_m, kmax))
+        assert np.array_equal(_bits(xi_contribution(two_j, two_m, x, kmax)), _bits(want))
+    with pytest.raises(ValueError, match="kmax = 41 outside 0..two_j = 40"):
+        xi_contribution(40, 0, 0.5, 41)
 
 
 def test_legendre_against_scipy():

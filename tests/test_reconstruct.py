@@ -22,6 +22,7 @@ from spintomo.reconstruct import (
     _AXIS_TOL,
     ReconstructionConfig,
     _axis_ids,
+    _axis_sums,
     apply_uniform_damping,
     compute_weights,
     fbp_full,
@@ -451,6 +452,123 @@ def test_noisy_reconstruction_takes_records_of_zero_spin():
     with pytest.warns(UserWarning, match="below the requested kmax"):
         plain = reconstruct(recs, ReconstructionConfig(kmax=4, two_j_ref=4))
     assert oracles.coeff(noisy, 0, 0) == oracles.coeff(plain, 0, 0)  # no record is damped at k = 0
+
+
+def test_damping_of_many_spins_equals_each_spins_own():
+    # one expression for every spin, row by row the bits of the scalar call
+    spins = np.array([0, 2, 3, 7, 40, 41, 1260])
+    for sigma_n, sigma_omega in ((0.0, 0.0), (0.0, 0.05), (3.0, 0.0), (50.0, 0.1)):
+        rows = _damping(spins, 30, sigma_n, sigma_omega)
+        assert rows.shape == (spins.size, 31)
+        for tj, row in zip(spins.tolist(), rows):
+            kj = min(30, tj)
+            assert np.array_equal(row[: kj + 1], _damping(tj, kj, sigma_n, sigma_omega))
+    with pytest.raises(ValueError, match="two_j < 2"):
+        _damping(np.array([1, 40]), 4, 0.5)
+
+
+def _pass_seed(seed, index):
+    # the benchmark's seed rule: a run with seed s passes pass_seed(s, 0) to its
+    # passes, and paper-inplane-noisy draws axis a with pass_seed(that, a)
+    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+
+
+def _benchmark_records(name):
+    """The records and settings of a seed-1 run of one of the two benchmark workloads."""
+    seed = _pass_seed(1, 0)
+    if name == "paper-inplane-noisy":
+        noise = NoiseModel(sigma_n=2.0, sigma_omega=0.05, phase_mode="model", sigma_ph=0.2)
+        state = oat_squeezed_state(40, 0.05, 40)
+        recs = None
+        for a, axis in enumerate(_plane_axes(24)):
+            r = sample_measurements(state, [axis], 50, noise, _pass_seed(seed, a))
+            recs = r if recs is None else recs + r
+        return compute_weights(recs, "in-plane"), "in-plane", 23, noise
+    noise = NoiseModel(sigma_n=3.0)
+    recs = sample_measurements(coherent_state(40, 0.0, 0.0, 0.0, 40), _plane_axes(30), 40,
+                               noise, seed)
+    return compute_weights(recs, "in-plane"), "in-plane", min(int(recs.two_j.min()), 29), noise
+
+
+def _spread_records(two_j, sigma, n_axes, shots, seed, odd=False):
+    """Equatorial records whose spins spread by sigma about two_j (at least 2, all odd
+    with odd=True), with uniform projections and positive weights."""
+    rs = np.random.default_rng(seed)
+    n = n_axes * shots
+    spins = np.maximum(two_j + np.rint(rs.normal(0.0, sigma, n)).astype(np.int64), 2)
+    if odd:
+        spins += 1 - spins % 2
+    two_m = 2 * rs.integers(0, spins + 1) - spins
+    phi = np.repeat(np.arange(n_axes) * math.pi / n_axes, shots)
+    return Records(np.full(n, math.pi / 2.0), phi, rs.random(n) + 0.1, spins, two_m)
+
+
+def _assert_axis_sums_match_per_spin_route(recs, mode, kmax, noise):
+    theta, phi, weight, two_j, two_m = recs.columns
+    axis, _, flip = _axis_ids(math.pi / 2.0 if mode == "in-plane" else theta, phi)
+    args = (axis, flip, weight, two_j, two_m, kmax, noise)
+    got, want = _axis_sums(*args), oracles.axis_sums_by_spin(*args)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    return flip
+
+
+@pytest.mark.parametrize("name", ["paper-inplane-noisy", "volume-cli-csv"])
+def test_axis_sums_match_per_spin_route_on_benchmark_records(name):
+    _assert_axis_sums_match_per_spin_route(*_benchmark_records(name))
+
+
+@pytest.mark.parametrize("sigma", [0.0, 5.0, 50.0])
+def test_axis_sums_match_per_spin_route_under_spin_spread(sigma):
+    # at sigma 5 and 50 many records have 2j below kmax = 40
+    recs = _spread_records(40, sigma, 12, 40, seed=int(sigma))
+    assert (sigma == 0.0) == (recs.two_j.min() == 40)
+    _assert_axis_sums_match_per_spin_route(recs, "in-plane", 40, NoiseModel(sigma_n=sigma))
+
+
+def test_axis_sums_match_per_spin_route_for_half_integer_spins():
+    recs = _spread_records(41, 6.0, 10, 30, seed=3, odd=True)
+    assert np.all(recs.two_j % 2 == 1)
+    _assert_axis_sums_match_per_spin_route(recs, "in-plane", 30,
+                                           NoiseModel(sigma_n=2.0, sigma_omega=0.05))
+
+
+def test_axis_sums_match_per_spin_route_for_records_opposite_their_axis():
+    rs = np.random.default_rng(11)
+    theta, phi = np.arccos(rs.uniform(-1.0, 1.0, 30)), rs.uniform(0.0, 2.0 * math.pi, 30)
+    # every axis read from both ends: the antipode's records enter with m -> -m
+    theta = np.concatenate([theta, math.pi - theta]).repeat(20)
+    phi = np.concatenate([phi, np.mod(phi + math.pi, 2.0 * math.pi)]).repeat(20)
+    two_j = rs.integers(18, 24, theta.size)
+    two_m = 2 * rs.integers(0, two_j + 1) - two_j
+    recs = Records(theta, phi, rs.random(theta.size) + 0.1, two_j, two_m)
+    flip = _assert_axis_sums_match_per_spin_route(recs, "full-sphere", 20,
+                                                  NoiseModel(sigma_n=1.5))
+    assert flip.sum() == flip.size // 2
+
+
+def test_axis_sums_match_per_spin_route_for_spins_below_kmax():
+    labels = ((0, 0), (3, -1), (5, 5), (8, -8), (40, 2))
+    recs = Records.of([(math.pi / 2.0, a * math.pi / 5.0, 0.1 + a, tj, tm)
+                       for a in range(5) for tj, tm in labels])
+    _assert_axis_sums_match_per_spin_route(recs, "in-plane", 20, NoiseModel())
+
+
+def test_axis_sums_match_per_spin_route_at_paper_scale():
+    # 2j = 1260 with sigma_N = 50: about 200 spins, each read only near the equator
+    rs = np.random.default_rng(5)
+    recs = _spread_records(1260, 50.0, 30, 100, seed=5)
+    two_m = 2 * rs.integers(-100, 101, recs.two_j.size) + recs.two_j % 2
+    recs = dataclasses.replace(recs, two_m=two_m)
+    assert np.unique(recs.two_j).size > 150
+    _assert_axis_sums_match_per_spin_route(recs, "in-plane", 159, NoiseModel(sigma_n=50.0))
+
+
+def test_backprojection_builds_no_tau_table():
+    recs = _spread_records(40, 5.0, 12, 20, seed=2)
+    before = cg_tau_table.cache_info()
+    fbp_inplane(recs, ReconstructionConfig(kmax=11, noise=NoiseModel(sigma_n=5.0)))
+    after = cg_tau_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_damp_inside_equals_post_smoothing():
